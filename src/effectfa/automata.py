@@ -10,6 +10,16 @@ one channel per letter, then collapsed by the output map":
 * ``convex``   -- optimal acceptance probability under per-step generator
   choices, maximised, minimised, or reported as the [min, max] interval.
 
+Convex values are computed by one backward dynamic programme over the
+generators (:func:`eval_npfa`), not by pushing convex sets forward.  This is
+exact: a linear objective over a convex transition set is optimal at a
+generator, and in a finite-horizon decision problem a deterministic choice
+per state and step attains the optimum of any history-dependent, randomised
+one (Puterman, *Markov Decision Processes*, 1994, ch. 4), so the
+interval equals the one read off the forward hull.  Forward hull propagation
+(:func:`iterated_transition`, :func:`~effectfa.effects.bind`) remains for
+questions whose answer is the convex set itself.
+
 Deterministic automata are the ``dist`` case with Dirac channels and 0/1
 outputs; no separate type exists for them (:func:`is_pure_automaton`).
 
@@ -175,28 +185,36 @@ def _collapse_weighted(v: WeightedVec, output):
     return s.sum(s.mul(w, output[q]) for q, w in v.items())
 
 
-def _convex_bounds(s: ConvexSet, output) -> tuple:
+def _convex_bounds(s: ConvexSet, pairs) -> tuple:
+    """(min low, max high) expected value of a (low, high)-pair map over ``s``.
+
+    The extremes of a linear function over a convex set lie at generators.
+    """
     los = []
     his = []
     for d in s.generators:
-        los.append(sum((w * output[q][0] for q, w in d.items()), _F0))
-        his.append(sum((w * output[q][1] for q, w in d.items()), _F0))
+        los.append(sum((w * pairs[q][0] for q, w in d.items()), _F0))
+        his.append(sum((w * pairs[q][1] for q, w in d.items()), _F0))
     return (min(los), max(his))
 
 
 def eval_word(a: EffAutomaton, w):
-    """The language value of ``w``: value fed letter by letter, then output."""
+    """The language value of ``w``: value fed letter by letter, then output.
+
+    ``dist`` and ``weighted`` values are pushed forward through the letter
+    channels.  Convex values come from the backward generator DP of
+    :func:`eval_npfa` in the mode the output algebra names; it gives the same
+    interval as forward hull propagation (see the module docstring) in time
+    linear in the word, with no choice products and no LPs.
+    """
+    if a.monad.kind == "convex":
+        return eval_npfa(a, w, _dp_mode(a.output_algebra))
     v = a.init
     for letter in w:
         v = bind(v, a.letter_channel(letter))
     if a.monad.kind == "dist":
         return _collapse_dist(v, a.output)
-    if a.monad.kind == "weighted":
-        return _collapse_weighted(v, a.output)
-    lo, hi = _convex_bounds(v, a.output)
-    if a.output_algebra.kind == "interval-pair":
-        return (lo, hi)
-    return hi if a.output_algebra.mode == "max" else lo
+    return _collapse_weighted(v, a.output)
 
 
 def eval_pfa_pathsum(a: EffAutomaton, w) -> Fraction:
@@ -221,6 +239,45 @@ def eval_pfa_pathsum(a: EffAutomaton, w) -> Fraction:
     return total
 
 
+# Per mode, the (optimiser, output component) pairs the backward DP runs.
+_DP_SIDES = {
+    "min": ((min, 0),),
+    "max": ((max, 1),),
+    "interval": ((min, 0), (max, 1)),
+}
+
+
+def _dp_mode(algebra: OutputAlgebra) -> str:
+    return "interval" if algebra.kind == "interval-pair" else algebra.mode
+
+
+def _optimum(generators, values, opt):
+    """``opt`` over the generators of the expected value of ``values``."""
+    return opt(sum((w * values[q] for q, w in d.items()), _F0) for d in generators)
+
+
+def _dp_start(a: EffAutomaton, mode: str) -> tuple:
+    """The empty suffix's per-state value table, one per optimised side."""
+    return tuple({q: a.output[q][comp] for q in a.states} for _, comp in _DP_SIDES[mode])
+
+
+def _dp_step(a: EffAutomaton, letter, tables: tuple, mode: str) -> tuple:
+    """The tables of ``letter`` followed by the suffix whose tables are given."""
+    return tuple(
+        {q: _optimum(a.trans[(q, letter)].generators, t, opt) for q in a.states}
+        for t, (opt, _) in zip(tables, _DP_SIDES[mode])
+    )
+
+
+def _dp_read(a: EffAutomaton, tables: tuple, mode: str):
+    """The value from the initial generators; a (min, max) pair for intervals."""
+    values = tuple(
+        _optimum(a.init.generators, t, opt)
+        for t, (opt, _) in zip(tables, _DP_SIDES[mode])
+    )
+    return values if mode == "interval" else values[0]
+
+
 def eval_npfa(a: EffAutomaton, w, mode: str = "interval"):
     """Backward optimisation over per-step generator choices.
 
@@ -231,32 +288,15 @@ def eval_npfa(a: EffAutomaton, w, mode: str = "interval"):
     """
     if a.monad.kind != "convex":
         raise CapabilityError("generator optimisation is defined for convex automata")
-    if mode not in ("max", "min", "interval"):
+    if mode not in _DP_SIDES:
         raise InputError(f"unknown mode {mode!r}")
     for letter in w:
         if letter not in a.alphabet:
             raise InputError(f"letter {letter!r} is not in the alphabet")
-
-    def run(opt, comp):
-        values = {q: a.output[q][comp] for q in a.states}
-        for letter in reversed(w):
-            values = {
-                q: opt(
-                    sum((d.weight(p) * values[p] for p in d.support()), _F0)
-                    for d in a.trans[(q, letter)].generators
-                )
-                for q in a.states
-            }
-        return opt(
-            sum((d.weight(q) * values[q] for q in d.support()), _F0)
-            for d in a.init.generators
-        )
-
-    if mode == "max":
-        return run(max, 1)
-    if mode == "min":
-        return run(min, 0)
-    return (run(min, 0), run(max, 1))
+    tables = _dp_start(a, mode)
+    for letter in reversed(w):
+        tables = _dp_step(a, letter, tables, mode)
+    return _dp_read(a, tables, mode)
 
 
 def _fresh_state(states: tuple) -> str:

@@ -257,13 +257,11 @@ def _value_monad(t) -> Monad:
     raise InterfaceError(f"not an effect value: {t!r}")
 
 
-def _support_elements(t):
+def _support_elements(t) -> set:
+    """Every point carrying weight in an effect value (any generator, if convex)."""
     if isinstance(t, ConvexSet):
-        seen = []
-        for g in t.generators:
-            seen.extend(g.support())
-        return seen
-    return t.support()
+        return {x for g in t.generators for x in g.support()}
+    return set(t.support())
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +280,7 @@ class Channel:
         for x, t in self.table.items():
             if _value_monad(t) != self.monad:
                 raise InterfaceError(f"entry at {x!r} has the wrong effect type")
-            if not set(_support_elements(t)) <= codomain:
+            if not _support_elements(t) <= codomain:
                 raise InterfaceError(
                     f"entry at {x!r} puts weight outside the codomain carrier"
                 )
@@ -477,7 +475,7 @@ def xi(t, domain: tuple, codomain: tuple) -> Channel:
     """
     monad = _value_monad(t)
     n = len(domain)
-    for f in _support_graphs(t):
+    for f in _support_elements(t):
         if len(f) != n:
             raise InterfaceError("function graph arity does not match the domain")
 
@@ -506,15 +504,6 @@ def xi(t, domain: tuple, codomain: tuple) -> Channel:
                 [dist_slice(d, i) for d in t.generators]
             ).normalized()
     return Channel(monad, domain, codomain, table)
-
-
-def _support_graphs(t):
-    if isinstance(t, ConvexSet):
-        seen = set()
-        for g in t.generators:
-            seen.update(g.support())
-        return seen
-    return t.support()
 
 
 def lambda_channel(g: Channel) -> Dist:

@@ -373,7 +373,9 @@ def classical_syntactic_monoid(a: EffAutomaton, bound: int = 1000) -> SyntacticM
     }
     closed = _close_under(tuple(carrier), list(letter_map.values()), compose, bound)
     if closed is None:
-        raise ResourceError(f"transition monoid exceeds the bound {bound}")
+        raise ResourceError(
+            f"transition monoid reached more than the bound of {bound} elements"
+        )
     monoid = FinMonoid.from_operation(
         closed, [_graph_name(f) for f in closed], tuple(carrier), compose
     )

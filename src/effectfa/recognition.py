@@ -30,6 +30,11 @@ from itertools import product as _iterproduct
 from .automata import (
     EffAutomaton,
     OutputAlgebra,
+    _convex_bounds,
+    _dp_mode,
+    _dp_read,
+    _dp_start,
+    _dp_step,
     outputs_equal,
     purify_initial,
     words_upto,
@@ -65,15 +70,6 @@ CONVEX_PREIMAGE_STATE_BOUND = 4
 CONVEX_PREIMAGE_GENERATOR_BOUND = 4
 
 
-def _interval_of(value: ConvexSet, pairs: dict) -> tuple:
-    los = []
-    his = []
-    for d in value.generators:
-        los.append(sum((w * pairs[q][0] for q, w in d.items()), _F0))
-        his.append(sum((w * pairs[q][1] for q, w in d.items()), _F0))
-    return (min(los), max(his))
-
-
 def _project(algebra: OutputAlgebra, interval: tuple):
     if algebra.kind == "interval-pair":
         return interval
@@ -87,7 +83,7 @@ def _collapse(monad: Monad, algebra: OutputAlgebra, value, output: dict):
     if monad.kind == "weighted":
         s = monad.semiring
         return s.sum(s.mul(w, output[q]) for q, w in value.items())
-    return _project(algebra, _interval_of(value, output))
+    return _project(algebra, _convex_bounds(value, output))
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ class EffRecognizer:
         if monad.kind == "weighted":
             s = monad.semiring
             return s.sum(s.mul(wt, self.predicate[m]) for m, wt in ext.items())
-        return _project(self.output_algebra, _interval_of(ext, self.predicate))
+        return _project(self.output_algebra, _convex_bounds(ext, self.predicate))
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,8 @@ def xi_preimage(target: Channel):
         return WeightedVec(s, weights)
     if len(target.domain) > CONVEX_PREIMAGE_STATE_BOUND:
         raise ResourceError(
-            f"convex preimage supports at most {CONVEX_PREIMAGE_STATE_BOUND} states"
+            f"convex preimage supports at most {CONVEX_PREIMAGE_STATE_BOUND} "
+            f"states; the channel has {len(target.domain)}"
         )
     per_state = []
     for x in target.domain:
@@ -197,7 +194,8 @@ def xi_preimage(target: Channel):
         if len(gens) > CONVEX_PREIMAGE_GENERATOR_BOUND:
             raise ResourceError(
                 "convex preimage supports at most "
-                f"{CONVEX_PREIMAGE_GENERATOR_BOUND} generators per state"
+                f"{CONVEX_PREIMAGE_GENERATOR_BOUND} generators per state; "
+                f"state {x!r} has {len(gens)}"
             )
         per_state.append(gens)
     hull = []
@@ -221,7 +219,7 @@ def automaton_to_recognizer(a: EffAutomaton, bound: int = 6) -> EffRecognizer:
     letters = {x: xi_preimage(a.letter_channel(x)) for x in a.alphabet}
     if a.monad.kind == "convex":
         predicate = {
-            f: _interval_of(bind(a.init, images[f]), a.output) for f in m.elements
+            f: _convex_bounds(bind(a.init, images[f]), a.output) for f in m.elements
         }
     else:
         predicate = {
@@ -346,15 +344,37 @@ def bialgebra_to_automaton(r: BialgRecognizer) -> EffAutomaton:
 def verify_recognition(a: EffAutomaton, r, maxlen: int) -> list:
     """Compare automaton and recognizer values on every word up to maxlen.
 
-    Both sides are evaluated along the word tree, so shared prefixes are
-    computed once.  Returns ``(word, automaton_value, recognizer_value)``
-    triples for each disagreement; an empty list certifies agreement at this
-    depth.
+    The recognizer side is evaluated along the word tree, so shared prefixes
+    are computed once.  So is the automaton side for ``dist`` and
+    ``weighted``.  A convex automaton shares suffixes instead: each suffix
+    gets the per-state tables of the backward generator DP of
+    :func:`~effectfa.automata.eval_npfa`, one letter put in front of a
+    shorter suffix's tables, and each word is read off the initial
+    generators.  Those values equal the forward hull's exactly, while the
+    recognizer side still composes convex sets, so the two sides stay
+    independent computations.  Returns ``(word, automaton_value,
+    recognizer_value)`` triples for each disagreement; an empty list
+    certifies agreement at this depth.
     """
-    letter_channels = {x: a.letter_channel(x) for x in a.alphabet}
-    forward = {(): a.init}
-    monoid_side = isinstance(r, EffRecognizer)
-    if monoid_side:
+    if a.monad.kind == "convex":
+        mode = _dp_mode(a.output_algebra)
+        suffixes = {(): _dp_start(a, mode)}
+
+        def aut_value(w):
+            if w:
+                suffixes[w] = _dp_step(a, w[0], suffixes[w[1:]], mode)
+            return _dp_read(a, suffixes[w], mode)
+
+    else:
+        letter_channels = {x: a.letter_channel(x) for x in a.alphabet}
+        forward = {(): a.init}
+
+        def aut_value(w):
+            if w:
+                forward[w] = bind(forward[w[:-1]], letter_channels[w[-1]])
+            return _collapse(a.monad, a.output_algebra, forward[w], a.output)
+
+    if isinstance(r, EffRecognizer):
         m = r.morphism.target
         states = {(): unit(r.morphism.monad, m.unit)}
 
@@ -365,14 +385,9 @@ def verify_recognition(a: EffAutomaton, r, maxlen: int) -> list:
                 states[w] = tm_multiply(m, states[w[:-1]], r.morphism.letter(w[-1]))
 
         def rec_value(w):
-            ext = states[w]
-            monad = r.morphism.monad
-            if monad.kind == "dist":
-                return sum((wt * r.predicate[x] for x, wt in ext.items()), _F0)
-            if monad.kind == "weighted":
-                s = monad.semiring
-                return s.sum(s.mul(wt, r.predicate[x]) for x, wt in ext.items())
-            return _project(r.output_algebra, _interval_of(ext, r.predicate))
+            return _collapse(
+                r.morphism.monad, r.output_algebra, states[w], r.predicate
+            )
 
     else:
         states = {(): identity_channel(r.monad, r.states)}
@@ -386,9 +401,8 @@ def verify_recognition(a: EffAutomaton, r, maxlen: int) -> list:
     violations = []
     for w in words_upto(a.alphabet, maxlen):
         if w:
-            forward[w] = bind(forward[w[:-1]], letter_channels[w[-1]])
             extend(w)
-        mine = _collapse(a.monad, a.output_algebra, forward[w], a.output)
+        mine = aut_value(w)
         theirs = rec_value(w)
         if not outputs_equal(a, mine, theirs):
             violations.append((w, mine, theirs))

@@ -20,6 +20,7 @@ from effectfa import (
     EffAutomaton,
     INTERVAL_PAIR,
     UNIT_INTERVAL,
+    bind,
     convex_output,
     eval_npfa,
     eval_pfa_pathsum,
@@ -32,6 +33,7 @@ from effectfa import (
     unit,
     words_upto,
 )
+from effectfa.effects import CONVEX_CHOICE_LIMIT
 from effectfa.errors import CapabilityError, InputError, InterfaceError
 
 
@@ -169,12 +171,44 @@ def test_interval_bounds_attained_by_generator_selections():
             assert hi == npfa_brute_force(a, w, "max")
 
 
+def _forward_hull_interval(a, w):
+    """(min low, max high) over the generators of the forward-propagated hull."""
+    final = bind(a.init, iterated_transition(a, w))
+    los = [sum((x * a.output[q][0] for q, x in d.items()), F(0)) for d in final.generators]
+    his = [sum((x * a.output[q][1] for q, x in d.items()), F(0)) for d in final.generators]
+    return (min(los), max(his))
+
+
 def test_eval_word_matches_dp_for_convex():
+    # The oracle pushes convex sets forward; eval_word runs the backward DP.
     rng = random.Random(15)
     for _ in range(10):
         a = rand_npfa(rng, 2, 2, 3, pure_init=False)
         for w in words_upto(a.alphabet, 4):
-            assert eval_word(a, w) == eval_npfa(a, w, "interval")
+            assert eval_word(a, w) == _forward_hull_interval(a, w)
+
+
+def test_eval_word_on_convex_machine_wider_than_choice_limit():
+    # From a uniform start on n states, one letter step needs 2**n generator
+    # choices.  State q_i outputs 1 if i is even, else 0, and on "a" either
+    # stays or moves to q0/q1 with probability 1/2 each.  After k letters the
+    # interval is [2**-(k+1), 1 - 2**-(k+1)].
+    n = 18
+    assert 2**n > CONVEX_CHOICE_LIMIT
+    states = tuple(f"q{i}" for i in range(n))
+    mix = Dist({"q0": F(1, 2), "q1": F(1, 2)})
+    a = EffAutomaton(
+        monad=CONVEX,
+        states=states,
+        alphabet=("a",),
+        init=ConvexSet([Dist({q: F(1, n) for q in states})]),
+        trans={(q, "a"): ConvexSet([Dist({q: 1}), mix]) for q in states},
+        output={q: convex_output(1 - i % 2) for i, q in enumerate(states)},
+        output_algebra=INTERVAL_PAIR,
+    )
+    for k in range(6):
+        edge = F(1, 2 ** (k + 1))
+        assert eval_word(a, word(k)) == (edge, 1 - edge)
 
 
 def test_purify_pure_machine_is_inert():

@@ -260,6 +260,11 @@ def test_syntactic_monoid_of_contains_ab():
         assert syn.accepts(w) == (eval_word(dfa, w) == 1)
 
 
+def test_syntactic_monoid_overflow_reports_the_bound():
+    with pytest.raises(ResourceError, match="reached more than the bound of 2 elements"):
+        classical_syntactic_monoid(contains_ab_dfa(), 2)
+
+
 def test_syntactic_monoid_requires_pure_automaton():
     with pytest.raises(PreconditionError):
         classical_syntactic_monoid(coin_pfa(), 100)

@@ -45,7 +45,7 @@ from effectfa import (
     xi_preimage,
 )
 from effectfa.automata import EffAutomaton
-from effectfa.errors import CapabilityError, IntegrityError
+from effectfa.errors import CapabilityError, IntegrityError, ResourceError
 from effectfa.recognition import BialgRecognizer
 
 RAT = weighted("rational")
@@ -161,6 +161,22 @@ def test_preimage_weighted_entrywise():
         (None, "q1"): F(1),
     }
     assert xi(pre, ch.domain, ch.codomain) == ch
+
+
+def test_convex_preimage_bounds_report_the_measured_size():
+    wide = tuple(f"q{i}" for i in range(5))
+    ch = Channel(CONVEX, wide, wide, {q: unit(CONVEX, q) for q in wide})
+    with pytest.raises(ResourceError, match="at most 4 states; the channel has 5"):
+        xi_preimage(ch)
+    carrier = ("q0", "q1")
+    many = ConvexSet(
+        [Dist({"q0": F(k, 4), "q1": 1 - F(k, 4)}) for k in range(5)]
+    )
+    ch = Channel(CONVEX, carrier, carrier, {"q0": many, "q1": unit(CONVEX, "q1")})
+    with pytest.raises(
+        ResourceError, match="at most 4 generators per state; state 'q0' has 5"
+    ):
+        xi_preimage(ch)
 
 
 def test_preimage_convex_singletons_degenerate():
@@ -505,6 +521,24 @@ def test_verify_recognition_flags_corrupted_predicate():
     violations = verify_recognition(coin, bad, 2)
     assert violations
     assert all(len(w) <= 2 for w, _, _ in violations)
+
+
+def test_verify_recognition_flags_corrupted_convex_predicate():
+    a = choice_npfa()
+    rec = automaton_to_recognizer(a)
+    assert verify_recognition(a, rec, 3) == []
+    corrupted = dict(rec.predicate)
+    corrupted[("q1", "q1")] = convex_output(0)
+    bad = EffRecognizer(
+        morphism=rec.morphism,
+        predicate=corrupted,
+        output_algebra=rec.output_algebra,
+    )
+    violations = verify_recognition(a, bad, 3)
+    assert [w for w, _, _ in violations] == [("a",) * n for n in (1, 2, 3)]
+    for w, mine, theirs in violations:
+        assert mine == eval_npfa(a, w, "interval") == (0, 1)
+        assert theirs == (0, 0)
 
 
 def test_recognizer_built_from_effectful_init():
