@@ -88,6 +88,7 @@ from .syntactic import (
     bounded_context_oracle,
     cancellativity_embedding,
     combo_matrix,
+    from_linear,
     is_commutative,
     minimize,
     syn_congruent,

@@ -3,7 +3,10 @@
 An :class:`EffAutomaton` bundles a finite state carrier, an initial effect
 value, a total transition table on state-letter pairs, and an output map into
 an output algebra.  The word semantics is always "initial value, fed through
-one channel per letter, then collapsed by the output map":
+one channel per letter, then collapsed by the output map".  The channels are
+built and validated once, when the automaton is constructed, and
+:func:`collapse` is the one output step: every evaluation here and in
+:mod:`effectfa.recognition` ends in it.  Per effect type the value is:
 
 * ``dist``     -- acceptance probability in [0, 1] (probabilistic automata);
 * ``weighted`` -- a value of the semiring (weighted automata / power series);
@@ -11,12 +14,14 @@ one channel per letter, then collapsed by the output map":
   choices, maximised, minimised, or reported as the [min, max] interval.
 
 Convex values are computed by one backward dynamic programme over the
-generators (:func:`eval_npfa`), not by pushing convex sets forward.  This is
-exact: a linear objective over a convex transition set is optimal at a
-generator, and in a finite-horizon decision problem a deterministic choice
-per state and step attains the optimum of any history-dependent, randomised
-one (Puterman, *Markov Decision Processes*, 1994, ch. 4), so the
-interval equals the one read off the forward hull.  Forward hull propagation
+generators (:func:`eval_npfa`), not by pushing convex sets forward: the table
+of a suffix is an output map, and putting a letter in front collapses each
+state's transition value through it.  This is exact: a linear objective over
+a convex transition set is optimal at a generator, and in a finite-horizon
+decision problem a deterministic choice per state and step attains the
+optimum of any history-dependent, randomised one (Puterman, *Markov Decision
+Processes*, 1994, ch. 4), so the interval equals the one read off the forward
+hull.  Forward hull propagation
 (:func:`iterated_transition`, :func:`~effectfa.effects.bind`) remains for
 questions whose answer is the convex set itself.
 
@@ -31,16 +36,14 @@ empty-word interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _iterproduct
 
 from .effects import (
     Channel,
-    ConvexSet,
-    Dist,
     Monad,
-    WeightedVec,
+    _check_value,
     bind,
     identity_channel,
     is_pure,
@@ -115,6 +118,8 @@ class EffAutomaton:
     trans: dict
     output: dict
     output_algebra: OutputAlgebra
+    # One validated channel per letter, built from ``trans`` on construction.
+    _channels: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         missing = {
@@ -135,12 +140,21 @@ class EffAutomaton:
                     raise InterfaceError(
                         f"convex outputs are (low, high) pairs; got {v!r} at {q!r}"
                     )
+        _check_value(self.monad, self.init, set(self.states), "the initial value")
+        channels = {}
+        for a in self.alphabet:
+            table = {q: self.trans[(q, a)] for q in self.states}
+            try:
+                channels[a] = Channel(self.monad, self.states, self.states, table)
+            except InterfaceError as e:
+                raise InterfaceError(f"transitions on {a!r}: {e}") from None
+        object.__setattr__(self, "_channels", channels)
 
     def letter_channel(self, a) -> Channel:
-        if a not in self.alphabet:
+        ch = self._channels.get(a)
+        if ch is None:
             raise InputError(f"letter {a!r} is not in the alphabet")
-        table = {q: self.trans[(q, a)] for q in self.states}
-        return Channel(self.monad, self.states, self.states, table)
+        return ch
 
     def init_pure_state(self):
         """The single initial state if the initial value is pure, else None."""
@@ -176,26 +190,41 @@ def iterated_transition(a: EffAutomaton, w) -> Channel:
     return ch
 
 
-def _collapse_dist(d: Dist, output) -> Fraction:
-    return sum((w * output[q] for q, w in d.items()), _F0)
+# Per convex algebra mode (None for the pair), the (optimiser, output
+# component) sides that :func:`collapse` reads.
+_CONVEX_SIDES = {
+    "max": ((max, 1),),
+    "min": ((min, 0),),
+    None: ((min, 0), (max, 1)),
+}
 
 
-def _collapse_weighted(v: WeightedVec, output):
-    s = v.semiring
-    return s.sum(s.mul(w, output[q]) for q, w in v.items())
+def collapse(monad: Monad, algebra: OutputAlgebra, value, output: dict):
+    """Apply the output map's free extension to a final effect value.
 
-
-def _convex_bounds(s: ConvexSet, pairs) -> tuple:
-    """(min low, max high) expected value of a (low, high)-pair map over ``s``.
-
-    The extremes of a linear function over a convex set lie at generators.
+    ``dist`` gives the expectation and ``weighted`` the semiring sum of
+    products.  A convex value gives, per side the algebra reads, the optimum
+    over its generators of the expected output component: ``max`` of the
+    highs, ``min`` of the lows, or the (min low, max high) pair.  The extremes
+    of a linear function over a convex set lie at generators, so this is the
+    optimum over the whole set.  ``algebra`` is read for convex values only;
+    a site that stores the result as an output entry passes
+    :data:`INTERVAL_PAIR` to get the raw (low, high) pair.
     """
-    los = []
-    his = []
-    for d in s.generators:
-        los.append(sum((w * pairs[q][0] for q, w in d.items()), _F0))
-        his.append(sum((w * pairs[q][1] for q, w in d.items()), _F0))
-    return (min(los), max(his))
+    if monad.kind == "dist":
+        return sum((w * output[q] for q, w in value.items()), _F0)
+    if monad.kind == "weighted":
+        s = monad.semiring
+        return s.sum(s.mul(w, output[q]) for q, w in value.items())
+    sides = _CONVEX_SIDES[algebra.mode]
+    values = tuple(
+        opt(
+            sum((w * output[q][comp] for q, w in d.items()), _F0)
+            for d in value.generators
+        )
+        for opt, comp in sides
+    )
+    return values if len(sides) == 2 else values[0]
 
 
 def eval_word(a: EffAutomaton, w):
@@ -208,13 +237,11 @@ def eval_word(a: EffAutomaton, w):
     linear in the word, with no choice products and no LPs.
     """
     if a.monad.kind == "convex":
-        return eval_npfa(a, w, _dp_mode(a.output_algebra))
+        return _dp_value(a, a.output_algebra, w)
     v = a.init
     for letter in w:
         v = bind(v, a.letter_channel(letter))
-    if a.monad.kind == "dist":
-        return _collapse_dist(v, a.output)
-    return _collapse_weighted(v, a.output)
+    return collapse(a.monad, a.output_algebra, v, a.output)
 
 
 def eval_pfa_pathsum(a: EffAutomaton, w) -> Fraction:
@@ -239,64 +266,46 @@ def eval_pfa_pathsum(a: EffAutomaton, w) -> Fraction:
     return total
 
 
-# Per mode, the (optimiser, output component) pairs the backward DP runs.
-_DP_SIDES = {
-    "min": ((min, 0),),
-    "max": ((max, 1),),
-    "interval": ((min, 0), (max, 1)),
-}
+_ALGEBRA_FOR_MODE = {"max": INTERVAL_MAX, "min": INTERVAL_MIN, "interval": INTERVAL_PAIR}
 
 
-def _dp_mode(algebra: OutputAlgebra) -> str:
-    return "interval" if algebra.kind == "interval-pair" else algebra.mode
+def _dp_step(a: EffAutomaton, algebra: OutputAlgebra, letter, table: dict) -> dict:
+    """The value table of ``letter`` followed by the suffix whose table is given.
+
+    Each state's entry collapses its transition value with the suffix's
+    table as the output map, kept as a (low, high) pair so that it can serve
+    as the next output map.
+    """
+    out = {}
+    for q, t in a.letter_channel(letter).table.items():
+        v = collapse(a.monad, algebra, t, table)
+        out[q] = v if isinstance(v, tuple) else (v, v)
+    return out
 
 
-def _optimum(generators, values, opt):
-    """``opt`` over the generators of the expected value of ``values``."""
-    return opt(sum((w * values[q] for q, w in d.items()), _F0) for d in generators)
-
-
-def _dp_start(a: EffAutomaton, mode: str) -> tuple:
-    """The empty suffix's per-state value table, one per optimised side."""
-    return tuple({q: a.output[q][comp] for q in a.states} for _, comp in _DP_SIDES[mode])
-
-
-def _dp_step(a: EffAutomaton, letter, tables: tuple, mode: str) -> tuple:
-    """The tables of ``letter`` followed by the suffix whose tables are given."""
-    return tuple(
-        {q: _optimum(a.trans[(q, letter)].generators, t, opt) for q in a.states}
-        for t, (opt, _) in zip(tables, _DP_SIDES[mode])
-    )
-
-
-def _dp_read(a: EffAutomaton, tables: tuple, mode: str):
-    """The value from the initial generators; a (min, max) pair for intervals."""
-    values = tuple(
-        _optimum(a.init.generators, t, opt)
-        for t, (opt, _) in zip(tables, _DP_SIDES[mode])
-    )
-    return values if mode == "interval" else values[0]
+def _dp_value(a: EffAutomaton, algebra: OutputAlgebra, w):
+    """The convex value of ``w`` by the backward DP, read off the initial value."""
+    table = a.output
+    for letter in reversed(w):
+        table = _dp_step(a, algebra, letter, table)
+    return collapse(a.monad, algebra, a.init, table)
 
 
 def eval_npfa(a: EffAutomaton, w, mode: str = "interval"):
     """Backward optimisation over per-step generator choices.
 
-    Processes the word right to left, keeping one optimal value per state;
-    the optimum over a convex transition set is attained at a generator, so
-    only generators are inspected.  ``mode`` is ``max``, ``min`` or
-    ``interval`` (returning the (min, max) pair).
+    Processes the word right to left, keeping one optimal value per state:
+    the table of a suffix is the output map, and putting a letter in front
+    collapses each state's transition value through it.  The optimum over a
+    convex transition set is attained at a generator, so only generators are
+    inspected.  ``mode`` is ``max``, ``min`` or ``interval`` (returning the
+    (min, max) pair).
     """
     if a.monad.kind != "convex":
         raise CapabilityError("generator optimisation is defined for convex automata")
-    if mode not in _DP_SIDES:
+    if mode not in _ALGEBRA_FOR_MODE:
         raise InputError(f"unknown mode {mode!r}")
-    for letter in w:
-        if letter not in a.alphabet:
-            raise InputError(f"letter {letter!r} is not in the alphabet")
-    tables = _dp_start(a, mode)
-    for letter in reversed(w):
-        tables = _dp_step(a, letter, tables, mode)
-    return _dp_read(a, tables, mode)
+    return _dp_value(a, _ALGEBRA_FOR_MODE[mode], w)
 
 
 def _fresh_state(states: tuple) -> str:
@@ -320,12 +329,7 @@ def purify_initial(a: EffAutomaton) -> EffAutomaton:
     for x in a.alphabet:
         trans[(bot, x)] = bind(a.init, a.letter_channel(x))
     output = dict(a.output)
-    if a.monad.kind == "dist":
-        output[bot] = _collapse_dist(a.init, a.output)
-    elif a.monad.kind == "weighted":
-        output[bot] = _collapse_weighted(a.init, a.output)
-    else:
-        output[bot] = _convex_bounds(a.init, a.output)
+    output[bot] = collapse(a.monad, INTERVAL_PAIR, a.init, a.output)
     return EffAutomaton(
         monad=a.monad,
         states=states,

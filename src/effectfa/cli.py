@@ -28,9 +28,8 @@ from fractions import Fraction
 
 from . import convexgame
 from .automata import (
+    _ALGEBRA_FOR_MODE,
     EffAutomaton,
-    INTERVAL_MAX,
-    INTERVAL_MIN,
     INTERVAL_PAIR,
     SEMIRING_SELF,
     UNIT_INTERVAL,
@@ -42,7 +41,7 @@ from .automata import (
 from .effects import CONVEX, Channel, ConvexSet, DIST, Dist, WeightedVec, weighted
 from .errors import EffectfaError, ParseError
 from .exactnum import parse_rational
-from .monoids import EffMorphism, FinMonoid
+from .monoids import EffMorphism, FinMonoid, _graph_name
 from .recognition import (
     BialgRecognizer,
     EffRecognizer,
@@ -52,28 +51,30 @@ from .recognition import (
     recognizer_to_automaton,
     verify_recognition,
 )
-from .syntactic import FormalCombo, is_commutative, minimize, syn_congruent, to_linear
+from .syntactic import (
+    FormalCombo,
+    from_linear,
+    is_commutative,
+    minimize,
+    syn_congruent,
+    to_linear,
+)
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
 # Low-level line machinery
 
 
-class _Lines:
+def _lines(text: str) -> list:
     """Tokenised non-comment lines with their 1-based numbers."""
-
-    def __init__(self, text: str):
-        self.rows = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.rows.append((no, body.split()))
-
-    def sections(self):
-        return self.rows
+    rows = []
+    for no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            rows.append((no, body.split()))
+    return rows
 
 
 def _fail(no, message):
@@ -162,13 +163,8 @@ def _parse_monad_line(no, tokens):
     if kind == "convex":
         if len(tokens) == 1:
             return CONVEX, INTERVAL_PAIR
-        if len(tokens) == 2 and tokens[1] in ("max", "min", "interval"):
-            algebra = {
-                "max": INTERVAL_MAX,
-                "min": INTERVAL_MIN,
-                "interval": INTERVAL_PAIR,
-            }[tokens[1]]
-            return CONVEX, algebra
+        if len(tokens) == 2 and tokens[1] in _ALGEBRA_FOR_MODE:
+            return CONVEX, _ALGEBRA_FOR_MODE[tokens[1]]
         _fail(no, "monad convex takes one of: max, min, interval")
     _fail(no, f"unknown monad {kind!r}")
 
@@ -211,7 +207,7 @@ def parse_automaton(text: str) -> EffAutomaton:
     init = None
     trans = {}
     output = None
-    for no, tokens in _Lines(text).sections():
+    for no, tokens in _lines(text):
         head, rest = tokens[0], tokens[1:]
         if head == "monad":
             if monad is not None:
@@ -286,8 +282,7 @@ def parse_automaton(text: str) -> EffAutomaton:
     )
 
 
-def _fmt_monad_line(a_or_monad, algebra) -> str:
-    monad = a_or_monad
+def _fmt_monad_line(monad, algebra) -> str:
     if monad.kind == "dist":
         return "monad dist"
     if monad.kind == "weighted":
@@ -351,7 +346,7 @@ def print_automaton(a: EffAutomaton) -> str:
 def parse_recognizer(text: str):
     """Parse a monoid-recognizer or bialgebra file (detected by sections)."""
     tokens_by_head = {}
-    for _, tokens in _Lines(text).sections():
+    for _, tokens in _lines(text):
         tokens_by_head.setdefault(tokens[0], []).append(tokens)
     if "gens" in tokens_by_head:
         return _parse_bialgebra(text)
@@ -366,7 +361,7 @@ def _parse_monoid_recognizer(text: str) -> EffRecognizer:
     table = {}
     hom = {}
     pred = None
-    for no, tokens in _Lines(text).sections():
+    for no, tokens in _lines(text):
         head, rest = tokens[0], tokens[1:]
         if head == "monad":
             monad, algebra = _parse_monad_line(no, rest)
@@ -479,7 +474,7 @@ def _parse_bialgebra(text: str) -> BialgRecognizer:
     hom_rows = {}
     init = None
     output = None
-    for no, tokens in _Lines(text).sections():
+    for no, tokens in _lines(text):
         head, rest = tokens[0], tokens[1:]
         if head == "monad":
             monad, algebra = _parse_monad_line(no, rest)
@@ -560,7 +555,7 @@ def _parse_bialgebra(text: str) -> BialgRecognizer:
 
 
 def print_bialgebra(r: BialgRecognizer) -> str:
-    gen_names = {g: _gen_name(r, g) for g in r.generators}
+    gen_names = {g: g if isinstance(g, str) else _graph_name(g) for g in r.generators}
     lines = [
         _fmt_monad_line(r.monad, r.output_algebra),
         "alphabet " + " ".join(r.alphabet),
@@ -581,12 +576,6 @@ def print_bialgebra(r: BialgRecognizer) -> str:
         + " ".join(f"{q}:{_fmt_output_value(r.output[q], r.monad)}" for q in r.states)
     )
     return "\n".join(lines) + "\n"
-
-
-def _gen_name(r: BialgRecognizer, g) -> str:
-    if isinstance(g, str):
-        return g
-    return "[" + ",".join("_" if y is None else str(y) for y in g) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -755,27 +744,7 @@ def _cmd_equiv(args):
 def _cmd_minimize(args):
     a = parse_automaton(_read(args.file))
     rep = minimize(to_linear(a))
-    states = tuple(f"s{i}" for i in range(rep.dim))
-    rational = weighted("rational")
-    trans = {}
-    for i, q in enumerate(states):
-        for x in rep.alphabet:
-            row = rep.letters[x][i]
-            trans[(q, x)] = WeightedVec(
-                rational.semiring, {states[j]: w for j, w in enumerate(row)}
-            )
-    out = EffAutomaton(
-        monad=rational,
-        states=states,
-        alphabet=rep.alphabet,
-        init=WeightedVec(
-            rational.semiring, {states[j]: w for j, w in enumerate(rep.initial)}
-        ),
-        trans=trans,
-        output={q: rep.final[j] for j, q in enumerate(states)},
-        output_algebra=SEMIRING_SELF,
-    )
-    text = f"# dimension {rep.dim}\n" + print_automaton(out)
+    text = f"# dimension {rep.dim}\n" + print_automaton(from_linear(rep))
     return 0, text.rstrip("\n")
 
 

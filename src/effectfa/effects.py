@@ -264,6 +264,14 @@ def _support_elements(t) -> set:
     return set(t.support())
 
 
+def _check_value(monad: Monad, t, carrier: set, where: str) -> None:
+    """Raise InterfaceError unless ``t`` is a ``monad`` value supported in ``carrier``."""
+    if _value_monad(t) != monad:
+        raise InterfaceError(f"{where} has the wrong effect type")
+    if not _support_elements(t) <= carrier:
+        raise InterfaceError(f"{where} puts weight outside the carrier")
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """Total table from a finite domain to effect values over a codomain."""
@@ -278,12 +286,7 @@ class Channel:
             raise InterfaceError("channel table must be total on its domain")
         codomain = set(self.codomain)
         for x, t in self.table.items():
-            if _value_monad(t) != self.monad:
-                raise InterfaceError(f"entry at {x!r} has the wrong effect type")
-            if not _support_elements(t) <= codomain:
-                raise InterfaceError(
-                    f"entry at {x!r} puts weight outside the codomain carrier"
-                )
+            _check_value(self.monad, t, codomain, f"entry at {x!r}")
 
     def __call__(self, x):
         try:
@@ -339,11 +342,6 @@ def is_pure(value_or_channel) -> bool:
     if isinstance(t, ConvexSet):
         return t.is_singleton_dirac()
     raise InterfaceError(f"not an effect value: {t!r}")
-
-
-def effect_map(t, fn):
-    """Functorial action: push an effect value forward along ``fn``."""
-    return t.map(fn)
 
 
 def _convex_bind(s: ConvexSet, k) -> ConvexSet:

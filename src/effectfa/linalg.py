@@ -17,14 +17,6 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def vec(values) -> Vec:
-    return tuple(Fraction(v) for v in values)
-
-
-def mat(rows) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
 def zero_vec(n: int) -> Vec:
     return (_F0,) * n
 
@@ -48,10 +40,6 @@ def vec_mat(v: Vec, m: Mat) -> Vec:
     return tuple(
         sum((v[i] * m[i][j] for i in range(len(v))), _F0) for j in range(cols)
     )
-
-
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in m)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -82,9 +70,6 @@ class RowSpace:
                 for j in range(p, self.width):
                     v[j] -= c * row[j]
         return tuple(v)
-
-    def contains(self, v: Vec) -> bool:
-        return all(x == 0 for x in self.reduce(v))
 
     def add(self, v: Vec) -> bool:
         """Add ``v`` to the space; True iff it was independent."""

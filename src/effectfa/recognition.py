@@ -28,13 +28,11 @@ from fractions import Fraction
 from itertools import product as _iterproduct
 
 from .automata import (
+    INTERVAL_PAIR,
     EffAutomaton,
     OutputAlgebra,
-    _convex_bounds,
-    _dp_mode,
-    _dp_read,
-    _dp_start,
     _dp_step,
+    collapse,
     outputs_equal,
     purify_initial,
     words_upto,
@@ -63,27 +61,10 @@ from .monoids import (
     tm_multiply,
 )
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 CONVEX_PREIMAGE_STATE_BOUND = 4
 CONVEX_PREIMAGE_GENERATOR_BOUND = 4
-
-
-def _project(algebra: OutputAlgebra, interval: tuple):
-    if algebra.kind == "interval-pair":
-        return interval
-    return interval[1] if algebra.mode == "max" else interval[0]
-
-
-def _collapse(monad: Monad, algebra: OutputAlgebra, value, output: dict):
-    """Apply the output map's free extension to a final effect value."""
-    if monad.kind == "dist":
-        return sum((w * output[q] for q, w in value.items()), _F0)
-    if monad.kind == "weighted":
-        s = monad.semiring
-        return s.sum(s.mul(w, output[q]) for q, w in value.items())
-    return _project(algebra, _convex_bounds(value, output))
 
 
 @dataclass(frozen=True)
@@ -101,13 +82,7 @@ class EffRecognizer:
         automaton outputs; the output algebra picks the component(s).
         """
         ext = free_extension_word(self.morphism, w)
-        monad = self.morphism.monad
-        if monad.kind == "dist":
-            return sum((wt * self.predicate[m] for m, wt in ext.items()), _F0)
-        if monad.kind == "weighted":
-            s = monad.semiring
-            return s.sum(s.mul(wt, self.predicate[m]) for m, wt in ext.items())
-        return _project(self.output_algebra, _convex_bounds(ext, self.predicate))
+        return collapse(self.morphism.monad, self.output_algebra, ext, self.predicate)
 
 
 @dataclass(frozen=True)
@@ -125,7 +100,7 @@ class BialgRecognizer:
     output_algebra: OutputAlgebra
 
     def predicate(self, channel: Channel):
-        return _collapse(
+        return collapse(
             self.monad, self.output_algebra, bind(self.init, channel), self.output
         )
 
@@ -217,15 +192,11 @@ def automaton_to_recognizer(a: EffAutomaton, bound: int = 6) -> EffRecognizer:
         a = purify_initial(a)
     m, images = witness_xi0(a.monad, a.states, bound)
     letters = {x: xi_preimage(a.letter_channel(x)) for x in a.alphabet}
-    if a.monad.kind == "convex":
-        predicate = {
-            f: _convex_bounds(bind(a.init, images[f]), a.output) for f in m.elements
-        }
-    else:
-        predicate = {
-            f: _collapse(a.monad, a.output_algebra, bind(a.init, images[f]), a.output)
-            for f in m.elements
-        }
+    # Predicate values are stored like outputs: raw (low, high) pairs if convex.
+    predicate = {
+        f: collapse(a.monad, INTERVAL_PAIR, bind(a.init, images[f]), a.output)
+        for f in m.elements
+    }
     morphism = EffMorphism(target=m, monad=a.monad, alphabet=a.alphabet, letters=letters)
     return EffRecognizer(
         morphism=morphism, predicate=predicate, output_algebra=a.output_algebra
@@ -357,22 +328,20 @@ def verify_recognition(a: EffAutomaton, r, maxlen: int) -> list:
     certifies agreement at this depth.
     """
     if a.monad.kind == "convex":
-        mode = _dp_mode(a.output_algebra)
-        suffixes = {(): _dp_start(a, mode)}
+        suffixes = {(): a.output}
 
         def aut_value(w):
             if w:
-                suffixes[w] = _dp_step(a, w[0], suffixes[w[1:]], mode)
-            return _dp_read(a, suffixes[w], mode)
+                suffixes[w] = _dp_step(a, a.output_algebra, w[0], suffixes[w[1:]])
+            return collapse(a.monad, a.output_algebra, a.init, suffixes[w])
 
     else:
-        letter_channels = {x: a.letter_channel(x) for x in a.alphabet}
         forward = {(): a.init}
 
         def aut_value(w):
             if w:
-                forward[w] = bind(forward[w[:-1]], letter_channels[w[-1]])
-            return _collapse(a.monad, a.output_algebra, forward[w], a.output)
+                forward[w] = bind(forward[w[:-1]], a.letter_channel(w[-1]))
+            return collapse(a.monad, a.output_algebra, forward[w], a.output)
 
     if isinstance(r, EffRecognizer):
         m = r.morphism.target
@@ -385,9 +354,7 @@ def verify_recognition(a: EffAutomaton, r, maxlen: int) -> list:
                 states[w] = tm_multiply(m, states[w[:-1]], r.morphism.letter(w[-1]))
 
         def rec_value(w):
-            return _collapse(
-                r.morphism.monad, r.output_algebra, states[w], r.predicate
-            )
+            return collapse(r.morphism.monad, r.output_algebra, states[w], r.predicate)
 
     else:
         states = {(): identity_channel(r.monad, r.states)}

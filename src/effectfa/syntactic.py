@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .automata import EffAutomaton, eval_word, words_upto
-from .effects import Dist
+from .automata import SEMIRING_SELF, EffAutomaton, eval_word, words_upto
+from .effects import Dist, WeightedVec, weighted
 from .errors import CapabilityError, InputError, PreconditionError
 from .linalg import (
     RowSpace,
@@ -98,26 +98,48 @@ class FormalCombo:
 
 def to_linear(a: EffAutomaton) -> LinearRep:
     """Read off the matrices of a dist or rational-weighted automaton."""
-    if a.monad.kind == "dist":
-        def weight(t, q):
-            return t.weight(q)
-        final = tuple(a.output[q] for q in a.states)
-    elif a.monad.kind == "weighted" and a.monad.semiring.name == "rational":
-        def weight(t, q):
-            return t.weight(q)
-        final = tuple(a.output[q] for q in a.states)
-    else:
+    if not (
+        a.monad.kind == "dist"
+        or (a.monad.kind == "weighted" and a.monad.semiring.name == "rational")
+    ):
         raise CapabilityError(
             "linear representations need rational matrices (dist or weighted rational)"
         )
-    initial = tuple(weight(a.init, q) for q in a.states)
     letters = {
         x: tuple(
-            tuple(weight(a.trans[(q, x)], p) for p in a.states) for q in a.states
+            tuple(a.trans[(q, x)].weight(p) for p in a.states) for q in a.states
         )
         for x in a.alphabet
     }
-    return LinearRep(alphabet=a.alphabet, initial=initial, letters=letters, final=final)
+    return LinearRep(
+        alphabet=a.alphabet,
+        initial=tuple(a.init.weight(q) for q in a.states),
+        letters=letters,
+        final=tuple(a.output[q] for q in a.states),
+    )
+
+
+def from_linear(rep: LinearRep) -> EffAutomaton:
+    """The rational-weighted automaton on states ``s0, s1, ...`` of a representation."""
+    states = tuple(f"s{i}" for i in range(rep.dim))
+    rational = weighted("rational")
+
+    def vector(row):
+        return WeightedVec(rational.semiring, dict(zip(states, row)))
+
+    return EffAutomaton(
+        monad=rational,
+        states=states,
+        alphabet=rep.alphabet,
+        init=vector(rep.initial),
+        trans={
+            (q, x): vector(rep.letters[x][i])
+            for i, q in enumerate(states)
+            for x in rep.alphabet
+        },
+        output=dict(zip(states, rep.final)),
+        output_algebra=SEMIRING_SELF,
+    )
 
 
 def _forward_reduce(rep: LinearRep) -> LinearRep:

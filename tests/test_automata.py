@@ -14,6 +14,7 @@ from conftest import (
 )
 from effectfa import (
     CONVEX,
+    Channel,
     ConvexSet,
     DIST,
     Dist,
@@ -297,3 +298,39 @@ def test_transition_totality_enforced():
             output={"s": F(1), "t": F(0)},
             output_algebra=UNIT_INTERVAL,
         )
+
+
+def test_convex_transition_off_the_states_is_rejected():
+    with pytest.raises(InterfaceError):
+        EffAutomaton(
+            monad=CONVEX,
+            states=("q",),
+            alphabet=("a",),
+            init=unit(CONVEX, "q"),
+            trans={("q", "a"): ConvexSet([Dist({"q": 1}), Dist({"zz": 1})])},
+            output={"q": convex_output(1)},
+            output_algebra=INTERVAL_PAIR,
+        )
+
+
+def test_initial_value_off_the_states_is_rejected():
+    with pytest.raises(InterfaceError):
+        EffAutomaton(
+            monad=DIST,
+            states=("q",),
+            alphabet=("a",),
+            init=Dist({"q": F(1, 2), "zz": F(1, 2)}),
+            trans={("q", "a"): Dist({"q": 1})},
+            output={"q": F(1)},
+            output_algebra=UNIT_INTERVAL,
+        )
+
+
+def test_letter_channels_are_built_once():
+    coin = coin_pfa()
+    assert coin.letter_channel("a") is coin.letter_channel("a")
+    assert coin.letter_channel("a") == Channel(
+        DIST, coin.states, coin.states, {q: coin.trans[(q, "a")] for q in coin.states}
+    )
+    with pytest.raises(InputError):
+        coin.letter_channel("b")

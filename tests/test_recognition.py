@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import (
     coin_pfa,
     even_dfa,
     minplus_walk,
+    npfa_brute_force,
     rand_channel,
     rand_convex_channel,
     rand_wfa,
@@ -21,6 +23,8 @@ from effectfa import (
     EffMorphism,
     EffRecognizer,
     FinMonoid,
+    INTERVAL_MAX,
+    INTERVAL_MIN,
     INTERVAL_PAIR,
     SEMIRING_SELF,
     UNIT_INTERVAL,
@@ -560,3 +564,51 @@ def test_bialgebra_recognizers_for_seeded_family():
     for name in ("boolean", "rational", "minplus"):
         a = rand_wfa(rng, name, rng.randint(1, 3), rng.randint(1, 2))
         assert verify_recognition(a, automaton_to_bialgebra(a), 5) == []
+
+
+def _point_choice_npfa(rng):
+    """Two states, one letter, transitions choosing among point masses.
+
+    The initial value is the hull of a point mass and a random distribution,
+    so it is not pure.  Point-mass transitions keep the recognizer side's
+    convex products small on the three states left after purification.
+    """
+    states = ("q0", "q1")
+    trans = {
+        (q, "a"): ConvexSet(
+            [Dist({p: 1}) for p in rng.sample(states, rng.randint(1, 2))]
+        )
+        for q in states
+    }
+    k = rng.randint(1, 3)
+    init = ConvexSet([Dist({"q0": 1}), Dist({"q0": F(k, 4), "q1": F(4 - k, 4)})])
+    return EffAutomaton(
+        monad=CONVEX,
+        states=states,
+        alphabet=("a",),
+        init=init,
+        trans=trans,
+        output={q: convex_output(F(rng.randint(0, 4), 4)) for q in states},
+        output_algebra=INTERVAL_PAIR,
+    )
+
+
+@pytest.mark.parametrize(
+    "algebra", [INTERVAL_MAX, INTERVAL_MIN, INTERVAL_PAIR], ids=["max", "min", "pair"]
+)
+def test_every_collapse_site_in_every_convex_mode(algebra):
+    # eval_word, both recognizers' evaluate and both sides of
+    # verify_recognition end in the one output collapse; the brute force
+    # over reachable distributions is the independent reference.
+    a = replace(_point_choice_npfa(random.Random(38)), output_algebra=algebra)
+    assert not is_pure(a.init)
+    rec = automaton_to_recognizer(a)
+    bi = automaton_to_bialgebra(a)
+    for w in words_upto(a.alphabet, 3):
+        lo, hi = npfa_brute_force(a, w, "min"), npfa_brute_force(a, w, "max")
+        want = {INTERVAL_MAX: hi, INTERVAL_MIN: lo, INTERVAL_PAIR: (lo, hi)}[algebra]
+        assert eval_word(a, w) == rec.evaluate(w) == bi.evaluate(w) == want
+    assert verify_recognition(a, rec, 3) == []
+    assert verify_recognition(a, bi, 3) == []
+    # the modes are told apart on this machine
+    assert npfa_brute_force(a, (), "min") < npfa_brute_force(a, (), "max")

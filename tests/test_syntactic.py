@@ -14,6 +14,7 @@ from effectfa import (
     cancellativity_embedding,
     combo_matrix,
     eval_word,
+    from_linear,
     is_commutative,
     minimize,
     syn_congruent,
@@ -324,3 +325,15 @@ def test_cancellativity_zero_language():
     )
     cert = cancellativity_embedding(minimize(to_linear(zero)))
     assert cert.dimension == 0
+
+
+def test_from_linear_round_trips_minimal_representations():
+    rng = random.Random(29)
+    machines = [coin_pfa()] + [rand_wfa(rng, "rational", 3, 2) for _ in range(4)]
+    for a in machines:
+        rep = minimize(to_linear(a))
+        back = to_linear(from_linear(rep))
+        assert back.alphabet == rep.alphabet
+        assert back.initial == rep.initial
+        assert back.letters == rep.letters
+        assert back.final == rep.final
