@@ -6,7 +6,11 @@ an output algebra.  The word semantics is always "initial value, fed through
 one channel per letter, then collapsed by the output map".  The channels are
 built and validated once, when the automaton is constructed, and
 :func:`collapse` is the one output step: every evaluation here and in
-:mod:`effectfa.recognition` ends in it.  Per effect type the value is:
+:mod:`effectfa.recognition` ends in it.  Word values of linear machines
+(``dist`` and rational ``weighted``) are the exception in form only: they
+run on the integer kernel of :func:`~effectfa.linalg.word_value`, whose
+final dot product with the output column is the same collapse, done on
+integer numerators.  Per effect type the value is:
 
 * ``dist``     -- acceptance probability in [0, 1] (probabilistic automata);
 * ``weighted`` -- a value of the semiring (weighted automata / power series);
@@ -51,6 +55,7 @@ from .effects import (
     unit,
 )
 from .errors import CapabilityError, InputError, InterfaceError
+from .linalg import word_value
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -227,17 +232,45 @@ def collapse(monad: Monad, algebra: OutputAlgebra, value, output: dict):
     return values if len(sides) == 2 else values[0]
 
 
+def _is_linear(monad: Monad) -> bool:
+    """Whether values of this effect type are rational vectors: ``dist`` or
+    ``weighted`` over the rationals."""
+    return monad.kind == "dist" or (
+        monad.kind == "weighted" and monad.semiring.name == "rational"
+    )
+
+
+def _letter_matrix(a: EffAutomaton, letter) -> tuple:
+    """The rational matrix of a letter on a linear machine: row ``q``, column
+    ``p`` holds the weight of ``q -letter-> p``."""
+    table = a.letter_channel(letter).table
+    return tuple(tuple(table[q].weight(p) for p in a.states) for q in a.states)
+
+
 def eval_word(a: EffAutomaton, w):
     """The language value of ``w``: value fed letter by letter, then output.
 
-    ``dist`` and ``weighted`` values are pushed forward through the letter
-    channels.  Convex values come from the backward generator DP of
-    :func:`eval_npfa` in the mode the output algebra names; it gives the same
-    interval as forward hull propagation (see the module docstring) in time
-    linear in the word, with no choice products and no LPs.
+    ``dist`` and rational ``weighted`` values run on the integer kernel of
+    :func:`~effectfa.linalg.word_value`: the initial row times the letter
+    matrices times the output column, as integer numerators over one
+    denominator.  That is :func:`collapse` of the pushed-forward value
+    computed on integers, and it is exact because every step is an integer
+    product and the one `Fraction` built at the end normalises.  Other
+    ``weighted`` values are pushed forward through the letter channels.
+    Convex values come from the backward generator DP of :func:`eval_npfa`
+    in the mode the output algebra names; it gives the same interval as
+    forward hull propagation (see the module docstring) in time linear in
+    the word, with no choice products and no LPs.
     """
     if a.monad.kind == "convex":
         return _dp_value(a, a.output_algebra, w)
+    if _is_linear(a.monad):
+        return word_value(
+            tuple(a.init.weight(q) for q in a.states),
+            w,
+            lambda letter: _letter_matrix(a, letter),
+            tuple(a.output[q] for q in a.states),
+        )
     v = a.init
     for letter in w:
         v = bind(v, a.letter_channel(letter))

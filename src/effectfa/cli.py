@@ -856,3 +856,7 @@ def main() -> None:
     if report:
         print(report)
     sys.exit(status)
+
+
+if __name__ == "__main__":
+    main()

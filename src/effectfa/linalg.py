@@ -2,13 +2,30 @@
 
 Dense matrices are tuples of tuples of `Fraction`; everything is computed
 with exact pivoting (first non-zero entry in row order) so results are
-deterministic and reproducible.  Scale is small throughout the package, so
-no sparsity or numerical tricks are needed.
+deterministic and reproducible.
+
+Two kernels keep the hot loops cheap without leaving exact arithmetic:
+
+* Word products (:func:`word_value`, :func:`word_product`) run on integers.
+  Each letter matrix is scaled by the LCM ``d`` of its entries'
+  denominators, a vector is a list of integer numerators over one integer
+  denominator, and one step multiplies by the integer matrix, multiplies the
+  denominator by ``d`` and divides out the gcd of the denominator and all
+  numerators (the shared-denominator idea of fraction-free elimination,
+  Bareiss, *Math. Comp.* 22, 1968).  A `Fraction` is built only from the
+  final numerator and denominator, and it normalises, so the value is the
+  one `Fraction` arithmetic gives.
+* :class:`RowSpace` records, for each echelon row, its coordinates in the
+  vectors added so far, so the coordinates of any vector in the span come
+  out of the same elimination (:meth:`RowSpace.coords`) instead of a fresh
+  linear solve per vector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 Vec = tuple
 Mat = tuple
@@ -54,32 +71,144 @@ def mat_scale(c: Fraction, a: Mat) -> Mat:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def _int_vector(v: Vec) -> tuple:
+    """``(numerators, den)`` with ``v[i] == numerators[i] / den``.
+
+    ``den`` is the LCM of the entries' denominators.
+    """
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def _int_matrix(m: Mat) -> tuple:
+    """``(d, columns)``: the integer columns of ``d * m``.
+
+    ``d`` is the LCM of the entries' denominators.  Columns, because a
+    vector-matrix step is one dot product per column.
+    """
+    d = lcm(*(x.denominator for row in m for x in row))
+    return d, tuple(
+        tuple(x.numerator * (d // x.denominator) for x in col) for col in zip(*m)
+    )
+
+
+def _int_run(rows, w, matrix_of) -> list:
+    """Each row of ``rows`` times the letter matrices of ``w``, on integers.
+
+    Returns one ``(numerators, den)`` pair per row, in lowest terms: after
+    each step the gcd of the denominator and all numerators is divided out.
+    ``matrix_of(x)`` gives letter ``x``'s rational matrix; it is called once
+    per distinct letter, in order of first occurrence, so it may raise on an
+    unknown letter.
+    """
+    vectors = [_int_vector(r) for r in rows]
+    # Every prime of a denominator divides ``radix``: denominators only ever
+    # gain the factors of the initial ones and of the letter scales.  So the
+    # common factor is sought among the divisors of ``gcd(radix, den)``, a
+    # short integer, and no gcd of two long integers is taken.
+    radix = lcm(*(den for _, den in vectors))
+    mats = {}
+    for x in w:
+        m = mats.get(x)
+        if m is None:
+            m = mats[x] = _int_matrix(matrix_of(x))
+            radix = lcm(radix, m[0])
+        d, cols = m
+        stepped = []
+        for nums, den in vectors:
+            nums = [sum(map(mul, nums, col)) for col in cols]
+            den *= d
+            g = gcd(radix, den)
+            while g != 1:
+                g = gcd(g, *nums)
+                if g == 1:
+                    break
+                nums = [y // g for y in nums]
+                den //= g
+                g = gcd(g, den)
+            stepped.append((nums, den))
+        vectors = stepped
+    return vectors
+
+
+def word_value(initial: Vec, w, matrix_of, final: Vec) -> Fraction:
+    """``initial @ M(w[0]) @ ... @ M(w[-1]) @ final``, exactly, on integers.
+
+    ``matrix_of(x)`` is the rational matrix ``M(x)`` of letter ``x``.
+    """
+    ((nums, den),) = _int_run((initial,), w, matrix_of)
+    f_nums, f_den = _int_vector(final)
+    return Fraction(sum(map(mul, nums, f_nums)), den * f_den)
+
+
+def word_product(n: int, w, matrix_of) -> Mat:
+    """The ``n`` x ``n`` matrix ``M(w[0]) @ ... @ M(w[-1])``, exactly, on integers."""
+    return tuple(
+        tuple(Fraction(y, den) for y in nums)
+        for nums, den in _int_run(identity(n), w, matrix_of)
+    )
+
+
 class RowSpace:
-    """Incrementally maintained row space with exact echelon reduction."""
+    """Incrementally maintained row space with exact echelon reduction.
+
+    Each echelon row also carries its coordinates in the basis formed by the
+    independent vectors added so far, so :meth:`coords` reads a vector's
+    coordinates off the same elimination that decides membership.
+    """
 
     def __init__(self, width: int):
         self.width = width
         self._echelon: list = []  # reduced rows, one pivot column each
         self._pivots: list = []
+        self._coords: list = []  # per echelon row, its coordinates in the basis
 
-    def reduce(self, v: Vec) -> Vec:
+    def _eliminate(self, v: Vec) -> tuple:
+        """``(remainder, factors)``: ``v`` is the remainder plus the echelon
+        rows scaled by the factors."""
         v = list(v)
+        factors = []
         for row, p in zip(self._echelon, self._pivots):
+            c = _F0
             if v[p] != 0:
-                c = v[p] / row[p]
+                c = Fraction(v[p]) / row[p]
                 for j in range(p, self.width):
                     v[j] -= c * row[j]
-        return tuple(v)
+            factors.append(c)
+        return v, factors
+
+    def _combine(self, factors) -> list:
+        """Basis coordinates of the echelon rows combined with ``factors``."""
+        out = [_F0] * self.dim
+        for c, t in zip(factors, self._coords):
+            if c != 0:
+                for i, x in enumerate(t):
+                    out[i] += c * x
+        return out
+
+    def reduce(self, v: Vec) -> Vec:
+        return tuple(self._eliminate(v)[0])
 
     def add(self, v: Vec) -> bool:
         """Add ``v`` to the space; True iff it was independent."""
-        r = self.reduce(v)
+        r, factors = self._eliminate(v)
         for j, x in enumerate(r):
             if x != 0:
-                self._echelon.append(r)
+                # r = v - sum(c_i * row_i), and v is the next basis vector.
+                t = [-y for y in self._combine(factors)] + [_F1]
+                self._echelon.append(tuple(r))
                 self._pivots.append(j)
+                self._coords.append(t)
                 return True
         return False
+
+    def coords(self, v: Vec):
+        """Coordinates of ``v`` in the basis of the independent vectors added
+        so far, in order of addition, or None if ``v`` is outside the span."""
+        r, factors = self._eliminate(v)
+        if any(x != 0 for x in r):
+            return None
+        return tuple(self._combine(factors))
 
     @property
     def dim(self) -> int:

@@ -8,8 +8,12 @@ letter, and a final column, so that the value of a word is
 Minimisation runs a forward pass (basis of the space reached from the
 initial row under the letter matrices) and then a backward pass (the same
 on the transposed representation), both with exact Gaussian elimination and
-first-non-zero pivoting.  The resulting dimension is the rank of the
-language's word-pair value table, never larger than the input dimension.
+first-non-zero pivoting.  The letter matrices of the reduced representation
+are the basis coordinates of the images of the basis rows, read off the
+same elimination (:meth:`~effectfa.linalg.RowSpace.coords`).  The resulting
+dimension is the rank of the language's word-pair value table, never larger
+than the input dimension.  Word values and word matrices run on the integer
+kernel of :mod:`effectfa.linalg`.
 
 On a minimised representation, matrix equality of formal convex
 combinations of words decides the syntactic congruence: the reached rows
@@ -26,19 +30,26 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .automata import SEMIRING_SELF, EffAutomaton, eval_word, words_upto
+from .automata import (
+    SEMIRING_SELF,
+    EffAutomaton,
+    _is_linear,
+    _letter_matrix,
+    eval_word,
+    words_upto,
+)
 from .effects import Dist, WeightedVec, weighted
 from .errors import CapabilityError, InputError, PreconditionError
 from .linalg import (
     RowSpace,
     dot,
-    identity,
     mat_add,
     mat_mul,
     mat_scale,
-    solve_linear,
     transpose,
     vec_mat,
+    word_product,
+    word_value,
 )
 
 _F0 = Fraction(0)
@@ -59,21 +70,16 @@ class LinearRep:
     def dim(self) -> int:
         return len(self.initial)
 
+    def _letter(self, a):
+        if a not in self.letters:
+            raise InputError(f"letter {a!r} is not in the alphabet")
+        return self.letters[a]
+
     def word_matrix(self, w):
-        m = identity(self.dim)
-        for a in w:
-            if a not in self.letters:
-                raise InputError(f"letter {a!r} is not in the alphabet")
-            m = mat_mul(m, self.letters[a])
-        return m
+        return word_product(self.dim, w, self._letter)
 
     def value(self, w) -> Fraction:
-        v = self.initial
-        for a in w:
-            if a not in self.letters:
-                raise InputError(f"letter {a!r} is not in the alphabet")
-            v = vec_mat(v, self.letters[a])
-        return dot(v, self.final)
+        return word_value(self.initial, w, self._letter, self.final)
 
 
 @dataclass(frozen=True)
@@ -98,23 +104,14 @@ class FormalCombo:
 
 def to_linear(a: EffAutomaton) -> LinearRep:
     """Read off the matrices of a dist or rational-weighted automaton."""
-    if not (
-        a.monad.kind == "dist"
-        or (a.monad.kind == "weighted" and a.monad.semiring.name == "rational")
-    ):
+    if not _is_linear(a.monad):
         raise CapabilityError(
             "linear representations need rational matrices (dist or weighted rational)"
         )
-    letters = {
-        x: tuple(
-            tuple(a.trans[(q, x)].weight(p) for p in a.states) for q in a.states
-        )
-        for x in a.alphabet
-    }
     return LinearRep(
         alphabet=a.alphabet,
         initial=tuple(a.init.weight(q) for q in a.states),
-        letters=letters,
+        letters={x: _letter_matrix(a, x) for x in a.alphabet},
         final=tuple(a.output[q] for q in a.states),
     )
 
@@ -145,41 +142,29 @@ def from_linear(rep: LinearRep) -> EffAutomaton:
 def _forward_reduce(rep: LinearRep) -> LinearRep:
     """Restrict to the span of rows reachable from the initial row."""
     space = RowSpace(rep.dim)
-    basis = []
-    queue = []
-    if space.add(rep.initial):
-        basis.append(rep.initial)
-        queue.append(rep.initial)
-    while queue:
-        v = queue.pop(0)
+    basis = [rep.initial] if space.add(rep.initial) else []
+    # Per letter, the basis coordinates of the images of the basis rows.  An
+    # image's coordinates are taken in the basis found so far, a prefix of
+    # the final one, so they are padded with zeros at the end.
+    images = {a: [] for a in rep.alphabet}
+    for b in basis:  # breadth first: the loop also visits rows appended below
         for a in rep.alphabet:
-            w = vec_mat(v, rep.letters[a])
-            if space.add(w):
+            w = vec_mat(b, rep.letters[a])
+            c = space.coords(w)
+            if c is None:
+                c = (_F0,) * space.dim + (_F1,)
+                space.add(w)
                 basis.append(w)
-                queue.append(w)
-    if not basis:
-        return LinearRep(
-            alphabet=rep.alphabet,
-            initial=(),
-            letters={a: () for a in rep.alphabet},
-            final=(),
-        )
-    bt = transpose(tuple(basis))
+            images[a].append(c)
+    k = len(basis)
 
-    def coords(v):
-        c = solve_linear(bt, v)
-        if c is None:
-            raise PreconditionError("vector unexpectedly outside the reachable span")
-        return c
+    def padded(c):
+        return c + (_F0,) * (k - len(c))
 
-    letters = {
-        a: tuple(coords(vec_mat(b, rep.letters[a])) for b in basis)
-        for a in rep.alphabet
-    }
     return LinearRep(
         alphabet=rep.alphabet,
-        initial=coords(rep.initial),
-        letters=letters,
+        initial=padded(space.coords(rep.initial)),
+        letters={a: tuple(padded(c) for c in cs) for a, cs in images.items()},
         final=tuple(dot(b, rep.final) for b in basis),
     )
 

@@ -20,7 +20,9 @@ from effectfa import (
     Dist,
     EffAutomaton,
     INTERVAL_PAIR,
+    SEMIRING_SELF,
     UNIT_INTERVAL,
+    WeightedVec,
     bind,
     convex_output,
     eval_npfa,
@@ -32,8 +34,10 @@ from effectfa import (
     kleisli_compose,
     purify_initial,
     unit,
+    weighted,
     words_upto,
 )
+from effectfa.automata import collapse
 from effectfa.effects import CONVEX_CHOICE_LIMIT
 from effectfa.errors import CapabilityError, InputError, InterfaceError
 
@@ -334,3 +338,142 @@ def test_letter_channels_are_built_once():
     )
     with pytest.raises(InputError):
         coin.letter_channel("b")
+
+
+# ---------------------------------------------------------------------------
+# Linear machines evaluate on the integer kernel; the oracle below is the
+# Fraction fold of ``bind`` over the letter channels, written out here.
+
+
+def bind_fold_value(a, w):
+    v = a.init
+    for x in w:
+        v = bind(v, a.letter_channel(x))
+    return collapse(a.monad, a.output_algebra, v, a.output)
+
+
+def rational_machine(states, alphabet, init, trans, output):
+    """A rational-weighted machine from plain weight dicts."""
+    rational = weighted("rational")
+    s = rational.semiring
+    return EffAutomaton(
+        monad=rational,
+        states=states,
+        alphabet=alphabet,
+        init=WeightedVec(s, init),
+        trans={k: WeightedVec(s, v) for k, v in trans.items()},
+        output=output,
+        output_algebra=SEMIRING_SELF,
+    )
+
+
+def test_eval_word_matches_bind_fold_on_seeded_dist_machines():
+    rng = random.Random(404)
+    for _ in range(12):
+        a = rand_pfa(
+            rng,
+            rng.randint(1, 5),
+            rng.randint(1, 2),
+            max_den=rng.randint(1, 9),
+            pure_init=rng.random() < 0.5,
+        )
+        for w in words_upto(a.alphabet, 4):
+            value = eval_word(a, w)
+            assert value == bind_fold_value(a, w)
+            assert value == eval_pfa_pathsum(a, w)
+        for _ in range(3):
+            w = tuple(rng.choice(a.alphabet) for _ in range(rng.randint(5, 60)))
+            assert eval_word(a, w) == bind_fold_value(a, w)
+
+
+def test_eval_word_matches_bind_fold_on_rational_machines_with_negative_weights():
+    rng = random.Random(405)
+    negative = 0
+    for _ in range(12):
+        a = rand_wfa(rng, "rational", rng.randint(1, 5), rng.randint(1, 2))
+        negative += any(
+            x < 0 for t in a.trans.values() for _, x in t.items()
+        )
+        for w in list(words_upto(a.alphabet, 4)) + [
+            tuple(rng.choice(a.alphabet) for _ in range(40))
+        ]:
+            assert eval_word(a, w) == bind_fold_value(a, w)
+    assert negative > 0
+
+
+def test_eval_word_when_every_numerator_cancels_part_way():
+    # Every reachable vector is a multiple of (1, 2): 'a' keeps that line,
+    # and on 'z' the two states' weights cancel exactly to the zero vector.
+    a = rational_machine(
+        ("p", "q"),
+        ("a", "z"),
+        {"p": F(1, 3), "q": F(2, 3)},
+        {
+            ("p", "a"): {"p": F(1, 2), "q": F(1, 5)},
+            ("q", "a"): {"p": F(-3, 7), "q": F(-16, 35)},
+            ("p", "z"): {"p": F(2, 3), "q": F(-4, 9)},
+            ("q", "z"): {"p": F(-1, 3), "q": F(2, 9)},
+        },
+        {"p": F(5, 2), "q": F(-1, 4)},
+    )
+    for w in [("z",), ("a", "z"), ("z", "a", "a"), ("a",) * 5 + ("z",) + ("a",) * 5]:
+        assert eval_word(a, w) == 0 == bind_fold_value(a, w)
+    for n in range(6):
+        assert eval_word(a, word(n)) == bind_fold_value(a, word(n)) != 0
+    for w in words_upto(a.alphabet, 4):
+        assert eval_word(a, w) == bind_fold_value(a, w)
+
+
+def test_eval_word_with_int_weights_and_outputs():
+    a = rational_machine(
+        ("p", "q"),
+        ("a", "b"),
+        {"p": 1, "q": -2},
+        {
+            ("p", "a"): {"p": 2, "q": 1},
+            ("q", "a"): {"q": -1},
+            ("p", "b"): {"q": 3},
+            ("q", "b"): {"p": 1, "q": 1},
+        },
+        {"p": 1, "q": 0},
+    )
+    for w in words_upto(a.alphabet, 4):
+        assert eval_word(a, w) == bind_fold_value(a, w)
+    coin = coin_pfa()
+    dist_int_outputs = EffAutomaton(
+        monad=DIST,
+        states=coin.states,
+        alphabet=coin.alphabet,
+        init=coin.init,
+        trans=coin.trans,
+        output={"q0": 0, "q1": 1},
+        output_algebra=UNIT_INTERVAL,
+    )
+    for n in range(6):
+        assert eval_word(dist_int_outputs, word(n)) == 1 - F(1, 2**n)
+
+
+def test_eval_word_on_the_empty_word_is_the_initial_collapse():
+    rng = random.Random(406)
+    machines = [coin_pfa(), rand_pfa(rng, 3, 2, pure_init=False)]
+    machines += [rand_wfa(rng, "rational", 3, 2) for _ in range(3)]
+    for a in machines:
+        assert eval_word(a, ()) == collapse(
+            a.monad, a.output_algebra, a.init, a.output
+        )
+
+
+def test_eval_word_on_a_thousand_letters():
+    assert eval_word(coin_pfa(), word(1000)) == 1 - F(1, 2**1000)
+    rng = random.Random(407)
+    for a in (rand_pfa(rng, 3, 2, pure_init=False), rand_wfa(rng, "rational", 3, 2)):
+        w = tuple(rng.choice(a.alphabet) for _ in range(1000))
+        assert eval_word(a, w) == bind_fold_value(a, w)
+
+
+def test_eval_word_rejects_unknown_letters_on_linear_machines():
+    rng = random.Random(408)
+    for a in (coin_pfa(), rand_wfa(rng, "rational", 2, 2)):
+        for w in [("z",), ("a",) * 50 + ("z",), ("a", "z", "a")]:
+            with pytest.raises(InputError):
+                eval_word(a, w)

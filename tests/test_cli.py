@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from effectfa.cli import (
@@ -339,3 +344,19 @@ def test_bialgebra_print_parse_fixpoint(files):
     assert r2.letters == r.letters
     assert r2.init == r.init
     assert r2.output == r.output
+
+
+@pytest.mark.parametrize("module", ["effectfa", "effectfa.cli"])
+def test_python_dash_m_runs_the_command_line(module):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "eval", "samples/coin.aut", "a.a.a"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "7/8"

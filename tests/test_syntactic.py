@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +25,16 @@ from effectfa import (
     words_upto,
 )
 from effectfa.errors import CapabilityError, InputError, PreconditionError
-from effectfa.linalg import identity, mat_mul
+from effectfa.linalg import (
+    RowSpace,
+    dot,
+    identity,
+    mat_mul,
+    solve_linear,
+    transpose,
+    vec_mat,
+)
+from effectfa.syntactic import LinearRep
 
 
 def half(n=1):
@@ -337,3 +347,123 @@ def test_from_linear_round_trips_minimal_representations():
         assert back.initial == rep.initial
         assert back.letters == rep.letters
         assert back.final == rep.final
+
+
+def test_linear_rep_value_and_word_matrix_match_fraction_products():
+    rng = random.Random(601)
+    reps = [coin_rep(), coin_rep(minimal=True)]
+    reps += [to_linear(rand_pfa(rng, 4, 2, pure_init=False)) for _ in range(3)]
+    reps += [to_linear(rand_wfa(rng, "rational", 4, 2)) for _ in range(3)]
+    for rep in reps:
+        words = list(words_upto(rep.alphabet, 3))
+        words.append(tuple(rng.choice(rep.alphabet) for _ in range(40)))
+        for w in words:
+            m = identity(rep.dim)
+            v = rep.initial
+            for x in w:
+                m = mat_mul(m, rep.letters[x])
+                v = vec_mat(v, rep.letters[x])
+            assert rep.word_matrix(w) == m
+            assert rep.value(w) == dot(v, rep.final)
+        with pytest.raises(InputError):
+            rep.value(("a", "z"))
+        with pytest.raises(InputError):
+            rep.word_matrix(("z",))
+
+
+# The forward pass as it was written before coordinates came from the
+# RowSpace: one linear solve per vector.  Kept as an independent oracle.
+def _solve_forward_reduce(rep):
+    space = RowSpace(rep.dim)
+    basis = []
+    queue = []
+    if space.add(rep.initial):
+        basis.append(rep.initial)
+        queue.append(rep.initial)
+    while queue:
+        v = queue.pop(0)
+        for a in rep.alphabet:
+            w = vec_mat(v, rep.letters[a])
+            if space.add(w):
+                basis.append(w)
+                queue.append(w)
+    if not basis:
+        return LinearRep(
+            alphabet=rep.alphabet,
+            initial=(),
+            letters={a: () for a in rep.alphabet},
+            final=(),
+        )
+    bt = transpose(tuple(basis))
+    return LinearRep(
+        alphabet=rep.alphabet,
+        initial=solve_linear(bt, rep.initial),
+        letters={
+            a: tuple(solve_linear(bt, vec_mat(b, rep.letters[a])) for b in basis)
+            for a in rep.alphabet
+        },
+        final=tuple(dot(b, rep.final) for b in basis),
+    )
+
+
+def _flip(rep):
+    return LinearRep(
+        alphabet=rep.alphabet,
+        initial=rep.final,
+        letters={a: transpose(m) for a, m in rep.letters.items()},
+        final=rep.initial,
+    )
+
+
+def _solve_minimize(rep):
+    reduced = _flip(_solve_forward_reduce(_flip(_solve_forward_reduce(rep))))
+    return replace(reduced, minimal=True)
+
+
+def _padded(rng, rep, k):
+    """``rep`` with ``k`` unreachable and ``k`` unobservable extra dimensions."""
+    n = rep.dim
+    zero = F(0)
+
+    def entry():
+        return F(rng.randint(-2, 3), rng.randint(1, 3))
+
+    letters = {}
+    for a, m in rep.letters.items():
+        rows = [
+            tuple(m[i]) + tuple(zero for _ in range(k)) + tuple(entry() for _ in range(k))
+            for i in range(n)
+        ]
+        rows += [
+            tuple(entry() for _ in range(n + k)) + tuple(zero for _ in range(k))
+            for _ in range(k)
+        ]
+        rows += [
+            tuple(zero for _ in range(n + k)) + tuple(entry() for _ in range(k))
+            for _ in range(k)
+        ]
+        letters[a] = tuple(rows)
+    return LinearRep(
+        alphabet=rep.alphabet,
+        initial=tuple(rep.initial) + (zero,) * (2 * k),
+        letters=letters,
+        final=tuple(rep.final) + tuple(entry() for _ in range(k)) + (zero,) * k,
+    )
+
+
+def test_minimize_matches_the_solve_based_forward_pass():
+    rng = random.Random(602)
+    coin = coin_rep()
+    assert minimize(coin) == _solve_minimize(coin)
+    for _ in range(6):
+        for a in (
+            rand_pfa(rng, rng.randint(1, 4), 2),
+            rand_wfa(rng, "rational", rng.randint(1, 4), 2),
+        ):
+            base = to_linear(a)
+            rep = _padded(rng, base, 2)
+            mini = minimize(rep)
+            assert mini == _solve_minimize(rep)
+            assert mini.dim <= base.dim
+            for w in words_upto(rep.alphabet, 4):
+                assert mini.value(w) == rep.value(w) == eval_word(a, w)
