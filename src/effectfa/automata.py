@@ -40,6 +40,7 @@ empty-word interval.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _iterproduct
@@ -139,12 +140,19 @@ class EffAutomaton:
                 f"output algebra {self.output_algebra.kind} does not fit "
                 f"a {self.monad.kind} automaton"
             )
-        if self.monad.kind == "convex":
-            for q, v in self.output.items():
+        for q, v in self.output.items():
+            if self.monad.kind == "convex":
                 if not (isinstance(v, tuple) and len(v) == 2):
                     raise InterfaceError(
                         f"convex outputs are (low, high) pairs; got {v!r} at {q!r}"
                     )
+                parts = v
+            elif _is_linear(self.monad):
+                parts = (v,)
+            else:
+                continue
+            if not all(isinstance(x, numbers.Rational) for x in parts):
+                raise InterfaceError(f"output {v!r} at {q!r} is not an exact rational")
         _check_value(self.monad, self.init, set(self.states), "the initial value")
         channels = {}
         for a in self.alphabet:

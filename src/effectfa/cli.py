@@ -11,13 +11,22 @@ Automaton files are line oriented with ``#`` comments::
 
 Recognizer files share the framing with ``monoid``/``unit``/``mul``/``hom``/
 ``pred`` sections (table entries written ``x*y=z``); bialgebra files use
-``gens``/``image``/``hom``/``init``/``output``.  Words are dot-separated
-letters with ``eps`` for the empty word; formal combinations are written
-``1/3*eps + 2/3*a.a`` and game positions ``1/3*0 + 2/3*2``.
+``gens``/``image``/``hom``/``init``/``output``.  All three formats are read by
+one section reader: the first token of a line names its section, and sections
+may come in any order.  One-line sections appear once; ``trans``, ``hom``
+and ``image`` take one line per row and ``mul`` lines hold any number of
+products; every row and every product appears exactly once.  A malformed
+file raises :class:`ParseError`, with the line number when the fault is on
+a line.
+
+Words are dot-separated letters with ``eps`` for the empty word; formal
+combinations are written ``1/3*eps + 2/3*a.a`` and game positions
+``1/3*0 + 2/3*2``.
 
 Every number is printed as exact rational text; ``--decimal K`` switches a
 report to K-digit decimal rendering for human reading.  Exit status 0 means
-success or a true answer, 1 a false answer or found violation, 2 an error.
+success or a true answer, 1 a false answer or found violation, 2 an error
+(every malformed file included).
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import product as _iterproduct
 
 from . import convexgame
 from .automata import (
@@ -33,6 +43,7 @@ from .automata import (
     INTERVAL_PAIR,
     SEMIRING_SELF,
     UNIT_INTERVAL,
+    _is_linear,
     convex_output,
     eval_word,
     outputs_equal,
@@ -64,21 +75,115 @@ _F0 = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
-# Low-level line machinery
+# Sections, shared by the three file formats.  The value parsers further down
+# raise ParseError without a line number; these helpers attach the number of
+# the line they read.
 
 
-def _lines(text: str) -> list:
-    """Tokenised non-comment lines with their 1-based numbers."""
-    rows = []
+def _sections(text: str) -> dict:
+    """Non-comment lines grouped by their first token, in file order:
+    ``head -> [(1-based line number, remaining tokens)]``."""
+    sections = {}
     for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((no, body.split()))
-    return rows
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            sections.setdefault(tokens[0], []).append((no, tokens[1:]))
+    return sections
 
 
 def _fail(no, message):
     raise ParseError(message, line=no)
+
+
+def _at(no, parse, *args):
+    """``parse(*args)``, with any error it raises reported at line ``no``."""
+    try:
+        return parse(*args)
+    except (EffectfaError, ValueError) as e:
+        _fail(no, str(e))
+
+
+def _known(sections, heads):
+    """Reject the first section whose head is not one of ``heads``."""
+    for head, rows in sections.items():
+        if head not in heads:
+            _fail(rows[0][0], f"unknown section {head!r}")
+
+
+def _line(sections, head, parse, *args):
+    """The required one-line section ``head``, read as ``parse(tokens, *args)``."""
+    rows = sections.get(head)
+    if rows is None:
+        raise ParseError(f"missing {head} line")
+    if len(rows) > 1:
+        _fail(rows[1][0], f"duplicate {head} line")
+    no, tokens = rows[0]
+    return _at(no, parse, tokens, *args)
+
+
+def _rows(sections, head, keys, label, carrier, monad) -> dict:
+    """The table of ``head KEY... -> entries`` lines, keyed by the KEY tuple.
+
+    ``keys`` gives, per key position, the declared names and what they are
+    called.  Every tuple in the product of the names needs exactly one line;
+    its entries are an effect value over ``carrier``.
+    """
+    arity = len(keys)
+    table = {}
+    for no, tokens in sections.get(head, ()):
+        if len(tokens) <= arity or tokens[arity] != "->":
+            shape = " ".join(what.upper() for _, what in keys)
+            _fail(no, f"expected: {head} {shape} -> entries")
+        key = tuple(tokens[:arity])
+        for name, (names, what) in zip(key, keys):
+            if name not in names:
+                _fail(no, f"undeclared {what} {name!r}")
+        if key in table:
+            _fail(no, f"duplicate {head} line for {' '.join(key)}")
+        table[key] = _at(no, _parse_effect, tokens[arity + 1 :], carrier, monad)
+    missing = [
+        " ".join(key)
+        for key in _iterproduct(*(names for names, _ in keys))
+        if key not in table
+    ]
+    if missing:
+        raise ParseError(f"missing {label}: {', '.join(missing)}")
+    return table
+
+
+def _distinct(tokens, what) -> tuple:
+    """A declared name list, each name once."""
+    if len(set(tokens)) != len(tokens):
+        raise ParseError(f"repeated {what}")
+    return tuple(tokens)
+
+
+def _entries(tokens, names, what, parse):
+    """``NAME:VALUE`` tokens on declared names, as (name, parsed value) pairs."""
+    for t in tokens:
+        name, colon, text = t.rpartition(":")
+        if not colon:
+            raise ParseError(f"expected NAME:VALUE, got {t!r}")
+        if not name:
+            raise ParseError(f"missing name in {t!r}")
+        if name not in names:
+            raise ParseError(f"undeclared {what} {name!r}")
+        yield name, parse(text)
+
+
+def _outputs(tokens, names, what, monad) -> dict:
+    """An output map: one ``NAME:VALUE`` entry for every declared name."""
+    values = dict(
+        _entries(tokens, names, what, lambda t: _parse_output_value(t, monad))
+    )
+    missing = [x for x in names if x not in values]
+    if missing:
+        raise ParseError(f"no output value for {what} {missing[0]!r}")
+    return values
+
+
+# ---------------------------------------------------------------------------
+# Values
 
 
 def _split_groups(tokens):
@@ -92,108 +197,67 @@ def _split_groups(tokens):
     return groups
 
 
-def _parse_entry(no, token):
-    if ":" not in token:
-        _fail(no, f"expected NAME:WEIGHT, got {token!r}")
-    name, _, weight = token.rpartition(":")
-    if not name:
-        _fail(no, f"missing name in {token!r}")
-    return name, weight
-
-
-def _parse_dist(no, tokens, states):
+def _parse_dist(tokens, states):
     weights = {}
-    for t in tokens:
-        name, wtext = _parse_entry(no, t)
-        if name not in states:
-            _fail(no, f"undeclared state {name!r}")
-        try:
-            w = parse_rational(wtext)
-        except ParseError as e:
-            _fail(no, str(e))
+    for name, w in _entries(tokens, states, "state", parse_rational):
         if w < 0:
-            _fail(no, f"negative weight {w}")
+            raise ParseError(f"negative weight {w}")
         weights[name] = weights.get(name, _F0) + w
-    try:
-        return Dist(weights)
-    except ValueError as e:
-        _fail(no, str(e))
+    return Dist(weights)
 
 
-def _parse_weighted(no, tokens, states, semiring):
+def _parse_weighted(tokens, states, semiring):
     weights = {}
-    for t in tokens:
-        name, wtext = _parse_entry(no, t)
-        if name not in states:
-            _fail(no, f"undeclared state {name!r}")
-        try:
-            w = semiring.parse(wtext)
-        except ParseError as e:
-            _fail(no, str(e))
+    for name, w in _entries(tokens, states, "state", semiring.parse):
         weights[name] = semiring.add(weights[name], w) if name in weights else w
     return WeightedVec(semiring, weights)
 
 
-def _parse_effect(no, tokens, states, monad):
+def _parse_effect(tokens, states, monad):
     if monad.kind == "dist":
-        return _parse_dist(no, tokens, states)
+        return _parse_dist(tokens, states)
     if monad.kind == "weighted":
-        return _parse_weighted(no, tokens, states, monad.semiring)
+        return _parse_weighted(tokens, states, monad.semiring)
     groups = _split_groups(tokens)
     if any(not g for g in groups):
-        _fail(no, "empty generator in convex value")
-    return ConvexSet([_parse_dist(no, g, states) for g in groups])
+        raise ParseError("empty generator in convex value")
+    return ConvexSet([_parse_dist(g, states) for g in groups])
 
 
-def _parse_monad_line(no, tokens):
+def _parse_monad_line(tokens):
     if not tokens:
-        _fail(no, "empty monad line")
+        raise ParseError("empty monad line")
     kind = tokens[0]
     if kind == "dist":
         if len(tokens) > 1:
-            _fail(no, "monad dist takes no arguments")
+            raise ParseError("monad dist takes no arguments")
         return DIST, UNIT_INTERVAL
     if kind == "weighted":
         if len(tokens) != 2:
-            _fail(no, "monad weighted needs a semiring name")
-        try:
-            return weighted(tokens[1]), SEMIRING_SELF
-        except EffectfaError as e:
-            _fail(no, str(e))
+            raise ParseError("monad weighted needs a semiring name")
+        return weighted(tokens[1]), SEMIRING_SELF
     if kind == "convex":
         if len(tokens) == 1:
             return CONVEX, INTERVAL_PAIR
         if len(tokens) == 2 and tokens[1] in _ALGEBRA_FOR_MODE:
             return CONVEX, _ALGEBRA_FOR_MODE[tokens[1]]
-        _fail(no, "monad convex takes one of: max, min, interval")
-    _fail(no, f"unknown monad {kind!r}")
+        raise ParseError("monad convex takes one of: max, min, interval")
+    raise ParseError(f"unknown monad {kind!r}")
 
 
-def _parse_output_value(no, text, monad):
+def _parse_output_value(text, monad):
     if monad.kind == "weighted":
-        try:
-            return monad.semiring.parse(text)
-        except ParseError as e:
-            _fail(no, str(e))
+        return monad.semiring.parse(text)
     if monad.kind == "dist":
-        try:
-            v = parse_rational(text)
-        except ParseError as e:
-            _fail(no, str(e))
+        v = parse_rational(text)
         if not 0 <= v <= 1:
-            _fail(no, f"output {v} outside [0, 1]")
+            raise ParseError(f"output {v} outside [0, 1]")
         return v
     parts = text.split("|")
     if len(parts) > 2:
-        _fail(no, f"convex output takes at most low|high, got {text!r}")
-    try:
-        values = [parse_rational(p) for p in parts]
-    except ParseError as e:
-        _fail(no, str(e))
-    try:
-        return convex_output(values[0] if len(values) == 1 else (values[0], values[1]))
-    except EffectfaError as e:
-        _fail(no, str(e))
+        raise ParseError(f"convex output takes at most low|high, got {text!r}")
+    values = [parse_rational(p) for p in parts]
+    return convex_output(values[0] if len(values) == 1 else tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -202,82 +266,19 @@ def _parse_output_value(no, text, monad):
 
 def parse_automaton(text: str) -> EffAutomaton:
     """Parse the automaton file format; raises ParseError with line numbers."""
-    monad = algebra = None
-    alphabet = states = None
-    init = None
-    trans = {}
-    output = None
-    for no, tokens in _lines(text):
-        head, rest = tokens[0], tokens[1:]
-        if head == "monad":
-            if monad is not None:
-                _fail(no, "duplicate monad line")
-            monad, algebra = _parse_monad_line(no, rest)
-        elif head == "alphabet":
-            if alphabet is not None:
-                _fail(no, "duplicate alphabet line")
-            if len(set(rest)) != len(rest):
-                _fail(no, "repeated letter")
-            alphabet = tuple(rest)
-        elif head == "states":
-            if states is not None:
-                _fail(no, "duplicate states line")
-            if len(set(rest)) != len(rest):
-                _fail(no, "repeated state")
-            states = tuple(rest)
-        elif head == "init":
-            if monad is None or states is None:
-                _fail(no, "init must follow the monad and states lines")
-            if init is not None:
-                _fail(no, "duplicate init line")
-            init = _parse_effect(no, rest, states, monad)
-        elif head == "trans":
-            if monad is None or states is None or alphabet is None:
-                _fail(no, "trans must follow monad, alphabet and states lines")
-            if len(rest) < 3 or rest[2] != "->":
-                _fail(no, "expected: trans STATE LETTER -> entries")
-            q, a = rest[0], rest[1]
-            if q not in states:
-                _fail(no, f"undeclared state {q!r}")
-            if a not in alphabet:
-                _fail(no, f"undeclared letter {a!r}")
-            if (q, a) in trans:
-                _fail(no, f"duplicate transition for ({q}, {a})")
-            trans[(q, a)] = _parse_effect(no, rest[3:], states, monad)
-        elif head == "output":
-            if monad is None or states is None:
-                _fail(no, "output must follow the monad and states lines")
-            if output is not None:
-                _fail(no, "duplicate output line")
-            output = {}
-            for t in rest:
-                name, vtext = _parse_entry(no, t)
-                if name not in states:
-                    _fail(no, f"undeclared state {name!r}")
-                output[name] = _parse_output_value(no, vtext, monad)
-        else:
-            _fail(no, f"unknown section {head!r}")
-    for label, value in (
-        ("monad", monad),
-        ("alphabet", alphabet),
-        ("states", states),
-        ("init", init),
-        ("output", output),
-    ):
-        if value is None:
-            raise ParseError(f"missing {label} line")
-    missing = [(q, a) for q in states for a in alphabet if (q, a) not in trans]
-    if missing:
-        raise ParseError(f"missing transitions: {missing}")
-    if set(output) != set(states):
-        raise ParseError("output line must cover every state")
+    sections = _sections(text)
+    _known(sections, ("monad", "alphabet", "states", "init", "trans", "output"))
+    monad, algebra = _line(sections, "monad", _parse_monad_line)
+    alphabet = _line(sections, "alphabet", _distinct, "letter")
+    states = _line(sections, "states", _distinct, "state")
+    keys = ((states, "state"), (alphabet, "letter"))
     return EffAutomaton(
         monad=monad,
         states=states,
         alphabet=alphabet,
-        init=init,
-        trans=trans,
-        output=output,
+        init=_line(sections, "init", _parse_effect, states, monad),
+        trans=_rows(sections, "trans", keys, "transitions", states, monad),
+        output=_line(sections, "output", _outputs, states, "state", monad),
         output_algebra=algebra,
     )
 
@@ -344,86 +345,55 @@ def print_automaton(a: EffAutomaton) -> str:
 
 
 def parse_recognizer(text: str):
-    """Parse a monoid-recognizer or bialgebra file (detected by sections)."""
-    tokens_by_head = {}
-    for _, tokens in _lines(text):
-        tokens_by_head.setdefault(tokens[0], []).append(tokens)
-    if "gens" in tokens_by_head:
-        return _parse_bialgebra(text)
-    return _parse_monoid_recognizer(text)
+    """Parse a monoid-recognizer or bialgebra file (a ``gens`` section marks
+    a bialgebra)."""
+    sections = _sections(text)
+    if "gens" in sections:
+        return _parse_bialgebra(sections)
+    return _parse_monoid_recognizer(sections)
 
 
-def _parse_monoid_recognizer(text: str) -> EffRecognizer:
-    monad = algebra = None
-    alphabet = None
-    elements = None
-    unit_name = None
+def _parse_unit(tokens, elements):
+    if len(tokens) != 1:
+        raise ParseError("unit takes exactly one element")
+    if tokens[0] not in elements:
+        raise ParseError(f"unit {tokens[0]!r} is not a declared element")
+    return tokens[0]
+
+
+def _products(sections, elements) -> dict:
+    """The ``mul`` table ``(x, y) -> z`` from ``x*y=z`` entries, each once."""
+    declared = set(elements)
     table = {}
-    hom = {}
-    pred = None
-    for no, tokens in _lines(text):
-        head, rest = tokens[0], tokens[1:]
-        if head == "monad":
-            monad, algebra = _parse_monad_line(no, rest)
-        elif head == "alphabet":
-            alphabet = tuple(rest)
-        elif head == "monoid":
-            if len(set(rest)) != len(rest):
-                _fail(no, "repeated monoid element")
-            elements = tuple(rest)
-        elif head == "unit":
-            if len(rest) != 1:
-                _fail(no, "unit takes exactly one element")
-            unit_name = rest[0]
-        elif head == "mul":
-            for t in rest:
-                if "=" not in t or "*" not in t.split("=", 1)[0]:
-                    _fail(no, f"expected X*Y=Z, got {t!r}")
-                lhs, z = t.split("=", 1)
-                x, y = lhs.split("*", 1)
-                if elements is None or not {x, y, z} <= set(elements):
-                    _fail(no, f"undeclared element in {t!r}")
-                table[(x, y)] = z
-        elif head == "hom":
-            if len(rest) < 2 or rest[1] != "->":
-                _fail(no, "expected: hom LETTER -> entries")
-            if monad is None or elements is None:
-                _fail(no, "hom must follow the monad and monoid lines")
-            hom[rest[0]] = _parse_effect(no, rest[2:], elements, monad)
-        elif head == "pred":
-            if monad is None or elements is None:
-                _fail(no, "pred must follow the monad and monoid lines")
-            pred = {}
-            for t in rest:
-                name, vtext = _parse_entry(no, t)
-                if name not in elements:
-                    _fail(no, f"undeclared element {name!r}")
-                pred[name] = _parse_output_value(no, vtext, monad)
-        else:
-            _fail(no, f"unknown section {head!r}")
-    for label, value in (
-        ("monad", monad),
-        ("alphabet", alphabet),
-        ("monoid", elements),
-        ("unit", unit_name),
-        ("pred", pred),
-    ):
-        if value is None:
-            raise ParseError(f"missing {label} line")
-    if unit_name not in elements:
-        raise ParseError(f"unit {unit_name!r} is not a declared element")
-    if set(pred) != set(elements):
-        raise ParseError("pred must cover every element")
-    missing_hom = [a for a in alphabet if a not in hom]
-    if missing_hom:
-        raise ParseError(f"missing hom lines for {missing_hom}")
+    for no, tokens in sections.get("mul", ()):
+        for t in tokens:
+            lhs, eq, z = t.partition("=")
+            x, star, y = lhs.partition("*")
+            if not (eq and star):
+                _fail(no, f"expected X*Y=Z, got {t!r}")
+            if not {x, y, z} <= declared:
+                _fail(no, f"undeclared element in {t!r}")
+            if (x, y) in table:
+                _fail(no, f"duplicate product {x}*{y}")
+            table[(x, y)] = z
+    return table
+
+
+def _parse_monoid_recognizer(sections) -> EffRecognizer:
+    _known(sections, ("monad", "alphabet", "monoid", "unit", "mul", "hom", "pred"))
+    monad, algebra = _line(sections, "monad", _parse_monad_line)
+    alphabet = _line(sections, "alphabet", _distinct, "letter")
+    elements = _line(sections, "monoid", _distinct, "monoid element")
+    unit_name = _line(sections, "unit", _parse_unit, elements)
+    keys = ((alphabet, "letter"),)
+    hom = _rows(sections, "hom", keys, "hom lines", elements, monad)
+    pred = _line(sections, "pred", _outputs, elements, "element", monad)
     try:
-        target = FinMonoid.from_table(elements, table, unit_name)
+        target = FinMonoid.from_table(elements, _products(sections, elements), unit_name)
     except EffectfaError as e:
         raise ParseError(str(e)) from None
-    morphism = EffMorphism(target=target, monad=monad, alphabet=alphabet, letters=hom)
-    if monad.kind == "convex":
-        pred = {m: v if isinstance(v, tuple) else (v, v) for m, v in pred.items()}
+    letters = {a: hom[(a,)] for a in alphabet}
+    morphism = EffMorphism(target=target, monad=monad, alphabet=alphabet, letters=letters)
     return EffRecognizer(morphism=morphism, predicate=pred, output_algebra=algebra)
 
 
@@ -443,8 +413,7 @@ def print_recognizer(r: EffRecognizer) -> str:
         )
         lines.append("mul " + row)
     for a in r.morphism.alphabet:
-        value = r.morphism.letter(a)
-        named = _rename_effect(value, names, monad)
+        named = r.morphism.letter(a).map(names.__getitem__)
         entry = _fmt_effect(named, [names[x] for x in m.elements], monad)
         lines.append(f"hom {a} -> {entry}".rstrip())
     lines.append(
@@ -457,99 +426,37 @@ def print_recognizer(r: EffRecognizer) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rename_effect(t, names, monad):
-    if monad.kind == "convex":
-        return ConvexSet([g.map(lambda x: names[x]) for g in t.generators])
-    return t.map(lambda x: names[x])
-
-
 # ---------------------------------------------------------------------------
 # Bialgebra files
 
 
-def _parse_bialgebra(text: str) -> BialgRecognizer:
-    monad = algebra = None
-    alphabet = states = gens = None
-    image_rows = {}
-    hom_rows = {}
-    init = None
-    output = None
-    for no, tokens in _lines(text):
-        head, rest = tokens[0], tokens[1:]
-        if head == "monad":
-            monad, algebra = _parse_monad_line(no, rest)
-        elif head == "alphabet":
-            alphabet = tuple(rest)
-        elif head == "states":
-            states = tuple(rest)
-        elif head == "gens":
-            if len(set(rest)) != len(rest):
-                _fail(no, "repeated generator")
-            gens = tuple(rest)
-        elif head == "image":
-            if len(rest) < 3 or rest[2] != "->":
-                _fail(no, "expected: image GEN STATE -> entries")
-            g, q = rest[0], rest[1]
-            if gens is None or g not in gens:
-                _fail(no, f"undeclared generator {g!r}")
-            if states is None or q not in states:
-                _fail(no, f"undeclared state {q!r}")
-            image_rows[(g, q)] = _parse_effect(no, rest[3:], states, monad)
-        elif head == "hom":
-            if len(rest) < 3 or rest[2] != "->":
-                _fail(no, "expected: hom LETTER STATE -> entries")
-            a, q = rest[0], rest[1]
-            if alphabet is None or a not in alphabet:
-                _fail(no, f"undeclared letter {a!r}")
-            if states is None or q not in states:
-                _fail(no, f"undeclared state {q!r}")
-            hom_rows[(a, q)] = _parse_effect(no, rest[3:], states, monad)
-        elif head == "init":
-            init = _parse_effect(no, rest, states, monad)
-        elif head == "output":
-            output = {}
-            for t in rest:
-                name, vtext = _parse_entry(no, t)
-                if name not in states:
-                    _fail(no, f"undeclared state {name!r}")
-                output[name] = _parse_output_value(no, vtext, monad)
-        else:
-            _fail(no, f"unknown section {head!r}")
-    for label, value in (
-        ("monad", monad),
-        ("alphabet", alphabet),
-        ("states", states),
-        ("gens", gens),
-        ("init", init),
-        ("output", output),
-    ):
-        if value is None:
-            raise ParseError(f"missing {label} line")
-    images = {}
-    for g in gens:
-        table = {}
-        for q in states:
-            if (g, q) not in image_rows:
-                raise ParseError(f"missing image line for ({g}, {q})")
-            table[q] = image_rows[(g, q)]
-        images[g] = Channel(monad, states, states, table)
-    letters = {}
-    for a in alphabet:
-        table = {}
-        for q in states:
-            if (a, q) not in hom_rows:
-                raise ParseError(f"missing hom line for ({a}, {q})")
-            table[q] = hom_rows[(a, q)]
-        letters[a] = Channel(monad, states, states, table)
+def _parse_bialgebra(sections) -> BialgRecognizer:
+    _known(
+        sections,
+        ("monad", "alphabet", "states", "gens", "image", "hom", "init", "output"),
+    )
+    monad, algebra = _line(sections, "monad", _parse_monad_line)
+    alphabet = _line(sections, "alphabet", _distinct, "letter")
+    states = _line(sections, "states", _distinct, "state")
+    gens = _line(sections, "gens", _distinct, "generator")
+
+    def channels(head, names, what):
+        keys = ((names, what), (states, "state"))
+        rows = _rows(sections, head, keys, f"{head} lines", states, monad)
+        return {
+            x: Channel(monad, states, states, {q: rows[(x, q)] for q in states})
+            for x in names
+        }
+
     return BialgRecognizer(
         monad=monad,
         states=states,
         alphabet=alphabet,
         generators=gens,
-        images=images,
-        letters=letters,
-        init=init,
-        output=output,
+        images=channels("image", gens, "generator"),
+        letters=channels("hom", alphabet, "letter"),
+        init=_line(sections, "init", _parse_effect, states, monad),
+        output=_line(sections, "output", _outputs, states, "state", monad),
         output_algebra=algebra,
     )
 
@@ -718,11 +625,7 @@ def _comparable(a: EffAutomaton, b: EffAutomaton) -> bool:
         return True
     # A dist automaton and a rational-weighted one produce comparable numbers
     # (minimisation output versus its source, for instance).
-    def plain_rational(x):
-        return x.monad.kind == "dist" or (
-            x.monad.kind == "weighted" and x.monad.semiring.name == "rational"
-        )
-    return plain_rational(a) and plain_rational(b)
+    return _is_linear(a.monad) and _is_linear(b.monad)
 
 
 def _cmd_equiv(args):

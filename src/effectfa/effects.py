@@ -28,6 +28,7 @@ exactly by rational linear feasibility (:func:`hull_membership`).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iterproduct
@@ -270,6 +271,9 @@ def _check_value(monad: Monad, t, carrier: set, where: str) -> None:
         raise InterfaceError(f"{where} has the wrong effect type")
     if not _support_elements(t) <= carrier:
         raise InterfaceError(f"{where} puts weight outside the carrier")
+    if monad.kind == "weighted" and monad.semiring.name == "rational":
+        if not all(isinstance(w, numbers.Rational) for _, w in t.items()):
+            raise InterfaceError(f"{where} has an inexact rational weight")
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product as _iterproduct
 
 from .automata import EffAutomaton, is_pure_automaton, words_upto
-from .effects import Monad, double_strength, unit
+from .effects import Dist, Monad, WeightedVec, double_strength, unit
 from .errors import (
     InputError,
     IntegrityError,
@@ -216,8 +216,6 @@ def free_extension_enumerated(h: EffMorphism, w):
 
 
 def _pack_value(monad: Monad, weights: dict):
-    from .effects import Dist, WeightedVec
-
     if monad.kind == "dist":
         return Dist(weights)
     return WeightedVec(monad.semiring, weights)

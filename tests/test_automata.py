@@ -330,6 +330,38 @@ def test_initial_value_off_the_states_is_rejected():
         )
 
 
+def test_float_rational_weight_is_rejected():
+    rational = weighted("rational")
+    with pytest.raises(InterfaceError, match="inexact"):
+        EffAutomaton(
+            monad=rational,
+            states=("p",),
+            alphabet=("a",),
+            init=WeightedVec(rational.semiring, {"p": F(1)}),
+            trans={("p", "a"): WeightedVec(rational.semiring, {"p": 0.5})},
+            output={"p": F(1)},
+            output_algebra=SEMIRING_SELF,
+        )
+
+
+@pytest.mark.parametrize(
+    "monad, algebra, value",
+    [(DIST, UNIT_INTERVAL, 0.5), (CONVEX, INTERVAL_PAIR, (F(0), 0.5))],
+    ids=["dist", "convex"],
+)
+def test_float_output_is_rejected(monad, algebra, value):
+    with pytest.raises(InterfaceError, match="exact"):
+        EffAutomaton(
+            monad=monad,
+            states=("q",),
+            alphabet=("a",),
+            init=unit(monad, "q"),
+            trans={("q", "a"): unit(monad, "q")},
+            output={"q": value},
+            output_algebra=algebra,
+        )
+
+
 def test_letter_channels_are_built_once():
     coin = coin_pfa()
     assert coin.letter_channel("a") is coin.letter_channel("a")

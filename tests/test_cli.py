@@ -80,6 +80,39 @@ trans y a -> y:1
 output x:0 y:1
 """
 
+MONOID = """\
+monad weighted minplus
+alphabet a
+monoid e z
+unit e
+mul e*e=e e*z=z
+mul z*e=z z*z=z
+hom a -> e:1
+pred e:0 z:inf
+"""
+
+# ``to-bialgebra`` on COIN.
+BIALGEBRA = """\
+monad dist
+alphabet a
+states q0 q1
+gens [q0,q0] [q0,q1] [q1,q0] [q1,q1]
+image [q0,q0] q0 -> q0:1
+image [q0,q0] q1 -> q0:1
+image [q0,q1] q0 -> q0:1
+image [q0,q1] q1 -> q1:1
+image [q1,q0] q0 -> q1:1
+image [q1,q0] q1 -> q0:1
+image [q1,q1] q0 -> q1:1
+image [q1,q1] q1 -> q1:1
+hom a q0 -> q0:1/2 q1:1/2
+hom a q1 -> q1:1
+init q0:1
+output q0:0 q1:1
+"""
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -360,3 +393,72 @@ def test_python_dash_m_runs_the_command_line(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "7/8"
+
+
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        ("from-monoid", MONOID + "monad weighted minplus\n", 9),
+        ("from-monoid", MONOID.replace("alphabet a", "alphabet a a"), 2),
+        ("from-monoid", MONOID + "hom b -> e:1\n", 9),
+        ("from-monoid", MONOID + "mul e*e=e\n", 9),
+        # a malformed init line ahead of the states it refers to
+        (
+            "from-bialgebra",
+            BIALGEBRA.replace("init q0:1\n", "").replace(
+                "states", "init x:1\nstates"
+            ),
+            3,
+        ),
+        # a malformed image line ahead of the monad line
+        (
+            "from-bialgebra",
+            BIALGEBRA.replace("monad dist\n", "")
+            .replace("hom a q0", "monad dist\nhom a q0")
+            .replace("q0 -> q0:1\n", "q0 -> q0:2\n", 1),
+            4,
+        ),
+        ("from-bialgebra", BIALGEBRA.replace("output q0:0 q1:1", "output q0:0"), 16),
+        ("from-bialgebra", BIALGEBRA + "image [q0,q0] q0 -> q0:1\n", 17),
+    ],
+    ids=[
+        "second-monad-line",
+        "repeated-letter",
+        "hom-for-undeclared-letter",
+        "duplicate-mul-product",
+        "init-before-states",
+        "image-before-monad",
+        "output-misses-a-state",
+        "repeated-image-row",
+    ],
+)
+def test_malformed_recognizer_files_exit_2(tmp_path, command, text, line):
+    # run_command turns package errors into status 2; any other exception
+    # escapes it and fails the test.
+    path = tmp_path / "bad.rec"
+    path.write_text(text)
+    status, out = run_command([command, str(path)])
+    assert status == 2
+    assert out.startswith("error: ")
+    assert f"line {line}:" in out
+
+
+def _reversed_lines(text):
+    return "\n".join(reversed(text.splitlines())) + "\n"
+
+
+@pytest.mark.parametrize("sample", sorted(SAMPLES.glob("*.aut")), ids=lambda p: p.name)
+def test_automaton_sections_parse_in_any_order(sample):
+    text = sample.read_text()
+    assert parse_automaton(_reversed_lines(text)) == parse_automaton(text)
+
+
+@pytest.mark.parametrize(
+    "command, printer",
+    [("to-monoid", print_recognizer), ("to-bialgebra", print_bialgebra)],
+)
+def test_recognizer_sections_parse_in_any_order(command, printer):
+    status, text = run_command([command, str(SAMPLES / "coin.aut")])
+    assert status == 0
+    # Printing is canonical, so equal prints mean equal recognizers.
+    assert printer(parse_recognizer(_reversed_lines(text))) == text + "\n"
