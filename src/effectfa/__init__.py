@@ -17,6 +17,7 @@ from .automata import (
     SEMIRING_SELF,
     UNIT_INTERVAL,
     convex_output,
+    disagreements,
     eval_npfa,
     eval_pfa_pathsum,
     eval_word,
@@ -24,6 +25,7 @@ from .automata import (
     iterated_transition,
     outputs_equal,
     purify_initial,
+    word_values,
     words_upto,
 )
 from .effects import (

@@ -29,6 +29,12 @@ hull.  Forward hull propagation
 (:func:`iterated_transition`, :func:`~effectfa.effects.bind`) remains for
 questions whose answer is the convex set itself.
 
+Every word up to a length is evaluated as a tree by :func:`word_values`,
+which computes each word from its parent (the word one letter shorter:
+prefixes for vectors, suffixes for DP tables) by the same steps as
+:func:`eval_word`; :func:`disagreements` walks two machines that way and is
+what recognizer verification and bounded equivalence run.
+
 Deterministic automata are the ``dist`` case with Dirac channels and 0/1
 outputs; no separate type exists for them (:func:`is_pure_automaton`).
 
@@ -44,11 +50,14 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _iterproduct
+from math import lcm
+from operator import mul
 
 from .effects import (
     Channel,
     Monad,
     _check_value,
+    _exact_weight,
     bind,
     identity_channel,
     is_pure,
@@ -56,7 +65,7 @@ from .effects import (
     unit,
 )
 from .errors import CapabilityError, InputError, InterfaceError
-from .linalg import word_value
+from .linalg import _int_matrix, _int_step, _int_vector, word_value
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -146,13 +155,13 @@ class EffAutomaton:
                     raise InterfaceError(
                         f"convex outputs are (low, high) pairs; got {v!r} at {q!r}"
                     )
-                parts = v
-            elif _is_linear(self.monad):
-                parts = (v,)
+                exact = all(isinstance(x, numbers.Rational) for x in v)
+            elif self.monad.kind == "dist":
+                exact = isinstance(v, numbers.Rational)
             else:
-                continue
-            if not all(isinstance(x, numbers.Rational) for x in parts):
-                raise InterfaceError(f"output {v!r} at {q!r} is not an exact rational")
+                exact = _exact_weight(self.monad.semiring, v)
+            if not exact:
+                raise InterfaceError(f"output {v!r} at {q!r} is not an exact value")
         _check_value(self.monad, self.init, set(self.states), "the initial value")
         channels = {}
         for a in self.alphabet:
@@ -283,6 +292,83 @@ def eval_word(a: EffAutomaton, w):
     for letter in w:
         v = bind(v, a.letter_channel(letter))
     return collapse(a.monad, a.output_algebra, v, a.output)
+
+
+def word_values(a: EffAutomaton, maxlen: int, alphabet: tuple | None = None):
+    """Yield ``(w, value)`` for every word up to ``maxlen``, in
+    :func:`words_upto` order over ``alphabet`` (the machine's by default).
+
+    The words are walked as a tree, one length at a time, and only the
+    previous length's intermediate results are kept.  Each value equals
+    :func:`eval_word`'s, computed the same way:
+
+    * convex machines share suffixes: a word's per-state table of the
+      backward generator DP is its tail's table with the first letter put in
+      front (:func:`_dp_step`), and the value is read off the initial value;
+    * ``dist`` and rational ``weighted`` machines share prefixes: a word's
+      ``(numerators, den)`` vector is one step of the integer kernel from
+      its parent's, and each letter matrix is converted once per call;
+    * other ``weighted`` machines share prefixes through :func:`bind`.
+    """
+    alphabet = a.alphabet if alphabet is None else tuple(alphabet)
+    for x in alphabet:
+        a.letter_channel(x)  # an unknown letter raises InputError here
+    if a.monad.kind == "convex":
+        algebra = a.output_algebra
+        start = a.output
+
+        def extend(prev, w):
+            return _dp_step(a, algebra, w[0], prev[w[1:]])
+
+        def read(table):
+            return collapse(a.monad, algebra, a.init, table)
+
+    elif _is_linear(a.monad):
+        start = _int_vector(tuple(a.init.weight(q) for q in a.states))
+        f_nums, f_den = _int_vector(tuple(a.output[q] for q in a.states))
+        mats = {x: _int_matrix(_letter_matrix(a, x)) for x in alphabet}
+        # Every prime of a denominator on the tree divides ``radix``.
+        radix = lcm(start[1], *(d for d, _ in mats.values()))
+
+        def extend(prev, w):
+            nums, den = prev[w[:-1]]
+            return _int_step(nums, den, mats[w[-1]], radix)
+
+        def read(vector):
+            nums, den = vector
+            return Fraction(sum(map(mul, nums, f_nums)), den * f_den)
+
+    else:
+        start = a.init
+
+        def extend(prev, w):
+            return bind(prev[w[:-1]], a.letter_channel(w[-1]))
+
+        def read(value):
+            return collapse(a.monad, a.output_algebra, value, a.output)
+
+    level = {(): start}
+    yield (), read(start)
+    for n in range(1, maxlen + 1):
+        prev, level = level, {}
+        for w in _iterproduct(alphabet, repeat=n):
+            level[w] = here = extend(prev, w)
+            yield w, read(here)
+
+
+def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
+    """Yield ``(w, a_value, b_value)`` for every word up to ``maxlen`` on
+    which the two machines differ, in :func:`words_upto` order over ``a``'s
+    alphabet, comparing with :func:`outputs_equal` on ``a``.
+
+    Both machines are walked along the word tree by :func:`word_values`; the
+    walk stops as soon as the caller stops asking.
+    """
+    for (w, va), (_, vb) in zip(
+        word_values(a, maxlen), word_values(b, maxlen, a.alphabet)
+    ):
+        if not outputs_equal(a, va, vb):
+            yield w, va, vb
 
 
 def eval_pfa_pathsum(a: EffAutomaton, w) -> Fraction:

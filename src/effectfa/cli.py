@@ -45,9 +45,8 @@ from .automata import (
     UNIT_INTERVAL,
     _is_linear,
     convex_output,
+    disagreements,
     eval_word,
-    outputs_equal,
-    words_upto,
 )
 from .effects import CONVEX, Channel, ConvexSet, DIST, Dist, WeightedVec, weighted
 from .errors import EffectfaError, ParseError
@@ -633,14 +632,12 @@ def _cmd_equiv(args):
     b = parse_automaton(_read(args.file2))
     if not _comparable(a, b):
         raise ParseError("the automata have incompatible alphabets or value types")
-    for w in words_upto(a.alphabet, args.max_len):
-        va, vb = eval_word(a, w), eval_word(b, w)
-        if not outputs_equal(a, va, vb):
-            return (
-                1,
-                f"difference at {format_word(w)}: "
-                f"{format_value(va, a)} vs {format_value(vb, b)}",
-            )
+    for w, va, vb in disagreements(a, b, args.max_len):
+        return (
+            1,
+            f"difference at {format_word(w)}: "
+            f"{format_value(va, a)} vs {format_value(vb, b)}",
+        )
     return 0, f"equivalent on all words up to length {args.max_len}"
 
 

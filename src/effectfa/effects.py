@@ -271,9 +271,26 @@ def _check_value(monad: Monad, t, carrier: set, where: str) -> None:
         raise InterfaceError(f"{where} has the wrong effect type")
     if not _support_elements(t) <= carrier:
         raise InterfaceError(f"{where} puts weight outside the carrier")
-    if monad.kind == "weighted" and monad.semiring.name == "rational":
-        if not all(isinstance(w, numbers.Rational) for _, w in t.items()):
-            raise InterfaceError(f"{where} has an inexact rational weight")
+    if monad.kind == "weighted":
+        bad = [w for _, w in t.items() if not _exact_weight(monad.semiring, w)]
+        if bad:
+            raise InterfaceError(
+                f"{where} has an inexact {monad.semiring.name} weight {bad[0]!r}"
+            )
+
+
+def _exact_weight(s: SemiringDescriptor, w) -> bool:
+    """Whether ``w`` is an exact element of a builtin semiring.
+
+    Rational weights are ``numbers.Rational``; tropical ones are ``int`` or
+    the semiring's own infinity (``bool`` is not a tropical weight).  Other
+    semirings are taken on trust.
+    """
+    if s.name == "rational":
+        return isinstance(w, numbers.Rational)
+    if s.name in ("minplus", "maxplus"):
+        return w is s.zero or (isinstance(w, int) and not isinstance(w, bool))
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,8 @@ Two kernels keep the hot loops cheap without leaving exact arithmetic:
   numerators (the shared-denominator idea of fraction-free elimination,
   Bareiss, *Math. Comp.* 22, 1968).  A `Fraction` is built only from the
   final numerator and denominator, and it normalises, so the value is the
-  one `Fraction` arithmetic gives.
+  one `Fraction` arithmetic gives.  The step itself (:func:`_int_step`) is
+  shared with the word-tree walk of :func:`effectfa.automata.word_values`.
 * :class:`RowSpace` records, for each echelon row, its coordinates in the
   vectors added so far, so the coordinates of any vector in the span come
   out of the same elimination (:meth:`RowSpace.coords`) instead of a fresh
@@ -113,22 +114,30 @@ def _int_run(rows, w, matrix_of) -> list:
         if m is None:
             m = mats[x] = _int_matrix(matrix_of(x))
             radix = lcm(radix, m[0])
-        d, cols = m
-        stepped = []
-        for nums, den in vectors:
-            nums = [sum(map(mul, nums, col)) for col in cols]
-            den *= d
-            g = gcd(radix, den)
-            while g != 1:
-                g = gcd(g, *nums)
-                if g == 1:
-                    break
-                nums = [y // g for y in nums]
-                den //= g
-                g = gcd(g, den)
-            stepped.append((nums, den))
-        vectors = stepped
+        vectors = [_int_step(nums, den, m, radix) for nums, den in vectors]
     return vectors
+
+
+def _int_step(nums, den, matrix, radix) -> tuple:
+    """The vector ``nums / den`` times the letter matrix ``matrix``.
+
+    ``matrix`` is ``(d, columns)`` from :func:`_int_matrix`; the result is
+    ``(numerators, den)`` in lowest terms, provided every prime of ``den``
+    and of ``d`` divides ``radix`` (the common factor is sought among the
+    divisors of ``gcd(radix, den)``).
+    """
+    d, cols = matrix
+    nums = [sum(map(mul, nums, col)) for col in cols]
+    den *= d
+    g = gcd(radix, den)
+    while g != 1:
+        g = gcd(g, *nums)
+        if g == 1:
+            break
+        nums = [y // g for y in nums]
+        den //= g
+        g = gcd(g, den)
+    return nums, den
 
 
 def word_value(initial: Vec, w, matrix_of, final: Vec) -> Fraction:

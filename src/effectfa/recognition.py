@@ -14,6 +14,16 @@ Two recognizer shapes are supported, with both directions implemented:
   exact preimage problems (convex-combination feasibility for ``dist``,
   plain linear solving for rational weights).
 
+A recognizer is checked and evaluated as the machine it rebuilds into: the
+automaton on the monoid elements for an :class:`EffRecognizer`, the
+automaton on the states with the letter channels for a
+:class:`BialgRecognizer`.  That is exact, since reading a letter on the
+monoid machine is the lifted product :func:`~effectfa.monoids.tm_multiply`
+with the letter image, and it lets :func:`verify_recognition` walk both
+machines along the word tree with the evaluation core of
+:mod:`effectfa.automata` (integer vectors for linear machines, the backward
+generator DP for convex ones) instead of building convex choice products.
+
 The function-monoid witnesses are the total self-maps for ``dist`` and
 ``convex`` and the partial self-maps for ``weighted``, where an undefined
 point maps to the zero vector.  :func:`xi_preimage` picks one canonical
@@ -25,17 +35,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as _iterproduct
 
 from .automata import (
     INTERVAL_PAIR,
     EffAutomaton,
     OutputAlgebra,
-    _dp_step,
     collapse,
-    outputs_equal,
+    disagreements,
+    eval_word,
     purify_initial,
-    words_upto,
 )
 from .effects import (
     Channel,
@@ -44,6 +54,7 @@ from .effects import (
     Dist,
     Monad,
     WeightedVec,
+    _check_value,
     bind,
     identity_channel,
     is_pure,
@@ -52,14 +63,9 @@ from .effects import (
     pure_channel,
     unit,
 )
-from .errors import CapabilityError, IntegrityError, ResourceError
+from .errors import CapabilityError, IntegrityError, InterfaceError, ResourceError
 from .linalg import feasible_nonneg, solve_linear
-from .monoids import (
-    EffMorphism,
-    free_extension_word,
-    function_monoid,
-    tm_multiply,
-)
+from .monoids import EffMorphism, function_monoid
 
 _F1 = Fraction(1)
 
@@ -69,25 +75,46 @@ CONVEX_PREIMAGE_GENERATOR_BOUND = 4
 
 @dataclass(frozen=True)
 class EffRecognizer:
-    """A finite monoid recognizing a language through effectful letter images."""
+    """A finite monoid recognizing a language through effectful letter images.
+
+    The recognizer is evaluated as the machine it rebuilds into
+    (:func:`recognizer_to_automaton`): states are the monoid elements, the
+    start is the unit and a letter acts by right multiplication with its
+    image.  Feeding a value ``t`` over the monoid through that letter
+    channel is ``double_strength(t, h(a))`` pushed along the table, i.e.
+    :func:`~effectfa.monoids.tm_multiply`, so the machine's value on a word
+    is the predicate applied to the free extension of the word.
+    """
 
     morphism: EffMorphism
     predicate: dict
     output_algebra: OutputAlgebra
 
+    @cached_property
+    def _machine(self) -> EffAutomaton:
+        # Built on first use and kept outside the fields, so ``==`` is unchanged.
+        return recognizer_to_automaton(self)
+
     def evaluate(self, w):
-        """The recognized value of ``w``: extend to the word, then apply p.
+        """The recognized value of ``w``: the predicate applied to the free
+        extension of the word, read off the rebuilt machine by
+        :func:`~effectfa.automata.eval_word`.
 
         Convex predicate values are stored as (low, high) pairs like
         automaton outputs; the output algebra picks the component(s).
         """
-        ext = free_extension_word(self.morphism, w)
-        return collapse(self.morphism.monad, self.output_algebra, ext, self.predicate)
+        return eval_word(self._machine, w)
 
 
 @dataclass(frozen=True)
 class BialgRecognizer:
-    """A generator-carried algebra of channels recognizing a language."""
+    """A generator-carried algebra of channels recognizing a language.
+
+    Construction checks that the output map is total on ``states``, that
+    every letter has a channel, that letter and generator-image channels
+    are ``states``-to-``states`` channels of the effect type, and that
+    ``init`` is a value on ``states``.
+    """
 
     monad: Monad
     states: tuple
@@ -98,6 +125,43 @@ class BialgRecognizer:
     init: object
     output: dict
     output_algebra: OutputAlgebra
+
+    def __post_init__(self):
+        if set(self.output) != set(self.states):
+            raise InterfaceError("output map must be total on the states")
+        missing = [x for x in self.alphabet if x not in self.letters]
+        if missing:
+            raise InterfaceError(f"letters without a channel: {missing}")
+        named = [(f"letter {x!r}", self.letters[x]) for x in self.alphabet]
+        named += [(f"image of {g!r}", ch) for g, ch in self.images.items()]
+        for what, ch in named:
+            if not (
+                isinstance(ch, Channel)
+                and ch.monad == self.monad
+                and ch.domain == self.states
+                and ch.codomain == self.states
+            ):
+                raise InterfaceError(
+                    f"the {what} is not a {self.monad.kind} channel "
+                    "from the states to the states"
+                )
+        _check_value(self.monad, self.init, set(self.states), "the initial value")
+
+    @cached_property
+    def _machine(self) -> EffAutomaton:
+        """The automaton on ``states``: ``init``, the letter channels as
+        transitions, ``output``."""
+        return EffAutomaton(
+            monad=self.monad,
+            states=self.states,
+            alphabet=self.alphabet,
+            init=self.init,
+            trans={
+                (q, x): self.letters[x](q) for q in self.states for x in self.alphabet
+            },
+            output=dict(self.output),
+            output_algebra=self.output_algebra,
+        )
 
     def predicate(self, channel: Channel):
         return collapse(
@@ -315,62 +379,21 @@ def bialgebra_to_automaton(r: BialgRecognizer) -> EffAutomaton:
 def verify_recognition(a: EffAutomaton, r, maxlen: int) -> list:
     """Compare automaton and recognizer values on every word up to maxlen.
 
-    The recognizer side is evaluated along the word tree, so shared prefixes
-    are computed once.  So is the automaton side for ``dist`` and
-    ``weighted``.  A convex automaton shares suffixes instead: each suffix
-    gets the per-state tables of the backward generator DP of
-    :func:`~effectfa.automata.eval_npfa`, one letter put in front of a
-    shorter suffix's tables, and each word is read off the initial
-    generators.  Those values equal the forward hull's exactly, while the
-    recognizer side still composes convex sets, so the two sides stay
-    independent computations.  Returns ``(word, automaton_value,
-    recognizer_value)`` triples for each disagreement; an empty list
-    certifies agreement at this depth.
+    The recognizer is checked as the machine it rebuilds into: an
+    :class:`EffRecognizer` as :func:`recognizer_to_automaton` (states on the
+    monoid elements, letters acting by right multiplication), a
+    :class:`BialgRecognizer` as the machine on its states with its letter
+    channels as transitions.  Both machines are then walked along the word
+    tree by :func:`~effectfa.automata.disagreements`.  This is exact:
+    feeding a value through a right-multiplication channel is the lifted
+    product :func:`~effectfa.monoids.tm_multiply`, and composing letter
+    channels before or after applying them to ``init`` gives the same value
+    (associativity of Kleisli composition).  The word values themselves are
+    :func:`~effectfa.automata.eval_word`'s: integer vectors for ``dist`` and
+    rational weights, the backward generator DP for convex machines (equal
+    to the forward hull's interval, see :mod:`effectfa.automata`).  Returns
+    ``(word, automaton_value, recognizer_value)`` triples for each
+    disagreement, in :func:`~effectfa.automata.words_upto` order; an empty
+    list certifies agreement at this depth.
     """
-    if a.monad.kind == "convex":
-        suffixes = {(): a.output}
-
-        def aut_value(w):
-            if w:
-                suffixes[w] = _dp_step(a, a.output_algebra, w[0], suffixes[w[1:]])
-            return collapse(a.monad, a.output_algebra, a.init, suffixes[w])
-
-    else:
-        forward = {(): a.init}
-
-        def aut_value(w):
-            if w:
-                forward[w] = bind(forward[w[:-1]], a.letter_channel(w[-1]))
-            return collapse(a.monad, a.output_algebra, forward[w], a.output)
-
-    if isinstance(r, EffRecognizer):
-        m = r.morphism.target
-        states = {(): unit(r.morphism.monad, m.unit)}
-
-        def extend(w):
-            if len(w) == 1:
-                states[w] = r.morphism.letter(w[0])
-            else:
-                states[w] = tm_multiply(m, states[w[:-1]], r.morphism.letter(w[-1]))
-
-        def rec_value(w):
-            return collapse(r.morphism.monad, r.output_algebra, states[w], r.predicate)
-
-    else:
-        states = {(): identity_channel(r.monad, r.states)}
-
-        def extend(w):
-            states[w] = kleisli_compose(states[w[:-1]], r.letters[w[-1]])
-
-        def rec_value(w):
-            return r.predicate(states[w])
-
-    violations = []
-    for w in words_upto(a.alphabet, maxlen):
-        if w:
-            extend(w)
-        mine = aut_value(w)
-        theirs = rec_value(w)
-        if not outputs_equal(a, mine, theirs):
-            violations.append((w, mine, theirs))
-    return violations
+    return list(disagreements(a, r._machine, maxlen))

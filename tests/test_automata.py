@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,11 @@ from effectfa import (
     DIST,
     Dist,
     EffAutomaton,
+    INF,
+    INTERVAL_MAX,
+    INTERVAL_MIN,
     INTERVAL_PAIR,
+    NEG_INF,
     SEMIRING_SELF,
     UNIT_INTERVAL,
     WeightedVec,
@@ -37,7 +42,7 @@ from effectfa import (
     weighted,
     words_upto,
 )
-from effectfa.automata import collapse
+from effectfa.automata import collapse, disagreements, word_values
 from effectfa.effects import CONVEX_CHOICE_LIMIT
 from effectfa.errors import CapabilityError, InputError, InterfaceError
 
@@ -509,3 +514,113 @@ def test_eval_word_rejects_unknown_letters_on_linear_machines():
         for w in [("z",), ("a",) * 50 + ("z",), ("a", "z", "a")]:
             with pytest.raises(InputError):
                 eval_word(a, w)
+
+
+def _word_tree_machines(rng):
+    yield coin_pfa()
+    yield rand_pfa(rng, 3, 2, pure_init=False)
+    for name in ("rational", "minplus", "maxplus", "boolean"):
+        yield rand_wfa(rng, name, 3, 2)
+    yield rand_npfa(rng, 3, 2, 2, pure_init=False)
+    for algebra in (INTERVAL_MAX, INTERVAL_MIN):
+        yield replace(rand_npfa(rng, 2, 2, 3), output_algebra=algebra)
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_word_values_match_eval_word_in_words_upto_order(seed):
+    for a in _word_tree_machines(random.Random(seed)):
+        for alphabet in (a.alphabet, a.alphabet[::-1]):
+            got = list(word_values(a, 4, alphabet))
+            assert [w for w, _ in got] == list(words_upto(alphabet, 4))
+            for w, v in got:
+                assert v == eval_word(a, w)
+                assert type(v) is type(eval_word(a, w))
+
+
+def test_word_values_reduce_linear_vectors_like_eval_word():
+    # 1/3 and 1/6 weights: denominators grow and cancel along the tree
+    rat = weighted("rational")
+    s = rat.semiring
+    a = EffAutomaton(
+        monad=rat,
+        states=("p", "q"),
+        alphabet=("a", "b"),
+        init=WeightedVec(s, {"p": F(1, 2), "q": F(-1, 4)}),
+        trans={
+            ("p", "a"): WeightedVec(s, {"p": F(1, 3), "q": F(2, 3)}),
+            ("q", "a"): WeightedVec(s, {"p": F(-1, 6)}),
+            ("p", "b"): WeightedVec(s, {"q": 6}),
+            ("q", "b"): WeightedVec(s, {"p": F(3, 2), "q": F(1, 2)}),
+        },
+        output={"p": F(1), "q": F(-2)},
+        output_algebra=SEMIRING_SELF,
+    )
+    for w, v in word_values(a, 6):
+        assert v == eval_word(a, w)
+
+
+def test_word_values_reject_unknown_letters():
+    with pytest.raises(InputError):
+        next(word_values(coin_pfa(), 2, ("a", "z")))
+
+
+def test_disagreements_come_in_words_upto_order():
+    coin = coin_pfa()
+    # outputs swapped on the absorbing state only from length 2 on
+    other = replace(
+        coin,
+        trans={**coin.trans, ("q0", "a"): Dist({"q0": F(1, 4), "q1": F(3, 4)})},
+    )
+    got = list(disagreements(coin, other, 3))
+    assert [w for w, _, _ in got] == [word(1), word(2), word(3)]
+    assert got[0] == (word(1), F(1, 2), F(3, 4))
+    assert list(disagreements(coin, coin, 5)) == []
+
+
+@pytest.mark.parametrize("name", ["minplus", "maxplus"])
+def test_inexact_tropical_weight_is_rejected(name):
+    monad = weighted(name)
+    s = monad.semiring
+    with pytest.raises(InterfaceError, match="inexact"):
+        EffAutomaton(
+            monad=monad,
+            states=("q",),
+            alphabet=("a",),
+            init=WeightedVec(s, {"q": 0}),
+            trans={("q", "a"): WeightedVec(s, {"q": 0.5})},
+            output={"q": 0},
+            output_algebra=SEMIRING_SELF,
+        )
+
+
+@pytest.mark.parametrize("name, bad", [("minplus", 0.5), ("maxplus", True)])
+def test_inexact_tropical_output_is_rejected(name, bad):
+    monad = weighted(name)
+    s = monad.semiring
+    with pytest.raises(InterfaceError, match="exact"):
+        EffAutomaton(
+            monad=monad,
+            states=("q",),
+            alphabet=("a",),
+            init=WeightedVec(s, {"q": 0}),
+            trans={("q", "a"): WeightedVec(s, {"q": 1})},
+            output={"q": bad},
+            output_algebra=SEMIRING_SELF,
+        )
+
+
+def test_tropical_infinity_is_an_exact_weight():
+    for name, inf in (("minplus", INF), ("maxplus", NEG_INF)):
+        monad = weighted(name)
+        s = monad.semiring
+        a = EffAutomaton(
+            monad=monad,
+            states=("q", "r"),
+            alphabet=("a",),
+            init=WeightedVec(s, {"q": 0}),
+            trans={("q", "a"): WeightedVec(s, {"r": 2}), ("r", "a"): WeightedVec(s, {})},
+            output={"q": inf, "r": 1},
+            output_algebra=SEMIRING_SELF,
+        )
+        assert eval_word(a, word(1)) == 3
+        assert eval_word(a, word(2)) is inf

@@ -462,3 +462,80 @@ def test_recognizer_sections_parse_in_any_order(command, printer):
     assert status == 0
     # Printing is canonical, so equal prints mean equal recognizers.
     assert printer(parse_recognizer(_reversed_lines(text))) == text + "\n"
+
+
+def _length_three_pair(monad_line, last, bad_last):
+    """Two length counters over ``a b`` whose third step on ``b`` goes to
+    ``last`` in one and ``bad_last`` in the other, so they agree on every
+    word shorter than 3 and first differ at ``a.a.b``."""
+    lines = [
+        "alphabet a b",
+        "states l0 l1 l2 l3 l4",
+        "init l0:1",
+        "trans l0 a -> l1:1",
+        "trans l0 b -> l1:1",
+        "trans l1 a -> l2:1",
+        "trans l1 b -> l2:1",
+        "trans l2 a -> l4:1",
+        "trans l3 a -> l4:1",
+        "trans l3 b -> l4:1",
+        "trans l4 a -> l4:1",
+        "trans l4 b -> l4:1",
+    ]
+    return tuple(
+        "\n".join([monad_line, *lines, f"trans l2 b -> {step}", output]) + "\n"
+        for step, output in (last, bad_last)
+    )
+
+
+LENGTH_THREE_PAIRS = {
+    "dist": (
+        "monad dist",
+        ("l3:1", "output l0:0 l1:0 l2:0 l3:1/2 l4:0"),
+        ("l3:1/3 l4:2/3", "output l0:0 l1:0 l2:0 l3:1/2 l4:0"),
+    ),
+    "minplus": (
+        "monad weighted minplus",
+        ("l3:2", "output l0:0 l1:0 l2:0 l3:0 l4:0"),
+        ("l3:1 l4:5", "output l0:0 l1:0 l2:0 l3:0 l4:0"),
+    ),
+    "convex": (
+        "monad convex",
+        ("l3:1 | l4:1", "output l0:0 l1:0 l2:0 l3:1 l4:0"),
+        ("l3:1/2 l4:1/2 | l4:1", "output l0:0 l1:0 l2:0 l3:1 l4:0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LENGTH_THREE_PAIRS))
+def test_equiv_prints_the_first_difference_at_length_three(tmp_path, kind):
+    from effectfa import eval_word, outputs_equal, words_upto
+    from effectfa.cli import format_value, format_word
+
+    monad_line, last, bad_last = LENGTH_THREE_PAIRS[kind]
+    texts = _length_three_pair(monad_line, last, bad_last)
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"m{i}.aut")
+        paths[-1].write_text(text)
+    status, out = run_command(["equiv", str(paths[0]), str(paths[1]), "--max-len", "2"])
+    assert (status, out) == (0, "equivalent on all words up to length 2")
+    status, out = run_command(["equiv", str(paths[0]), str(paths[1]), "--max-len", "5"])
+    # the per-word loop over words_upto, one eval_word per word
+    a, b = (parse_automaton(t) for t in texts)
+    first = next(
+        (w, va, vb)
+        for w in words_upto(a.alphabet, 5)
+        for va, vb in [(eval_word(a, w), eval_word(b, w))]
+        if not outputs_equal(a, va, vb)
+    )
+    w, va, vb = first
+    assert w == ("a", "a", "b")
+    want = f"difference at {format_word(w)}: {format_value(va, a)} vs {format_value(vb, b)}"
+    assert (status, out) == (1, want)
+    literal = {
+        "dist": "difference at a.a.b: 1/2 vs 1/6",
+        "minplus": "difference at a.a.b: 5 vs 4",
+        "convex": "difference at a.a.b: [0, 1] vs [0, 1/2]",
+    }
+    assert out == literal[kind]

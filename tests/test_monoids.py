@@ -268,3 +268,66 @@ def test_syntactic_monoid_overflow_reports_the_bound():
 def test_syntactic_monoid_requires_pure_automaton():
     with pytest.raises(PreconditionError):
         classical_syntactic_monoid(coin_pfa(), 100)
+
+
+def _cubic_monoid_check(names, table, unit_name) -> bool:
+    """The exhaustive check: both unit laws and every associativity triple."""
+    if any(table[(unit_name, x)] != x or table[(x, unit_name)] != x for x in names):
+        return False
+    return all(
+        table[(table[(x, y)], z)] == table[(x, table[(y, z)])]
+        for x in names
+        for y in names
+        for z in names
+    )
+
+
+def _named_table(m: FinMonoid):
+    names = [m.name(x) for x in m.elements]
+    table = {
+        (m.name(x), m.name(y)): m.name(m.mul(x, y)) for x in m.elements for y in m.elements
+    }
+    return names, table, m.name(m.unit)
+
+
+def _cyclic_table(n):
+    names = [f"z{i}" for i in range(n)]
+    return names, {(f"z{i}", f"z{j}"): f"z{(i + j) % n}" for i in range(n) for j in range(n)}, "z0"
+
+
+def test_light_test_rejects_exactly_the_corruptions_the_cubic_check_rejects():
+    rng = random.Random(2024)
+    tables = [
+        _named_table(or_monoid()),
+        _cyclic_table(3),
+        _named_table(function_monoid(("p", "q"))),
+        _named_table(function_monoid(("p", "q"), "partial")),
+        _named_table(function_monoid(("p", "q", "r"))),
+    ]
+    outcomes = set()
+    for names, table, unit_name in tables:
+        assert _cubic_monoid_check(names, table, unit_name)
+        FinMonoid.from_table(names, table, unit_name)
+        for _ in range(40 if len(names) < 27 else 8):
+            key = (rng.choice(names), rng.choice(names))
+            bad = dict(table)
+            bad[key] = rng.choice([z for z in names if z != table[key]])
+            valid = _cubic_monoid_check(names, bad, unit_name)
+            try:
+                FinMonoid.from_table(names, bad, unit_name)
+                accepted = True
+            except IntegrityError:
+                accepted = False
+            assert accepted == valid, (names, key, bad[key])
+            outcomes.add(valid)
+    # some single-entry changes give another monoid (e.g. max to xor on {0, 1})
+    assert outcomes == {True, False}
+
+
+def test_associativity_error_names_a_failing_triple():
+    names, table, unit_name = _cyclic_table(4)
+    table[("z1", "z2")] = "z0"
+    with pytest.raises(IntegrityError, match="associativity fails on") as err:
+        FinMonoid.from_table(names, table, unit_name)
+    x, y, z = str(err.value).split("(")[-1].rstrip(")").split(", ")
+    assert table[(table[(x, y)], z)] != table[(x, table[(y, z)])]

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -36,8 +36,11 @@ from effectfa import (
     convex_output,
     eval_npfa,
     eval_word,
+    free_extension_word,
+    identity_channel,
     is_pure,
     kleisli_compose,
+    outputs_equal,
     recognizer_to_automaton,
     tm_multiply,
     unit,
@@ -48,8 +51,9 @@ from effectfa import (
     xi,
     xi_preimage,
 )
-from effectfa.automata import EffAutomaton
-from effectfa.errors import CapabilityError, IntegrityError, ResourceError
+from effectfa.automata import EffAutomaton, collapse
+from effectfa.errors import CapabilityError, IntegrityError, InterfaceError, ResourceError
+from effectfa.monoids import free_extension_enumerated
 from effectfa.recognition import BialgRecognizer
 
 RAT = weighted("rational")
@@ -612,3 +616,230 @@ def test_every_collapse_site_in_every_convex_mode(algebra):
     assert verify_recognition(a, bi, 3) == []
     # the modes are told apart on this machine
     assert npfa_brute_force(a, (), "min") < npfa_brute_force(a, (), "max")
+
+
+# ---------------------------------------------------------------------------
+# Recognizers checked as the machines they rebuild into
+
+
+def _fold_verify(a, r, maxlen):
+    """The lifted-product fold that ``verify_recognition`` used to run.
+
+    The automaton side is ``eval_word`` per word; the recognizer side folds
+    ``tm_multiply`` over the letter images (monoid recognizers) or
+    ``kleisli_compose`` over the letter channels (bialgebras) along the
+    word tree, then collapses.
+    """
+    if isinstance(r, EffRecognizer):
+        h = r.morphism
+        ext = {(): unit(h.monad, h.target.unit)}
+        for w in words_upto(a.alphabet, maxlen):
+            if len(w) == 1:
+                ext[w] = h.letter(w[0])
+            elif w:
+                ext[w] = tm_multiply(h.target, ext[w[:-1]], h.letter(w[-1]))
+
+        def rec_value(w):
+            return collapse(h.monad, r.output_algebra, ext[w], r.predicate)
+
+    else:
+        chans = {(): identity_channel(r.monad, r.states)}
+        for w in words_upto(a.alphabet, maxlen):
+            if w:
+                chans[w] = kleisli_compose(chans[w[:-1]], r.letters[w[-1]])
+
+        def rec_value(w):
+            return r.predicate(chans[w])
+
+    out = []
+    for w in words_upto(a.alphabet, maxlen):
+        mine, theirs = eval_word(a, w), rec_value(w)
+        if not outputs_equal(a, mine, theirs):
+            out.append((w, mine, theirs))
+    return out
+
+
+def _other_value(monad, v):
+    """A predicate or output entry different from ``v``."""
+    if monad.kind == "convex":
+        lo = F(1) if v[0] == 0 else F(0)
+        return (lo, lo)
+    if monad.kind == "dist":
+        return F(1) - v if v != F(1, 2) else F(0)
+    s = monad.semiring
+    if s.name == "boolean":
+        return not v
+    if s.name == "rational":
+        return v + 1
+    return 0 if v != 0 else 2
+
+
+def _corrupted_recognizers(rng, rec):
+    """The recognizer itself, then one with a corrupted predicate entry and
+    one with a corrupted letter image (one support element moved)."""
+    h, m = rec.morphism, rec.morphism.target
+    yield rec
+    x = rng.choice(m.elements)
+    pred = dict(rec.predicate)
+    pred[x] = _other_value(h.monad, pred[x])
+    yield replace(rec, predicate=pred)
+    letter = rng.choice([x for x in h.alphabet if _support(h.letter(x))])
+    moved = rng.choice(sorted(_support(h.letter(letter)), key=m.index))
+    to = rng.choice([y for y in m.elements if y != moved])
+    letters = dict(h.letters)
+    letters[letter] = h.letter(letter).map(lambda n: to if n == moved else n)
+    yield replace(rec, morphism=replace(h, letters=letters))
+
+
+def _corrupted_bialgebras(rng, bi):
+    yield bi
+    q = rng.choice(bi.states)
+    output = dict(bi.output)
+    output[q] = _other_value(bi.monad, output[q])
+    yield replace(bi, output=output)
+    letter = rng.choice(bi.alphabet)
+    ch = bi.letters[letter]
+    table = dict(ch.table)
+    table[q] = unit(bi.monad, rng.choice(bi.states))
+    letters = dict(bi.letters)
+    letters[letter] = Channel(bi.monad, ch.domain, ch.codomain, table)
+    yield replace(bi, letters=letters)
+
+
+def _support(t):
+    if isinstance(t, ConvexSet):
+        return {x for g in t.generators for x in g.support()}
+    return set(t.support())
+
+
+def _point_choice_two_letters(rng):
+    """Two states, two letters, a pure start and point-mass choices.
+
+    With dense generators the lifted-product fold of the oracle takes
+    seconds at depth 2 and minutes at depth 3.
+    """
+    states = ("q0", "q1")
+    trans = {
+        (q, x): ConvexSet([Dist({p: 1}) for p in rng.sample(states, rng.randint(1, 2))])
+        for q in states
+        for x in ("a", "b")
+    }
+    return EffAutomaton(
+        monad=CONVEX,
+        states=states,
+        alphabet=("a", "b"),
+        init=unit(CONVEX, "q0"),
+        trans=trans,
+        output={q: convex_output(F(rng.randint(0, 4), 4)) for q in states},
+        output_algebra=INTERVAL_PAIR,
+    )
+
+
+def _seeded_machines(rng):
+    """``(machine, depth)`` pairs; the depth keeps the oracle's fold short."""
+    from conftest import rand_pfa
+
+    yield rand_pfa(rng, 2, 2, pure_init=False), 4
+    yield rand_pfa(rng, 3, 1), 4
+    for name in ("rational", "minplus", "boolean"):
+        yield rand_wfa(rng, name, 2, 2), 4
+    yield _point_choice_two_letters(rng), 3
+    # Three states after purification, so 27 monoid elements.  The fold
+    # takes seconds per word on most such machines; this one is quick.
+    yield _point_choice_npfa(random.Random(38)), 3
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_verify_recognition_matches_the_lifted_product_fold(seed):
+    rng = random.Random(seed)
+    seen_violations = 0
+    for a, depth in _seeded_machines(rng):
+        recs = list(_corrupted_recognizers(rng, automaton_to_recognizer(a)))
+        recs += list(_corrupted_bialgebras(rng, automaton_to_bialgebra(a)))
+        for r in recs:
+            got = verify_recognition(a, r, depth)
+            want = _fold_verify(a, r, depth)
+            assert got == want
+            # the CLI prints the values with str(); so must match their text
+            assert [tuple(map(str, v)) for v in got] == [
+                tuple(map(str, v)) for v in want
+            ]
+            seen_violations += bool(got)
+        assert verify_recognition(a, recs[0], depth) == []
+    assert seen_violations >= 10
+
+
+def test_verify_recognition_clean_on_a_27_element_convex_monoid():
+    from conftest import rand_npfa
+
+    a = rand_npfa(random.Random(5), 2, 1, 2, pure_init=False)
+    rec = automaton_to_recognizer(a)
+    assert len(rec.morphism.target) == 27
+    assert verify_recognition(a, rec, 4) == []
+    for w in words_upto(a.alphabet, 4):
+        assert rec.evaluate(w) == eval_word(a, w)
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_recognizer_evaluate_matches_the_free_extension(seed):
+    from conftest import rand_pfa
+
+    rng = random.Random(seed)
+    machines = [rand_pfa(rng, 2, 2, pure_init=False), choice_npfa()]
+    machines += [rand_wfa(rng, name, 2, 2) for name in ("rational", "minplus", "boolean")]
+    machines += [_point_choice_two_letters(rng), _point_choice_npfa(random.Random(38))]
+    for a in machines:
+        rec = automaton_to_recognizer(a)
+        h = rec.morphism
+        for w in words_upto(a.alphabet, 3):
+            # free_extension_word folds tm_multiply: for convex values it is
+            # forward hull propagation of the lifted products.
+            want = collapse(h.monad, rec.output_algebra, free_extension_word(h, w), rec.predicate)
+            assert outputs_equal(a, rec.evaluate(w), want)
+            if h.monad.kind != "convex":
+                enumerated = free_extension_enumerated(h, w)
+                assert outputs_equal(
+                    a, want, collapse(h.monad, rec.output_algebra, enumerated, rec.predicate)
+                )
+
+
+def test_recognizer_machine_is_built_once_outside_the_fields():
+    rec = automaton_to_recognizer(coin_pfa())
+    twin = EffRecognizer(rec.morphism, dict(rec.predicate), rec.output_algebra)
+    assert rec.evaluate(("a", "a")) == F(3, 4)
+    assert rec._machine is rec._machine
+    assert [f.name for f in fields(rec)] == ["morphism", "predicate", "output_algebra"]
+    assert rec == twin and "_machine" not in repr(rec)
+    assert recognizer_to_automaton(rec) == rec._machine
+
+
+def _coin_bialgebra_fields():
+    bi = automaton_to_bialgebra(coin_pfa())
+    return {f.name: getattr(bi, f.name) for f in fields(bi)}
+
+
+def test_bialgebra_output_must_be_total():
+    with pytest.raises(InterfaceError, match="output"):
+        BialgRecognizer(**{**_coin_bialgebra_fields(), "output": {"q0": F(0)}})
+
+
+def test_bialgebra_letter_without_channel_is_rejected():
+    with pytest.raises(InterfaceError, match="letter"):
+        BialgRecognizer(**{**_coin_bialgebra_fields(), "alphabet": ("a", "b")})
+
+
+@pytest.mark.parametrize("where", ["letters", "images"])
+def test_bialgebra_channels_must_act_on_the_states(where):
+    kw = _coin_bialgebra_fields()
+    wide = ("q0", "q1", "q2")
+    ch = Channel(DIST, wide, wide, {q: unit(DIST, q) for q in wide})
+    key = "a" if where == "letters" else kw["generators"][0]
+    kw[where] = {**kw[where], key: ch}
+    with pytest.raises(InterfaceError, match="channel"):
+        BialgRecognizer(**kw)
+
+
+def test_bialgebra_init_off_the_states_is_rejected():
+    kw = _coin_bialgebra_fields()
+    with pytest.raises(InterfaceError, match="initial"):
+        BialgRecognizer(**{**kw, "init": Dist({"q0": F(1, 2), "zz": F(1, 2)})})
