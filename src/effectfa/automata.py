@@ -6,11 +6,13 @@ an output algebra.  The word semantics is always "initial value, fed through
 one channel per letter, then collapsed by the output map".  The channels are
 built and validated once, when the automaton is constructed, and
 :func:`collapse` is the one output step: every evaluation here and in
-:mod:`effectfa.recognition` ends in it.  Word values of linear machines
-(``dist`` and rational ``weighted``) are the exception in form only: they
-run on the integer kernel of :func:`~effectfa.linalg.word_value`, whose
-final dot product with the output column is the same collapse, done on
-integer numerators.  Per effect type the value is:
+:mod:`effectfa.recognition` ends in it.  Word values of ``dist`` and
+``weighted`` machines are the exception in form only: they run on the column
+kernels of :mod:`effectfa.linalg` (integer numerators for ``dist`` and
+rational weights, plain lists of weights for the other semirings), whose
+last step, through the output column, is the same collapse.  So a word value
+has two paths, the kernel and the convex DP below, and neither calls
+:func:`~effectfa.effects.bind`.  Per effect type the value is:
 
 * ``dist``     -- acceptance probability in [0, 1] (probabilistic automata);
 * ``weighted`` -- a value of the semiring (weighted automata / power series);
@@ -25,9 +27,9 @@ a convex transition set is optimal at a generator, and in a finite-horizon
 decision problem a deterministic choice per state and step attains the
 optimum of any history-dependent, randomised one (Puterman, *Markov Decision
 Processes*, 1994, ch. 4), so the interval equals the one read off the forward
-hull.  Forward hull propagation
-(:func:`iterated_transition`, :func:`~effectfa.effects.bind`) remains for
-questions whose answer is the convex set itself.
+hull.  Forward propagation (:func:`iterated_transition`,
+:func:`~effectfa.effects.bind`) remains for questions whose answer is an
+effect value itself, and for :func:`purify_initial`.
 
 Every word up to a length is evaluated as a tree by :func:`word_values`,
 which computes each word from its parent (the word one letter shorter:
@@ -50,8 +52,6 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _iterproduct
-from math import lcm
-from operator import mul
 
 from .effects import (
     Channel,
@@ -65,7 +65,13 @@ from .effects import (
     unit,
 )
 from .errors import CapabilityError, InputError, InterfaceError
-from .linalg import _int_matrix, _int_step, _int_vector, word_value
+from .linalg import (
+    _int_kernel,
+    _int_read,
+    _int_vector,
+    _semiring_matrix,
+    _semiring_step,
+)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -258,40 +264,71 @@ def _is_linear(monad: Monad) -> bool:
 
 
 def _letter_matrix(a: EffAutomaton, letter) -> tuple:
-    """The rational matrix of a letter on a linear machine: row ``q``, column
-    ``p`` holds the weight of ``q -letter-> p``."""
+    """The matrix of a letter on a ``dist`` or ``weighted`` machine: row
+    ``q``, column ``p`` holds the weight of ``q -letter-> p``."""
     table = a.letter_channel(letter).table
     return tuple(tuple(table[q].weight(p) for p in a.states) for q in a.states)
+
+
+def _kernel(a: EffAutomaton, letters) -> tuple:
+    """``(start, step, read)`` of a ``dist`` or ``weighted`` machine's column
+    kernel: ``start`` is the initial vector, ``step(v, x)`` feeds ``v``
+    through letter ``x`` and ``read(v)`` collapses ``v`` through the output
+    map.  Each letter of ``letters`` is converted once; an unknown one raises
+    :class:`InputError`.
+
+    ``dist`` and rational ``weighted`` machines run on integers: a vector is
+    ``(numerators, den)`` in lowest terms (:func:`~effectfa.linalg._int_kernel`)
+    and only ``read`` builds a `Fraction`.  Other semirings run on plain
+    lists of weights (:func:`~effectfa.linalg._semiring_step`), and ``read``
+    is one more step, through the output column.
+    """
+    matrices = {x: _letter_matrix(a, x) for x in letters}
+    init = tuple(a.init.weight(q) for q in a.states)
+    final = tuple(a.output[q] for q in a.states)
+    if _is_linear(a.monad):
+        (start,), step = _int_kernel((init,), matrices)
+        final = _int_vector(final)
+
+        def read(v):
+            return _int_read(v, final)
+
+        return start, step, read
+    s = a.monad.semiring
+    semiring_step = _semiring_step(s)
+    mats = {x: _semiring_matrix(s, m) for x, m in matrices.items()}
+    output = _semiring_matrix(s, tuple((f,) for f in final))
+
+    def step(v, x):
+        return semiring_step(v, mats[x])
+
+    def read(v):
+        return semiring_step(v, output)[0]
+
+    return list(init), step, read
 
 
 def eval_word(a: EffAutomaton, w):
     """The language value of ``w``: value fed letter by letter, then output.
 
-    ``dist`` and rational ``weighted`` values run on the integer kernel of
-    :func:`~effectfa.linalg.word_value`: the initial row times the letter
-    matrices times the output column, as integer numerators over one
-    denominator.  That is :func:`collapse` of the pushed-forward value
-    computed on integers, and it is exact because every step is an integer
-    product and the one `Fraction` built at the end normalises.  Other
-    ``weighted`` values are pushed forward through the letter channels.
-    Convex values come from the backward generator DP of :func:`eval_npfa`
-    in the mode the output algebra names; it gives the same interval as
-    forward hull propagation (see the module docstring) in time linear in
-    the word, with no choice products and no LPs.
+    There are two paths.  ``dist`` and ``weighted`` values run on the column
+    kernel of :func:`_kernel`: the initial row times the letter matrices
+    times the output column, which is :func:`collapse` of the pushed-forward
+    value.  Linear machines compute it on integer numerators over one
+    denominator, exact because every step is an integer product and the one
+    `Fraction` built at the end normalises; other semirings on plain lists
+    of weights, with the multiplication order of :func:`bind`.  Convex
+    values come from the backward generator DP of :func:`eval_npfa` in the
+    mode the output algebra names; it gives the same interval as forward
+    hull propagation (see the module docstring) in time linear in the word,
+    with no choice products and no LPs.
     """
     if a.monad.kind == "convex":
         return _dp_value(a, a.output_algebra, w)
-    if _is_linear(a.monad):
-        return word_value(
-            tuple(a.init.weight(q) for q in a.states),
-            w,
-            lambda letter: _letter_matrix(a, letter),
-            tuple(a.output[q] for q in a.states),
-        )
-    v = a.init
-    for letter in w:
-        v = bind(v, a.letter_channel(letter))
-    return collapse(a.monad, a.output_algebra, v, a.output)
+    v, step, read = _kernel(a, dict.fromkeys(w))
+    for x in w:
+        v = step(v, x)
+    return read(v)
 
 
 def word_values(a: EffAutomaton, maxlen: int, alphabet: tuple | None = None):
@@ -300,20 +337,19 @@ def word_values(a: EffAutomaton, maxlen: int, alphabet: tuple | None = None):
 
     The words are walked as a tree, one length at a time, and only the
     previous length's intermediate results are kept.  Each value equals
-    :func:`eval_word`'s, computed the same way:
+    :func:`eval_word`'s, computed the same way, on one of its two paths:
 
     * convex machines share suffixes: a word's per-state table of the
       backward generator DP is its tail's table with the first letter put in
       front (:func:`_dp_step`), and the value is read off the initial value;
-    * ``dist`` and rational ``weighted`` machines share prefixes: a word's
-      ``(numerators, den)`` vector is one step of the integer kernel from
-      its parent's, and each letter matrix is converted once per call;
-    * other ``weighted`` machines share prefixes through :func:`bind`.
+    * ``dist`` and ``weighted`` machines share prefixes: a word's kernel
+      vector is one step of :func:`_kernel` from its parent's, and each
+      letter matrix is converted once per call.
     """
     alphabet = a.alphabet if alphabet is None else tuple(alphabet)
-    for x in alphabet:
-        a.letter_channel(x)  # an unknown letter raises InputError here
     if a.monad.kind == "convex":
+        for x in alphabet:
+            a.letter_channel(x)  # an unknown letter raises InputError here
         algebra = a.output_algebra
         start = a.output
 
@@ -323,29 +359,11 @@ def word_values(a: EffAutomaton, maxlen: int, alphabet: tuple | None = None):
         def read(table):
             return collapse(a.monad, algebra, a.init, table)
 
-    elif _is_linear(a.monad):
-        start = _int_vector(tuple(a.init.weight(q) for q in a.states))
-        f_nums, f_den = _int_vector(tuple(a.output[q] for q in a.states))
-        mats = {x: _int_matrix(_letter_matrix(a, x)) for x in alphabet}
-        # Every prime of a denominator on the tree divides ``radix``.
-        radix = lcm(start[1], *(d for d, _ in mats.values()))
-
-        def extend(prev, w):
-            nums, den = prev[w[:-1]]
-            return _int_step(nums, den, mats[w[-1]], radix)
-
-        def read(vector):
-            nums, den = vector
-            return Fraction(sum(map(mul, nums, f_nums)), den * f_den)
-
     else:
-        start = a.init
+        start, step, read = _kernel(a, alphabet)
 
         def extend(prev, w):
-            return bind(prev[w[:-1]], a.letter_channel(w[-1]))
-
-        def read(value):
-            return collapse(a.monad, a.output_algebra, value, a.output)
+            return step(prev[w[:-1]], w[-1])
 
     level = {(): start}
     yield (), read(start)

@@ -611,7 +611,8 @@ def _cmd_verify(args):
     if not violations:
         return 0, f"ok: agreement on all words up to length {args.max_len}"
     lines = [
-        f"violation at {format_word(w)}: automaton {mine} recognizer {theirs}"
+        f"violation at {format_word(w)}: automaton {format_value(mine, a)} "
+        f"recognizer {format_value(theirs, r._machine)}"
         for w, mine, theirs in violations
     ]
     return 1, "\n".join(lines)

@@ -283,13 +283,15 @@ def _exact_weight(s: SemiringDescriptor, w) -> bool:
     """Whether ``w`` is an exact element of a builtin semiring.
 
     Rational weights are ``numbers.Rational``; tropical ones are ``int`` or
-    the semiring's own infinity (``bool`` is not a tropical weight).  Other
-    semirings are taken on trust.
+    the semiring's own infinity (``bool`` is not a tropical weight); boolean
+    ones are ``bool``.  Other semirings are taken on trust.
     """
     if s.name == "rational":
         return isinstance(w, numbers.Rational)
     if s.name in ("minplus", "maxplus"):
         return w is s.zero or (isinstance(w, int) and not isinstance(w, bool))
+    if s.name == "boolean":
+        return isinstance(w, bool)
     return True
 
 

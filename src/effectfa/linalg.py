@@ -1,30 +1,44 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and column kernels for word products.
 
 Dense matrices are tuples of tuples of `Fraction`; everything is computed
 with exact pivoting (first non-zero entry in row order) so results are
 deterministic and reproducible.
 
-Two kernels keep the hot loops cheap without leaving exact arithmetic:
+Word products run on column kernels: each letter matrix is converted once
+into its columns, a vector is a plain list, and one step is one pass over
+the columns.  There are two arithmetics:
 
-* Word products (:func:`word_value`, :func:`word_product`) run on integers.
-  Each letter matrix is scaled by the LCM ``d`` of its entries'
-  denominators, a vector is a list of integer numerators over one integer
-  denominator, and one step multiplies by the integer matrix, multiplies the
+* Integer rationals (:func:`word_value`, :func:`word_product`).  Each letter
+  matrix is scaled by the LCM ``d`` of its entries' denominators, a vector
+  is a list of integer numerators over one integer denominator, and one
+  step (:func:`_int_step`) multiplies by the integer matrix, multiplies the
   denominator by ``d`` and divides out the gcd of the denominator and all
   numerators (the shared-denominator idea of fraction-free elimination,
   Bareiss, *Math. Comp.* 22, 1968).  A `Fraction` is built only from the
   final numerator and denominator, and it normalises, so the value is the
-  one `Fraction` arithmetic gives.  The step itself (:func:`_int_step`) is
-  shared with the word-tree walk of :func:`effectfa.automata.word_values`.
-* :class:`RowSpace` records, for each echelon row, its coordinates in the
-  vectors added so far, so the coordinates of any vector in the span come
-  out of the same elimination (:meth:`RowSpace.coords`) instead of a fresh
-  linear solve per vector.
+  one `Fraction` arithmetic gives.
+* Semirings other than the rationals (:func:`_semiring_step`).  A column is
+  the ``(row index, weight)`` pairs of its non-zero entries, and a step
+  takes, per column, the semiring sum of ``mul(v[i], weight)``: ``min`` or
+  ``max`` of ``v[i] + weight`` on the tropical semirings, ``any`` on the
+  boolean one, the semiring's own ``add``/``mul`` otherwise.
+
+Both serve :func:`effectfa.automata.eval_word` and the word-tree walk of
+:func:`effectfa.automata.word_values`.
+
+:class:`RowSpace` eliminates on integers too.  Its echelon rows are
+primitive integer vectors, a vector is reduced against a row by integer
+cross-multiplication, and each row records its coordinates in the vectors
+added so far as integer numerators over one denominator, so the coordinates
+of any vector in the span come out of the same elimination
+(:meth:`RowSpace.coords`) instead of a fresh linear solve per vector.
+:func:`solve_linear` and :func:`feasible_nonneg` still pivot on `Fraction`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from operator import mul
 
@@ -93,28 +107,46 @@ def _int_matrix(m: Mat) -> tuple:
     )
 
 
-def _int_run(rows, w, matrix_of) -> list:
-    """Each row of ``rows`` times the letter matrices of ``w``, on integers.
+def _int_kernel(rows, matrices) -> tuple:
+    """``(starts, step)`` of the integer kernel for the rational ``rows``
+    and the letter matrices ``matrices`` (a dict, each converted once).
 
-    Returns one ``(numerators, den)`` pair per row, in lowest terms: after
-    each step the gcd of the denominator and all numerators is divided out.
-    ``matrix_of(x)`` gives letter ``x``'s rational matrix; it is called once
-    per distinct letter, in order of first occurrence, so it may raise on an
-    unknown letter.
+    ``starts`` holds each row as ``(numerators, den)`` (:func:`_int_vector`)
+    and ``step(v, x)`` is the vector ``v`` times letter ``x``'s matrix, in
+    lowest terms (:func:`_int_step`).
     """
-    vectors = [_int_vector(r) for r in rows]
+    starts = [_int_vector(r) for r in rows]
+    mats = {x: _int_matrix(m) for x, m in matrices.items()}
     # Every prime of a denominator divides ``radix``: denominators only ever
     # gain the factors of the initial ones and of the letter scales.  So the
     # common factor is sought among the divisors of ``gcd(radix, den)``, a
     # short integer, and no gcd of two long integers is taken.
-    radix = lcm(*(den for _, den in vectors))
-    mats = {}
+    radix = lcm(*(den for _, den in starts), *(d for d, _ in mats.values()))
+
+    def step(v, x):
+        return _int_step(v[0], v[1], mats[x], radix)
+
+    return starts, step
+
+
+def _int_read(v, final) -> Fraction:
+    """The dot product of the vectors ``v`` and ``final``, both
+    ``(numerators, den)``, as a `Fraction`."""
+    (nums, den), (f_nums, f_den) = v, final
+    return Fraction(sum(map(mul, nums, f_nums)), den * f_den)
+
+
+def _int_run(rows, w, matrix_of) -> list:
+    """Each row of ``rows`` times the letter matrices of ``w``, on integers.
+
+    Returns one ``(numerators, den)`` pair per row, in lowest terms.
+    ``matrix_of(x)`` gives letter ``x``'s rational matrix; it is called once
+    per distinct letter, in order of first occurrence, so it may raise on an
+    unknown letter.
+    """
+    vectors, step = _int_kernel(rows, {x: matrix_of(x) for x in dict.fromkeys(w)})
     for x in w:
-        m = mats.get(x)
-        if m is None:
-            m = mats[x] = _int_matrix(matrix_of(x))
-            radix = lcm(radix, m[0])
-        vectors = [_int_step(nums, den, m, radix) for nums, den in vectors]
+        vectors = [step(v, x) for v in vectors]
     return vectors
 
 
@@ -140,14 +172,59 @@ def _int_step(nums, den, matrix, radix) -> tuple:
     return nums, den
 
 
+def _semiring_matrix(s, m: Mat) -> tuple:
+    """Per column of ``m``, the ``(row index, weight)`` pairs of its entries
+    that are not the zero of the semiring ``s``."""
+    return tuple(
+        tuple((i, w) for i, w in enumerate(col) if not s.is_zero(w)) for col in zip(*m)
+    )
+
+
+def _semiring_step(s):
+    """The step ``step(v, columns)`` of the semiring ``s``: the list ``v`` of
+    weights times the matrix with these :func:`_semiring_matrix` columns.
+
+    Entry ``j`` of the result is the semiring sum over column ``j`` of
+    ``mul(v[i], weight)``, skipping zero entries of ``v``, in the order
+    :func:`~effectfa.effects.bind` multiplies (vector weight first).
+    Min-plus and max-plus take ``min``/``max`` of ``v[i] + weight`` and
+    boolean takes ``any``; other semirings use their own ``add``/``mul``.
+    """
+    if s.name in ("minplus", "maxplus"):
+        opt = min if s.name == "minplus" else max
+        bottom = s.zero
+
+        def step(v, cols):
+            return [
+                opt([v[i] + w for i, w in col if v[i] is not bottom], default=bottom)
+                for col in cols
+            ]
+
+    elif s.name == "boolean":
+        # A stored boolean weight is ``True``, so ``mul(v[i], True)`` is ``v[i]``.
+        def step(v, cols):
+            return [any([v[i] for i, _ in col]) for col in cols]
+
+    else:
+
+        def step(v, cols):
+            live = [not s.is_zero(x) for x in v]
+            sums = []
+            for col in cols:
+                terms = [s.mul(v[i], w) for i, w in col if live[i]]
+                sums.append(reduce(s.add, terms) if terms else s.zero)
+            return sums
+
+    return step
+
+
 def word_value(initial: Vec, w, matrix_of, final: Vec) -> Fraction:
     """``initial @ M(w[0]) @ ... @ M(w[-1]) @ final``, exactly, on integers.
 
     ``matrix_of(x)`` is the rational matrix ``M(x)`` of letter ``x``.
     """
-    ((nums, den),) = _int_run((initial,), w, matrix_of)
-    f_nums, f_den = _int_vector(final)
-    return Fraction(sum(map(mul, nums, f_nums)), den * f_den)
+    (v,) = _int_run((initial,), w, matrix_of)
+    return _int_read(v, _int_vector(final))
 
 
 def word_product(n: int, w, matrix_of) -> Mat:
@@ -159,65 +236,102 @@ def word_product(n: int, w, matrix_of) -> Mat:
 
 
 class RowSpace:
-    """Incrementally maintained row space with exact echelon reduction.
+    """Incrementally maintained row space, eliminated on integers.
 
-    Each echelon row also carries its coordinates in the basis formed by the
-    independent vectors added so far, so :meth:`coords` reads a vector's
-    coordinates off the same elimination that decides membership.
+    Echelon rows are primitive integer vectors (content 1, positive pivot),
+    one pivot column each.  A vector's integer numerators are reduced by
+    ``v <- (r/g)*v - (x/g)*row`` per echelon row, where ``r`` is the row's
+    pivot entry, ``x`` the vector's entry in that column and
+    ``g = gcd(r, x)``, so no fraction arises.  Each echelon row also carries
+    its coordinates in the basis formed by the independent vectors added so
+    far, as integer numerators over one denominator, so :meth:`coords` reads
+    a vector's coordinates off the same elimination that decides membership.
+    `Fraction`s are built only where :meth:`coords` returns them.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self._echelon: list = []  # reduced rows, one pivot column each
+        self._echelon: list = []  # primitive integer rows, one pivot column each
         self._pivots: list = []
-        self._coords: list = []  # per echelon row, its coordinates in the basis
+        # Per echelon row, ``(numerators, den)``: the row is the sum of
+        # ``numerators[i] * basis[i]`` divided by ``den``.
+        self._coords: list = []
 
-    def _eliminate(self, v: Vec) -> tuple:
-        """``(remainder, factors)``: ``v`` is the remainder plus the echelon
-        rows scaled by the factors."""
-        v = list(v)
+    def _eliminate(self, nums) -> tuple:
+        """``(remainder, scale, factors)``: ``scale * nums`` is the remainder
+        plus the echelon rows scaled by the (integer) factors."""
+        x = list(nums)
+        scale = 1
         factors = []
         for row, p in zip(self._echelon, self._pivots):
-            c = _F0
-            if v[p] != 0:
-                c = Fraction(v[p]) / row[p]
-                for j in range(p, self.width):
-                    v[j] -= c * row[j]
-            factors.append(c)
-        return v, factors
+            y = x[p]
+            if y:
+                r = row[p]
+                g = gcd(r, y)
+                r //= g
+                y //= g
+                if r == 1:
+                    x = [a - y * b for a, b in zip(x, row)]
+                else:
+                    x = [r * a - y * b for a, b in zip(x, row)]
+                    scale *= r
+                    factors = [r * f for f in factors]
+            factors.append(y)
+        return x, scale, factors
 
-    def _combine(self, factors) -> list:
-        """Basis coordinates of the echelon rows combined with ``factors``."""
-        out = [_F0] * self.dim
-        for c, t in zip(factors, self._coords):
-            if c != 0:
-                for i, x in enumerate(t):
-                    out[i] += c * x
-        return out
+    def _combine(self, factors, den: int) -> tuple:
+        """``(numerators, d)``: the basis coordinates of the echelon rows
+        combined with ``factors`` and divided by ``den``."""
+        d = lcm(*(t[1] for f, t in zip(factors, self._coords) if f))
+        out = [0] * self.dim
+        for f, (t, t_den) in zip(factors, self._coords):
+            if f:
+                f *= d // t_den
+                for i, a in enumerate(t):
+                    out[i] += f * a
+        return out, d * den
 
-    def reduce(self, v: Vec) -> Vec:
-        return tuple(self._eliminate(v)[0])
+    def _place(self, nums, den: int):
+        """Coordinates ``(numerators, d)`` of the vector ``nums / den``, or
+        None after adding it to the space as the next basis vector.
+
+        ``nums`` are integers; this is the entry point for callers that keep
+        their vectors as integer numerators over one denominator.
+        """
+        x, scale, factors = self._eliminate(nums)
+        p = next((j for j, a in enumerate(x) if a), None)
+        if p is None:
+            return self._combine(factors, scale * den)
+        # x = scale * den * v - sum(f_k * row_k), and v is the next basis
+        # vector; the new row is x over its content, signed so the pivot is
+        # positive.
+        c = gcd(*x)
+        if x[p] < 0:
+            c = -c
+        t, t_den = self._combine(factors, 1)
+        t = [-a for a in t] + [scale * den * t_den]
+        t_den *= c
+        g = gcd(t_den, *t)
+        if t_den < 0:
+            g = -g
+        self._echelon.append([a // c for a in x])
+        self._pivots.append(p)
+        self._coords.append(([a // g for a in t], t_den // g))
+        return None
 
     def add(self, v: Vec) -> bool:
         """Add ``v`` to the space; True iff it was independent."""
-        r, factors = self._eliminate(v)
-        for j, x in enumerate(r):
-            if x != 0:
-                # r = v - sum(c_i * row_i), and v is the next basis vector.
-                t = [-y for y in self._combine(factors)] + [_F1]
-                self._echelon.append(tuple(r))
-                self._pivots.append(j)
-                self._coords.append(t)
-                return True
-        return False
+        return self._place(*_int_vector(v)) is None
 
     def coords(self, v: Vec):
         """Coordinates of ``v`` in the basis of the independent vectors added
         so far, in order of addition, or None if ``v`` is outside the span."""
-        r, factors = self._eliminate(v)
-        if any(x != 0 for x in r):
+        nums, den = _int_vector(v)
+        x, scale, factors = self._eliminate(nums)
+        if any(x):
             return None
-        return tuple(self._combine(factors))
+        out, d = self._combine(factors, scale * den)
+        return tuple(Fraction(a, d) for a in out)
 
     @property
     def dim(self) -> int:

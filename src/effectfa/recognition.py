@@ -63,7 +63,13 @@ from .effects import (
     pure_channel,
     unit,
 )
-from .errors import CapabilityError, IntegrityError, InterfaceError, ResourceError
+from .errors import (
+    CapabilityError,
+    InputError,
+    IntegrityError,
+    InterfaceError,
+    ResourceError,
+)
 from .linalg import feasible_nonneg, solve_linear
 from .monoids import EffMorphism, function_monoid
 
@@ -171,6 +177,8 @@ class BialgRecognizer:
     def evaluate(self, w):
         ch = identity_channel(self.monad, self.states)
         for a in w:
+            if a not in self.letters:
+                raise InputError(f"letter {a!r} is not in the alphabet")
             ch = kleisli_compose(ch, self.letters[a])
         return self.predicate(ch)
 

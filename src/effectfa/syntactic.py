@@ -7,13 +7,17 @@ letter, and a final column, so that the value of a word is
 
 Minimisation runs a forward pass (basis of the space reached from the
 initial row under the letter matrices) and then a backward pass (the same
-on the transposed representation), both with exact Gaussian elimination and
-first-non-zero pivoting.  The letter matrices of the reduced representation
-are the basis coordinates of the images of the basis rows, read off the
-same elimination (:meth:`~effectfa.linalg.RowSpace.coords`).  The resulting
-dimension is the rank of the language's word-pair value table, never larger
-than the input dimension.  Word values and word matrices run on the integer
-kernel of :mod:`effectfa.linalg`.
+on the transposed representation), both with exact fraction-free
+elimination and first-non-zero pivoting in
+:class:`~effectfa.linalg.RowSpace`.  The forward pass stays on integers:
+basis rows are integer numerators over one denominator, their images are
+steps of the integer kernel, and the letter matrices of the reduced
+representation are the basis coordinates of those images, read off the same
+elimination that decides their membership.  `Fraction`s are built only for
+the reduced representation.  The resulting dimension is the rank of the
+language's word-pair value table, never larger than the input dimension.
+Word values and word matrices run on the integer kernel of
+:mod:`effectfa.linalg`.
 
 On a minimised representation, matrix equality of formal convex
 combinations of words decides the syntactic congruence: the reached rows
@@ -42,12 +46,13 @@ from .effects import Dist, WeightedVec, weighted
 from .errors import CapabilityError, InputError, PreconditionError
 from .linalg import (
     RowSpace,
-    dot,
+    _int_kernel,
+    _int_read,
+    _int_vector,
     mat_add,
     mat_mul,
     mat_scale,
     transpose,
-    vec_mat,
     word_product,
     word_value,
 )
@@ -140,32 +145,43 @@ def from_linear(rep: LinearRep) -> EffAutomaton:
 
 
 def _forward_reduce(rep: LinearRep) -> LinearRep:
-    """Restrict to the span of rows reachable from the initial row."""
+    """Restrict to the span of rows reachable from the initial row.
+
+    Basis rows are kept as integer ``(numerators, den)`` vectors, their
+    images are one step of the integer kernel, and the images' coordinates
+    come from :class:`RowSpace` as integer numerators over one denominator;
+    `Fraction`s are built only for the returned representation.
+    """
     space = RowSpace(rep.dim)
-    basis = [rep.initial] if space.add(rep.initial) else []
+    (start,), step = _int_kernel((rep.initial,), rep.letters)
+    basis = [start] if space._place(*start) is None else []
     # Per letter, the basis coordinates of the images of the basis rows.  An
     # image's coordinates are taken in the basis found so far, a prefix of
     # the final one, so they are padded with zeros at the end.
     images = {a: [] for a in rep.alphabet}
     for b in basis:  # breadth first: the loop also visits rows appended below
         for a in rep.alphabet:
-            w = vec_mat(b, rep.letters[a])
-            c = space.coords(w)
+            w = step(b, a)
+            c = space._place(*w)
             if c is None:
-                c = (_F0,) * space.dim + (_F1,)
-                space.add(w)
                 basis.append(w)
+                c = [0] * (len(basis) - 1) + [1], 1
             images[a].append(c)
     k = len(basis)
+    final = _int_vector(rep.final)
 
     def padded(c):
-        return c + (_F0,) * (k - len(c))
+        nums, den = c
+        return tuple(Fraction(y, den) if y else _F0 for y in nums) + (_F0,) * (
+            k - len(nums)
+        )
 
     return LinearRep(
         alphabet=rep.alphabet,
-        initial=padded(space.coords(rep.initial)),
+        # The initial row is the first basis vector, if it is not zero.
+        initial=padded(([1], 1)) if k else (),
         letters={a: tuple(padded(c) for c in cs) for a, cs in images.items()},
-        final=tuple(dot(b, rep.final) for b in basis),
+        final=tuple(_int_read(b, final) for b in basis),
     )
 
 

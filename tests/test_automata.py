@@ -24,8 +24,10 @@ from effectfa import (
     INTERVAL_MAX,
     INTERVAL_MIN,
     INTERVAL_PAIR,
+    Monad,
     NEG_INF,
     SEMIRING_SELF,
+    SemiringDescriptor,
     UNIT_INTERVAL,
     WeightedVec,
     bind,
@@ -38,6 +40,7 @@ from effectfa import (
     iterated_transition,
     kleisli_compose,
     purify_initial,
+    semiring_check,
     unit,
     weighted,
     words_upto,
@@ -624,3 +627,206 @@ def test_tropical_infinity_is_an_exact_weight():
         )
         assert eval_word(a, word(1)) == 3
         assert eval_word(a, word(2)) is inf
+
+
+# Column kernels of the non-rational semirings, checked against the ``bind``
+# fold above (``bind_fold_value``) in value and type.
+
+
+def _sparse_wfa(rng, name, n_states, pure_init, empty_rows=0.3, dead_letter=False):
+    """A seeded 2-letter machine whose letter rows are empty (all zero) with
+    probability ``empty_rows``; with ``dead_letter`` every row of ``b`` is
+    empty, so a word's vector is all zero from its first ``b`` on."""
+    monad = weighted(name)
+    s = monad.semiring
+    states = tuple(f"q{i}" for i in range(n_states))
+
+    def weight():
+        if name == "boolean":
+            return True
+        return rng.randint(-2, 5) if rng.random() < 0.9 else s.zero
+
+    def row(empty):
+        if empty:
+            return WeightedVec(s, {})
+        return WeightedVec(s, {q: weight() for q in states if rng.random() < 0.6})
+
+    init = (
+        unit(monad, states[0])
+        if pure_init
+        else WeightedVec(s, {q: weight() for q in states if rng.random() < 0.7})
+    )
+    trans = {
+        (q, x): row(rng.random() < empty_rows or (dead_letter and x == "b"))
+        for q in states
+        for x in ("a", "b")
+    }
+    return EffAutomaton(
+        monad=monad,
+        states=states,
+        alphabet=("a", "b"),
+        init=init,
+        trans=trans,
+        output={q: weight() if rng.random() < 0.8 else s.zero for q in states},
+        output_algebra=SEMIRING_SELF,
+    )
+
+
+def _kernel_machines(seed):
+    rng = random.Random(seed)
+    for name in ("minplus", "maxplus", "boolean"):
+        for n in (1, 3, 6):
+            for pure_init in (True, False):
+                yield _sparse_wfa(rng, name, n, pure_init)
+        yield _sparse_wfa(rng, name, 4, False, empty_rows=1.0)  # every row empty
+        yield _sparse_wfa(rng, name, 4, False, dead_letter=True)
+        yield rand_wfa(rng, name, 4, 2)
+
+
+@pytest.mark.parametrize("seed", [910, 911])
+def test_semiring_kernel_matches_the_bind_fold(seed):
+    rng = random.Random(seed + 1000)
+    for a in _kernel_machines(seed):
+        words = [(), ("a",), ("b",), ("a", "b", "a"), ("b", "a", "a")]
+        words += [tuple(rng.choice("ab") for _ in range(k)) for k in (7, 40)]
+        words.append(tuple(rng.choice("aaaab") for _ in range(1000)))
+        for w in words:
+            want = bind_fold_value(a, w)
+            got = eval_word(a, w)
+            assert got == want, (a.monad, w)
+            assert type(got) is type(want)
+        for w, v in word_values(a, 5):
+            want = bind_fold_value(a, w)
+            assert v == want and type(v) is type(want)
+
+
+def test_semiring_kernel_vectors_that_die_part_way():
+    s = weighted("minplus").semiring
+    a = EffAutomaton(
+        monad=weighted("minplus"),
+        states=("p", "q"),
+        alphabet=("a", "b"),
+        init=WeightedVec(s, {"p": 0, "q": 4}),
+        trans={
+            ("p", "a"): WeightedVec(s, {"q": 1}),
+            ("q", "a"): WeightedVec(s, {"p": 2}),
+            ("p", "b"): WeightedVec(s, {}),
+            ("q", "b"): WeightedVec(s, {"q": 0}),
+        },
+        output={"p": 0, "q": INF},
+        output_algebra=SEMIRING_SELF,
+    )
+    assert eval_word(a, ()) == 0
+    assert eval_word(a, ("a", "a")) == 3
+    # After 'a b' only q carries weight, and q's output is infinite.
+    assert eval_word(a, ("a", "b")) is INF
+    # After 'b b a' only p is live (from q); after 'a b a b' nothing is.
+    assert eval_word(a, ("b", "b", "a")) == 6
+    assert eval_word(a, ("a", "b", "a", "b") + ("a",) * 996) is INF
+    assert eval_word(a, ("b", "a", "b", "a")) is INF
+
+
+# 2x2 boolean matrices: a semiring whose multiplication does not commute.
+_BZ = ((False, False), (False, False))
+_BI = ((True, False), (False, True))
+
+
+def _bmat_add(x, y):
+    return tuple(tuple(p or q for p, q in zip(r, t)) for r, t in zip(x, y))
+
+
+def _bmat_mul(x, y):
+    return tuple(
+        tuple(any(x[i][k] and y[k][j] for k in range(2)) for j in range(2))
+        for i in range(2)
+    )
+
+
+BOOL_MATRICES = SemiringDescriptor(
+    name="bool-2x2",
+    zero=_BZ,
+    one=_BI,
+    add=_bmat_add,
+    mul=_bmat_mul,
+    is_add_idempotent=True,
+    is_mul_commutative=False,
+)
+
+
+def _rand_bmat(rng):
+    return tuple(tuple(rng.random() < 0.5 for _ in range(2)) for _ in range(2))
+
+
+def test_bool_matrix_semiring_is_lawful_and_not_commutative():
+    rng = random.Random(912)
+    sample = [_rand_bmat(rng) for _ in range(5)]
+    assert semiring_check(BOOL_MATRICES, sample) == []
+    x, y = ((True, True), (False, False)), ((False, False), (True, False))
+    assert _bmat_mul(x, y) != _bmat_mul(y, x)
+
+
+def test_user_semiring_kernel_keeps_the_multiplication_order():
+    rng = random.Random(913)
+    monad = Monad("weighted", BOOL_MATRICES)
+    s = BOOL_MATRICES
+    for n in (2, 3, 5):
+        states = tuple(f"q{i}" for i in range(n))
+
+        def vec():
+            return WeightedVec(s, {q: _rand_bmat(rng) for q in states if rng.random() < 0.6})
+
+        a = EffAutomaton(
+            monad=monad,
+            states=states,
+            alphabet=("a", "b"),
+            init=vec(),
+            trans={(q, x): vec() for q in states for x in ("a", "b")},
+            output={q: _rand_bmat(rng) for q in states},
+            output_algebra=SEMIRING_SELF,
+        )
+        for k in (0, 1, 2, 3, 8, 60):
+            w = tuple(rng.choice("ab") for _ in range(k))
+            assert eval_word(a, w) == bind_fold_value(a, w)
+        for w, v in word_values(a, 4):
+            assert v == bind_fold_value(a, w)
+
+
+def test_word_values_call_neither_bind_nor_vec_mat(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("word values must run on the column kernels")
+
+    rng = random.Random(914)
+    machines = [coin_pfa(), rand_pfa(rng, 3, 2, pure_init=False)]
+    machines += [rand_wfa(rng, name, 3, 2) for name in ("rational", "minplus", "maxplus", "boolean")]
+    want = {id(a): [(w, bind_fold_value(a, w)) for w in words_upto(a.alphabet, 3)] for a in machines}
+    monkeypatch.setattr("effectfa.automata.bind", forbidden)
+    monkeypatch.setattr("effectfa.effects.bind", forbidden)
+    monkeypatch.setattr("effectfa.linalg.vec_mat", forbidden)
+    for a in machines:
+        assert [(w, eval_word(a, w)) for w in words_upto(a.alphabet, 3)] == want[id(a)]
+        assert list(word_values(a, 3)) == want[id(a)]
+
+
+def test_boolean_weights_must_be_bool():
+    boolean = weighted("boolean")
+    s = boolean.semiring
+
+    def machine(weight, out=True):
+        return EffAutomaton(
+            monad=boolean,
+            states=("q",),
+            alphabet=("a",),
+            init=WeightedVec(s, {"q": True}),
+            trans={("q", "a"): WeightedVec(s, {"q": weight})},
+            output={"q": out},
+            output_algebra=SEMIRING_SELF,
+        )
+
+    for bad in (7, "yes", 2.5, 1, F(1)):
+        with pytest.raises(InterfaceError):
+            machine(bad)
+        with pytest.raises(InterfaceError):
+            machine(True, out=bad)
+    a = machine(True)
+    assert eval_word(a, ("a", "a")) is True
+    assert eval_word(machine(False), ("a",)) is False

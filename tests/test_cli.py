@@ -539,3 +539,35 @@ def test_equiv_prints_the_first_difference_at_length_three(tmp_path, kind):
         "convex": "difference at a.a.b: [0, 1] vs [0, 1/2]",
     }
     assert out == literal[kind]
+
+
+def _corrupted_recognizer(files, name, old, new):
+    """``to-monoid`` of a machine file with one ``pred`` entry replaced."""
+    status, rec_text = run_command(["to-monoid", files[name]])
+    assert status == 0
+    lines = rec_text.splitlines()
+    (i,) = [k for k, line in enumerate(lines) if line.startswith("pred ")]
+    assert f" {old}" in lines[i]
+    lines[i] = lines[i].replace(f" {old}", f" {new}")
+    path = files["dir"] / f"{name}-bad.rec"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_verify_prints_convex_violations_like_eval(files):
+    files["choice"] = str(SAMPLES / "choice.aut")
+    bad = _corrupted_recognizer(files, "choice", "[q1,q1]:1", "[q1,q1]:0")
+    status, out = run_command(["verify", files["choice"], bad, "--max-len", "2"])
+    assert status == 1
+    assert out.splitlines() == [
+        "violation at a: automaton [0, 1] recognizer [0, 0]",
+        "violation at a.a: automaton [0, 1] recognizer [0, 0]",
+    ]
+    assert run_command(["eval", files["choice"], "a"]) == (0, "[0, 1]")
+
+
+def test_verify_prints_boolean_violations_in_the_file_format(files):
+    bad = _corrupted_recognizer(files, "boolean", "[s,t]:0", "[s,t]:1")
+    status, out = run_command(["verify", files["boolean"], bad, "--max-len", "1"])
+    assert status == 1
+    assert out == "violation at eps: automaton 0 recognizer 1"

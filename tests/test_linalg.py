@@ -2,9 +2,14 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
+
+from effectfa.exactnum import INF, NEG_INF, semiring_builtin
 from effectfa.linalg import (
     RowSpace,
     _int_run,
+    _semiring_matrix,
+    _semiring_step,
     dot,
     identity,
     mat_mul,
@@ -117,3 +122,129 @@ def test_word_kernel_keeps_vectors_in_lowest_terms():
         rows = identity(2) + ((F(1, 3), F(1, 3)),)
         for nums, den in _int_run(rows, w, mats.__getitem__):
             assert gcd(den, *nums) == 1
+
+
+class FractionRowSpace:
+    """The `Fraction` elimination that :class:`RowSpace` replaced, kept as
+    its oracle: echelon rows and their basis coordinates as `Fraction`s."""
+
+    def __init__(self, width):
+        self.width = width
+        self._echelon = []
+        self._pivots = []
+        self._coords = []
+
+    def _eliminate(self, v):
+        v = list(v)
+        factors = []
+        for row, p in zip(self._echelon, self._pivots):
+            c = F(0)
+            if v[p] != 0:
+                c = F(v[p]) / row[p]
+                for j in range(p, self.width):
+                    v[j] -= c * row[j]
+            factors.append(c)
+        return v, factors
+
+    def _combine(self, factors):
+        out = [F(0)] * self.dim
+        for c, t in zip(factors, self._coords):
+            if c != 0:
+                for i, x in enumerate(t):
+                    out[i] += c * x
+        return out
+
+    def add(self, v):
+        r, factors = self._eliminate(v)
+        for j, x in enumerate(r):
+            if x != 0:
+                t = [-y for y in self._combine(factors)] + [F(1)]
+                self._echelon.append(tuple(r))
+                self._pivots.append(j)
+                self._coords.append(t)
+                return True
+        return False
+
+    def coords(self, v):
+        r, factors = self._eliminate(v)
+        if any(x != 0 for x in r):
+            return None
+        return tuple(self._combine(factors))
+
+    @property
+    def dim(self):
+        return len(self._echelon)
+
+
+def mixed_vec(rng, n):
+    """Mixed denominators, negative entries, and zero entries or whole rows."""
+    if rng.random() < 0.1:
+        return (F(0),) * n
+    return tuple(
+        F(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 6, 7, 12, 35, 64)))
+        if rng.random() < 0.75
+        else F(0)
+        for _ in range(n)
+    )
+
+
+def check_rowspace_invariants(space, basis):
+    """Echelon rows are primitive integer vectors with a positive pivot, and
+    each row is its recorded combination of the basis, in lowest terms."""
+    for row, p, (nums, den) in zip(space._echelon, space._pivots, space._coords):
+        assert all(type(x) is int for x in row) and gcd(*row) == 1
+        assert row[p] > 0 and not any(row[:p])
+        assert den > 0 and gcd(den, *nums) == 1
+        combo = linear_combination([F(y, den) for y in nums], basis, space.width)
+        assert combo == tuple(F(x) for x in row)
+
+
+@pytest.mark.parametrize("seed", [520, 521, 522])
+def test_rowspace_matches_the_fraction_elimination(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        width = rng.randint(0, 7)
+        space, oracle = RowSpace(width), FractionRowSpace(width)
+        basis = []
+        for _ in range(rng.randint(1, width + 4)):
+            v = mixed_vec(rng, width) if rng.random() < 0.6 else combine(rng, basis, width)
+            added = space.add(v)
+            assert added == oracle.add(v)
+            if added:
+                basis.append(v)
+            assert space.dim == oracle.dim == len(basis)
+            check_rowspace_invariants(space, basis)
+            for u in (mixed_vec(rng, width), combine(rng, basis, width)):
+                c = space.coords(u)
+                assert c == oracle.coords(u)
+                assert c is None or all(type(x) is F for x in c)
+
+
+def test_rowspace_place_takes_integer_numerators():
+    space = RowSpace(3)
+    assert space._place([2, 4, 0], 3) is None  # (2/3, 4/3, 0)
+    assert space._place([0, 0, 5], 1) is None
+    nums, den = space._place([3, 6, -5], 2)  # (3/2, 3, -5/2)
+    assert [F(y, den) for y in nums] == [F(9, 4), F(-1, 2)]
+    assert space.coords((F(3, 2), F(3), F(-5, 2))) == (F(9, 4), F(-1, 2))
+    assert space._place([0, 0, 0], 7) == ([0, 0], 7)
+    assert space.dim == 2
+
+
+def test_semiring_step_on_each_kind():
+    minplus, maxplus = semiring_builtin("minplus"), semiring_builtin("maxplus")
+    boolean = semiring_builtin("boolean")
+    m = ((2, INF), (0, 5))
+    cols = _semiring_matrix(minplus, m)
+    assert cols == (((0, 2), (1, 0)), ((1, 5),))
+    step = _semiring_step(minplus)
+    assert step([1, 1], cols) == [1, 6]
+    assert step([INF, 1], cols) == [1, 6]
+    assert step([1, INF], cols) == [3, INF]
+    assert step([INF, INF], cols) == [INF, INF]
+    m = ((2, NEG_INF), (0, 5))
+    assert _semiring_step(maxplus)([1, 1], _semiring_matrix(maxplus, m)) == [3, 6]
+    bm = ((True, False), (True, True))
+    bstep = _semiring_step(boolean)
+    assert bstep([True, False], _semiring_matrix(boolean, bm)) == [True, False]
+    assert bstep([False, False], _semiring_matrix(boolean, bm)) == [False, False]

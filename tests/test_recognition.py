@@ -52,7 +52,13 @@ from effectfa import (
     xi_preimage,
 )
 from effectfa.automata import EffAutomaton, collapse
-from effectfa.errors import CapabilityError, IntegrityError, InterfaceError, ResourceError
+from effectfa.errors import (
+    CapabilityError,
+    InputError,
+    IntegrityError,
+    InterfaceError,
+    ResourceError,
+)
 from effectfa.monoids import free_extension_enumerated
 from effectfa.recognition import BialgRecognizer
 
@@ -843,3 +849,11 @@ def test_bialgebra_init_off_the_states_is_rejected():
     kw = _coin_bialgebra_fields()
     with pytest.raises(InterfaceError, match="initial"):
         BialgRecognizer(**{**kw, "init": Dist({"q0": F(1, 2), "zz": F(1, 2)})})
+
+
+def test_bialgebra_evaluate_rejects_unknown_letters():
+    r = automaton_to_bialgebra(coin_pfa())
+    for w in [("z",), ("a", "a", "z")]:
+        with pytest.raises(InputError):
+            r.evaluate(w)
+    assert r.evaluate(("a", "a")) == eval_word(coin_pfa(), ("a", "a"))
