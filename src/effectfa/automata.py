@@ -6,36 +6,38 @@ an output algebra.  The word semantics is always "initial value, fed through
 one channel per letter, then collapsed by the output map".  The channels are
 built and validated once, when the automaton is constructed, and
 :func:`collapse` is the one output step: every evaluation here and in
-:mod:`effectfa.recognition` ends in it.  Word values of ``dist`` and
-``weighted`` machines are the exception in form only: they run on the column
-kernels of :mod:`effectfa.linalg` (integer numerators for ``dist`` and
-rational weights, plain lists of weights for the other semirings), whose
-last step, through the output column, is the same collapse.  So a word value
-has two paths, the kernel and the convex DP below, and neither calls
-:func:`~effectfa.effects.bind`.  Per effect type the value is:
+:mod:`effectfa.recognition` ends in it.  Every word value is one fold over
+one kernel (:func:`_kernel`): a start value, one step per letter, a read.
+``dist`` and ``weighted`` kernels run forward on the column kernels of
+:mod:`effectfa.linalg` (integer numerators for ``dist`` and rational weights,
+plain lists of weights for the other semirings), whose read, through the
+output column, is the same collapse; the convex kernel runs backward (see
+below).  None of them calls :func:`~effectfa.effects.bind`.  Per effect type
+the value is:
 
 * ``dist``     -- acceptance probability in [0, 1] (probabilistic automata);
 * ``weighted`` -- a value of the semiring (weighted automata / power series);
 * ``convex``   -- optimal acceptance probability under per-step generator
   choices, maximised, minimised, or reported as the [min, max] interval.
 
-Convex values are computed by one backward dynamic programme over the
-generators (:func:`eval_npfa`), not by pushing convex sets forward: the table
-of a suffix is an output map, and putting a letter in front collapses each
-state's transition value through it.  This is exact: a linear objective over
-a convex transition set is optimal at a generator, and in a finite-horizon
-decision problem a deterministic choice per state and step attains the
-optimum of any history-dependent, randomised one (Puterman, *Markov Decision
-Processes*, 1994, ch. 4), so the interval equals the one read off the forward
-hull.  Forward propagation (:func:`iterated_transition`,
+Convex values are computed by a backward dynamic programme over the
+generators, not by pushing convex sets forward: the table of a suffix is an
+output map, and putting a letter in front collapses each state's transition
+value through it.  This is exact: a linear objective over a convex
+transition set is optimal at a generator, and in a finite-horizon decision
+problem a deterministic choice per state and step attains the optimum of any
+history-dependent, randomised one (Puterman, *Markov Decision Processes*,
+1994, ch. 4), so the interval equals the one read off the forward hull.
+Forward propagation (:func:`iterated_transition`,
 :func:`~effectfa.effects.bind`) remains for questions whose answer is an
 effect value itself, and for :func:`purify_initial`.
 
 Every word up to a length is evaluated as a tree by :func:`word_values`,
 which computes each word from its parent (the word one letter shorter:
-prefixes for vectors, suffixes for DP tables) by the same steps as
-:func:`eval_word`; :func:`disagreements` walks two machines that way and is
-what recognizer verification and bounded equivalence run.
+prefixes for forward kernels, suffixes for the backward one) by one step of
+the same kernel as :func:`eval_word`; :func:`disagreements` walks two
+machines that way and is what recognizer verification and bounded
+equivalence run.
 
 Deterministic automata are the ``dist`` case with Dirac channels and 0/1
 outputs; no separate type exists for them (:func:`is_pure_automaton`).
@@ -128,6 +130,32 @@ def convex_output(value) -> tuple:
     return (lo, hi)
 
 
+def _check_outputs(monad: Monad, states, output: dict, algebra: OutputAlgebra):
+    """Reject an output map that is not total on ``states``, an algebra that
+    does not fit the effect type, and inexact output values: convex outputs
+    are (low, high) pairs of rationals, ``dist`` outputs rationals, weighted
+    outputs exact weights of the semiring."""
+    if set(output) != set(states):
+        raise InterfaceError("output map must be total on the states")
+    if algebra.kind not in _KIND_FOR_MONAD[monad.kind]:
+        raise InterfaceError(
+            f"output algebra {algebra.kind} does not fit a {monad.kind} automaton"
+        )
+    for q, v in output.items():
+        if monad.kind == "convex":
+            if not (isinstance(v, tuple) and len(v) == 2):
+                raise InterfaceError(
+                    f"convex outputs are (low, high) pairs; got {v!r} at {q!r}"
+                )
+            exact = all(isinstance(x, numbers.Rational) for x in v)
+        elif monad.kind == "dist":
+            exact = isinstance(v, numbers.Rational)
+        else:
+            exact = _exact_weight(monad.semiring, v)
+        if not exact:
+            raise InterfaceError(f"output {v!r} at {q!r} is not an exact value")
+
+
 @dataclass(frozen=True)
 class EffAutomaton:
     """States, initial effect value, transition table, output map."""
@@ -148,26 +176,7 @@ class EffAutomaton:
         } - set(self.trans)
         if missing:
             raise InterfaceError(f"transition table not total; missing {missing}")
-        if set(self.output) != set(self.states):
-            raise InterfaceError("output map must be total on the states")
-        if self.output_algebra.kind not in _KIND_FOR_MONAD[self.monad.kind]:
-            raise InterfaceError(
-                f"output algebra {self.output_algebra.kind} does not fit "
-                f"a {self.monad.kind} automaton"
-            )
-        for q, v in self.output.items():
-            if self.monad.kind == "convex":
-                if not (isinstance(v, tuple) and len(v) == 2):
-                    raise InterfaceError(
-                        f"convex outputs are (low, high) pairs; got {v!r} at {q!r}"
-                    )
-                exact = all(isinstance(x, numbers.Rational) for x in v)
-            elif self.monad.kind == "dist":
-                exact = isinstance(v, numbers.Rational)
-            else:
-                exact = _exact_weight(self.monad.semiring, v)
-            if not exact:
-                raise InterfaceError(f"output {v!r} at {q!r} is not an exact value")
+        _check_outputs(self.monad, self.states, self.output, self.output_algebra)
         _check_value(self.monad, self.init, set(self.states), "the initial value")
         channels = {}
         for a in self.alphabet:
@@ -270,19 +279,43 @@ def _letter_matrix(a: EffAutomaton, letter) -> tuple:
     return tuple(tuple(table[q].weight(p) for p in a.states) for q in a.states)
 
 
-def _kernel(a: EffAutomaton, letters) -> tuple:
-    """``(start, step, read)`` of a ``dist`` or ``weighted`` machine's column
-    kernel: ``start`` is the initial vector, ``step(v, x)`` feeds ``v``
-    through letter ``x`` and ``read(v)`` collapses ``v`` through the output
-    map.  Each letter of ``letters`` is converted once; an unknown one raises
+def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> tuple:
+    """``(start, step, read, backward)`` of a machine's word-value kernel:
+    the value of ``w`` is ``start`` fed through ``step(v, x)`` for each
+    letter ``x`` of ``w`` (right to left if ``backward``), then ``read``.
+    Each letter of ``letters`` is looked up once; an unknown one raises
     :class:`InputError`.
 
-    ``dist`` and rational ``weighted`` machines run on integers: a vector is
-    ``(numerators, den)`` in lowest terms (:func:`~effectfa.linalg._int_kernel`)
-    and only ``read`` builds a `Fraction`.  Other semirings run on plain
-    lists of weights (:func:`~effectfa.linalg._semiring_step`), and ``read``
-    is one more step, through the output column.
+    ``dist`` and ``weighted`` kernels run forward.  ``start`` is the initial
+    vector, ``step`` feeds it through a letter matrix and ``read`` collapses
+    it through the output map.  ``dist`` and rational ``weighted`` machines
+    run on integers: a vector is ``(numerators, den)`` in lowest terms
+    (:func:`~effectfa.linalg._int_kernel`) and only ``read`` builds a
+    `Fraction`.  Other semirings run on plain lists of weights
+    (:func:`~effectfa.linalg._semiring_step`), and ``read`` is one more
+    step, through the output column.
+
+    The convex kernel is the backward generator DP, in the mode of
+    ``algebra`` (the machine's own by default).  ``start`` is the output
+    map, ``step(table, x)`` collapses each state's transition value on
+    ``x`` through ``table``, kept as a (low, high) pair so that it can serve
+    as the next output map, and ``read`` collapses the initial value.
     """
+    if a.monad.kind == "convex":
+        algebra = a.output_algebra if algebra is None else algebra
+        tables = {x: a.letter_channel(x).table for x in letters}
+
+        def step(table, x):
+            out = {}
+            for q, t in tables[x].items():
+                v = collapse(a.monad, algebra, t, table)
+                out[q] = v if isinstance(v, tuple) else (v, v)
+            return out
+
+        def read(table):
+            return collapse(a.monad, algebra, a.init, table)
+
+        return a.output, step, read, True
     matrices = {x: _letter_matrix(a, x) for x in letters}
     init = tuple(a.init.weight(q) for q in a.states)
     final = tuple(a.output[q] for q in a.states)
@@ -293,7 +326,7 @@ def _kernel(a: EffAutomaton, letters) -> tuple:
         def read(v):
             return _int_read(v, final)
 
-        return start, step, read
+        return start, step, read, False
     s = a.monad.semiring
     semiring_step = _semiring_step(s)
     mats = {x: _semiring_matrix(s, m) for x, m in matrices.items()}
@@ -305,30 +338,31 @@ def _kernel(a: EffAutomaton, letters) -> tuple:
     def read(v):
         return semiring_step(v, output)[0]
 
-    return list(init), step, read
+    return list(init), step, read, False
+
+
+def _fold(a: EffAutomaton, w, algebra: OutputAlgebra | None = None):
+    """The value of ``w``: one fold of :func:`_kernel` over its letters."""
+    v, step, read, backward = _kernel(a, dict.fromkeys(w), algebra)
+    for x in (reversed(w) if backward else w):
+        v = step(v, x)
+    return read(v)
 
 
 def eval_word(a: EffAutomaton, w):
     """The language value of ``w``: value fed letter by letter, then output.
 
-    There are two paths.  ``dist`` and ``weighted`` values run on the column
-    kernel of :func:`_kernel`: the initial row times the letter matrices
+    One fold over :func:`_kernel`, shared with :func:`eval_npfa`.  ``dist``
+    and ``weighted`` values are the initial row times the letter matrices
     times the output column, which is :func:`collapse` of the pushed-forward
-    value.  Linear machines compute it on integer numerators over one
-    denominator, exact because every step is an integer product and the one
-    `Fraction` built at the end normalises; other semirings on plain lists
-    of weights, with the multiplication order of :func:`bind`.  Convex
-    values come from the backward generator DP of :func:`eval_npfa` in the
-    mode the output algebra names; it gives the same interval as forward
-    hull propagation (see the module docstring) in time linear in the word,
-    with no choice products and no LPs.
+    value: exact integers over one denominator on linear machines, plain
+    lists of weights in :func:`bind`'s multiplication order otherwise.
+    Convex values come from the kernel's backward case, the generator DP, in
+    the mode the output algebra names; it gives the interval of forward hull
+    propagation (see the module docstring) in time linear in the word.  The
+    first unknown letter of ``w`` raises :class:`InputError`.
     """
-    if a.monad.kind == "convex":
-        return _dp_value(a, a.output_algebra, w)
-    v, step, read = _kernel(a, dict.fromkeys(w))
-    for x in w:
-        v = step(v, x)
-    return read(v)
+    return _fold(a, w)
 
 
 def word_values(a: EffAutomaton, maxlen: int, alphabet: tuple | None = None):
@@ -337,40 +371,21 @@ def word_values(a: EffAutomaton, maxlen: int, alphabet: tuple | None = None):
 
     The words are walked as a tree, one length at a time, and only the
     previous length's intermediate results are kept.  Each value equals
-    :func:`eval_word`'s, computed the same way, on one of its two paths:
-
-    * convex machines share suffixes: a word's per-state table of the
-      backward generator DP is its tail's table with the first letter put in
-      front (:func:`_dp_step`), and the value is read off the initial value;
-    * ``dist`` and ``weighted`` machines share prefixes: a word's kernel
-      vector is one step of :func:`_kernel` from its parent's, and each
-      letter matrix is converted once per call.
+    :func:`eval_word`'s and is computed by the same kernel: a word's kernel
+    value is one step from its parent's.  The parent is the word without
+    its last letter for forward kernels (``dist`` and ``weighted``: shared
+    prefixes) and without its first letter for the backward one (the convex
+    DP: shared suffixes).  Each letter is looked up once per call.
     """
     alphabet = a.alphabet if alphabet is None else tuple(alphabet)
-    if a.monad.kind == "convex":
-        for x in alphabet:
-            a.letter_channel(x)  # an unknown letter raises InputError here
-        algebra = a.output_algebra
-        start = a.output
-
-        def extend(prev, w):
-            return _dp_step(a, algebra, w[0], prev[w[1:]])
-
-        def read(table):
-            return collapse(a.monad, algebra, a.init, table)
-
-    else:
-        start, step, read = _kernel(a, alphabet)
-
-        def extend(prev, w):
-            return step(prev[w[:-1]], w[-1])
-
+    start, step, read, backward = _kernel(a, alphabet)
     level = {(): start}
     yield (), read(start)
     for n in range(1, maxlen + 1):
         prev, level = level, {}
         for w in _iterproduct(alphabet, repeat=n):
-            level[w] = here = extend(prev, w)
+            parent, x = (w[1:], w[0]) if backward else (w[:-1], w[-1])
+            level[w] = here = step(prev[parent], x)
             yield w, read(here)
 
 
@@ -414,43 +429,19 @@ def eval_pfa_pathsum(a: EffAutomaton, w) -> Fraction:
 _ALGEBRA_FOR_MODE = {"max": INTERVAL_MAX, "min": INTERVAL_MIN, "interval": INTERVAL_PAIR}
 
 
-def _dp_step(a: EffAutomaton, algebra: OutputAlgebra, letter, table: dict) -> dict:
-    """The value table of ``letter`` followed by the suffix whose table is given.
-
-    Each state's entry collapses its transition value with the suffix's
-    table as the output map, kept as a (low, high) pair so that it can serve
-    as the next output map.
-    """
-    out = {}
-    for q, t in a.letter_channel(letter).table.items():
-        v = collapse(a.monad, algebra, t, table)
-        out[q] = v if isinstance(v, tuple) else (v, v)
-    return out
-
-
-def _dp_value(a: EffAutomaton, algebra: OutputAlgebra, w):
-    """The convex value of ``w`` by the backward DP, read off the initial value."""
-    table = a.output
-    for letter in reversed(w):
-        table = _dp_step(a, algebra, letter, table)
-    return collapse(a.monad, algebra, a.init, table)
-
-
 def eval_npfa(a: EffAutomaton, w, mode: str = "interval"):
     """Backward optimisation over per-step generator choices.
 
-    Processes the word right to left, keeping one optimal value per state:
-    the table of a suffix is the output map, and putting a letter in front
-    collapses each state's transition value through it.  The optimum over a
-    convex transition set is attained at a generator, so only generators are
-    inspected.  ``mode`` is ``max``, ``min`` or ``interval`` (returning the
-    (min, max) pair).
+    The fold of :func:`eval_word` over the backward (convex) case of
+    :func:`_kernel`, in the mode given: ``max``, ``min`` or ``interval``
+    (the (min, max) pair).  Only generators are inspected, since the optimum
+    over a convex transition set is attained at one.
     """
     if a.monad.kind != "convex":
         raise CapabilityError("generator optimisation is defined for convex automata")
     if mode not in _ALGEBRA_FOR_MODE:
         raise InputError(f"unknown mode {mode!r}")
-    return _dp_value(a, _ALGEBRA_FOR_MODE[mode], w)
+    return _fold(a, w, _ALGEBRA_FOR_MODE[mode])
 
 
 def _fresh_state(states: tuple) -> str:

@@ -281,7 +281,9 @@ def solve(p: Position):
     then shrunk by right-to-left merge passes; the amount is re-chosen
     before every pass (the largest one every transit coefficient affords),
     so coefficients next to the ends grow instead of forcing many
-    repetitions of one tiny amount.
+    repetitions of one tiny amount.  With that amount a pass keeps every
+    interior coefficient positive (only the ends can empty), so the support
+    stays hole-free without re-spreading.
     """
     c = dict(p._c)
     trace = []
@@ -299,7 +301,4 @@ def solve(p: Position):
         lo, hi = supp[0], supp[-1]
         lam = min(min(c[n] for n in supp[:-1]), c[hi] / 2)
         _merge_pass(c, lo, hi, lam, trace)
-        # A pass cannot tear the support, but spreading is a cheap no-op
-        # when that invariant holds, so keep it as insurance.
-        _spread_fast(c, trace)
     return _wrap(c), trace

@@ -44,7 +44,7 @@ _F1 = Fraction(1)
 CONVEX_CHOICE_LIMIT = 200_000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Monad:
     """Effect-type tag: ``dist``, ``weighted`` (with its semiring) or ``convex``."""
 
@@ -56,16 +56,6 @@ class Monad:
             raise InterfaceError(f"unknown effect kind {self.kind!r}")
         if (self.kind == "weighted") != (self.semiring is not None):
             raise InterfaceError("exactly the weighted effect carries a semiring")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monad)
-            and self.kind == other.kind
-            and self.semiring == other.semiring
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.semiring))
 
     def __repr__(self):
         if self.kind == "weighted":
@@ -213,16 +203,15 @@ class ConvexSet:
 
     def normalized(self) -> "ConvexSet":
         if self._normal is None:
+            # One pass: dropping a generator in the hull of the others leaves
+            # the hull unchanged, so one kept earlier stays extreme.
             gens = list(self.generators)
-            changed = True
-            while changed and len(gens) > 1:
-                changed = False
-                for i in range(len(gens)):
-                    rest = gens[:i] + gens[i + 1 :]
-                    if hull_coefficients(gens[i], rest) is not None:
-                        del gens[i]
-                        changed = True
-                        break
+            i = 0
+            while i < len(gens) and len(gens) > 1:
+                if hull_coefficients(gens[i], gens[:i] + gens[i + 1 :]) is None:
+                    i += 1
+                else:
+                    del gens[i]
             norm = ConvexSet(gens)
             norm._normal = norm
             self._normal = norm

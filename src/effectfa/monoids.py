@@ -32,7 +32,9 @@ from .errors import (
     ResourceError,
 )
 
-FUNCTION_MONOID_BOUND = 6
+# The most elements a function monoid may have: the 4-state partial maps (625)
+# are admitted, the 5-state total maps (3125, a 9.8 M-entry table) are not.
+FUNCTION_MONOID_BOUND = 1000
 
 
 class FinMonoid:
@@ -145,21 +147,26 @@ def _graph_name(graph) -> str:
     return "[" + ",".join("_" if y is None else str(y) for y in graph) + "]"
 
 
-def function_monoid(carrier: tuple, kind: str = "total", bound: int = FUNCTION_MONOID_BOUND) -> FinMonoid:
+def function_monoid(carrier: tuple, kind: str = "total") -> FinMonoid:
     """The monoid of all total or partial self-maps of a finite carrier.
 
     Elements are graphs: tuples of images in carrier order, ``None`` marking
     an undefined point.  Multiplication is composition in application order
     (first the left factor, then the right), with undefinedness propagating.
+    A monoid of more than :data:`FUNCTION_MONOID_BOUND` elements (``n^n``
+    total or ``(n+1)^n`` partial maps on ``n`` points) raises
+    :class:`ResourceError` before anything is built.
     """
     if kind not in ("total", "partial"):
         raise InputError(f"kind must be 'total' or 'partial', not {kind!r}")
     n = len(carrier)
-    if n > bound:
-        raise ResourceError(
-            f"carrier of size {n} exceeds the function-monoid bound {bound}"
-        )
     choices = tuple(carrier) + ((None,) if kind == "partial" else ())
+    size = len(choices) ** n
+    if size > FUNCTION_MONOID_BOUND:
+        raise ResourceError(
+            f"the {kind} function monoid on {n} points has {size} elements, "
+            f"over the bound of {FUNCTION_MONOID_BOUND}"
+        )
     elements = tuple(_iterproduct(choices, repeat=n))
     index = {x: i for i, x in enumerate(carrier)}
 

@@ -42,6 +42,7 @@ from .automata import (
     INTERVAL_PAIR,
     EffAutomaton,
     OutputAlgebra,
+    _check_outputs,
     collapse,
     disagreements,
     eval_word,
@@ -89,12 +90,22 @@ class EffRecognizer:
     image.  Feeding a value ``t`` over the monoid through that letter
     channel is ``double_strength(t, h(a))`` pushed along the table, i.e.
     :func:`~effectfa.monoids.tm_multiply`, so the machine's value on a word
-    is the predicate applied to the free extension of the word.
+    is the predicate applied to the free extension of the word.  The
+    predicate is checked like an automaton's output map, on the monoid
+    elements.
     """
 
     morphism: EffMorphism
     predicate: dict
     output_algebra: OutputAlgebra
+
+    def __post_init__(self):
+        _check_outputs(
+            self.morphism.monad,
+            self.morphism.target.elements,
+            self.predicate,
+            self.output_algebra,
+        )
 
     @cached_property
     def _machine(self) -> EffAutomaton:
@@ -116,7 +127,7 @@ class EffRecognizer:
 class BialgRecognizer:
     """A generator-carried algebra of channels recognizing a language.
 
-    Construction checks that the output map is total on ``states``, that
+    Construction checks the output map as :class:`EffAutomaton` does, that
     every letter has a channel, that letter and generator-image channels
     are ``states``-to-``states`` channels of the effect type, and that
     ``init`` is a value on ``states``.
@@ -133,8 +144,7 @@ class BialgRecognizer:
     output_algebra: OutputAlgebra
 
     def __post_init__(self):
-        if set(self.output) != set(self.states):
-            raise InterfaceError("output map must be total on the states")
+        _check_outputs(self.monad, self.states, self.output, self.output_algebra)
         missing = [x for x in self.alphabet if x not in self.letters]
         if missing:
             raise InterfaceError(f"letters without a channel: {missing}")
@@ -183,7 +193,7 @@ class BialgRecognizer:
         return self.predicate(ch)
 
 
-def witness_xi0(monad: Monad, carrier: tuple, bound: int = 6):
+def witness_xi0(monad: Monad, carrier: tuple):
     """The finite function monoid generating all channels on a carrier.
 
     Returns the monoid and the embedding of each function as a channel:
@@ -191,13 +201,13 @@ def witness_xi0(monad: Monad, carrier: tuple, bound: int = 6):
     self-maps become unit-or-zero rows (``weighted``).
     """
     if monad.kind in ("dist", "convex"):
-        m = function_monoid(carrier, "total", bound)
+        m = function_monoid(carrier, "total")
         images = {
             f: pure_channel(monad, dict(zip(carrier, f)), carrier, carrier)
             for f in m.elements
         }
         return m, images
-    m = function_monoid(carrier, "partial", bound)
+    m = function_monoid(carrier, "partial")
     s = monad.semiring
     images = {}
     for f in m.elements:
@@ -254,7 +264,7 @@ def xi_preimage(target: Channel):
     return ConvexSet(hull).normalized()
 
 
-def automaton_to_recognizer(a: EffAutomaton, bound: int = 6) -> EffRecognizer:
+def automaton_to_recognizer(a: EffAutomaton) -> EffRecognizer:
     """Decompose an automaton into a finite-monoid recognizer.
 
     A non-pure initial value is first moved onto a fresh pure state, since
@@ -262,7 +272,7 @@ def automaton_to_recognizer(a: EffAutomaton, bound: int = 6) -> EffRecognizer:
     """
     if not is_pure(a.init):
         a = purify_initial(a)
-    m, images = witness_xi0(a.monad, a.states, bound)
+    m, images = witness_xi0(a.monad, a.states)
     letters = {x: xi_preimage(a.letter_channel(x)) for x in a.alphabet}
     # Predicate values are stored like outputs: raw (low, high) pairs if convex.
     predicate = {
@@ -299,11 +309,11 @@ def recognizer_to_automaton(r: EffRecognizer) -> EffAutomaton:
     )
 
 
-def automaton_to_bialgebra(a: EffAutomaton, bound: int = 6) -> BialgRecognizer:
+def automaton_to_bialgebra(a: EffAutomaton) -> BialgRecognizer:
     """Present an automaton's channel algebra by function-monoid generators."""
     if not is_pure(a.init):
         a = purify_initial(a)
-    m, images = witness_xi0(a.monad, a.states, bound)
+    m, images = witness_xi0(a.monad, a.states)
     return BialgRecognizer(
         monad=a.monad,
         states=a.states,

@@ -42,7 +42,7 @@ from .automata import (
     eval_word,
     words_upto,
 )
-from .effects import Dist, WeightedVec, weighted
+from .effects import WeightedVec, weighted
 from .errors import CapabilityError, InputError, PreconditionError
 from .linalg import (
     RowSpace,
@@ -300,8 +300,3 @@ def cancellativity_embedding(rep: LinearRep) -> CancellativityCertificate:
     """Emit the matrix-embedding certificate of a minimised representation."""
     _require_minimal(rep)
     return CancellativityCertificate(dimension=rep.dim, letters=dict(rep.letters))
-
-
-def combo_from_dist(d: Dist) -> FormalCombo:
-    """View a distribution over words as a formal combination."""
-    return FormalCombo(dict(d.items()))

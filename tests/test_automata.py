@@ -565,6 +565,18 @@ def test_word_values_reduce_linear_vectors_like_eval_word():
 def test_word_values_reject_unknown_letters():
     with pytest.raises(InputError):
         next(word_values(coin_pfa(), 2, ("a", "z")))
+    with pytest.raises(InputError):
+        next(word_values(choice_npfa(), 2, ("a", "z")))
+
+
+def test_convex_eval_names_the_first_unknown_letter():
+    # The backward DP reads the word right to left, but the kernel looks its
+    # letters up in word order, as every other machine does.
+    for a in (coin_pfa(), choice_npfa()):
+        with pytest.raises(InputError, match="'z'"):
+            eval_word(a, ("z", "y"))
+    with pytest.raises(InputError, match="'z'"):
+        eval_npfa(choice_npfa(), ("a", "z", "y"), "max")
 
 
 def test_disagreements_come_in_words_upto_order():

@@ -172,6 +172,12 @@ def test_eval_rejects_foreign_letter(files):
     assert status == 2 and "error" in out
 
 
+@pytest.mark.parametrize("sample", ["coin.aut", "choice.aut"])
+def test_eval_names_the_first_foreign_letter(sample):
+    status, out = run_command(["eval", str(SAMPLES / sample), "z.y"])
+    assert (status, out) == (2, "error: letter 'z' is not in the alphabet")
+
+
 def test_parse_errors_carry_line_numbers(tmp_path):
     bad = tmp_path / "bad.aut"
     bad.write_text(

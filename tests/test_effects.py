@@ -413,3 +413,28 @@ def test_bind_results_are_normalised_distributions():
         ch = rand_channel(rng, carrier)
         out = bind(d, ch)
         assert sum(w for _, w in out.items()) == 1
+
+
+def test_hull_pruning_is_one_pass(monkeypatch):
+    # Interior generators after the extreme points: a scan that restarts
+    # after each deletion rechecks the extreme points every time.
+    from effectfa import effects
+
+    feasible = effects.feasible_nonneg
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return feasible(*args)
+
+    monkeypatch.setattr(effects, "feasible_nonneg", counted)
+    corners = [dirac("x"), dirac("y"), dirac("z")]
+    interior = [
+        Dist({"x": F(1, 3), "y": F(1, 3), "z": F(1, 3)}),
+        Dist({"x": F(1, 2), "y": F(1, 4), "z": F(1, 4)}),
+        Dist({"x": F(1, 4), "y": F(1, 2), "z": F(1, 4)}),
+        Dist({"x": F(1, 2), "y": F(1, 2)}),
+    ]
+    s = ConvexSet(corners + interior)
+    assert s.normalized().generators == tuple(corners)
+    assert len(calls) <= len(corners + interior)

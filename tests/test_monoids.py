@@ -70,6 +70,13 @@ def test_function_monoid_bound():
         function_monoid(tuple("abcdefg"), "total")
 
 
+def test_function_monoid_bound_counts_elements():
+    # 5**4 = 625 partial maps on 4 points fit; 5**5 = 3125 total maps on 5 do not.
+    assert len(function_monoid(tuple("wxyz"), "partial")) == 625
+    with pytest.raises(ResourceError, match="3125"):
+        function_monoid(tuple("vwxyz"), "total")
+
+
 def test_partial_composition_propagates_undefined():
     m = function_monoid(("x", "y"), "partial")
     only_x = ("y", None)

@@ -12,6 +12,7 @@ from conftest import (
     npfa_brute_force,
     rand_channel,
     rand_convex_channel,
+    rand_pfa,
     rand_wfa,
 )
 from effectfa import (
@@ -857,3 +858,27 @@ def test_bialgebra_evaluate_rejects_unknown_letters():
         with pytest.raises(InputError):
             r.evaluate(w)
     assert r.evaluate(("a", "a")) == eval_word(coin_pfa(), ("a", "a"))
+
+
+def test_function_monoid_over_the_bound_fails_before_it_is_built():
+    # 5 states admit 5**5 = 3125 total maps, over the bound of 1000.
+    a = rand_pfa(random.Random(5), 5, 2)
+    with pytest.raises(ResourceError, match="3125") as e:
+        automaton_to_recognizer(a)
+    assert "1000" in str(e.value)
+    with pytest.raises(ResourceError, match="3125"):
+        automaton_to_bialgebra(a)
+
+
+def test_bialgebra_rejects_inexact_outputs():
+    with pytest.raises(InterfaceError, match="exact"):
+        replace(automaton_to_bialgebra(coin_pfa()), output={"q0": 0.5, "q1": 0.5})
+
+
+def test_monoid_recognizer_rejects_inexact_predicates():
+    rec = automaton_to_recognizer(coin_pfa())
+    predicate = {f: float(v) for f, v in rec.predicate.items()}
+    with pytest.raises(InterfaceError, match="exact"):
+        EffRecognizer(rec.morphism, predicate, rec.output_algebra)
+    with pytest.raises(InterfaceError, match="total"):
+        EffRecognizer(rec.morphism, {rec.morphism.target.unit: F(0)}, rec.output_algebra)
