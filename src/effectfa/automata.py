@@ -11,9 +11,9 @@ one kernel (:func:`_kernel`): a start value, one step per letter, a read.
 ``dist`` and ``weighted`` kernels run forward on the column kernels of
 :mod:`effectfa.linalg` (integer numerators for ``dist`` and rational weights,
 plain lists of weights for the other semirings), whose read, through the
-output column, is the same collapse; the convex kernel runs backward (see
-below).  None of them calls :func:`~effectfa.effects.bind`.  Per effect type
-the value is:
+output column, is the same collapse; the convex kernel runs backward, on
+integer numerators too (see below).  None of them calls
+:func:`~effectfa.effects.bind`.  Per effect type the value is:
 
 * ``dist``     -- acceptance probability in [0, 1] (probabilistic automata);
 * ``weighted`` -- a value of the semiring (weighted automata / power series);
@@ -28,6 +28,9 @@ transition set is optimal at a generator, and in a finite-horizon decision
 problem a deterministic choice per state and step attains the optimum of any
 history-dependent, randomised one (Puterman, *Markov Decision Processes*,
 1994, ch. 4), so the interval equals the one read off the forward hull.
+The table is kept as integer numerators over one shared denominator, and
+the generators of each letter as integer numerators over one letter
+denominator; a `Fraction` is built only for the value itself.
 Forward propagation (:func:`iterated_transition`,
 :func:`~effectfa.effects.bind`) remains for questions whose answer is an
 effect value itself, and for :func:`purify_initial`.
@@ -54,6 +57,8 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _iterproduct
+from math import lcm
+from operator import mul
 
 from .effects import (
     Channel,
@@ -71,6 +76,7 @@ from .linalg import (
     _int_kernel,
     _int_read,
     _int_vector,
+    _lowest_terms,
     _semiring_matrix,
     _semiring_step,
 )
@@ -279,6 +285,25 @@ def _letter_matrix(a: EffAutomaton, letter) -> tuple:
     return tuple(tuple(table[q].weight(p) for p in a.states) for q in a.states)
 
 
+def _int_generators(values, states) -> tuple:
+    """``(d, rows)``: per convex value of ``values``, its generators as
+    lists of integer weights on ``states``, all scaled by ``d``, the LCM of
+    the weights' denominators."""
+    index = {q: i for i, q in enumerate(states)}
+    rows = [[g.items() for g in v.generators] for v in values]
+    d = lcm(*(w.denominator for row in rows for g in row for _, w in g))
+    out = []
+    for row in rows:
+        gens = []
+        for g in row:
+            nums = [0] * len(states)
+            for q, w in g:
+                nums[index[q]] = w.numerator * (d // w.denominator)
+            gens.append(nums)
+        out.append(gens)
+    return d, out
+
+
 def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> tuple:
     """``(start, step, read, backward)`` of a machine's word-value kernel:
     the value of ``w`` is ``start`` fed through ``step(v, x)`` for each
@@ -296,26 +321,49 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
     step, through the output column.
 
     The convex kernel is the backward generator DP, in the mode of
-    ``algebra`` (the machine's own by default).  ``start`` is the output
-    map, ``step(table, x)`` collapses each state's transition value on
-    ``x`` through ``table``, kept as a (low, high) pair so that it can serve
-    as the next output map, and ``read`` collapses the initial value.
+    ``algebra`` (the machine's own by default), on integers too.  A table is
+    ``(numerators, den)``: one numerator per state for each side the mode
+    reads (the lows for ``min``, the highs for ``max``, both for the
+    interval), laid end to end over one shared denominator.  ``start`` is
+    the output map.  ``step(table, x)`` is :func:`collapse` of each state's
+    transition value on ``x`` through the table: per side and state, the
+    optimum over the generators (:func:`_int_generators`) of their integer
+    weights times the side's numerators, over the denominator times the
+    letter's, reduced by :func:`~effectfa.linalg._lowest_terms`.  The
+    denominator is positive, so ``min`` and ``max`` over numerators pick the
+    generator they pick over rationals.  ``read`` collapses the initial value
+    the same way and is the only place that builds a `Fraction`.
     """
     if a.monad.kind == "convex":
         algebra = a.output_algebra if algebra is None else algebra
-        tables = {x: a.letter_channel(x).table for x in letters}
+        sides = _CONVEX_SIDES[algebra.mode]
+        n = len(a.states)
+        spans = [(opt, k * n, k * n + n) for k, (opt, _) in enumerate(sides)]
+        start = _int_vector([a.output[q][comp] for _, comp in sides for q in a.states])
+        gens = {}
+        for x in letters:
+            table = a.letter_channel(x).table
+            gens[x] = _int_generators([table[q] for q in a.states], a.states)
+        init = _int_generators((a.init,), a.states)
+        radix = lcm(start[1], *(d for d, _ in gens.values()))
+
+        def collapse_rows(table, d, rows):
+            nums, den = table
+            out = []
+            for opt, lo, hi in spans:
+                side = nums[lo:hi]
+                out += [opt([sum(map(mul, g, side)) for g in row]) for row in rows]
+            return out, den * d
 
         def step(table, x):
-            out = {}
-            for q, t in tables[x].items():
-                v = collapse(a.monad, algebra, t, table)
-                out[q] = v if isinstance(v, tuple) else (v, v)
-            return out
+            return _lowest_terms(*collapse_rows(table, *gens[x]), radix)
 
         def read(table):
-            return collapse(a.monad, algebra, a.init, table)
+            out, den = collapse_rows(table, *init)
+            values = tuple(Fraction(y, den) for y in out)
+            return values if len(values) == 2 else values[0]
 
-        return a.output, step, read, True
+        return start, step, read, True
     matrices = {x: _letter_matrix(a, x) for x in letters}
     init = tuple(a.init.weight(q) for q in a.states)
     final = tuple(a.output[q] for q in a.states)

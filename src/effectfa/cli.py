@@ -199,9 +199,9 @@ def _split_groups(tokens):
 def _parse_dist(tokens, states):
     weights = {}
     for name, w in _entries(tokens, states, "state", parse_rational):
-        if w < 0:
+        if w.numerator < 0:
             raise ParseError(f"negative weight {w}")
-        weights[name] = weights.get(name, _F0) + w
+        weights[name] = weights[name] + w if name in weights else w
     return Dist(weights)
 
 

@@ -32,6 +32,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iterproduct
+from math import lcm
 
 from .errors import CapabilityError, InterfaceError, ResourceError
 from .exactnum import SemiringDescriptor, semiring_builtin
@@ -80,15 +81,18 @@ class Dist:
 
     def __init__(self, weights):
         w = {}
-        total = _F0
         for x, v in weights.items():
-            v = Fraction(v)
-            if v < 0:
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            if v.numerator < 0:
                 raise ValueError(f"negative probability {v} at {x!r}")
-            if v != 0:
-                w[x] = w.get(x, _F0) + v
-                total += v
-        if total != 1:
+            if v.numerator:
+                w[x] = v
+        # The mass is checked on integers: numerators over the LCM of the
+        # denominators.
+        den = lcm(*(v.denominator for v in w.values()))
+        if sum(v.numerator * (den // v.denominator) for v in w.values()) != den:
+            total = sum(w.values(), _F0)
             raise ValueError(f"probability mass {total} is not 1")
         self._w = w
         self._hash = None

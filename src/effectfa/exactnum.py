@@ -29,10 +29,19 @@ _NATURAL_RE = re.compile(r"^\d+$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the literal syntax ``p/q`` or ``p`` into an exact fraction."""
+    """Parse the literal syntax ``p/q`` or ``p`` into an exact fraction.
+
+    A zero denominator is a :class:`ParseError`.
+    """
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    p, _, q = text.partition("/")
+    if not q:
+        return Fraction(int(p))
+    q = int(q)
+    if not q:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(int(p), q)
 
 
 class _TropicalBound:

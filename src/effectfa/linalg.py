@@ -13,8 +13,10 @@ the columns.  There are two arithmetics:
   is a list of integer numerators over one integer denominator, and one
   step (:func:`_int_step`) multiplies by the integer matrix, multiplies the
   denominator by ``d`` and divides out the gcd of the denominator and all
-  numerators (the shared-denominator idea of fraction-free elimination,
-  Bareiss, *Math. Comp.* 22, 1968).  A `Fraction` is built only from the
+  numerators (:func:`_lowest_terms`; the shared-denominator idea of
+  fraction-free elimination, Bareiss, *Math. Comp.* 22, 1968).  The convex
+  generator DP of :func:`effectfa.automata._kernel` reduces its tables with
+  the same :func:`_lowest_terms`.  A `Fraction` is built only from the
   final numerator and denominator, and it normalises, so the value is the
   one `Fraction` arithmetic gives.
 * Semirings other than the rationals (:func:`_semiring_step`).  A column is
@@ -154,13 +156,21 @@ def _int_step(nums, den, matrix, radix) -> tuple:
     """The vector ``nums / den`` times the letter matrix ``matrix``.
 
     ``matrix`` is ``(d, columns)`` from :func:`_int_matrix`; the result is
-    ``(numerators, den)`` in lowest terms, provided every prime of ``den``
-    and of ``d`` divides ``radix`` (the common factor is sought among the
-    divisors of ``gcd(radix, den)``).
+    ``(numerators, den)`` in lowest terms (:func:`_lowest_terms`), provided
+    every prime of ``den`` and of ``d`` divides ``radix``.
     """
     d, cols = matrix
-    nums = [sum(map(mul, nums, col)) for col in cols]
-    den *= d
+    return _lowest_terms([sum(map(mul, nums, col)) for col in cols], den * d, radix)
+
+
+def _lowest_terms(nums, den, radix) -> tuple:
+    """``(numerators, den)``: the integers ``nums`` over ``den`` with their
+    common factor divided out, provided every prime of ``den`` divides
+    ``radix``.
+
+    The common factor is sought among the divisors of ``gcd(radix, den)``,
+    a short integer, so no gcd of two long integers is taken.
+    """
     g = gcd(radix, den)
     while g != 1:
         g = gcd(g, *nums)

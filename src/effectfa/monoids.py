@@ -65,7 +65,8 @@ class FinMonoid:
         } - set(table)
         if missing:
             raise IntegrityError(f"multiplication table not total; missing {missing}")
-        bad = [v for v in table.values() if v not in set(elements)]
+        carrier = set(elements)
+        bad = [v for v in table.values() if v not in carrier]
         if bad:
             raise IntegrityError(f"table values outside the carrier: {bad}")
         return cls(elements, names, unit_name, lambda x, y: table[(x, y)], validate=True)

@@ -78,6 +78,12 @@ _F1 = Fraction(1)
 
 CONVEX_PREIMAGE_STATE_BOUND = 4
 CONVEX_PREIMAGE_GENERATOR_BOUND = 4
+# Cap on the generators of a bialgebra rebuilt into an automaton: one LP
+# over that many columns per (generator, letter) pair.  On a 2-CPU machine
+# with CPython 3.11, the 27 generators of a 3-state dist machine rebuild in
+# about a second; the 256 of a 4-state one need 512 LPs over two letters, at
+# about 0.7 s each.
+BIALGEBRA_GENERATOR_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -362,12 +368,19 @@ def bialgebra_to_automaton(r: BialgRecognizer) -> EffAutomaton:
     Each transition is an exact preimage: an effect value over the
     generators whose collapsed channel equals "generator image, then letter
     image".  Solvable effect types are ``dist`` and rational ``weighted``.
+    A recognizer with more than :data:`BIALGEBRA_GENERATOR_BOUND`
+    generators raises :class:`ResourceError` before any preimage is solved.
     """
     if r.monad.kind == "convex":
         raise CapabilityError("no exact preimage solver for convex recognizers")
     if r.monad.kind == "weighted" and r.monad.semiring.name != "rational":
         raise CapabilityError(
             "weighted preimage solving is available for the rational semiring"
+        )
+    if len(r.generators) > BIALGEBRA_GENERATOR_BOUND:
+        raise ResourceError(
+            f"the bialgebra has {len(r.generators)} generators, over the bound "
+            f"of {BIALGEBRA_GENERATOR_BOUND} for rebuilding an automaton"
         )
     init = _preimage_over_generators(r, identity_channel(r.monad, r.states))
     if init is None:

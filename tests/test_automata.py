@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -45,7 +46,7 @@ from effectfa import (
     weighted,
     words_upto,
 )
-from effectfa.automata import collapse, disagreements, word_values
+from effectfa.automata import _kernel, collapse, disagreements, word_values
 from effectfa.effects import CONVEX_CHOICE_LIMIT
 from effectfa.errors import CapabilityError, InputError, InterfaceError
 
@@ -199,6 +200,84 @@ def test_eval_word_matches_dp_for_convex():
         a = rand_npfa(rng, 2, 2, 3, pure_init=False)
         for w in words_upto(a.alphabet, 4):
             assert eval_word(a, w) == _forward_hull_interval(a, w)
+
+
+def _fraction_dp(a, w, mode):
+    """The backward generator DP on plain `Fraction`s, one side at a time:
+    per state, collapse each generator of its transition value through the
+    table of the suffix and keep the optimum.  Written out here, apart from
+    the library's integer kernel, as its oracle."""
+    sides = {"max": [(max, 1)], "min": [(min, 0)], "interval": [(min, 0), (max, 1)]}
+
+    def collapse_through(value, table, opt):
+        return opt(
+            sum((p * table[r] for r, p in g.items()), F(0)) for g in value.generators
+        )
+
+    values = []
+    for opt, comp in sides[mode]:
+        table = {q: a.output[q][comp] for q in a.states}
+        for x in reversed(w):
+            table = {
+                q: collapse_through(a.trans[(q, x)], table, opt) for q in a.states
+            }
+        values.append(collapse_through(a.init, table, opt))
+    return tuple(values) if len(values) == 2 else values[0]
+
+
+def _thirds_fifths_sevenths(rng, carrier):
+    den = rng.choice([3, 5, 7, 15, 21, 35])
+    counts = [0] * len(carrier)
+    for _ in range(den):
+        counts[rng.randrange(len(carrier))] += 1
+    return Dist({x: F(k, den) for x, k in zip(carrier, counts) if k})
+
+
+def _convex_machine(rng, n, letters, algebra):
+    states = tuple(f"q{i}" for i in range(n))
+    alphabet = ("a", "b")[:letters]
+
+    def hull():
+        return ConvexSet(
+            [_thirds_fifths_sevenths(rng, states) for _ in range(rng.randint(1, 3))]
+        )
+
+    def out():
+        lo = F(rng.randint(0, 7), 7)
+        hi = lo if rng.random() < 0.7 else lo + (1 - lo) * F(rng.randint(0, 5), 5)
+        return convex_output((lo, hi))
+
+    return EffAutomaton(
+        monad=CONVEX,
+        states=states,
+        alphabet=alphabet,
+        init=hull() if rng.random() < 0.5 else unit(CONVEX, states[0]),
+        trans={(q, x): hull() for q in states for x in alphabet},
+        output={q: out() for q in states},
+        output_algebra=algebra,
+    )
+
+
+def test_integer_convex_kernel_matches_a_fraction_dp():
+    rng = random.Random(909)
+    modes = {INTERVAL_PAIR: "interval", INTERVAL_MAX: "max", INTERVAL_MIN: "min"}
+    for k in range(36):
+        algebra = list(modes)[k % 3]
+        a = _convex_machine(rng, 1 + k % 3, 1 + k % 2, algebra)
+        words = [tuple(rng.choice(a.alphabet) for _ in range(n)) for n in (0, 1, 7, 30)]
+        for w in words:
+            assert eval_word(a, w) == _fraction_dp(a, w, modes[algebra])
+            for mode in ("max", "min", "interval"):
+                assert eval_npfa(a, w, mode) == _fraction_dp(a, w, mode)
+        for w, v in word_values(a, 4):
+            assert v == _fraction_dp(a, w, modes[algebra])
+        # The kernel's table stays in lowest terms along the longest word.
+        table, step, _, backward = _kernel(a, a.alphabet)
+        assert backward
+        for x in reversed(words[-1]):
+            table = step(table, x)
+            nums, den = table
+            assert gcd(den, *nums) == 1
 
 
 def test_eval_word_on_convex_machine_wider_than_choice_limit():

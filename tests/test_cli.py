@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -577,3 +578,82 @@ def test_verify_prints_boolean_violations_in_the_file_format(files):
     status, out = run_command(["verify", files["boolean"], bad, "--max-len", "1"])
     assert status == 1
     assert out == "violation at eps: automaton 0 recognizer 1"
+
+
+# A one-element dist monoid recognizer: the hom line is line 6.
+DIST_MONOID = """\
+monad dist
+alphabet a
+monoid e
+unit e
+mul e*e=e
+hom a -> e:1
+pred e:1
+"""
+
+
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        ("eval", COIN.replace("q1:1/2", "q1:1/0"), 6),
+        ("eval", COIN.replace("output q0:0", "output q0:0/0"), 8),
+        ("eval", NPFA.replace("| q1:1", "| q1:3/0"), 5),
+        ("eval", RATIONAL.replace("y:-1/2", "y:-1/0"), 4),
+        ("from-monoid", DIST_MONOID.replace("e:1\npred", "e:1/0\npred"), 6),
+        ("from-monoid", DIST_MONOID.replace("pred e:1", "pred e:2/0"), 7),
+        ("from-bialgebra", BIALGEBRA.replace("q1:1/2", "q1:1/0"), 13),
+    ],
+    ids=[
+        "transition",
+        "output",
+        "convex-generator",
+        "rational-weight",
+        "monoid-hom",
+        "monoid-pred",
+        "bialgebra-hom",
+    ],
+)
+def test_zero_denominators_exit_2_with_the_line(tmp_path, command, text, line):
+    path = tmp_path / "zero.txt"
+    path.write_text(text)
+    status, out = run_command([command, str(path)] + (["a"] if command == "eval" else []))
+    assert status == 2
+    assert out.startswith("error: ")
+    assert f"line {line}: zero denominator" in out
+
+
+def test_game_rejects_a_zero_denominator():
+    status, out = run_command(["game", "1/2*0 + 1/0*2"])
+    assert status == 2
+    assert out.startswith("error: ") and "zero denominator" in out
+
+
+def test_reader_builds_each_weight_in_lowest_terms():
+    # Non-reduced literals and a repeated state give the Dist of COIN.
+    text = COIN.replace(
+        "trans q0 a -> q0:1/2 q1:1/2", "trans q0 a -> q0:2/4 q1:0/5 q1:1/4 q1:3/12"
+    ).replace("trans q1 a -> q1:1", "trans q1 a -> q0:0/5 q1:5/5")
+    a, coin = parse_automaton(text), parse_automaton(COIN)
+    assert a == coin
+    assert print_automaton(a) == print_automaton(coin)
+    for q in a.states:
+        assert a.trans[(q, "a")].items() == coin.trans[(q, "a")].items()
+        assert all(type(w) is Fraction for _, w in a.trans[(q, "a")].items())
+    assert a.trans[("q1", "a")].support() == ("q1",)
+    assert a.output["q0"] == 0 and type(a.output["q0"]) is Fraction
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ("q0:1/2 q1:-1/2", "negative weight -1/2"),
+        ("q0:1/2 q1:1/4", "probability mass 3/4 is not 1"),
+        ("q0:1 q0:1", "probability mass 2 is not 1"),
+        ("q0:2/6 q1:2/6 q1:2/6 q0:1/6", "probability mass 7/6 is not 1"),
+    ],
+)
+def test_reader_rejects_bad_mass_with_the_line(tmp_path, entries, message):
+    path = tmp_path / "bad.aut"
+    path.write_text(COIN.replace("q0:1/2 q1:1/2", entries))
+    status, out = run_command(["eval", str(path), "a"])
+    assert (status, out) == (2, f"error: line 6: {message}")

@@ -53,6 +53,23 @@ def test_dist_must_sum_to_one():
         Dist({"x": F(-1, 2), "y": F(3, 2)})
 
 
+def test_dist_checks_its_mass_exactly():
+    # Mass over mixed denominators, on integers; other numbers are wrapped.
+    d = Dist({"x": F(1, 3), "y": F(1, 5), "z": F(7, 15), "w": F(0)})
+    assert d.support() == ("x", "y", "z")
+    assert Dist({"x": 1}).weight("x") == 1 and type(Dist({"x": 1}).weight("x")) is F
+    assert Dist({"x": "1/2", "y": F(1, 2)}).weight("x") == F(1, 2)
+    for weights, message in [
+        ({"x": F(1, 3), "y": F(1, 5)}, "probability mass 8/15 is not 1"),
+        ({"x": F(2, 3), "y": F(3, 7)}, "probability mass 23/21 is not 1"),
+        ({}, "probability mass 0 is not 1"),
+        ({"x": F(-1, 3), "y": F(4, 3)}, "negative probability -1/3 at 'x'"),
+    ]:
+        with pytest.raises(ValueError) as e:
+            Dist(weights)
+        assert str(e.value) == message
+
+
 def test_weighted_vec_drops_zeros():
     v = WeightedVec(RAT.semiring, {"x": F(0), "y": F(2)})
     assert v.support() == ("y",)

@@ -92,10 +92,17 @@ def test_idempotence_flag_checked():
 def test_parse_rational_literals():
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("-2") == F(-2)
+    for text, value in [("2/4", F(1, 2)), ("0/5", F(0)), ("-6/3", F(-2))]:
+        got = parse_rational(text)
+        assert type(got) is F and got == value
+        assert (got.numerator, got.denominator) == (value.numerator, value.denominator)
     with pytest.raises(ParseError):
         parse_rational("0.5")
     with pytest.raises(ParseError):
         parse_rational("x")
+    for text in ["1/0", "0/0", "-3/00"]:
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_rational(text)
 
 
 def test_tropical_parse_rejects_negative():

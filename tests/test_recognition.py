@@ -52,6 +52,7 @@ from effectfa import (
     xi,
     xi_preimage,
 )
+from effectfa import recognition
 from effectfa.automata import EffAutomaton, collapse
 from effectfa.errors import (
     CapabilityError,
@@ -868,6 +869,23 @@ def test_function_monoid_over_the_bound_fails_before_it_is_built():
     assert "1000" in str(e.value)
     with pytest.raises(ResourceError, match="3125"):
         automaton_to_bialgebra(a)
+
+
+def test_bialgebra_rebuild_over_the_generator_bound_fails_before_any_lp(monkeypatch):
+    rng = random.Random(5)
+    three = rand_pfa(rng, 3, 2)
+    bi = automaton_to_bialgebra(three)
+    assert len(bi.generators) == 27
+    back = bialgebra_to_automaton(bi)
+    for w in words_upto(three.alphabet, 3):
+        assert eval_word(back, w) == eval_word(three, w)
+    # 4 states: 4**4 = 256 generators, over the bound of 64.
+    bi = automaton_to_bialgebra(rand_pfa(rng, 4, 2))
+    lps = []
+    monkeypatch.setattr(recognition, "feasible_nonneg", lambda *args: lps.append(args))
+    with pytest.raises(ResourceError, match="256") as e:
+        bialgebra_to_automaton(bi)
+    assert "64" in str(e.value) and lps == []
 
 
 def test_bialgebra_rejects_inexact_outputs():
