@@ -38,9 +38,10 @@ effect value itself, and for :func:`purify_initial`.
 Every word up to a length is evaluated as a tree by :func:`word_values`,
 which computes each word from its parent (the word one letter shorter:
 prefixes for forward kernels, suffixes for the backward one) by one step of
-the same kernel as :func:`eval_word`; :func:`disagreements` walks two
-machines that way and is what recognizer verification and bounded
-equivalence run.
+the same kernel as :func:`eval_word`.  :func:`disagreements` is what
+recognizer verification and bounded equivalence run: it decides two linear
+or two boolean machines exactly (:func:`_equivalent`) and walks two
+machines that way only if they are not proved equivalent.
 
 Deterministic automata are the ``dist`` case with Dirac channels and 0/1
 outputs; no separate type exists for them (:func:`is_pure_automaton`).
@@ -73,12 +74,14 @@ from .effects import (
 )
 from .errors import CapabilityError, InputError, InterfaceError
 from .linalg import (
+    RowSpace,
     _int_kernel,
     _int_read,
     _int_vector,
     _lowest_terms,
     _semiring_matrix,
     _semiring_step,
+    transpose,
 )
 
 _F0 = Fraction(0)
@@ -278,6 +281,11 @@ def _is_linear(monad: Monad) -> bool:
     )
 
 
+def _is_boolean(monad: Monad) -> bool:
+    """Whether values of this effect type are boolean vectors."""
+    return monad.kind == "weighted" and monad.semiring.name == "boolean"
+
+
 def _letter_matrix(a: EffAutomaton, letter) -> tuple:
     """The matrix of a letter on a ``dist`` or ``weighted`` machine: row
     ``q``, column ``p`` holds the weight of ``q -letter-> p``."""
@@ -437,14 +445,147 @@ def word_values(a: EffAutomaton, maxlen: int, alphabet: tuple | None = None):
             yield w, read(here)
 
 
+def _walk_steps(letters: int, maxlen: int) -> int:
+    """The kernel steps :func:`word_values` takes on one machine: one per
+    non-empty word up to ``maxlen`` over ``letters`` letters.  The geometric
+    sum is taken in closed form, so a long ``maxlen`` costs one power."""
+    if letters == 1:
+        return maxlen
+    return (letters ** (maxlen + 1) - letters) // (letters - 1)
+
+
+def _linear_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
+    """Tzeng's test (*SIAM J. Comput.* 21(2), 1992) on two linear machines,
+    run backward.
+
+    The difference machine has the initial row ``(init_a, init_b)``, the
+    block-diagonal letter matrices and the final column ``(f_a, -f_b)``, so
+    its value on ``w`` is ``a(w) - b(w)``.  The columns ``M(w) f`` span a
+    space of dimension at most the states of both machines.  It is reduced
+    from ``f`` by the transposed letters on
+    :func:`~effectfa.linalg._int_kernel`, keeping a basis in a
+    :class:`~effectfa.linalg.RowSpace`.  The machines
+    agree on every word exactly when the initial row is orthogonal to the
+    space.  Backward, because a recognizer machine has many states but few
+    independent futures.  Each letter applied to a basis vector is one
+    kernel step; None once ``budget`` steps are spent.
+    """
+    mats = [{x: _letter_matrix(m, x) for x in a.alphabet} for m in (a, b)]
+    na, nb = len(a.states), len(b.states)
+    zero_a, zero_b = (_F0,) * na, (_F0,) * nb
+    # Columns of the transposed block-diagonal matrix: its rows.
+    transposed = {
+        x: transpose(
+            tuple(tuple(row) + zero_b for row in mats[0][x])
+            + tuple(zero_a + tuple(row) for row in mats[1][x])
+        )
+        for x in a.alphabet
+    }
+    init, _ = _int_vector(
+        [a.init.weight(q) for q in a.states] + [b.init.weight(q) for q in b.states]
+    )
+    final = [a.output[q] for q in a.states] + [-b.output[q] for q in b.states]
+    (start,), step = _int_kernel((final,), transposed)
+    space = RowSpace(na + nb)
+    basis = []
+
+    def consistent(v) -> bool:
+        # False iff v is a new basis vector the initial row does not annihilate.
+        if space._place(*v) is not None:
+            return True
+        basis.append(v)
+        return not sum(map(mul, init, v[0]))
+
+    if not consistent(start):
+        return False
+    steps = 0
+    for v in basis:  # grows while it is read
+        for x in a.alphabet:
+            if steps >= budget:
+                return None
+            steps += 1
+            if not consistent(step(v, x)):
+                return False
+    return True
+
+
+def _boolean_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
+    """Hopcroft and Karp's test (1971) on two boolean machines: union-find
+    over the pairs of reachable boolean vectors, stepped by :func:`_kernel`.
+
+    Two vectors are merged once the same word reaches them, after their
+    outputs are compared; each merged pair is then stepped by every letter.
+    A pair stepped by one letter is one kernel step on each machine; None
+    once ``budget`` steps are spent.
+    """
+    start_a, step_a, read_a, _ = _kernel(a, a.alphabet)
+    start_b, step_b, read_b, _ = _kernel(b, a.alphabet)
+    parent = {}  # non-root vectors only, keyed by (machine, vector)
+    todo = []
+
+    def find(k):
+        while k in parent:
+            k = parent[k]
+        return k
+
+    def merge(va, vb) -> bool:
+        # False iff va and vb are newly merged and their outputs differ.
+        ra, rb = find((0, tuple(va))), find((1, tuple(vb)))
+        if ra == rb:
+            return True
+        parent[ra] = rb
+        todo.append((va, vb))
+        return read_a(va) == read_b(vb)
+
+    if not merge(start_a, start_b):
+        return False
+    steps = 0
+    while todo:
+        va, vb = todo.pop()
+        for x in a.alphabet:
+            if steps >= budget:
+                return None
+            steps += 1
+            if not merge(step_a(va, x), step_b(vb, x)):
+                return False
+    return True
+
+
+def _equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
+    """Whether ``a`` and ``b`` agree on every word over ``a``'s alphabet,
+    decided exactly in at most ``budget`` kernel steps.
+
+    True or False for two linear machines (``dist`` or rational, mixed
+    allowed; :func:`_linear_equivalent`) and for two boolean machines
+    (:func:`_boolean_equivalent`); None if the budget runs out first, and
+    for every other pair: min-plus and max-plus equivalence is undecidable
+    (Krob, 1994) and convex equivalence is open.  A letter of ``a``'s
+    alphabet that ``b`` lacks raises :class:`InputError`.
+    """
+    if _is_linear(a.monad) and _is_linear(b.monad):
+        return _linear_equivalent(a, b, budget)
+    if _is_boolean(a.monad) and _is_boolean(b.monad):
+        return _boolean_equivalent(a, b, budget)
+    return None
+
+
 def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     """Yield ``(w, a_value, b_value)`` for every word up to ``maxlen`` on
     which the two machines differ, in :func:`words_upto` order over ``a``'s
     alphabet, comparing with :func:`outputs_equal` on ``a``.
 
-    Both machines are walked along the word tree by :func:`word_values`; the
-    walk stops as soon as the caller stops asking.
+    Linear and boolean pairs are first decided exactly by
+    :func:`_equivalent`, in at most as many kernel steps as the walk below
+    takes on one machine; if that proves them equivalent, nothing is
+    walked.  Otherwise (a difference, possibly beyond ``maxlen``, or the
+    budget spent), and always for min-plus, max-plus and convex machines,
+    both machines are walked along the word tree by :func:`word_values`;
+    the walk stops as soon as the caller stops asking.  A letter of ``a``'s
+    alphabet that ``b`` lacks raises :class:`InputError` at the first
+    request.
     """
+    if _equivalent(a, b, _walk_steps(len(a.alphabet), maxlen)):
+        return
     for (w, va), (_, vb) in zip(
         word_values(a, maxlen), word_values(b, maxlen, a.alphabet)
     ):

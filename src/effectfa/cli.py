@@ -619,7 +619,9 @@ def _cmd_verify(args):
 
 
 def _comparable(a: EffAutomaton, b: EffAutomaton) -> bool:
-    if a.alphabet != b.alphabet:
+    # The same letters in another order are the same alphabet: words are
+    # walked in the first machine's order.
+    if set(a.alphabet) != set(b.alphabet):
         return False
     if a.monad == b.monad and a.output_algebra == b.output_algebra:
         return True

@@ -26,7 +26,9 @@ the columns.  There are two arithmetics:
   boolean one, the semiring's own ``add``/``mul`` otherwise.
 
 Both serve :func:`effectfa.automata.eval_word` and the word-tree walk of
-:func:`effectfa.automata.word_values`.
+:func:`effectfa.automata.word_values`; the integer kernel, fed transposed
+letters, also runs the backward basis reduction that decides equivalence
+of linear machines (:func:`effectfa.automata._equivalent`).
 
 :class:`RowSpace` eliminates on integers too.  Its echelon rows are
 primitive integer vectors, a vector is reduced against a row by integer

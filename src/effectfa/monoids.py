@@ -2,7 +2,8 @@
 
 A :class:`FinMonoid` is a finite carrier with an associative multiplication
 and a unit.  Explicit tables are validated at construction: the unit laws,
-then associativity by Light's test on a greedily picked generating set;
+then associativity by Light's test on a greedily picked generating set,
+run on an integer row table;
 monoids defined by an operation (function composition, submonoid closure)
 skip the check since associativity is inherited from the construction.
 
@@ -85,37 +86,49 @@ class FinMonoid:
         contain the unit and the generators and are closed under products
         (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
         section 1.2).  That costs |M|^2 |G| products instead of |M|^3.
-        """
-        op = self._op
-        for x in self.elements:
-            if op(self.unit, x) != x or op(x, self.unit) != x:
-                raise IntegrityError(f"unit law fails at {self._names[x]}")
-        for g in self._generators():
-            for x in self.elements:
-                xg = op(x, g)
-                for y in self.elements:
-                    if op(xg, y) != op(x, op(g, y)):
-                        raise IntegrityError(
-                            "associativity fails on "
-                            f"({self._names[x]}, {self._names[g]}, {self._names[y]})"
-                        )
 
-    def _generators(self) -> list:
-        """A generating set, picked greedily: each element in order that the
-        right-multiplication closure of the unit has not reached yet."""
+        The test runs on the integer row table ``T`` (``T[i][j]`` is the
+        index of the product of elements ``i`` and ``j``): for each ``g``
+        and ``x`` the row of ``x*g`` is compared with ``x``'s row read at
+        the entries of ``g``'s row, one list comparison per pair.
+        """
+        elements = self.elements
+        index = self._index
+        table = [[index[self._op(x, y)] for y in elements] for x in elements]
+        u = index[self.unit]
+        for i, row in enumerate(table):
+            if row[u] != i or table[u][i] != i:
+                raise IntegrityError(f"unit law fails at {self._names[elements[i]]}")
+        for g in self._generators(table, u):
+            g_row = table[g]
+            for x, x_row in enumerate(table):
+                xg_row = table[x_row[g]]
+                if xg_row != [x_row[z] for z in g_row]:
+                    y = next(y for y, z in enumerate(g_row) if xg_row[y] != x_row[z])
+                    x_name, g_name, y_name = (self._names[elements[k]] for k in (x, g, y))
+                    raise IntegrityError(
+                        f"associativity fails on ({x_name}, {g_name}, {y_name})"
+                    )
+
+    @staticmethod
+    def _generators(table, u) -> list:
+        """Indices of a generating set of the monoid with row table
+        ``table`` and unit index ``u``, picked greedily: each element in
+        order that the right-multiplication closure of the unit has not
+        reached yet."""
         gens = []
-        reached = {self.unit}
-        for g in self.elements:
+        reached = {u}
+        for g in range(len(table)):
             if g in reached:
                 continue
             gens.append(g)
             # Old elements need only the new generator; new ones need all.
-            frontier = [self._op(x, g) for x in reached]
+            frontier = [table[x][g] for x in reached]
             while frontier:
                 y = frontier.pop()
                 if y not in reached:
                     reached.add(y)
-                    frontier.extend(self._op(y, h) for h in gens)
+                    frontier.extend(table[y][h] for h in gens)
         return gens
 
     def mul(self, x, y):

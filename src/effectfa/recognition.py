@@ -19,10 +19,11 @@ automaton on the monoid elements for an :class:`EffRecognizer`, the
 automaton on the states with the letter channels for a
 :class:`BialgRecognizer`.  That is exact, since reading a letter on the
 monoid machine is the lifted product :func:`~effectfa.monoids.tm_multiply`
-with the letter image, and it lets :func:`verify_recognition` walk both
-machines along the word tree with the evaluation core of
-:mod:`effectfa.automata` (integer vectors for linear machines, the backward
-generator DP for convex ones) instead of building convex choice products.
+with the letter image, and it lets :func:`verify_recognition` compare both
+machines with :func:`~effectfa.automata.disagreements` (an exact decision
+for linear and boolean machines, otherwise a walk along the word tree on
+the evaluation core of :mod:`effectfa.automata`) instead of building convex
+choice products.
 
 The function-monoid witnesses are the total self-maps for ``dist`` and
 ``convex`` and the partial self-maps for ``weighted``, where an undefined
@@ -414,17 +415,25 @@ def verify_recognition(a: EffAutomaton, r, maxlen: int) -> list:
     :class:`EffRecognizer` as :func:`recognizer_to_automaton` (states on the
     monoid elements, letters acting by right multiplication), a
     :class:`BialgRecognizer` as the machine on its states with its letter
-    channels as transitions.  Both machines are then walked along the word
-    tree by :func:`~effectfa.automata.disagreements`.  This is exact:
-    feeding a value through a right-multiplication channel is the lifted
-    product :func:`~effectfa.monoids.tm_multiply`, and composing letter
-    channels before or after applying them to ``init`` gives the same value
-    (associativity of Kleisli composition).  The word values themselves are
-    :func:`~effectfa.automata.eval_word`'s: integer vectors for ``dist`` and
-    rational weights, the backward generator DP for convex machines (equal
-    to the forward hull's interval, see :mod:`effectfa.automata`).  Returns
-    ``(word, automaton_value, recognizer_value)`` triples for each
-    disagreement, in :func:`~effectfa.automata.words_upto` order; an empty
-    list certifies agreement at this depth.
+    channels as transitions.  The two machines are then compared by
+    :func:`~effectfa.automata.disagreements`.  This is exact: feeding a
+    value through a right-multiplication channel is the lifted product
+    :func:`~effectfa.monoids.tm_multiply`, and composing letter channels
+    before or after applying them to ``init`` gives the same value
+    (associativity of Kleisli composition).
+
+    ``dist``, rational and boolean machines are first decided exactly:
+    Tzeng's backward basis reduction for the linear ones, Hopcroft–Karp
+    union-find for the boolean ones, in at most as many kernel steps as a
+    walk to ``maxlen`` takes.  If the machines are equivalent nothing is
+    walked.  Otherwise, and always for min-plus, max-plus and convex
+    machines, both are walked along the word tree on
+    :func:`~effectfa.automata.eval_word`'s kernels: integer vectors for
+    ``dist`` and rational weights, the backward generator DP for convex
+    machines (equal to the forward hull's interval, see
+    :mod:`effectfa.automata`).  Returns ``(word, automaton_value,
+    recognizer_value)`` triples for each disagreement, in
+    :func:`~effectfa.automata.words_upto` order; an empty list certifies
+    agreement at this depth.
     """
     return list(disagreements(a, r._machine, maxlen))

@@ -74,6 +74,26 @@ def contains_ab_dfa() -> EffAutomaton:
     )
 
 
+def chain_machine(monad, last_output) -> EffAutomaton:
+    """``p -a-> q -a-> r -a-> r`` with ``b`` staying put, on a ``dist`` or
+    weighted ``monad``: a word's value is ``last_output`` once it has two
+    ``a``s and zero before, so two such machines first differ at ``a.a``."""
+    states = ("p", "q", "r")
+    nxt = {"p": "q", "q": "r", "r": "r"}
+    zero = F(0) if monad.kind == "dist" else monad.semiring.zero
+    return EffAutomaton(
+        monad=monad,
+        states=states,
+        alphabet=("a", "b"),
+        init=unit(monad, "p"),
+        trans={
+            (q, x): unit(monad, nxt[q] if x == "a" else q) for q in states for x in "ab"
+        },
+        output={"p": zero, "q": zero, "r": last_output},
+        output_algebra=UNIT_INTERVAL if monad.kind == "dist" else SEMIRING_SELF,
+    )
+
+
 def choice_npfa() -> EffAutomaton:
     """One convex choice: stay rejected or jump accepted on each letter."""
     return EffAutomaton(
@@ -293,3 +313,38 @@ def npfa_brute_force(a: EffAutomaton, w, mode: str):
     return opt(
         sum((x * a.output[q][comp] for x, q in zip(v, states)), F(0)) for v in vectors
     )
+
+
+def walk_agrees(a: EffAutomaton, b: EffAutomaton, maxlen: int) -> bool:
+    """Whether ``a`` and ``b`` agree on every word up to ``maxlen`` over
+    ``a``'s alphabet, by the word walk alone: the oracle for the exact
+    decision in front of it."""
+    from effectfa.automata import outputs_equal, word_values
+
+    walks = zip(word_values(a, maxlen), word_values(b, maxlen, a.alphabet))
+    return all(outputs_equal(a, va, vb) for (_, va), (_, vb) in walks)
+
+
+def difference_bound(a: EffAutomaton, b: EffAutomaton) -> int:
+    """A length by which two linear or two boolean machines that differ
+    have differed: the sum of their minimal dimensions (a series of rank
+    ``r`` that is not zero is not zero on a word shorter than ``r``), or of
+    their reachable boolean vectors (the states of their subset machines)."""
+    from effectfa import minimize, to_linear
+    from effectfa.automata import _is_linear, _kernel
+
+    def size(m):
+        if _is_linear(m.monad):
+            return minimize(to_linear(m)).dim
+        start, step, _, _ = _kernel(m, m.alphabet)
+        seen, todo = {tuple(start)}, [start]
+        while todo:
+            v = todo.pop()
+            for x in m.alphabet:
+                u = step(v, x)
+                if tuple(u) not in seen:
+                    seen.add(tuple(u))
+                    todo.append(u)
+        return len(seen)
+
+    return size(a) + size(b)

@@ -6,13 +6,17 @@ from math import gcd
 import pytest
 
 from conftest import (
+    chain_machine,
     choice_npfa,
     coin_pfa,
+    difference_bound,
     minplus_walk,
     npfa_brute_force,
     rand_npfa,
+    rand_dist,
     rand_pfa,
     rand_wfa,
+    walk_agrees,
 )
 from effectfa import (
     CONVEX,
@@ -46,7 +50,16 @@ from effectfa import (
     weighted,
     words_upto,
 )
-from effectfa.automata import _kernel, collapse, disagreements, word_values
+from effectfa.automata import (
+    _equivalent,
+    _is_linear,
+    _kernel,
+    _walk_steps,
+    collapse,
+    disagreements,
+    word_values,
+)
+from effectfa.linalg import _int_kernel
 from effectfa.effects import CONVEX_CHOICE_LIMIT
 from effectfa.errors import CapabilityError, InputError, InterfaceError
 
@@ -921,3 +934,175 @@ def test_boolean_weights_must_be_bool():
     a = machine(True)
     assert eval_word(a, ("a", "a")) is True
     assert eval_word(machine(False), ("a",)) is False
+
+
+# The exact decision in front of the word walk.  Its oracle is the walk
+# itself, taken beyond the length by which two machines that differ must
+# have differed.
+
+
+def _renamed(a):
+    """``a`` with its states renamed and listed in reverse: the same language."""
+    name = {q: f"r{i}" for i, q in enumerate(a.states)}
+    return EffAutomaton(
+        monad=a.monad,
+        states=tuple(name[q] for q in reversed(a.states)),
+        alphabet=a.alphabet,
+        init=a.init.map(name.get),
+        trans={(name[q], x): v.map(name.get) for (q, x), v in a.trans.items()},
+        output={name[q]: v for q, v in a.output.items()},
+        output_algebra=a.output_algebra,
+    )
+
+
+def _perturbed(rng, a, make_row):
+    """``a`` with one transition row replaced by ``make_row()``."""
+    key = rng.choice(sorted(a.trans))
+    return replace(a, trans={**a.trans, key: make_row()})
+
+
+def _decision_pairs(seed):
+    from effectfa import from_linear, minimize, to_linear
+
+    rng = random.Random(seed)
+    for n in (1, 2, 3):
+        a = rand_pfa(rng, n, 2, pure_init=n != 2)
+        states = a.states
+        yield a, _renamed(a)
+        yield a, purify_initial(a)
+        yield a, from_linear(minimize(to_linear(a)))  # dist against rational
+        yield a, rand_pfa(rng, n, 2)
+        yield a, _perturbed(rng, a, lambda: rand_dist(rng, states))
+        yield purify_initial(a), _perturbed(rng, a, lambda: rand_dist(rng, states))
+        r = rand_wfa(rng, "rational", n, 2)
+        yield r, _renamed(r)
+        yield r, from_linear(minimize(to_linear(r)))
+        yield r, _perturbed(rng, r, lambda: rand_wfa(rng, "rational", n, 2).init)
+        yield from_linear(minimize(to_linear(a))), a
+    for n in (1, 2):
+        a = rand_wfa(rng, "boolean", n, 2)
+
+        def row():
+            return rand_wfa(rng, "boolean", n, 2).init
+
+        yield a, _renamed(a)
+        yield a, purify_initial(a)
+        yield a, rand_wfa(rng, "boolean", n, 2)
+        yield a, _perturbed(rng, a, row)
+        yield purify_initial(a), _perturbed(rng, a, row)
+
+
+@pytest.mark.parametrize("seed", [920, 921, 922])
+def test_equivalent_matches_the_walk_beyond_the_difference_bound(seed):
+    outcomes = set()
+    for a, b in _decision_pairs(seed):
+        got = _equivalent(a, b, 10**9)
+        assert got == walk_agrees(a, b, difference_bound(a, b)), (a, b)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "monad, outputs",
+    [(DIST, (F(1, 2), F(1, 3))), (weighted("boolean"), (True, False))],
+    ids=["dist", "boolean"],
+)
+def test_a_difference_beyond_maxlen_is_still_not_reported(monad, outputs):
+    a, b = (chain_machine(monad, out) for out in outputs)
+    assert _equivalent(a, b, 10**9) is False
+    assert list(disagreements(a, b, 1)) == []
+    assert [w for w, _, _ in disagreements(a, b, 2)] == [word(2)]
+
+
+def test_a_spent_budget_gives_the_walk_answer(monkeypatch):
+    from effectfa import automata
+
+    walked = []
+
+    def counting(a, maxlen, alphabet=None):
+        walked.append(a)
+        return word_values(a, maxlen, alphabet)
+
+    monkeypatch.setattr(automata, "word_values", counting)
+    rng = random.Random(923)
+    a = rand_pfa(rng, 3, 2)
+    # six states: more independent futures than a walk of length 0 or 1
+    # has steps
+    big = purify_initial(purify_initial(_renamed(purify_initial(a))))
+    for maxlen in (0, 1):
+        assert _equivalent(a, big, _walk_steps(2, maxlen)) is None
+        assert list(disagreements(a, big, maxlen)) == []
+    assert len(walked) == 4
+    other = _perturbed(rng, big, lambda: rand_dist(rng, big.states))
+    assert list(disagreements(a, other, 1)) == [
+        (w, va, vb)
+        for w in words_upto(a.alphabet, 1)
+        for va, vb in [(eval_word(a, w), eval_word(other, w))]
+        if va != vb
+    ]
+
+
+def test_the_exact_search_takes_at_most_the_walk_steps(monkeypatch):
+    from effectfa import automata
+
+    steps = []
+
+    def counting_int_kernel(rows, matrices):
+        starts, step = _int_kernel(rows, matrices)
+        return starts, lambda v, x: steps.append(x) or step(v, x)
+
+    def counting_kernel(a, letters, algebra=None):
+        start, step, read, backward = _kernel(a, letters, algebra)
+        return start, lambda v, x: steps.append(x) or step(v, x), read, backward
+
+    monkeypatch.setattr(automata, "_int_kernel", counting_int_kernel)
+    monkeypatch.setattr(automata, "_kernel", counting_kernel)
+    for a, b in _decision_pairs(924):
+        for budget in (0, 1, 3, 10, 10**9):
+            steps.clear()
+            got = _equivalent(a, b, budget)
+            # a boolean step is one step on each machine
+            assert len(steps) <= budget * (1 if _is_linear(a.monad) else 2)
+            if got is not None:
+                assert got == walk_agrees(a, b, difference_bound(a, b))
+
+
+def _only_letter_a(a):
+    return replace(
+        a, alphabet=("a",), trans={k: v for k, v in a.trans.items() if k[1] == "a"}
+    )
+
+
+def test_unknown_letters_still_raise_before_anything_is_decided():
+    two = rand_pfa(random.Random(925), 2, 2)
+    one = coin_pfa()
+    with pytest.raises(InputError, match="'b'"):
+        list(disagreements(two, one, 3))
+    boolean = weighted("boolean")
+    chain = chain_machine(boolean, True)
+    with pytest.raises(InputError, match="'b'"):
+        list(disagreements(chain, _only_letter_a(chain), 3))
+
+
+def test_equivalent_linear_and_boolean_pairs_never_walk(monkeypatch):
+    from effectfa import automata
+
+    def forbidden(*args):
+        raise AssertionError("an equivalent pair must not be walked")
+
+    rng = random.Random(926)
+    pairs = [(a, purify_initial(_renamed(a))) for a in (rand_pfa(rng, 3, 2), coin_pfa())]
+    for name in ("rational", "boolean"):
+        r = rand_wfa(rng, name, 3, 2)
+        pairs.append((r, _renamed(r)))
+    monkeypatch.setattr(automata, "word_values", forbidden)
+    for a, b in pairs:
+        assert list(disagreements(a, b, 40)) == []
+
+
+def test_other_semirings_and_convex_machines_are_walked():
+    rng = random.Random(927)
+    machines = [rand_wfa(rng, name, 2, 2) for name in ("minplus", "maxplus")]
+    machines += [rand_npfa(rng, 2, 2, 2), choice_npfa()]
+    for a in machines:
+        assert _equivalent(a, a, 10**9) is None

@@ -287,6 +287,28 @@ def test_equiv_requires_matching_alphabets(files):
     assert status == 2
 
 
+TWO_LETTER_DIST = """\
+monad dist
+alphabet a b
+states p q
+init p:1
+trans p a -> p:1/2 q:1/2
+trans p b -> q:1
+trans q a -> q:1
+trans q b -> p:1/3 q:2/3
+output p:0 q:1
+"""
+
+
+@pytest.mark.parametrize("text", [TWO_LETTER_DIST, BOOLEAN], ids=["dist", "boolean"])
+def test_equiv_accepts_the_same_alphabet_in_another_order(tmp_path, text):
+    first, second = tmp_path / "ab.aut", tmp_path / "ba.aut"
+    first.write_text(text)
+    second.write_text(text.replace("alphabet a b", "alphabet b a"))
+    status, out = run_command(["equiv", str(first), str(second), "--max-len", "6"])
+    assert (status, out) == (0, "equivalent on all words up to length 6")
+
+
 def test_minimize_command(files):
     status, out = run_command(["minimize", files["coin"]])
     assert status == 0

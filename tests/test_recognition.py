@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     choice_npfa,
     coin_pfa,
+    difference_bound,
     even_dfa,
     minplus_walk,
     npfa_brute_force,
@@ -14,6 +15,7 @@ from conftest import (
     rand_convex_channel,
     rand_pfa,
     rand_wfa,
+    walk_agrees,
 )
 from effectfa import (
     CONVEX,
@@ -900,3 +902,102 @@ def test_monoid_recognizer_rejects_inexact_predicates():
         EffRecognizer(rec.morphism, predicate, rec.output_algebra)
     with pytest.raises(InterfaceError, match="total"):
         EffRecognizer(rec.morphism, {rec.morphism.target.unit: F(0)}, rec.output_algebra)
+
+
+# ``verify`` decides linear and boolean recognizers exactly
+# (``automata._equivalent``).  The oracle is the word walk, taken beyond the
+# length by which two machines that differ must have differed.
+
+
+def _linear_and_boolean_machines(seed):
+    from conftest import rand_pfa
+
+    rng = random.Random(seed)
+    yield coin_pfa()
+    yield even_dfa()
+    for n in (1, 2, 3):
+        yield rand_pfa(rng, n, 2)
+    yield rand_pfa(rng, 2, 2, pure_init=False)
+    for n in (1, 2):
+        yield rand_wfa(rng, "rational", n, 2)
+        yield rand_wfa(rng, "boolean", n, 2)
+
+
+@pytest.mark.parametrize("seed", [930, 931])
+def test_every_machine_is_equivalent_to_its_monoid_machine_and_its_minimum(seed):
+    from effectfa import from_linear, minimize, to_linear
+    from effectfa.automata import _equivalent, _is_linear
+
+    for a in _linear_and_boolean_machines(seed):
+        others = [recognizer_to_automaton(automaton_to_recognizer(a))]
+        if _is_linear(a.monad):
+            others.append(from_linear(minimize(to_linear(a))))
+        if _is_linear(a.monad) and len(a.states) < 3:  # 27 generators: 54 LPs
+            others.append(bialgebra_to_automaton(automaton_to_bialgebra(a)))
+        for b in others:
+            assert _equivalent(a, b, 10**9) is True
+            assert walk_agrees(a, b, difference_bound(a, b))
+            for w in words_upto(a.alphabet, 3):
+                assert outputs_equal(a, eval_word(a, w), eval_word(b, w))
+
+
+@pytest.mark.parametrize("seed", [932, 933])
+def test_corrupted_recognizers_are_decided_like_the_walk(seed):
+    from effectfa.automata import _equivalent
+
+    rng = random.Random(seed)
+    outcomes = set()
+    for a in _linear_and_boolean_machines(seed):
+        rec = automaton_to_recognizer(a)
+        h = rec.morphism
+        if len(h.target) == 1 or not any(_support(h.letter(x)) for x in h.alphabet):
+            continue  # nothing to corrupt
+        for r in _corrupted_recognizers(rng, rec):
+            b = r._machine
+            got = _equivalent(a, b, 10**9)
+            assert got is walk_agrees(a, b, difference_bound(a, b))
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "monad, outputs",
+    [(DIST, (F(1, 2), F(1, 3))), (weighted("boolean"), (True, False))],
+    ids=["dist", "boolean"],
+)
+def test_verify_reports_no_difference_beyond_maxlen(monad, outputs):
+    from conftest import chain_machine
+    from effectfa.automata import _equivalent
+
+    a, b = (chain_machine(monad, out) for out in outputs)
+    rec = automaton_to_recognizer(b)
+    assert _equivalent(a, rec._machine, 10**9) is False
+    assert verify_recognition(a, rec, 1) == []
+    assert [w for w, _, _ in verify_recognition(a, rec, 2)] == [("a", "a")]
+
+
+def test_verify_on_an_unknown_letter_still_raises():
+    from conftest import rand_pfa
+
+    two_letters = rand_pfa(random.Random(934), 2, 2)
+    for r in (automaton_to_recognizer(coin_pfa()), automaton_to_bialgebra(coin_pfa())):
+        with pytest.raises(InputError, match="'b'"):
+            verify_recognition(two_letters, r, 3)
+
+
+def test_equivalent_recognizers_are_verified_without_a_walk(monkeypatch):
+    from effectfa import automata
+
+    def forbidden(*args):
+        raise AssertionError("an equivalent pair must not be walked")
+
+    pairs = []
+    for a in _linear_and_boolean_machines(935):
+        pairs.append((a, automaton_to_recognizer(a)))
+        if a.monad.kind == "dist" or a.monad.semiring.name == "rational":
+            pairs.append((a, automaton_to_bialgebra(a)))
+    for _, r in pairs:
+        r._machine  # built before the walk is forbidden
+    monkeypatch.setattr(automata, "word_values", forbidden)
+    for a, r in pairs:
+        assert verify_recognition(a, r, 40) == []
