@@ -445,13 +445,20 @@ def word_values(a: EffAutomaton, maxlen: int, alphabet: tuple | None = None):
             yield w, read(here)
 
 
-def _walk_steps(letters: int, maxlen: int) -> int:
-    """The kernel steps :func:`word_values` takes on one machine: one per
-    non-empty word up to ``maxlen`` over ``letters`` letters.  The geometric
-    sum is taken in closed form, so a long ``maxlen`` costs one power."""
-    if letters == 1:
-        return maxlen
-    return (letters ** (maxlen + 1) - letters) // (letters - 1)
+def _walk_steps(letters: int, maxlen: int, cap: int) -> int:
+    """The kernel steps :func:`word_values` takes on one machine, one per
+    non-empty word up to ``maxlen`` over ``letters`` letters, or ``cap`` if
+    that is fewer.  The sum is taken one length at a time and stops at
+    ``cap``, so a long ``maxlen`` costs only the lengths below it."""
+    if letters < 2:
+        return min(letters * maxlen, cap)
+    total, words = 0, 1
+    for _ in range(maxlen):
+        words *= letters
+        total += words
+        if total >= cap:
+            return cap
+    return total
 
 
 def _linear_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
@@ -467,8 +474,10 @@ def _linear_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
     :class:`~effectfa.linalg.RowSpace`.  The machines
     agree on every word exactly when the initial row is orthogonal to the
     space.  Backward, because a recognizer machine has many states but few
-    independent futures.  Each letter applied to a basis vector is one
-    kernel step; None once ``budget`` steps are spent.
+    independent futures.  The basis is stepped in the order found, breadth
+    first, like :func:`_boolean_equivalent`'s pairs.  Each letter applied
+    to a basis vector is one kernel step; None once ``budget`` steps are
+    spent.
     """
     mats = [{x: _letter_matrix(m, x) for x in a.alphabet} for m in (a, b)]
     na, nb = len(a.states), len(b.states)
@@ -514,9 +523,12 @@ def _boolean_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
     over the pairs of reachable boolean vectors, stepped by :func:`_kernel`.
 
     Two vectors are merged once the same word reaches them, after their
-    outputs are compared; each merged pair is then stepped by every letter.
-    A pair stepped by one letter is one kernel step on each machine; None
-    once ``budget`` steps are spent.
+    outputs are compared; each merged pair is then stepped by every letter,
+    in the order merged.  Breadth first, so a difference at length ``n`` is
+    met before any pair reached only by a longer word is stepped, that is
+    within the steps of a walk to length ``n``.  A pair stepped by one
+    letter is one kernel step on each machine; None once ``budget`` steps
+    are spent.
     """
     start_a, step_a, read_a, _ = _kernel(a, a.alphabet)
     start_b, step_b, read_b, _ = _kernel(b, a.alphabet)
@@ -540,8 +552,7 @@ def _boolean_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
     if not merge(start_a, start_b):
         return False
     steps = 0
-    while todo:
-        va, vb = todo.pop()
+    for va, vb in todo:  # grows while it is read
         for x in a.alphabet:
             if steps >= budget:
                 return None
@@ -576,15 +587,20 @@ def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
 
     Linear and boolean pairs are first decided exactly by
     :func:`_equivalent`, in at most as many kernel steps as the walk below
-    takes on one machine; if that proves them equivalent, nothing is
-    walked.  Otherwise (a difference, possibly beyond ``maxlen``, or the
+    takes on one machine, and on machines that differ in at most as many
+    as a walk to their shortest difference; if that proves them
+    equivalent, nothing is walked.  Otherwise (a difference, possibly beyond ``maxlen``, or the
     budget spent), and always for min-plus, max-plus and convex machines,
     both machines are walked along the word tree by :func:`word_values`;
     the walk stops as soon as the caller stops asking.  A letter of ``a``'s
     alphabet that ``b`` lacks raises :class:`InputError` at the first
     request.
     """
-    if _equivalent(a, b, _walk_steps(len(a.alphabet), maxlen)):
+    # No search takes more steps than this cap: Tzeng's basis holds at most
+    # one vector per state, Hopcroft-Karp merges at most once per reachable
+    # boolean vector.
+    cap = (2 ** len(a.states) + 2 ** len(b.states)) * len(a.alphabet)
+    if _equivalent(a, b, _walk_steps(len(a.alphabet), maxlen, cap)):
         return
     for (w, va), (_, vb) in zip(
         word_values(a, maxlen), word_values(b, maxlen, a.alphabet)

@@ -35,6 +35,8 @@ from effectfa import (
     SemiringDescriptor,
     UNIT_INTERVAL,
     WeightedVec,
+    automaton_to_bialgebra,
+    automaton_to_recognizer,
     bind,
     convex_output,
     eval_npfa,
@@ -1002,13 +1004,31 @@ def test_equivalent_matches_the_walk_beyond_the_difference_bound(seed):
     assert outcomes == {True, False}
 
 
+def _monoid_machine(a):
+    """The machine ``verify`` checks ``to-monoid``'s recognizer of ``a`` as."""
+    return automaton_to_recognizer(a)._machine
+
+
+def _bialgebra_machine(a):
+    """The machine ``verify`` checks ``to-bialgebra``'s recognizer of ``a`` as."""
+    return automaton_to_bialgebra(a)._machine
+
+
 @pytest.mark.parametrize(
-    "monad, outputs",
-    [(DIST, (F(1, 2), F(1, 3))), (weighted("boolean"), (True, False))],
-    ids=["dist", "boolean"],
+    "monad, outputs, rebuild",
+    [
+        (DIST, (F(1, 2), F(1, 3)), None),
+        (DIST, (F(1, 2), F(1, 3)), _monoid_machine),
+        (DIST, (F(1, 2), F(1, 3)), _bialgebra_machine),
+        (weighted("boolean"), (True, False), None),
+        (weighted("boolean"), (True, False), _monoid_machine),
+    ],
+    ids=["dist", "dist-monoid", "dist-bialgebra", "boolean", "boolean-monoid"],
 )
-def test_a_difference_beyond_maxlen_is_still_not_reported(monad, outputs):
+def test_a_difference_beyond_maxlen_is_still_not_reported(monad, outputs, rebuild):
     a, b = (chain_machine(monad, out) for out in outputs)
+    if rebuild is not None:
+        b = rebuild(b)
     assert _equivalent(a, b, 10**9) is False
     assert list(disagreements(a, b, 1)) == []
     assert [w for w, _, _ in disagreements(a, b, 2)] == [word(2)]
@@ -1030,7 +1050,7 @@ def test_a_spent_budget_gives_the_walk_answer(monkeypatch):
     # has steps
     big = purify_initial(purify_initial(_renamed(purify_initial(a))))
     for maxlen in (0, 1):
-        assert _equivalent(a, big, _walk_steps(2, maxlen)) is None
+        assert _equivalent(a, big, _walk_steps(2, maxlen, 10**9)) is None
         assert list(disagreements(a, big, maxlen)) == []
     assert len(walked) == 4
     other = _perturbed(rng, big, lambda: rand_dist(rng, big.states))
@@ -1075,9 +1095,9 @@ def _only_letter_a(a):
 
 def test_unknown_letters_still_raise_before_anything_is_decided():
     two = rand_pfa(random.Random(925), 2, 2)
-    one = coin_pfa()
-    with pytest.raises(InputError, match="'b'"):
-        list(disagreements(two, one, 3))
+    for one in (coin_pfa(), _monoid_machine(coin_pfa()), _bialgebra_machine(coin_pfa())):
+        with pytest.raises(InputError, match="'b'"):
+            list(disagreements(two, one, 3))
     boolean = weighted("boolean")
     chain = chain_machine(boolean, True)
     with pytest.raises(InputError, match="'b'"):
@@ -1095,9 +1115,59 @@ def test_equivalent_linear_and_boolean_pairs_never_walk(monkeypatch):
     for name in ("rational", "boolean"):
         r = rand_wfa(rng, name, 3, 2)
         pairs.append((r, _renamed(r)))
+    for a, _ in list(pairs):
+        pairs.append((a, _monoid_machine(a)))
+        if _is_linear(a.monad):
+            pairs.append((a, _bialgebra_machine(a)))
     monkeypatch.setattr(automata, "word_values", forbidden)
     for a, b in pairs:
         assert list(disagreements(a, b, 40)) == []
+
+
+def _rotor(last_output):
+    """A boolean machine on ``s, t, u, c0..c7``: ``a.b`` leads from ``s`` to
+    the sink ``u``, whose output is ``last_output``; ``b`` leads into the
+    ``c`` ring, where ``b`` rotates and ``a`` adds ``c0``, so words starting
+    with ``b`` reach all 255 non-empty sets of ring states."""
+    monad = weighted("boolean")
+    ring = tuple(f"c{i}" for i in range(8))
+
+    def to(*states):
+        return WeightedVec(monad.semiring, dict.fromkeys(states, True))
+
+    trans = {("s", "a"): to("t"), ("s", "b"): to("c0"), ("t", "a"): to("t")}
+    trans |= {("t", "b"): to("u"), ("u", "a"): to("u"), ("u", "b"): to("u")}
+    for i, c in enumerate(ring):
+        trans |= {(c, "a"): to(c, "c0"), (c, "b"): to(ring[(i + 1) % 8])}
+    return EffAutomaton(
+        monad=monad,
+        states=("s", "t", "u") + ring,
+        alphabet=("a", "b"),
+        init=to("s"),
+        trans=trans,
+        output={q: q == "u" and last_output for q in ("s", "t", "u") + ring},
+        output_algebra=SEMIRING_SELF,
+    )
+
+
+def test_an_early_difference_is_found_before_a_deep_subtree(monkeypatch):
+    # ``equiv`` stops at the first difference, so the search in front of the
+    # walk must not spend its budget on the ring before it meets ``a.b``.
+    from effectfa import automata
+
+    steps = []
+
+    def counting_kernel(a, letters, algebra=None):
+        start, step, read, backward = _kernel(a, letters, algebra)
+        return start, lambda v, x: steps.append(x) or step(v, x), read, backward
+
+    a, b = _rotor(True), _rotor(False)
+    assert difference_bound(a, b) > 2 * 255
+    monkeypatch.setattr(automata, "_kernel", counting_kernel)
+    assert next(disagreements(a, b, 12))[0] == ("a", "b")
+    # the search: at most a walk to length 2 on both machines; the walk:
+    # the four words before ``a.b`` (a, b, a.a, a.b) on both machines
+    assert len(steps) <= 2 * _walk_steps(2, 2, 10**9) + 2 * 4
 
 
 def test_other_semirings_and_convex_machines_are_walked():
@@ -1106,3 +1176,13 @@ def test_other_semirings_and_convex_machines_are_walked():
     machines += [rand_npfa(rng, 2, 2, 2), choice_npfa()]
     for a in machines:
         assert _equivalent(a, a, 10**9) is None
+
+
+def test_the_budget_stops_at_the_search_cap():
+    assert [_walk_steps(2, n, 10**9) for n in range(4)] == [0, 2, 6, 14]
+    assert _walk_steps(2, 3, 10) == 10
+    assert _walk_steps(3, 10**9, 100) == 100  # no power of 3 this long is taken
+    assert _walk_steps(1, 10**9, 5) == 5
+    assert _walk_steps(0, 7, 5) == 0
+    a, b = (chain_machine(DIST, out) for out in (F(1, 2), F(1, 3)))
+    assert next(disagreements(a, b, 10**9))[0] == word(2)

@@ -958,46 +958,3 @@ def test_corrupted_recognizers_are_decided_like_the_walk(seed):
             assert got is walk_agrees(a, b, difference_bound(a, b))
             outcomes.add(got)
     assert outcomes == {True, False}
-
-
-@pytest.mark.parametrize(
-    "monad, outputs",
-    [(DIST, (F(1, 2), F(1, 3))), (weighted("boolean"), (True, False))],
-    ids=["dist", "boolean"],
-)
-def test_verify_reports_no_difference_beyond_maxlen(monad, outputs):
-    from conftest import chain_machine
-    from effectfa.automata import _equivalent
-
-    a, b = (chain_machine(monad, out) for out in outputs)
-    rec = automaton_to_recognizer(b)
-    assert _equivalent(a, rec._machine, 10**9) is False
-    assert verify_recognition(a, rec, 1) == []
-    assert [w for w, _, _ in verify_recognition(a, rec, 2)] == [("a", "a")]
-
-
-def test_verify_on_an_unknown_letter_still_raises():
-    from conftest import rand_pfa
-
-    two_letters = rand_pfa(random.Random(934), 2, 2)
-    for r in (automaton_to_recognizer(coin_pfa()), automaton_to_bialgebra(coin_pfa())):
-        with pytest.raises(InputError, match="'b'"):
-            verify_recognition(two_letters, r, 3)
-
-
-def test_equivalent_recognizers_are_verified_without_a_walk(monkeypatch):
-    from effectfa import automata
-
-    def forbidden(*args):
-        raise AssertionError("an equivalent pair must not be walked")
-
-    pairs = []
-    for a in _linear_and_boolean_machines(935):
-        pairs.append((a, automaton_to_recognizer(a)))
-        if a.monad.kind == "dist" or a.monad.semiring.name == "rational":
-            pairs.append((a, automaton_to_bialgebra(a)))
-    for _, r in pairs:
-        r._machine  # built before the walk is forbidden
-    monkeypatch.setattr(automata, "word_values", forbidden)
-    for a, r in pairs:
-        assert verify_recognition(a, r, 40) == []
