@@ -589,12 +589,12 @@ def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     :func:`_equivalent`, in at most as many kernel steps as the walk below
     takes on one machine, and on machines that differ in at most as many
     as a walk to their shortest difference; if that proves them
-    equivalent, nothing is walked.  Otherwise (a difference, possibly beyond ``maxlen``, or the
-    budget spent), and always for min-plus, max-plus and convex machines,
-    both machines are walked along the word tree by :func:`word_values`;
-    the walk stops as soon as the caller stops asking.  A letter of ``a``'s
-    alphabet that ``b`` lacks raises :class:`InputError` at the first
-    request.
+    equivalent, nothing is walked.  Otherwise (a difference, possibly
+    beyond ``maxlen``, or the budget spent), and always for min-plus,
+    max-plus and convex machines, both machines are walked along the word
+    tree by :func:`word_values`; the walk stops as soon as the caller stops
+    asking.  A letter of ``a``'s alphabet that ``b`` lacks raises
+    :class:`InputError` at the first request.
     """
     # No search takes more steps than this cap: Tzeng's basis holds at most
     # one vector per state, Hopcroft-Karp merges at most once per reachable
