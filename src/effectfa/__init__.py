@@ -40,6 +40,7 @@ from .effects import (
     check_affine,
     check_central,
     convex_normalize,
+    decompose_channel,
     double_strength,
     hull_membership,
     identity_channel,

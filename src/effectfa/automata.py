@@ -585,10 +585,10 @@ def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     which the two machines differ, in :func:`words_upto` order over ``a``'s
     alphabet, comparing with :func:`outputs_equal` on ``a``.
 
-    Linear and boolean pairs are first decided exactly by
-    :func:`_equivalent`, in at most as many kernel steps as the walk below
-    takes on one machine, and on machines that differ in at most as many
-    as a walk to their shortest difference; if that proves them
+    Linear and boolean pairs that agree on the empty word are first decided
+    exactly by :func:`_equivalent`, in at most as many kernel steps as the
+    walk below takes on one machine, and on machines that differ in at most
+    as many as a walk to their shortest difference; if that proves them
     equivalent, nothing is walked.  Otherwise (a difference, possibly
     beyond ``maxlen``, or the budget spent), and always for min-plus,
     max-plus and convex machines, both machines are walked along the word
@@ -600,7 +600,11 @@ def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     # one vector per state, Hopcroft-Karp merges at most once per reachable
     # boolean vector.
     cap = (2 ** len(a.states) + 2 ** len(b.states)) * len(a.alphabet)
-    if _equivalent(a, b, _walk_steps(len(a.alphabet), maxlen, cap)):
+    # A difference on the empty word is the walk's first answer, so the
+    # decision's set-up is skipped.
+    if outputs_equal(a, eval_word(a, ()), eval_word(b, ())) and _equivalent(
+        a, b, _walk_steps(len(a.alphabet), maxlen, cap)
+    ):
         return
     for (w, va), (_, vb) in zip(
         word_values(a, maxlen), word_values(b, maxlen, a.alphabet)

@@ -18,8 +18,10 @@ channels with Dirac entries throughout the package.
 
 The bridge between distributions over function spaces and channels is given
 by :func:`xi` (sum over the functions hitting a given value) and its section
-:func:`lambda_channel` (product of per-point weights).  These underpin the
-finite-monoid recognizers built in :mod:`effectfa.recognition`.
+:func:`lambda_channel` (product of per-point weights), with the sparse
+section :func:`decompose_channel` (a greedy decomposition into at most
+``sum |supp| - n + 1`` graphs).  These underpin the finite-monoid
+recognizers built in :mod:`effectfa.recognition`.
 
 Convex-set equality is representation independent: two generator lists are
 equal iff each generator of one lies in the hull of the other, decided
@@ -537,6 +539,37 @@ def lambda_channel(g: Channel) -> Dist:
             w *= g(x).weight(y)
         out[graph] = w
     return Dist(out)
+
+
+def decompose_channel(g: Channel) -> Dist:
+    """A sparse section of :func:`xi` on ``dist`` channels.
+
+    Greedy decomposition: take the graph that sends each domain point to its
+    largest remaining entry (the first in codomain order on ties), weight it
+    by the smallest of those entries, subtract, and repeat.  Every row keeps
+    the same remaining mass, so all rows empty at the same step.  Each step
+    empties at least one entry and the last step one per row, so at most
+    ``sum |supp g(x)| - n + 1`` graphs carry weight, against the product of
+    the support sizes for :func:`lambda_channel`.  Collapsing the result
+    reproduces ``g`` exactly.
+    """
+    if g.monad.kind != "dist":
+        raise CapabilityError("channel-to-function-distribution needs dist")
+    rows = []
+    for x in g.domain:
+        d = g(x)
+        rows.append({y: d.weight(y) for y in g.codomain if d.weight(y)})
+    out = {}
+    while rows and rows[0]:
+        graph = tuple(max(row, key=row.__getitem__) for row in rows)
+        w = min(row[y] for row, y in zip(rows, graph))
+        for row, y in zip(rows, graph):
+            row[y] -= w
+            if not row[y]:
+                del row[y]
+        out[graph] = w
+    # An empty domain has one graph, the empty one.
+    return Dist(out or {(): _F1})
 
 
 def hull_coefficients(d: Dist, generators):

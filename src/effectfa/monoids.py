@@ -14,8 +14,11 @@ word freely extends a letter-indexed family of effect values to words
 the morphism laws up to a word-length budget and reports any offending
 split, which catches corrupted tables.
 
-The classical deterministic story lives here too: the transition monoid of
-the minimal automaton of a 0/1 language, with its word projection
+Monoids of self-maps of a finite carrier come whole
+(:func:`function_monoid`) or generated by given maps
+(:func:`generated_monoid`, which recognizers are built on).  The classical
+deterministic story lives here too: the transition monoid of the minimal
+automaton of a 0/1 language, with its word projection
 (:func:`classical_syntactic_monoid`).
 """
 
@@ -33,8 +36,9 @@ from .errors import (
     ResourceError,
 )
 
-# The most elements a function monoid may have: the 4-state partial maps (625)
-# are admitted, the 5-state total maps (3125, a 9.8 M-entry table) are not.
+# The most elements a monoid of self-maps may have, whole or generated: the
+# 4-state partial maps (625) are admitted, the 5-state total maps (3125, a
+# 9.8 M-entry table) are not.
 FUNCTION_MONOID_BOUND = 1000
 
 
@@ -161,6 +165,17 @@ def _graph_name(graph) -> str:
     return "[" + ",".join("_" if y is None else str(y) for y in graph) + "]"
 
 
+def _graph_composer(carrier: tuple):
+    """Composition of graphs on ``carrier`` in application order (first the
+    left factor, then the right), with undefinedness propagating."""
+    index = {x: i for i, x in enumerate(carrier)}
+
+    def compose(f, g):
+        return tuple(None if y is None else g[index[y]] for y in f)
+
+    return compose
+
+
 def function_monoid(carrier: tuple, kind: str = "total") -> FinMonoid:
     """The monoid of all total or partial self-maps of a finite carrier.
 
@@ -182,16 +197,34 @@ def function_monoid(carrier: tuple, kind: str = "total") -> FinMonoid:
             f"over the bound of {FUNCTION_MONOID_BOUND}"
         )
     elements = tuple(_iterproduct(choices, repeat=n))
-    index = {x: i for i, x in enumerate(carrier)}
-
-    def compose(f, g):
-        return tuple(
-            None if y is None else g[index[y]] for y in f
-        )
-
-    identity = tuple(carrier)
+    names = [_graph_name(f) for f in elements]
     return FinMonoid.from_operation(
-        elements, [_graph_name(f) for f in elements], identity, compose
+        elements, names, tuple(carrier), _graph_composer(carrier)
+    )
+
+
+def generated_monoid(
+    carrier: tuple, maps, bound: int = FUNCTION_MONOID_BOUND
+) -> FinMonoid:
+    """The monoid of self-maps of ``carrier`` that ``maps`` generate.
+
+    Maps are graphs as in :func:`function_monoid` (total or partial) and
+    compose the same way.  The closure runs breadth first from the
+    identity, right-multiplying by ``maps`` in order, so the element order
+    is reproducible; only the generated elements are ever built.  Past
+    ``bound`` elements it raises :class:`ResourceError` naming the bound
+    and the count reached.
+    """
+    compose = _graph_composer(carrier)
+    identity = tuple(carrier)
+    closed = _close_under(identity, list(maps), compose, bound)
+    if closed is None:
+        raise ResourceError(
+            f"the generated monoid reached more than the bound of {bound} "
+            f"elements: {bound + 1} were built before the closure stopped"
+        )
+    return FinMonoid.from_operation(
+        closed, [_graph_name(f) for f in closed], identity, compose
     )
 
 
@@ -303,17 +336,15 @@ def _close_under(unit_elem, generators, mul, bound: int):
     """Right-multiplication closure from the unit; None once past the bound."""
     closed = [unit_elem]
     seen = {unit_elem}
-    frontier = [unit_elem]
-    while frontier:
-        x = frontier.pop(0)
+    # Breadth first: the loop also visits the elements appended during it.
+    for x in closed:
         for g in generators:
             y = mul(x, g)
             if y not in seen:
-                if len(closed) + 1 > bound:
+                if len(closed) >= bound:
                     return None
                 seen.add(y)
                 closed.append(y)
-                frontier.append(y)
     return closed
 
 
@@ -402,36 +433,24 @@ class SyntacticMonoid:
         return self.predicate(self.h(w))
 
 
-def classical_syntactic_monoid(a: EffAutomaton, bound: int = 1000) -> SyntacticMonoid:
+def classical_syntactic_monoid(
+    a: EffAutomaton, bound: int = FUNCTION_MONOID_BOUND
+) -> SyntacticMonoid:
     """Minimal-automaton transition monoid of a deterministic 0/1 language.
 
     Minimises by partition refinement, then closes the letter transition
-    functions under composition.  The closure works on the functions
-    directly rather than inside the full function monoid, so only the
+    functions under composition with :func:`generated_monoid`, so only the
     generated submonoid is ever materialised.
     """
     delta, q0, accept = _dfa_data(a)
     carrier, delta_min, q0m, accept_min = _minimize_dfa(
         a.states, a.alphabet, delta, q0, accept
     )
-    index = {q: i for i, q in enumerate(carrier)}
-
-    def compose(f, g):
-        return tuple(g[index[y]] for y in f)
-
     letter_map = {
         x: tuple(delta_min[(q, x)] for q in carrier) for x in a.alphabet
     }
-    closed = _close_under(tuple(carrier), list(letter_map.values()), compose, bound)
-    if closed is None:
-        raise ResourceError(
-            f"transition monoid reached more than the bound of {bound} elements"
-        )
-    monoid = FinMonoid.from_operation(
-        closed, [_graph_name(f) for f in closed], tuple(carrier), compose
-    )
     return SyntacticMonoid(
-        monoid=monoid,
+        monoid=generated_monoid(carrier, letter_map.values(), bound),
         state_order=carrier,
         letter_map=letter_map,
         init_state=q0m,

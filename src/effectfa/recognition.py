@@ -25,18 +25,26 @@ for linear and boolean machines, otherwise a walk along the word tree on
 the evaluation core of :mod:`effectfa.automata`) instead of building convex
 choice products.
 
-The function-monoid witnesses are the total self-maps for ``dist`` and
-``convex`` and the partial self-maps for ``weighted``, where an undefined
-point maps to the zero vector.  :func:`xi_preimage` picks one canonical
-section per effect type; any section works, and the choices here are fixed
-so that results are reproducible.
+Both recognizers are built on the monoid that the letters generate: the
+function graphs in the supports of the letter preimages
+(:func:`xi_preimage`) closed under composition by
+:func:`~effectfa.monoids.generated_monoid`, total self-maps for ``dist``
+and ``convex`` and partial ones for ``weighted``, where an undefined point
+maps to the zero vector.  The morphism never leaves that submonoid, and
+for a deterministic machine it is the classical transition monoid.  Its
+elements span every composite "element, then letter" too, since a letter
+channel is the weighted sum of the images of its preimage's graphs; so a
+bialgebra rebuilt on them stays solvable.  The whole function monoid
+(:func:`witness_xi0`) remains as an oracle.  :func:`xi_preimage` picks one
+canonical section per effect type; any section works, and the choices here
+are fixed so that results are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product as _iterproduct
 
 from .automata import (
@@ -58,10 +66,10 @@ from .effects import (
     WeightedVec,
     _check_value,
     bind,
+    decompose_channel,
     identity_channel,
     is_pure,
     kleisli_compose,
-    lambda_channel,
     pure_channel,
     unit,
 )
@@ -73,7 +81,7 @@ from .errors import (
     ResourceError,
 )
 from .linalg import feasible_nonneg, solve_linear
-from .monoids import EffMorphism, function_monoid
+from .monoids import EffMorphism, function_monoid, generated_monoid
 
 _F1 = Fraction(1)
 
@@ -81,9 +89,8 @@ CONVEX_PREIMAGE_STATE_BOUND = 4
 CONVEX_PREIMAGE_GENERATOR_BOUND = 4
 # Cap on the generators of a bialgebra rebuilt into an automaton: one LP
 # over that many columns per (generator, letter) pair.  On a 2-CPU machine
-# with CPython 3.11, the 27 generators of a 3-state dist machine rebuild in
-# about a second; the 256 of a 4-state one need 512 LPs over two letters, at
-# about 0.7 s each.
+# with CPython 3.11, 27 generators over two letters rebuild in about a
+# second; 256 need 512 LPs at about 0.7 s each.
 BIALGEBRA_GENERATOR_BOUND = 64
 
 
@@ -200,44 +207,58 @@ class BialgRecognizer:
         return self.predicate(ch)
 
 
+def _graph_channel(monad: Monad, carrier: tuple, f) -> Channel:
+    """A function graph as a channel: pure rows (``dist``/``convex``), or
+    unit-or-zero rows (``weighted``)."""
+    if monad.kind != "weighted":
+        return pure_channel(monad, dict(zip(carrier, f)), carrier, carrier)
+    zero = WeightedVec(monad.semiring, {})
+    table = {x: zero if y is None else unit(monad, y) for x, y in zip(carrier, f)}
+    return Channel(monad, carrier, carrier, table)
+
+
 def witness_xi0(monad: Monad, carrier: tuple):
-    """The finite function monoid generating all channels on a carrier.
+    """The whole function monoid on a carrier, which spans every channel.
 
     Returns the monoid and the embedding of each function as a channel:
     total self-maps become pure channels (``dist``/``convex``); partial
-    self-maps become unit-or-zero rows (``weighted``).
+    self-maps become unit-or-zero rows (``weighted``).  The recognizers are
+    built on the submonoid their letters generate instead; this is the
+    oracle they are checked against, and it is bounded by
+    :data:`~effectfa.monoids.FUNCTION_MONOID_BOUND` (``n^n`` or
+    ``(n+1)^n`` elements).
     """
-    if monad.kind in ("dist", "convex"):
-        m = function_monoid(carrier, "total")
-        images = {
-            f: pure_channel(monad, dict(zip(carrier, f)), carrier, carrier)
-            for f in m.elements
-        }
-        return m, images
-    m = function_monoid(carrier, "partial")
-    s = monad.semiring
-    images = {}
-    for f in m.elements:
-        table = {}
-        for x, y in zip(carrier, f):
-            table[x] = (
-                WeightedVec(s, {}) if y is None else unit(monad, y)
-            )
-        images[f] = Channel(monad, carrier, carrier, table)
-    return m, images
+    m = function_monoid(carrier, "partial" if monad.kind == "weighted" else "total")
+    return m, {f: _graph_channel(monad, carrier, f) for f in m.elements}
+
+
+def _generated_witness(a: EffAutomaton):
+    """The letter preimages, the monoid their supports generate, and each
+    element's channel."""
+    letters = {x: xi_preimage(a.letter_channel(x)) for x in a.alphabet}
+    # Graphs in order of first appearance, so the element order is reproducible.
+    maps = {}
+    for t in letters.values():
+        for d in t.generators if isinstance(t, ConvexSet) else (t,):
+            maps.update(dict.fromkeys(d.support()))
+    m = generated_monoid(a.states, maps)
+    return letters, m, {f: _graph_channel(a.monad, a.states, f) for f in m.elements}
 
 
 def xi_preimage(target: Channel):
     """A canonical effect value over function graphs collapsing to ``target``.
 
-    dist: the compatibility distribution of the channel.  weighted: one
-    singleton partial function per non-zero entry, in row-then-column order.
-    convex: the hull of the compatibility distributions of every generator
-    selection (guarded, since selections multiply per state).
+    dist: the greedy sparse decomposition
+    (:func:`~effectfa.effects.decompose_channel`), at most
+    ``sum |supp| - n + 1`` graphs.  weighted: one singleton partial function
+    per non-zero entry, in row-then-column order.  convex: the hull of the
+    sparse decompositions of every generator selection (guarded, since
+    selections multiply per state).  Only the monoid that these graphs
+    generate is built (:func:`automaton_to_recognizer`).
     """
     monad = target.monad
     if monad.kind == "dist":
-        return lambda_channel(target)
+        return decompose_channel(target)
     if monad.kind == "weighted":
         s = monad.semiring
         n = len(target.domain)
@@ -266,7 +287,7 @@ def xi_preimage(target: Channel):
     for selection in _iterproduct(*per_state):
         table = dict(zip(target.domain, selection))
         hull.append(
-            lambda_channel(Channel(DIST, target.domain, target.codomain, table))
+            decompose_channel(Channel(DIST, target.domain, target.codomain, table))
         )
     return ConvexSet(hull).normalized()
 
@@ -274,13 +295,16 @@ def xi_preimage(target: Channel):
 def automaton_to_recognizer(a: EffAutomaton) -> EffRecognizer:
     """Decompose an automaton into a finite-monoid recognizer.
 
-    A non-pure initial value is first moved onto a fresh pure state, since
-    the predicate must be evaluated from a fixed start.
+    The letter images are the preimages :func:`xi_preimage` of the letter
+    channels, and the monoid is the one their supports generate.  A
+    non-pure initial value is first moved onto a fresh pure state, since
+    the predicate must be evaluated from a fixed start.  A monoid past
+    :data:`~effectfa.monoids.FUNCTION_MONOID_BOUND` elements raises
+    :class:`ResourceError` as soon as the closure reaches it.
     """
     if not is_pure(a.init):
         a = purify_initial(a)
-    m, images = witness_xi0(a.monad, a.states)
-    letters = {x: xi_preimage(a.letter_channel(x)) for x in a.alphabet}
+    letters, m, images = _generated_witness(a)
     # Predicate values are stored like outputs: raw (low, high) pairs if convex.
     predicate = {
         f: collapse(a.monad, INTERVAL_PAIR, bind(a.init, images[f]), a.output)
@@ -301,10 +325,12 @@ def recognizer_to_automaton(r: EffRecognizer) -> EffAutomaton:
     """
     m = r.morphism.target
     monad = r.morphism.monad
+    letters = [(a, r.morphism.letter(a)) for a in r.morphism.alphabet]
     trans = {}
     for x in m.elements:
-        for a in r.morphism.alphabet:
-            trans[(x, a)] = r.morphism.letter(a).map(lambda n, _x=x: m.mul(_x, n))
+        times_x = partial(m.mul, x)
+        for a, t in letters:
+            trans[(x, a)] = t.map(times_x)
     return EffAutomaton(
         monad=monad,
         states=m.elements,
@@ -317,10 +343,11 @@ def recognizer_to_automaton(r: EffRecognizer) -> EffAutomaton:
 
 
 def automaton_to_bialgebra(a: EffAutomaton) -> BialgRecognizer:
-    """Present an automaton's channel algebra by function-monoid generators."""
+    """Present an automaton's channel algebra by the function graphs its
+    letters generate (the monoid of :func:`automaton_to_recognizer`)."""
     if not is_pure(a.init):
         a = purify_initial(a)
-    m, images = witness_xi0(a.monad, a.states)
+    _, m, images = _generated_witness(a)
     return BialgRecognizer(
         monad=a.monad,
         states=a.states,

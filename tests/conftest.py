@@ -74,6 +74,27 @@ def contains_ab_dfa() -> EffAutomaton:
     )
 
 
+def full_transformation_dfa(n: int) -> EffAutomaton:
+    """A deterministic machine on ``n`` states whose letters generate all
+    ``n**n`` self-maps: ``c`` cycles the states, ``t`` swaps the first two
+    and ``m`` merges the first into the second."""
+    states = tuple(f"q{i}" for i in range(n))
+    image = {
+        "c": {q: states[(i + 1) % n] for i, q in enumerate(states)},
+        "t": {**dict(zip(states, states)), states[0]: states[1], states[1]: states[0]},
+        "m": {**dict(zip(states, states)), states[0]: states[1]},
+    }
+    return EffAutomaton(
+        monad=DIST,
+        states=states,
+        alphabet=tuple(image),
+        init=unit(DIST, states[0]),
+        trans={(q, x): Dist({image[x][q]: 1}) for x in image for q in states},
+        output={q: F(int(q == states[-1])) for q in states},
+        output_algebra=UNIT_INTERVAL,
+    )
+
+
 def chain_machine(monad, last_output) -> EffAutomaton:
     """``p -a-> q -a-> r -a-> r`` with ``b`` staying put, on a ``dist`` or
     weighted ``monad``: a word's value is ``last_output`` once it has two

@@ -686,6 +686,44 @@ def test_disagreements_come_in_words_upto_order():
     assert list(disagreements(coin, coin, 5)) == []
 
 
+def test_a_difference_on_the_empty_word_skips_the_decision(monkeypatch):
+    from effectfa import automata
+
+    entered = []
+    decide = automata._linear_equivalent
+
+    def recording(a, b, budget):
+        entered.append((a, b))
+        return decide(a, b, budget)
+
+    coin = coin_pfa()
+    later = replace(
+        coin,
+        trans={**coin.trans, ("q0", "a"): Dist({"q0": F(1, 4), "q1": F(3, 4)})},
+    )
+    at_eps = replace(coin, output={"q0": F(1, 2), "q1": F(1)})
+    rational = rand_wfa(random.Random(927), "rational", 2, 2)  # value -2/3 on eps
+    doubled = replace(rational, output={q: 2 * v for q, v in rational.output.items()})
+    pairs = [(coin, at_eps), (rational, doubled), (coin, later)]
+    expected = [
+        [
+            (w, va, vb)
+            for w in words_upto(a.alphabet, 3)
+            for va, vb in [(eval_word(a, w), eval_word(b, w))]
+            if va != vb
+        ]
+        for a, b in pairs
+    ]
+    monkeypatch.setattr(automata, "_linear_equivalent", recording)
+    for (a, b), want in zip(pairs[:2], expected):
+        got = list(disagreements(a, b, 3))
+        assert got == want and got[0][0] == ()
+    assert entered == []
+    # A pair that agrees on the empty word is still decided first.
+    assert list(disagreements(coin, later, 3)) == expected[2]
+    assert entered == [(coin, later)]
+
+
 @pytest.mark.parametrize("name", ["minplus", "maxplus"])
 def test_inexact_tropical_weight_is_rejected(name):
     monad = weighted(name)

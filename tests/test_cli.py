@@ -92,7 +92,8 @@ hom a -> e:1
 pred e:0 z:inf
 """
 
-# ``to-bialgebra`` on COIN.
+# A bialgebra of COIN on all four maps of its states (``to-bialgebra`` prints
+# the two maps its letter generates).
 BIALGEBRA = """\
 monad dist
 alphabet a

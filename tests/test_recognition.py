@@ -9,6 +9,7 @@ from conftest import (
     coin_pfa,
     difference_bound,
     even_dfa,
+    full_transformation_dfa,
     minplus_walk,
     npfa_brute_force,
     rand_channel,
@@ -35,15 +36,19 @@ from effectfa import (
     automaton_to_bialgebra,
     automaton_to_recognizer,
     bialgebra_to_automaton,
+    bind,
     check_central,
     convex_output,
+    decompose_channel,
     eval_npfa,
     eval_word,
     free_extension_word,
     identity_channel,
     is_pure,
     kleisli_compose,
+    lambda_channel,
     outputs_equal,
+    purify_initial,
     recognizer_to_automaton,
     tm_multiply,
     unit,
@@ -268,7 +273,10 @@ def test_minplus_recognizer_over_partial_functions():
         output_algebra=SEMIRING_SELF,
     )
     rec = automaton_to_recognizer(walk)
-    assert len(rec.morphism.target) == 9
+    # Of the 9 partial maps on two states the letter's three singleton maps
+    # generate the identity, q0->q0, q0->q1, q1->q1 and the empty map.
+    assert len(rec.morphism.target) == 5
+    assert len(witness_xi0(MINPLUS, walk.states)[0]) == 9
     assert verify_recognition(walk, rec, 4) == []
 
 
@@ -360,8 +368,11 @@ def test_convex_recognizer_three_states():
         output_algebra=INTERVAL_PAIR,
     )
     rec = automaton_to_recognizer(a)
-    assert len(rec.morphism.target) == 27
+    # Every row of this draw is the point mass on q1: the letter is one
+    # constant map, which generates the identity and itself, not all 27 maps.
+    assert len(rec.morphism.target) == 2
     assert verify_recognition(a, rec, 4) == []
+    assert verify_recognition(a, _full_monoid_recognizer(a), 4) == []
 
 
 @pytest.mark.parametrize("machine", ["coin", "weighted", "convex"])
@@ -754,8 +765,9 @@ def _seeded_machines(rng):
     for name in ("rational", "minplus", "boolean"):
         yield rand_wfa(rng, name, 2, 2), 4
     yield _point_choice_two_letters(rng), 3
-    # Three states after purification, so 27 monoid elements.  The fold
-    # takes seconds per word on most such machines; this one is quick.
+    # Three states after purification: 27 maps, of which the letter
+    # generates 5.  The fold takes seconds per word on most such machines
+    # with more elements; this one is quick.
     yield _point_choice_npfa(random.Random(38)), 3
 
 
@@ -783,11 +795,15 @@ def test_verify_recognition_clean_on_a_27_element_convex_monoid():
     from conftest import rand_npfa
 
     a = rand_npfa(random.Random(5), 2, 1, 2, pure_init=False)
+    # Three states once the initial value is purified: 27 maps in all, of
+    # which the letter generates 9.
+    full = _full_monoid_recognizer(a)
     rec = automaton_to_recognizer(a)
-    assert len(rec.morphism.target) == 27
-    assert verify_recognition(a, rec, 4) == []
-    for w in words_upto(a.alphabet, 4):
-        assert rec.evaluate(w) == eval_word(a, w)
+    assert (len(full.morphism.target), len(rec.morphism.target)) == (27, 9)
+    for r in (full, rec):
+        assert verify_recognition(a, r, 4) == []
+        for w in words_upto(a.alphabet, 4):
+            assert r.evaluate(w) == eval_word(a, w)
 
 
 @pytest.mark.parametrize("seed", [5, 23])
@@ -863,31 +879,132 @@ def test_bialgebra_evaluate_rejects_unknown_letters():
     assert r.evaluate(("a", "a")) == eval_word(coin_pfa(), ("a", "a"))
 
 
-def test_function_monoid_over_the_bound_fails_before_it_is_built():
-    # 5 states admit 5**5 = 3125 total maps, over the bound of 1000.
-    a = rand_pfa(random.Random(5), 5, 2)
-    with pytest.raises(ResourceError, match="3125") as e:
-        automaton_to_recognizer(a)
-    assert "1000" in str(e.value)
-    with pytest.raises(ResourceError, match="3125"):
-        automaton_to_bialgebra(a)
+def test_function_monoid_over_the_bound_fails_before_it_is_built(monkeypatch):
+    # The letters generate all 5**5 = 3125 maps, over the bound of 1000: the
+    # closure stops at 1001, and the whole function monoid is never built.
+    a = full_transformation_dfa(5)
+    monkeypatch.setattr(recognition, "function_monoid", None)
+    for build in (automaton_to_recognizer, automaton_to_bialgebra):
+        with pytest.raises(ResourceError, match="bound of 1000") as e:
+            build(a)
+        assert "1001" in str(e.value)
 
 
 def test_bialgebra_rebuild_over_the_generator_bound_fails_before_any_lp(monkeypatch):
     rng = random.Random(5)
     three = rand_pfa(rng, 3, 2)
     bi = automaton_to_bialgebra(three)
-    assert len(bi.generators) == 27
+    # The generated monoid, shared with the monoid recognizer, not all 27 maps.
+    assert bi.generators == automaton_to_recognizer(three).morphism.target.elements
+    assert len(bi.generators) == 14
     back = bialgebra_to_automaton(bi)
     for w in words_upto(three.alphabet, 3):
         assert eval_word(back, w) == eval_word(three, w)
-    # 4 states: 4**4 = 256 generators, over the bound of 64.
-    bi = automaton_to_bialgebra(rand_pfa(rng, 4, 2))
+    # The letters generate all 4**4 = 256 maps, over the bound of 64.
+    bi = automaton_to_bialgebra(full_transformation_dfa(4))
     lps = []
     monkeypatch.setattr(recognition, "feasible_nonneg", lambda *args: lps.append(args))
     with pytest.raises(ResourceError, match="256") as e:
         bialgebra_to_automaton(bi)
     assert "64" in str(e.value) and lps == []
+
+
+# ---------------------------------------------------------------------------
+# Recognizers on the generated monoid, against the whole function monoid
+
+
+def _full_monoid_recognizer(a):
+    """The recognizer on the whole function monoid (``witness_xi0``), with
+    the product-of-weights section ``lambda_channel`` for ``dist`` letters:
+    the construction the generated-monoid recognizer is checked against."""
+    if not is_pure(a.init):
+        a = purify_initial(a)
+    m, images = witness_xi0(a.monad, a.states)
+    section = lambda_channel if a.monad.kind == "dist" else xi_preimage
+    letters = {x: section(a.letter_channel(x)) for x in a.alphabet}
+    predicate = {
+        f: collapse(a.monad, INTERVAL_PAIR, bind(a.init, images[f]), a.output)
+        for f in m.elements
+    }
+    morphism = EffMorphism(target=m, monad=a.monad, alphabet=a.alphabet, letters=letters)
+    return EffRecognizer(morphism, predicate, a.output_algebra)
+
+
+def _cross_check_machines(rng):
+    from conftest import rand_npfa
+
+    yield rand_pfa(rng, 3, 2, max_den=15)
+    yield rand_pfa(rng, 2, 2, max_den=5, pure_init=False)
+    yield rand_npfa(rng, 2, 1, 2, pure_init=False)
+    for name in ("rational", "minplus", "boolean"):
+        yield rand_wfa(rng, name, 2, 2)
+
+
+@pytest.mark.parametrize("seed", [7, 29])
+def test_generated_monoid_recognizer_matches_the_full_monoid(seed):
+    for a in _cross_check_machines(random.Random(seed)):
+        rec, full = automaton_to_recognizer(a), _full_monoid_recognizer(a)
+        m = rec.morphism.target
+        assert set(m.elements) <= set(full.morphism.target.elements)
+        for w in words_upto(a.alphabet, 4):
+            want = eval_word(a, w)
+            assert outputs_equal(a, rec.evaluate(w), want)
+            assert outputs_equal(a, full.evaluate(w), want)
+        # Closed under composition, computed here from the graphs.
+        index = {q: i for i, q in enumerate(m.unit)}
+        elements = set(m.elements)
+        for f in m.elements:
+            for g in m.elements:
+                fg = tuple(None if y is None else g[index[y]] for y in f)
+                assert fg in elements and m.mul(f, g) == fg
+        for x in a.alphabet:
+            assert _support(rec.morphism.letter(x)) <= elements
+
+
+def _sparse_channels(rng):
+    carrier = ("q0", "q1", "q2", "q3")
+    yield Channel(
+        DIST,
+        carrier,
+        carrier,
+        {
+            "q0": Dist({"q0": F(1, 3), "q1": F(1, 5), "q2": F(7, 15)}),
+            "q1": Dist({"q1": F(2, 5), "q3": F(3, 5)}),
+            "q2": Dist({"q0": F(1, 3), "q1": F(1, 3), "q2": F(1, 3)}),
+            "q3": Dist({"q0": F(1, 5), "q1": F(1, 5), "q2": F(1, 5), "q3": F(2, 5)}),
+        },
+    )
+    for den in (3, 5, 15):
+        for _ in range(10):
+            yield rand_channel(rng, carrier, den)
+
+
+def test_sparse_dist_preimage_is_an_exact_small_deterministic_section():
+    # Each step sends every row to its largest remaining entry (the first
+    # on ties) and takes the smallest of them: 6 graphs of at most 9.
+    first = next(_sparse_channels(random.Random(11)))
+    assert decompose_channel(first).items() == (
+        (("q2", "q3", "q0", "q3"), F(1, 3)),
+        (("q0", "q1", "q1", "q0"), F(1, 5)),
+        (("q1", "q3", "q2", "q1"), F(1, 5)),
+        (("q0", "q1", "q1", "q2"), F(2, 15)),
+        (("q2", "q1", "q2", "q2"), F(1, 15)),
+        (("q2", "q3", "q2", "q3"), F(1, 15)),
+    )
+    for ch in _sparse_channels(random.Random(11)):
+        pre = decompose_channel(ch)
+        assert xi_preimage(ch) == pre
+        assert xi(pre, ch.domain, ch.codomain) == ch
+        entries = sum(len(ch(x).support()) for x in ch.domain)
+        assert len(pre.support()) <= entries - len(ch.domain) + 1
+        # The same channel with its rows written in another order.
+        reordered = Channel(
+            DIST,
+            ch.domain,
+            ch.codomain,
+            {x: Dist(dict(reversed(ch(x).items()))) for x in ch.domain},
+        )
+        assert decompose_channel(reordered).items() == pre.items()
 
 
 def test_bialgebra_rejects_inexact_outputs():
