@@ -40,8 +40,11 @@ which computes each word from its parent (the word one letter shorter:
 prefixes for forward kernels, suffixes for the backward one) by one step of
 the same kernel as :func:`eval_word`.  :func:`disagreements` is what
 recognizer verification and bounded equivalence run: it decides two linear
-or two boolean machines exactly (:func:`_equivalent`) and walks two
-machines that way only if they are not proved equivalent.
+or two boolean machines exactly (:func:`_equivalent`), checks min-plus,
+max-plus and convex pairs by a breadth-first search over their distinct
+pair configurations (:func:`_pair_search`), and walks two machines that
+way only if neither shows that they agree up to the length asked, or if
+they have no canonical configurations (a user-declared semiring).
 
 Deterministic automata are the ``dist`` case with Dirac channels and 0/1
 outputs; no separate type exists for them (:func:`is_pure_automaton`).
@@ -81,7 +84,6 @@ from .linalg import (
     _lowest_terms,
     _semiring_matrix,
     _semiring_step,
-    transpose,
 )
 
 _F0 = Fraction(0)
@@ -293,23 +295,30 @@ def _letter_matrix(a: EffAutomaton, letter) -> tuple:
     return tuple(tuple(table[q].weight(p) for p in a.states) for q in a.states)
 
 
+def _int_rows(groups, index, d) -> list:
+    """Per group of ``groups``, each of its rows (the ``(state, weight)``
+    pairs of a rational weight map) as a list of integer weights, one per
+    state of ``index`` (state to position), scaled by ``d``, a multiple of
+    every weight's denominator."""
+    out = []
+    for group in groups:
+        rows = []
+        for row in group:
+            nums = [0] * len(index)
+            for q, w in row:
+                nums[index[q]] = w.numerator * (d // w.denominator)
+            rows.append(nums)
+        out.append(rows)
+    return out
+
+
 def _int_generators(values, states) -> tuple:
     """``(d, rows)``: per convex value of ``values``, its generators as
-    lists of integer weights on ``states``, all scaled by ``d``, the LCM of
-    the weights' denominators."""
-    index = {q: i for i, q in enumerate(states)}
-    rows = [[g.items() for g in v.generators] for v in values]
-    d = lcm(*(w.denominator for row in rows for g in row for _, w in g))
-    out = []
-    for row in rows:
-        gens = []
-        for g in row:
-            nums = [0] * len(states)
-            for q, w in g:
-                nums[index[q]] = w.numerator * (d // w.denominator)
-            gens.append(nums)
-        out.append(gens)
-    return d, out
+    lists of integer weights on ``states`` (:func:`_int_rows`), all scaled
+    by ``d``, the LCM of the weights' denominators."""
+    groups = [[g.items() for g in v.generators] for v in values]
+    d = lcm(*(w.denominator for group in groups for g in group for _, w in g))
+    return d, _int_rows(groups, {q: i for i, q in enumerate(states)}, d)
 
 
 def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> tuple:
@@ -449,7 +458,12 @@ def _walk_steps(letters: int, maxlen: int, cap: int) -> int:
     """The kernel steps :func:`word_values` takes on one machine, one per
     non-empty word up to ``maxlen`` over ``letters`` letters, or ``cap`` if
     that is fewer.  The sum is taken one length at a time and stops at
-    ``cap``, so a long ``maxlen`` costs only the lengths below it."""
+    ``cap``, so a long ``maxlen`` costs only the lengths below it.
+
+    With ``cap`` out of reach this bounds :func:`_pair_search` too, which
+    steps at most one pair per word; the exact decision of
+    :func:`_equivalent` gets it with the cap of :func:`disagreements` as
+    its budget."""
     if letters < 2:
         return min(letters * maxlen, cap)
     total, words = 0, 1
@@ -461,6 +475,43 @@ def _walk_steps(letters: int, maxlen: int, cap: int) -> int:
     return total
 
 
+def _difference_kernel(a: EffAutomaton, b: EffAutomaton) -> tuple:
+    """``(init, start, step)`` of the backward integer kernel of the
+    difference machine of two linear machines, over ``a``'s alphabet.
+
+    ``init`` is the integer initial row ``(init_a, init_b)`` and ``start``
+    the final column ``(f_a, -f_b)`` as ``(numerators, den)``.
+    ``step(v, x)`` is ``M_x v`` in lowest terms, for the block-diagonal
+    letter matrix ``M_x``: each block's rows come straight from the letter
+    channel's table as integer weights (:func:`_int_rows`) over the LCM of
+    both blocks' denominators, and each block is applied to its own half of
+    ``v``, so no zero block is stored or multiplied.
+    """
+    na = len(a.states)
+    indexes = [{q: i for i, q in enumerate(m.states)} for m in (a, b)]
+    blocks = {}
+    for x in a.alphabet:
+        groups = [[m.letter_channel(x).table[q].items() for q in m.states] for m in (a, b)]
+        d = lcm(*(w.denominator for group in groups for row in group for _, w in row))
+        rows_a, rows_b = (_int_rows((g,), i, d)[0] for g, i in zip(groups, indexes))
+        blocks[x] = d, rows_a, rows_b
+    init, _ = _int_vector(
+        [a.init.weight(q) for q in a.states] + [b.init.weight(q) for q in b.states]
+    )
+    start = _int_vector([a.output[q] for q in a.states] + [-b.output[q] for q in b.states])
+    # Every prime of a denominator divides ``radix`` (see _int_kernel).
+    radix = lcm(start[1], *(d for d, _, _ in blocks.values()))
+
+    def step(v, x):
+        (nums, den), (d, rows_a, rows_b) = v, blocks[x]
+        head, tail = nums[:na], nums[na:]
+        out = [sum(map(mul, head, r)) for r in rows_a]
+        out += [sum(map(mul, tail, r)) for r in rows_b]
+        return _lowest_terms(out, den * d, radix)
+
+    return init, start, step
+
+
 def _linear_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
     """Tzeng's test (*SIAM J. Comput.* 21(2), 1992) on two linear machines,
     run backward.
@@ -469,9 +520,8 @@ def _linear_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
     block-diagonal letter matrices and the final column ``(f_a, -f_b)``, so
     its value on ``w`` is ``a(w) - b(w)``.  The columns ``M(w) f`` span a
     space of dimension at most the states of both machines.  It is reduced
-    from ``f`` by the transposed letters on
-    :func:`~effectfa.linalg._int_kernel`, keeping a basis in a
-    :class:`~effectfa.linalg.RowSpace`.  The machines
+    from ``f`` by the letters on :func:`_difference_kernel`, keeping a basis
+    in a :class:`~effectfa.linalg.RowSpace`.  The machines
     agree on every word exactly when the initial row is orthogonal to the
     space.  Backward, because a recognizer machine has many states but few
     independent futures.  The basis is stepped in the order found, breadth
@@ -479,23 +529,8 @@ def _linear_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
     to a basis vector is one kernel step; None once ``budget`` steps are
     spent.
     """
-    mats = [{x: _letter_matrix(m, x) for x in a.alphabet} for m in (a, b)]
-    na, nb = len(a.states), len(b.states)
-    zero_a, zero_b = (_F0,) * na, (_F0,) * nb
-    # Columns of the transposed block-diagonal matrix: its rows.
-    transposed = {
-        x: transpose(
-            tuple(tuple(row) + zero_b for row in mats[0][x])
-            + tuple(zero_a + tuple(row) for row in mats[1][x])
-        )
-        for x in a.alphabet
-    }
-    init, _ = _int_vector(
-        [a.init.weight(q) for q in a.states] + [b.init.weight(q) for q in b.states]
-    )
-    final = [a.output[q] for q in a.states] + [-b.output[q] for q in b.states]
-    (start,), step = _int_kernel((final,), transposed)
-    space = RowSpace(na + nb)
+    init, start, step = _difference_kernel(a, b)
+    space = RowSpace(len(a.states) + len(b.states))
     basis = []
 
     def consistent(v) -> bool:
@@ -570,8 +605,10 @@ def _equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
     allowed; :func:`_linear_equivalent`) and for two boolean machines
     (:func:`_boolean_equivalent`); None if the budget runs out first, and
     for every other pair: min-plus and max-plus equivalence is undecidable
-    (Krob, 1994) and convex equivalence is open.  A letter of ``a``'s
-    alphabet that ``b`` lacks raises :class:`InputError`.
+    (Krob, 1994) and convex equivalence is open.  :func:`disagreements`
+    hands those pairs to the bounded search :func:`_pair_search` instead,
+    and walks only the ones that have no :func:`_pair_key`.  A letter of
+    ``a``'s alphabet that ``b`` lacks raises :class:`InputError`.
     """
     if _is_linear(a.monad) and _is_linear(b.monad):
         return _linear_equivalent(a, b, budget)
@@ -580,32 +617,147 @@ def _equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
     return None
 
 
+def _int_key(v) -> tuple:
+    """An integer kernel value ``(numerators, den)`` as a hashable key."""
+    return tuple(v[0]), v[1]
+
+
+# The builtin semirings whose weights are canonical as they stand, and the
+# optimum that offsets a tropical vector.
+_KEYED_SEMIRINGS = ("rational", "boolean", "minplus", "maxplus")
+_TROPICAL_OPT = {"minplus": min, "maxplus": max}
+
+
+def _pair_key(a: EffAutomaton, b: EffAutomaton):
+    """The key of :func:`_pair_search`: ``key(va, vb)`` of the two machines'
+    :func:`_kernel` values reached by one word, equal for two pairs only if
+    the pairs agree or differ alike on every extension of the word (a suffix
+    for forward kernels, a prefix for the backward convex one).
+
+    A value keys as itself where the kernel keeps it canonical: integer
+    ``(numerators, den)`` in lowest terms on linear and convex machines,
+    the weights on the builtin semirings.  Two machines over the same
+    tropical semiring key a pair up to a common shift, as in Mohri's
+    determinisation (*Computational Linguistics* 23(2), 1997): each vector
+    as ``v - opt v`` over its finite entries (``min`` for min-plus, ``max``
+    for max-plus), the infinity kept as it is, plus the offset
+    ``opt va - opt vb``; an all-infinite vector has no offset.  A shift of
+    both vectors by one constant shifts every later finite value by it.
+
+    None for the pairs :func:`_equivalent` decides by kind (two linear or
+    two boolean machines), for a user-declared semiring, whose weights may
+    have no canonical form, and for a convex machine against a forward one,
+    whose kernels extend a word at opposite ends.
+    """
+    if (_is_linear(a.monad) and _is_linear(b.monad)) or (
+        _is_boolean(a.monad) and _is_boolean(b.monad)
+    ):
+        return None
+    for m in (a, b):
+        if m.monad.kind == "weighted" and m.monad.semiring.name not in _KEYED_SEMIRINGS:
+            return None
+    if (a.monad.kind == "convex") != (b.monad.kind == "convex"):
+        return None
+    tropical = a.monad == b.monad and a.monad.kind == "weighted"
+    opt = _TROPICAL_OPT.get(a.monad.semiring.name) if tropical else None
+    if opt is None:
+        key_a, key_b = (
+            tuple if m.monad.kind == "weighted" and not _is_linear(m.monad) else _int_key
+            for m in (a, b)
+        )
+        return lambda va, vb: (key_a(va), key_b(vb))
+    bottom = a.monad.semiring.zero
+
+    def shape(v):
+        finite = [y for y in v if y is not bottom]
+        if not finite:
+            return tuple(v), None
+        low = opt(finite)
+        return tuple(y if y is bottom else y - low for y in v), low
+
+    def key(va, vb):
+        (sa, oa), (sb, ob) = shape(va), shape(vb)
+        return sa, sb, None if oa is None or ob is None else oa - ob
+
+    return key
+
+
+def _pair_search(a: EffAutomaton, b: EffAutomaton, maxlen: int, key) -> bool:
+    """Whether ``a`` and ``b`` agree on every word up to ``maxlen`` over
+    ``a``'s alphabet, by a breadth-first search over their distinct pair
+    configurations.
+
+    Both machines are stepped together on :func:`_kernel`, one level per
+    word length up to ``maxlen``; a new pair whose ``key`` (:func:`_pair_key`)
+    was already seen is neither compared nor stepped again.  Equal keys
+    agree or differ alike on every extension, and a key is first met at
+    its least depth, so if no pair explored differs, no word up to
+    ``maxlen`` does.  Each level holds at most one pair per word of its
+    length, so the search takes at most the kernel steps of a walk to
+    ``maxlen`` on each machine (:func:`_walk_steps`), and it stops as soon
+    as a level adds no new pair: the closure is then finished and the
+    machines agree on every word.  False at the first pair that differs.
+    """
+    start_a, step_a, read_a, _ = _kernel(a, a.alphabet)
+    start_b, step_b, read_b, _ = _kernel(b, a.alphabet)
+    if not outputs_equal(a, read_a(start_a), read_b(start_b)):
+        return False
+    seen = {key(start_a, start_b)}
+    level = [(start_a, start_b)]
+    for _ in range(maxlen):
+        found = []
+        for va, vb in level:
+            for x in a.alphabet:
+                pair = step_a(va, x), step_b(vb, x)
+                k = key(*pair)
+                if k in seen:
+                    continue
+                seen.add(k)
+                if not outputs_equal(a, read_a(pair[0]), read_b(pair[1])):
+                    return False
+                found.append(pair)
+        if not found:
+            break
+        level = found
+    return True
+
+
 def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     """Yield ``(w, a_value, b_value)`` for every word up to ``maxlen`` on
     which the two machines differ, in :func:`words_upto` order over ``a``'s
     alphabet, comparing with :func:`outputs_equal` on ``a``.
 
-    Linear and boolean pairs that agree on the empty word are first decided
-    exactly by :func:`_equivalent`, in at most as many kernel steps as the
-    walk below takes on one machine, and on machines that differ in at most
-    as many as a walk to their shortest difference; if that proves them
-    equivalent, nothing is walked.  Otherwise (a difference, possibly
-    beyond ``maxlen``, or the budget spent), and always for min-plus,
-    max-plus and convex machines, both machines are walked along the word
-    tree by :func:`word_values`; the walk stops as soon as the caller stops
-    asking.  A letter of ``a``'s alphabet that ``b`` lacks raises
-    :class:`InputError` at the first request.
+    Pairs that agree on the empty word are first checked without a walk.
+    Linear and boolean pairs are decided exactly by :func:`_equivalent`, in
+    at most as many kernel steps as the walk below takes on one machine,
+    and on machines that differ in at most as many as a walk to their
+    shortest difference.  Min-plus, max-plus and convex pairs, and mixes of
+    these, are checked up to ``maxlen`` by :func:`_pair_search`, the
+    breadth-first search over distinct pair configurations, in at most the
+    walk's kernel steps on each machine.  If either finds no difference up
+    to ``maxlen``, nothing is walked.  Otherwise (a difference, for the
+    exact decision possibly beyond ``maxlen``, or its budget spent), and
+    always for a user-declared semiring and for a convex machine against a
+    forward one, both machines are walked along the word tree by
+    :func:`word_values`, so that every difference is listed; the walk stops
+    as soon as the caller stops asking.  A letter of ``a``'s alphabet that
+    ``b`` lacks raises :class:`InputError` at the first request.
     """
-    # No search takes more steps than this cap: Tzeng's basis holds at most
-    # one vector per state, Hopcroft-Karp merges at most once per reachable
-    # boolean vector.
+    # No exact decision takes more steps than this cap: Tzeng's basis holds
+    # at most one vector per state, Hopcroft-Karp merges at most once per
+    # reachable boolean vector.  The pair search needs no cap: its levels
+    # stop at ``maxlen``, within the walk's steps.
     cap = (2 ** len(a.states) + 2 ** len(b.states)) * len(a.alphabet)
     # A difference on the empty word is the walk's first answer, so the
-    # decision's set-up is skipped.
-    if outputs_equal(a, eval_word(a, ()), eval_word(b, ())) and _equivalent(
-        a, b, _walk_steps(len(a.alphabet), maxlen, cap)
-    ):
-        return
+    # set-up of the decision or the search is skipped.
+    if outputs_equal(a, eval_word(a, ()), eval_word(b, ())):
+        key = _pair_key(a, b)
+        if key is None:
+            agree = _equivalent(a, b, _walk_steps(len(a.alphabet), maxlen, cap))
+        else:
+            agree = _pair_search(a, b, maxlen, key)
+        if agree:
+            return
     for (w, va), (_, vb) in zip(
         word_values(a, maxlen), word_values(b, maxlen, a.alphabet)
     ):

@@ -26,9 +26,10 @@ the columns.  There are two arithmetics:
   boolean one, the semiring's own ``add``/``mul`` otherwise.
 
 Both serve :func:`effectfa.automata.eval_word` and the word-tree walk of
-:func:`effectfa.automata.word_values`; the integer kernel, fed transposed
-letters, also runs the backward basis reduction that decides equivalence
-of linear machines (:func:`effectfa.automata._equivalent`).
+:func:`effectfa.automata.word_values`.  The backward basis reduction that
+decides equivalence of linear machines (:func:`effectfa.automata._equivalent`)
+steps the two machines' blocks separately and reduces with the same
+:func:`_lowest_terms`.
 
 :class:`RowSpace` eliminates on integers too.  Its echelon rows are
 primitive integer vectors, a vector is reduced against a row by integer

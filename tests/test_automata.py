@@ -53,15 +53,17 @@ from effectfa import (
     words_upto,
 )
 from effectfa.automata import (
+    _difference_kernel,
     _equivalent,
     _is_linear,
     _kernel,
+    _pair_key,
+    _pair_search,
     _walk_steps,
     collapse,
     disagreements,
     word_values,
 )
-from effectfa.linalg import _int_kernel
 from effectfa.effects import CONVEX_CHOICE_LIMIT
 from effectfa.errors import CapabilityError, InputError, InterfaceError
 
@@ -1105,15 +1107,15 @@ def test_the_exact_search_takes_at_most_the_walk_steps(monkeypatch):
 
     steps = []
 
-    def counting_int_kernel(rows, matrices):
-        starts, step = _int_kernel(rows, matrices)
-        return starts, lambda v, x: steps.append(x) or step(v, x)
+    def counting_difference_kernel(a, b):
+        init, start, step = _difference_kernel(a, b)
+        return init, start, lambda v, x: steps.append(x) or step(v, x)
 
     def counting_kernel(a, letters, algebra=None):
         start, step, read, backward = _kernel(a, letters, algebra)
         return start, lambda v, x: steps.append(x) or step(v, x), read, backward
 
-    monkeypatch.setattr(automata, "_int_kernel", counting_int_kernel)
+    monkeypatch.setattr(automata, "_difference_kernel", counting_difference_kernel)
     monkeypatch.setattr(automata, "_kernel", counting_kernel)
     for a, b in _decision_pairs(924):
         for budget in (0, 1, 3, 10, 10**9):
@@ -1224,3 +1226,221 @@ def test_the_budget_stops_at_the_search_cap():
     assert _walk_steps(0, 7, 5) == 0
     a, b = (chain_machine(DIST, out) for out in (F(1, 2), F(1, 3)))
     assert next(disagreements(a, b, 10**9))[0] == word(2)
+
+
+# The breadth-first pair search in front of the walk for min-plus, max-plus
+# and convex pairs.  Its oracle is the plain walk over every word.
+
+
+def _walked_differences(a, b, maxlen):
+    """Every word up to ``maxlen`` on which ``a`` and ``b`` differ, by the
+    word walk alone."""
+    from effectfa.automata import outputs_equal
+
+    walks = zip(word_values(a, maxlen), word_values(b, maxlen, a.alphabet))
+    return [(w, va, vb) for (w, va), (_, vb) in walks if not outputs_equal(a, va, vb)]
+
+
+def _search_pairs(seed):
+    rng = random.Random(seed)
+    for name in ("minplus", "maxplus"):
+        for n in (1, 2, 3):
+            a = rand_wfa(rng, name, n, 2)
+
+            def row():
+                return rand_wfa(rng, name, n, 2).init
+
+            yield a, _renamed(a)
+            yield a, purify_initial(a)
+            yield a, _monoid_machine(a)
+            yield a, rand_wfa(rng, name, n, 2)
+            yield a, _perturbed(rng, a, row)
+            yield _monoid_machine(a), purify_initial(_perturbed(rng, a, row))
+        dead = _sparse_wfa(rng, name, 3, False, dead_letter=True)
+        yield dead, _renamed(dead)
+        yield dead, _perturbed(rng, dead, lambda: WeightedVec(dead.monad.semiring, {}))
+    for n in (1, 2):
+        a = rand_npfa(rng, n, 2, 2, pure_init=n != 2)
+
+        def gens():
+            return ConvexSet([rand_dist(rng, a.states) for _ in range(2)])
+
+        yield a, _renamed(a)
+        yield a, purify_initial(a)
+        yield a, _monoid_machine(a)
+        yield a, rand_npfa(rng, n, 2, 2)
+        yield a, _perturbed(rng, a, gens)
+        yield purify_initial(a), _perturbed(rng, a, gens)
+
+
+@pytest.mark.parametrize("seed", [940, 941])
+def test_the_pair_search_lists_what_the_walk_lists(seed):
+    differing = agreeing = 0
+    for a, b in _search_pairs(seed):
+        assert _pair_key(a, b) is not None
+        for maxlen in (0, 1, 2, 4, 6):
+            want = _walked_differences(a, b, maxlen)
+            assert list(disagreements(a, b, maxlen)) == want, (a, b, maxlen)
+            differing += bool(want)
+            agreeing += not want
+    assert differing and agreeing
+
+
+def test_the_pair_search_takes_at_most_the_walk_steps(monkeypatch):
+    from effectfa import automata
+
+    steps = []  # one counter per kernel built, so one per machine
+
+    def counting_kernel(m, letters, algebra=None):
+        start, step, read, backward = _kernel(m, letters, algebra)
+        count = [0]
+        steps.append(count)
+
+        def counted(v, x):
+            count[0] += 1
+            return step(v, x)
+
+        return start, counted, read, backward
+
+    for a, b in _search_pairs(942):
+        for maxlen in (0, 1, 2, 3, 5):
+            steps.clear()
+            monkeypatch.setattr(automata, "_kernel", counting_kernel)
+            got = _pair_search(a, b, maxlen, _pair_key(a, b))
+            monkeypatch.undo()
+            assert len(steps) == 2
+            bound = _walk_steps(len(a.alphabet), maxlen, 10**9)
+            assert all(count <= bound for count, in steps)
+            assert got == (not _walked_differences(a, b, maxlen))
+
+
+@pytest.mark.parametrize("name", ["minplus", "maxplus"])
+def test_a_dead_tropical_vector_is_keyed_apart_from_a_live_one(name):
+    s = weighted(name).semiring
+    bottom = s.zero
+    a = rand_wfa(random.Random(943), name, 2, 2)
+    key = _pair_key(a, a)
+    # a shift of both vectors by one constant is the same configuration
+    assert key([0, 2], [1, bottom]) == key([3, 5], [4, bottom])
+    assert key([0, 2], [1, bottom]) != key([0, 2], [2, bottom])
+    # a dead vector has no offset, and is never a live vector
+    assert key([bottom, bottom], [1, 4]) == key([bottom, bottom], [6, 9])
+    assert key([bottom, bottom], [1, 4]) != key([0, 0], [1, 4])
+    assert key([bottom, bottom], [1, 4]) != key([bottom, 0], [1, 4])
+    assert key([bottom, bottom], [bottom, bottom]) != key([0, 0], [0, 0])
+
+
+# Per tropical semiring, the rows of ``p a``, ``p b``, ``q a``, ``q b`` and
+# the outputs of ``p`` and ``q`` of a machine whose pairs with its monoid
+# machine close after at most five levels, at eleven and ten keys.
+_CLOSING_TROPICAL = {
+    "minplus": (({"p": 1, "q": 2}, {"p": 2, "q": 2}, {"p": 3, "q": 2}, {"q": 2}), (0, 1)),
+    "maxplus": (({"q": 2}, {"q": 0}, {"q": 2}, {"p": 1, "q": 3}), (0, 2)),
+}
+
+
+def _closing_tropical_machine(name):
+    s = weighted(name).semiring
+    rows, (out_p, out_q) = _CLOSING_TROPICAL[name]
+    keys = [(q, x) for q in "pq" for x in "ab"]
+    return EffAutomaton(
+        monad=weighted(name),
+        states=("p", "q"),
+        alphabet=("a", "b"),
+        init=WeightedVec(s, {"p": 0}),
+        trans={k: WeightedVec(s, row) for k, row in zip(keys, rows)},
+        output={"p": out_p, "q": out_q},
+        output_algebra=SEMIRING_SELF,
+    )
+
+
+def _closing_convex_machine():
+    """Two letters of point-mass choices: every DP table holds outputs only."""
+    def choose(*states):
+        return ConvexSet([Dist({q: 1}) for q in states])
+
+    return EffAutomaton(
+        monad=CONVEX,
+        states=("p", "q"),
+        alphabet=("a", "b"),
+        init=unit(CONVEX, "p"),
+        trans={
+            ("p", "a"): choose("p", "q"),
+            ("p", "b"): choose("p"),
+            ("q", "a"): choose("q"),
+            ("q", "b"): choose("p", "q"),
+        },
+        output={"p": convex_output(0), "q": convex_output(1)},
+        output_algebra=INTERVAL_PAIR,
+    )
+
+
+def test_equivalent_searched_pairs_whose_closure_finishes_never_walk(monkeypatch):
+    from effectfa import automata, recognizer_to_automaton
+
+    def forbidden(*args):
+        raise AssertionError("an equivalent pair must not be walked")
+
+    machines = [minplus_walk(), choice_npfa(), _closing_convex_machine()]
+    machines += [_closing_tropical_machine(name) for name in _CLOSING_TROPICAL]
+    pairs = []
+    for a in machines:
+        rec = automaton_to_recognizer(a)
+        pairs += [(a, _renamed(a)), (a, purify_initial(a)), (a, rec._machine)]
+        pairs.append((a, recognizer_to_automaton(rec)))
+    monkeypatch.setattr(automata, "word_values", forbidden)
+    for a, b in pairs:
+        assert list(disagreements(a, b, 40)) == []
+
+
+def test_a_user_declared_semiring_is_still_walked(monkeypatch):
+    from effectfa import automata
+
+    walked = []
+
+    def counting(a, maxlen, alphabet=None):
+        walked.append(a)
+        return word_values(a, maxlen, alphabet)
+
+    rng = random.Random(945)
+    s = BOOL_MATRICES
+    states = ("q0", "q1")
+
+    def vec():
+        return WeightedVec(s, {q: _rand_bmat(rng) for q in states if rng.random() < 0.6})
+
+    a = EffAutomaton(
+        monad=Monad("weighted", s),
+        states=states,
+        alphabet=("a", "b"),
+        init=vec(),
+        trans={(q, x): vec() for q in states for x in ("a", "b")},
+        output={q: _rand_bmat(rng) for q in states},
+        output_algebra=SEMIRING_SELF,
+    )
+    assert _pair_key(a, a) is None
+    assert _pair_key(a, _renamed(a)) is None
+    monkeypatch.setattr(automata, "word_values", counting)
+    assert list(disagreements(a, _renamed(a), 3)) == []
+    assert len(walked) == 2
+    other = _perturbed(rng, a, vec)
+    assert list(disagreements(a, other, 3)) == _walked_differences(a, other, 3)
+
+
+def test_a_convex_table_keys_with_its_denominator():
+    # ``a`` halves its value on every letter: its DP tables are (1, 0) over
+    # 1, 2, 4, ..., with the same numerators on every level.
+    def machine(trans, output):
+        return EffAutomaton(
+            monad=CONVEX,
+            states=("p", "z"),
+            alphabet=("a",),
+            init=unit(CONVEX, "p"),
+            trans={(q, "a"): ConvexSet([Dist(row)]) for q, row in trans.items()},
+            output={q: convex_output(v) for q, v in output.items()},
+            output_algebra=INTERVAL_PAIR,
+        )
+
+    halving = machine({"p": {"p": F(1, 2), "z": F(1, 2)}, "z": {"z": 1}}, {"p": 1, "z": 0})
+    constant = machine({"p": {"p": 1}, "z": {"z": 1}}, {"p": 1, "z": 0})
+    assert [w for w, _, _ in disagreements(halving, constant, 2)] == [word(1), word(2)]
