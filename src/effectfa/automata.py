@@ -39,12 +39,14 @@ Every word up to a length is evaluated as a tree by :func:`word_values`,
 which computes each word from its parent (the word one letter shorter:
 prefixes for forward kernels, suffixes for the backward one) by one step of
 the same kernel as :func:`eval_word`.  :func:`disagreements` is what
-recognizer verification and bounded equivalence run: it decides two linear
-or two boolean machines exactly (:func:`_equivalent`), checks min-plus,
-max-plus and convex pairs by a breadth-first search over their distinct
-pair configurations (:func:`_pair_search`), and walks two machines that
-way only if neither shows that they agree up to the length asked, or if
-they have no canonical configurations (a user-declared semiring).
+recognizer verification and bounded equivalence run.  :func:`_equivalent`
+picks its check from the two effect types: it decides two linear or two
+boolean machines exactly, and checks min-plus, max-plus and convex pairs
+by a breadth-first search over their distinct pair configurations
+(:func:`_pair_search`).  Two machines are walked that way only if the check
+does not show that they agree up to the length asked, or if they have no
+canonical configurations (a user-declared semiring, or a convex machine
+against a forward one).
 
 Deterministic automata are the ``dist`` case with Dirac channels and 0/1
 outputs; no separate type exists for them (:func:`is_pure_automaton`).
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from itertools import product as _iterproduct
 from math import lcm
@@ -295,20 +298,16 @@ def _letter_matrix(a: EffAutomaton, letter) -> tuple:
     return tuple(tuple(table[q].weight(p) for p in a.states) for q in a.states)
 
 
-def _int_rows(groups, index, d) -> list:
-    """Per group of ``groups``, each of its rows (the ``(state, weight)``
-    pairs of a rational weight map) as a list of integer weights, one per
-    state of ``index`` (state to position), scaled by ``d``, a multiple of
-    every weight's denominator."""
+def _int_rows(rows, index, d) -> list:
+    """Each of ``rows`` (the ``(state, weight)`` pairs of a rational weight
+    map) as a list of integer weights, one per state of ``index`` (state to
+    position), scaled by ``d``, a multiple of every weight's denominator."""
     out = []
-    for group in groups:
-        rows = []
-        for row in group:
-            nums = [0] * len(index)
-            for q, w in row:
-                nums[index[q]] = w.numerator * (d // w.denominator)
-            rows.append(nums)
-        out.append(rows)
+    for row in rows:
+        nums = [0] * len(index)
+        for q, w in row:
+            nums[index[q]] = w.numerator * (d // w.denominator)
+        out.append(nums)
     return out
 
 
@@ -318,7 +317,8 @@ def _int_generators(values, states) -> tuple:
     by ``d``, the LCM of the weights' denominators."""
     groups = [[g.items() for g in v.generators] for v in values]
     d = lcm(*(w.denominator for group in groups for g in group for _, w in g))
-    return d, _int_rows(groups, {q: i for i, q in enumerate(states)}, d)
+    index = {q: i for i, q in enumerate(states)}
+    return d, [_int_rows(group, index, d) for group in groups]
 
 
 def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> tuple:
@@ -430,7 +430,9 @@ def eval_word(a: EffAutomaton, w):
     return _fold(a, w)
 
 
-def word_values(a: EffAutomaton, maxlen: int, alphabet: tuple | None = None):
+def word_values(
+    a: EffAutomaton, maxlen: int, alphabet: tuple | None = None, kernel=None
+):
     """Yield ``(w, value)`` for every word up to ``maxlen``, in
     :func:`words_upto` order over ``alphabet`` (the machine's by default).
 
@@ -440,10 +442,12 @@ def word_values(a: EffAutomaton, maxlen: int, alphabet: tuple | None = None):
     value is one step from its parent's.  The parent is the word without
     its last letter for forward kernels (``dist`` and ``weighted``: shared
     prefixes) and without its first letter for the backward one (the convex
-    DP: shared suffixes).  Each letter is looked up once per call.
+    DP: shared suffixes).  Each letter is looked up once per call, unless
+    ``kernel`` is ``a``'s :func:`_kernel` over ``alphabet`` already built
+    (as :func:`disagreements` passes the one its search stepped).
     """
     alphabet = a.alphabet if alphabet is None else tuple(alphabet)
-    start, step, read, backward = _kernel(a, alphabet)
+    start, step, read, backward = _kernel(a, alphabet) if kernel is None else kernel
     level = {(): start}
     yield (), read(start)
     for n in range(1, maxlen + 1):
@@ -493,7 +497,7 @@ def _difference_kernel(a: EffAutomaton, b: EffAutomaton) -> tuple:
     for x in a.alphabet:
         groups = [[m.letter_channel(x).table[q].items() for q in m.states] for m in (a, b)]
         d = lcm(*(w.denominator for group in groups for row in group for _, w in row))
-        rows_a, rows_b = (_int_rows((g,), i, d)[0] for g, i in zip(groups, indexes))
+        rows_a, rows_b = (_int_rows(g, i, d) for g, i in zip(groups, indexes))
         blocks[x] = d, rows_a, rows_b
     init, _ = _int_vector(
         [a.init.weight(q) for q in a.states] + [b.init.weight(q) for q in b.states]
@@ -553,9 +557,10 @@ def _linear_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
     return True
 
 
-def _boolean_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
+def _boolean_equivalent(a: EffAutomaton, kernels: tuple, budget: int):
     """Hopcroft and Karp's test (1971) on two boolean machines: union-find
-    over the pairs of reachable boolean vectors, stepped by :func:`_kernel`.
+    over the pairs of reachable boolean vectors, stepped on ``kernels``, the
+    two machines' :func:`_kernel` over the alphabet of ``a``, the first.
 
     Two vectors are merged once the same word reaches them, after their
     outputs are compared; each merged pair is then stepped by every letter,
@@ -565,8 +570,7 @@ def _boolean_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
     letter is one kernel step on each machine; None once ``budget`` steps
     are spent.
     """
-    start_a, step_a, read_a, _ = _kernel(a, a.alphabet)
-    start_b, step_b, read_b, _ = _kernel(b, a.alphabet)
+    (start_a, step_a, read_a, _), (start_b, step_b, read_b, _) = kernels
     parent = {}  # non-root vectors only, keyed by (machine, vector)
     todo = []
 
@@ -597,24 +601,48 @@ def _boolean_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
     return True
 
 
-def _equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
-    """Whether ``a`` and ``b`` agree on every word over ``a``'s alphabet,
-    decided exactly in at most ``budget`` kernel steps.
+def _kernels(a: EffAutomaton, b: EffAutomaton):
+    """A function that returns the :func:`_kernel` of ``a`` and of ``b`` over
+    ``a``'s alphabet, built on its first call.  The decision or search of
+    :func:`_equivalent` and the walk of :func:`disagreements` after it step
+    the same two kernels, so each machine's set-up is paid once."""
+    return cache(lambda: (_kernel(a, a.alphabet), _kernel(b, a.alphabet)))
 
-    True or False for two linear machines (``dist`` or rational, mixed
-    allowed; :func:`_linear_equivalent`) and for two boolean machines
-    (:func:`_boolean_equivalent`); None if the budget runs out first, and
-    for every other pair: min-plus and max-plus equivalence is undecidable
-    (Krob, 1994) and convex equivalence is open.  :func:`disagreements`
-    hands those pairs to the bounded search :func:`_pair_search` instead,
-    and walks only the ones that have no :func:`_pair_key`.  A letter of
-    ``a``'s alphabet that ``b`` lacks raises :class:`InputError`.
+
+def _equivalent(
+    a: EffAutomaton,
+    b: EffAutomaton,
+    budget: int,
+    maxlen: int | None = None,
+    kernels=None,
+):
+    """Whether ``a`` and ``b`` agree on every word over ``a``'s alphabet, or
+    with ``maxlen`` on every word up to that length: the one place that
+    picks the method from the two machines' monads.
+
+    Two linear machines (``dist`` or rational, mixed allowed;
+    :func:`_linear_equivalent`) and two boolean machines
+    (:func:`_boolean_equivalent`) are decided exactly, on every word, in at
+    most ``budget`` kernel steps: True or False, or None if the budget runs
+    out first.  Min-plus and max-plus equivalence is undecidable (Krob,
+    1994) and convex equivalence is open, so every other pair gets None
+    without ``maxlen``.  With it, a pair that has a :func:`_pair_key`
+    (min-plus, max-plus and convex machines, and mixes of these with the
+    other builtin effect types) is checked up to ``maxlen`` by
+    :func:`_pair_search`, which needs no budget: it takes at most the
+    walk's steps.  A user-declared semiring, and a convex machine against a
+    forward one, still get None.  ``kernels`` is the caller's
+    :func:`_kernels`, to share with its walk.  A letter of ``a``'s alphabet
+    that ``b`` lacks raises :class:`InputError` once the decision or the
+    search builds ``b``'s kernel.
     """
     if _is_linear(a.monad) and _is_linear(b.monad):
         return _linear_equivalent(a, b, budget)
+    kernels = _kernels(a, b) if kernels is None else kernels
     if _is_boolean(a.monad) and _is_boolean(b.monad):
-        return _boolean_equivalent(a, b, budget)
-    return None
+        return _boolean_equivalent(a, kernels(), budget)
+    key = None if maxlen is None else _pair_key(a, b)
+    return None if key is None else _pair_search(a, kernels(), maxlen, key)
 
 
 def _int_key(v) -> tuple:
@@ -644,15 +672,11 @@ def _pair_key(a: EffAutomaton, b: EffAutomaton):
     ``opt va - opt vb``; an all-infinite vector has no offset.  A shift of
     both vectors by one constant shifts every later finite value by it.
 
-    None for the pairs :func:`_equivalent` decides by kind (two linear or
-    two boolean machines), for a user-declared semiring, whose weights may
-    have no canonical form, and for a convex machine against a forward one,
-    whose kernels extend a word at opposite ends.
+    None for a user-declared semiring, whose weights may have no canonical
+    form, and for a convex machine against a forward one, whose kernels
+    extend a word at opposite ends.  :func:`_equivalent` asks only for the
+    pairs it does not decide exactly.
     """
-    if (_is_linear(a.monad) and _is_linear(b.monad)) or (
-        _is_boolean(a.monad) and _is_boolean(b.monad)
-    ):
-        return None
     for m in (a, b):
         if m.monad.kind == "weighted" and m.monad.semiring.name not in _KEYED_SEMIRINGS:
             return None
@@ -682,24 +706,24 @@ def _pair_key(a: EffAutomaton, b: EffAutomaton):
     return key
 
 
-def _pair_search(a: EffAutomaton, b: EffAutomaton, maxlen: int, key) -> bool:
-    """Whether ``a`` and ``b`` agree on every word up to ``maxlen`` over
-    ``a``'s alphabet, by a breadth-first search over their distinct pair
-    configurations.
+def _pair_search(a: EffAutomaton, kernels: tuple, maxlen: int, key) -> bool:
+    """Whether two machines agree on every word up to ``maxlen`` over the
+    alphabet of ``a``, the first, by a breadth-first search over their
+    distinct pair configurations.
 
-    Both machines are stepped together on :func:`_kernel`, one level per
-    word length up to ``maxlen``; a new pair whose ``key`` (:func:`_pair_key`)
-    was already seen is neither compared nor stepped again.  Equal keys
-    agree or differ alike on every extension, and a key is first met at
-    its least depth, so if no pair explored differs, no word up to
-    ``maxlen`` does.  Each level holds at most one pair per word of its
-    length, so the search takes at most the kernel steps of a walk to
-    ``maxlen`` on each machine (:func:`_walk_steps`), and it stops as soon
-    as a level adds no new pair: the closure is then finished and the
-    machines agree on every word.  False at the first pair that differs.
+    Both machines are stepped together on ``kernels``, their
+    :func:`_kernel` over that alphabet, one level per word length up to
+    ``maxlen``; a new pair whose ``key`` (:func:`_pair_key`) was already
+    seen is neither compared nor stepped again.  Equal keys agree or differ
+    alike on every extension, and a key is first met at its least depth,
+    so if no pair explored differs, no word up to ``maxlen`` does.  Each
+    level holds at most one pair per word of its length, so the search
+    takes at most the kernel steps of a walk to ``maxlen`` on each machine
+    (:func:`_walk_steps`), and it stops as soon as a level adds no new
+    pair: the closure is then finished and the machines agree on every
+    word.  False at the first pair that differs.
     """
-    start_a, step_a, read_a, _ = _kernel(a, a.alphabet)
-    start_b, step_b, read_b, _ = _kernel(b, a.alphabet)
+    (start_a, step_a, read_a, _), (start_b, step_b, read_b, _) = kernels
     if not outputs_equal(a, read_a(start_a), read_b(start_b)):
         return False
     seen = {key(start_a, start_b)}
@@ -727,9 +751,9 @@ def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     which the two machines differ, in :func:`words_upto` order over ``a``'s
     alphabet, comparing with :func:`outputs_equal` on ``a``.
 
-    Pairs that agree on the empty word are first checked without a walk.
-    Linear and boolean pairs are decided exactly by :func:`_equivalent`, in
-    at most as many kernel steps as the walk below takes on one machine,
+    Pairs that agree on the empty word are first checked without a walk,
+    by :func:`_equivalent`.  Linear and boolean pairs are decided exactly,
+    in at most as many kernel steps as the walk below takes on one machine,
     and on machines that differ in at most as many as a walk to their
     shortest difference.  Min-plus, max-plus and convex pairs, and mixes of
     these, are checked up to ``maxlen`` by :func:`_pair_search`, the
@@ -739,27 +763,27 @@ def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     exact decision possibly beyond ``maxlen``, or its budget spent), and
     always for a user-declared semiring and for a convex machine against a
     forward one, both machines are walked along the word tree by
-    :func:`word_values`, so that every difference is listed; the walk stops
-    as soon as the caller stops asking.  A letter of ``a``'s alphabet that
-    ``b`` lacks raises :class:`InputError` at the first request.
+    :func:`word_values`, on the kernels the decision or the search built,
+    so that every difference is listed; the walk stops as soon as the
+    caller stops asking.  A letter of ``a``'s alphabet that ``b`` lacks
+    raises :class:`InputError` at the first request.
     """
     # No exact decision takes more steps than this cap: Tzeng's basis holds
     # at most one vector per state, Hopcroft-Karp merges at most once per
     # reachable boolean vector.  The pair search needs no cap: its levels
     # stop at ``maxlen``, within the walk's steps.
     cap = (2 ** len(a.states) + 2 ** len(b.states)) * len(a.alphabet)
+    kernels = _kernels(a, b)
     # A difference on the empty word is the walk's first answer, so the
-    # set-up of the decision or the search is skipped.
-    if outputs_equal(a, eval_word(a, ()), eval_word(b, ())):
-        key = _pair_key(a, b)
-        if key is None:
-            agree = _equivalent(a, b, _walk_steps(len(a.alphabet), maxlen, cap))
-        else:
-            agree = _pair_search(a, b, maxlen, key)
-        if agree:
-            return
+    # decision or the search is skipped.
+    if outputs_equal(a, eval_word(a, ()), eval_word(b, ())) and _equivalent(
+        a, b, _walk_steps(len(a.alphabet), maxlen, cap), maxlen, kernels
+    ):
+        return
+    kernel_a, kernel_b = kernels()
     for (w, va), (_, vb) in zip(
-        word_values(a, maxlen), word_values(b, maxlen, a.alphabet)
+        word_values(a, maxlen, a.alphabet, kernel_a),
+        word_values(b, maxlen, a.alphabet, kernel_b),
     ):
         if not outputs_equal(a, va, vb):
             yield w, va, vb

@@ -58,7 +58,6 @@ from effectfa.automata import (
     _is_linear,
     _kernel,
     _pair_key,
-    _pair_search,
     _walk_steps,
     collapse,
     disagreements,
@@ -1079,9 +1078,9 @@ def test_a_spent_budget_gives_the_walk_answer(monkeypatch):
 
     walked = []
 
-    def counting(a, maxlen, alphabet=None):
+    def counting(a, maxlen, alphabet=None, kernel=None):
         walked.append(a)
-        return word_values(a, maxlen, alphabet)
+        return word_values(a, maxlen, alphabet, kernel)
 
     monkeypatch.setattr(automata, "word_values", counting)
     rng = random.Random(923)
@@ -1306,12 +1305,36 @@ def test_the_pair_search_takes_at_most_the_walk_steps(monkeypatch):
         for maxlen in (0, 1, 2, 3, 5):
             steps.clear()
             monkeypatch.setattr(automata, "_kernel", counting_kernel)
-            got = _pair_search(a, b, maxlen, _pair_key(a, b))
+            got = _equivalent(a, b, 10**9, maxlen)
             monkeypatch.undo()
             assert len(steps) == 2
             bound = _walk_steps(len(a.alphabet), maxlen, 10**9)
             assert all(count <= bound for count, in steps)
             assert got == (not _walked_differences(a, b, maxlen))
+
+
+def test_the_walk_after_a_search_or_decision_reuses_its_kernels(monkeypatch):
+    from effectfa import automata
+
+    built = []
+
+    def counting_kernel(m, letters, algebra=None):
+        if letters:  # the empty word's value needs no letter
+            built.append(m)
+        return _kernel(m, letters, algebra)
+
+    rng = random.Random(946)
+    a = rand_npfa(rng, 2, 2, 2)
+    pairs = [(a, _perturbed(rng, a, lambda: ConvexSet([rand_dist(rng, a.states)])))]
+    pairs.append((_rotor(True), _rotor(False)))
+    for a, b in pairs:
+        want = _walked_differences(a, b, 4)
+        assert want
+        built.clear()
+        monkeypatch.setattr(automata, "_kernel", counting_kernel)
+        assert list(disagreements(a, b, 4)) == want
+        monkeypatch.undo()
+        assert built == [a, b]
 
 
 @pytest.mark.parametrize("name", ["minplus", "maxplus"])
@@ -1398,9 +1421,9 @@ def test_a_user_declared_semiring_is_still_walked(monkeypatch):
 
     walked = []
 
-    def counting(a, maxlen, alphabet=None):
+    def counting(a, maxlen, alphabet=None, kernel=None):
         walked.append(a)
-        return word_values(a, maxlen, alphabet)
+        return word_values(a, maxlen, alphabet, kernel)
 
     rng = random.Random(945)
     s = BOOL_MATRICES
