@@ -10,10 +10,15 @@ built and validated once, when the automaton is constructed, and
 one kernel (:func:`_kernel`): a start value, one step per letter, a read.
 ``dist`` and ``weighted`` kernels run forward on the column kernels of
 :mod:`effectfa.linalg` (integer numerators for ``dist`` and rational weights,
-plain lists of weights for the other semirings), whose read, through the
-output column, is the same collapse; the convex kernel runs backward, on
-integer numerators too (see below).  None of them calls
-:func:`~effectfa.effects.bind`.  Per effect type the value is:
+plain lists of weights for the boolean and user-declared semirings), whose
+read, through the output column, is the same collapse; the convex kernel
+runs backward, on integer numerators too (see below).  Min-plus and
+max-plus kernels keep a vector as ``(config, offset)``: the vector shifted
+so that its optimum is 0, and that optimum.  Their step is remembered per
+configuration and letter, so a word whose configurations repeat is mostly
+dictionary lookups; the memory grows with the distinct configurations met.
+None of them calls :func:`~effectfa.effects.bind`.  Per effect type the
+value is:
 
 * ``dist``     -- acceptance probability in [0, 1] (probabilistic automata);
 * ``weighted`` -- a value of the semiring (weighted automata / power series);
@@ -291,6 +296,15 @@ def _is_boolean(monad: Monad) -> bool:
     return monad.kind == "weighted" and monad.semiring.name == "boolean"
 
 
+# The optimum that offsets a tropical vector.
+_TROPICAL_OPT = {"minplus": min, "maxplus": max}
+
+
+def _is_tropical(monad: Monad) -> bool:
+    """Whether values of this effect type are min-plus or max-plus vectors."""
+    return monad.kind == "weighted" and monad.semiring.name in _TROPICAL_OPT
+
+
 def _letter_matrix(a: EffAutomaton, letter) -> tuple:
     """The matrix of a letter on a ``dist`` or ``weighted`` machine: row
     ``q``, column ``p`` holds the weight of ``q -letter-> p``."""
@@ -333,9 +347,26 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
     it through the output map.  ``dist`` and rational ``weighted`` machines
     run on integers: a vector is ``(numerators, den)`` in lowest terms
     (:func:`~effectfa.linalg._int_kernel`) and only ``read`` builds a
-    `Fraction`.  Other semirings run on plain lists of weights
+    `Fraction`.  The other semirings step on the semiring column kernel
     (:func:`~effectfa.linalg._semiring_step`), and ``read`` is one more
-    step, through the output column.
+    step, through the output column.  Boolean and user-declared semirings
+    keep a vector as a plain list of weights.
+
+    Min-plus and max-plus machines keep it as ``(config, offset)``, as in
+    Mohri's determinisation (*Computational Linguistics* 23(2), 1997).
+    ``offset`` is ``opt`` of the vector's finite entries (``min`` for
+    min-plus, ``max`` for max-plus), None if every entry is the semiring's
+    infinity, and ``config`` is the vector minus ``offset``, as a tuple
+    with the infinity kept as it is.  Adding one constant to every entry
+    commutes with ``min``, ``max`` and the letter matrices, and tropical
+    weights are integers, so ``step`` steps ``config`` alone and adds the
+    next offset to ``offset``; ``read`` is the output step on ``config``
+    plus ``offset``.  ``step`` remembers ``config -> (next config, offset
+    added)`` in one dict per letter, local to this call, so a
+    configuration met again costs one lookup and one addition.  The dicts
+    have no cap: they hold one entry per distinct configuration and letter
+    stepped, which on a word whose configurations never repeat (the
+    counter ``min(#a, #b)`` on ``a^k``) is one per letter.
 
     The convex kernel is the backward generator DP, in the mode of
     ``algebra`` (the machine's own by default), on integers too.  A table is
@@ -396,14 +427,44 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
     semiring_step = _semiring_step(s)
     mats = {x: _semiring_matrix(s, m) for x, m in matrices.items()}
     output = _semiring_matrix(s, tuple((f,) for f in final))
+    opt = _TROPICAL_OPT.get(s.name)
+    if opt is None:
 
-    def step(v, x):
-        return semiring_step(v, mats[x])
+        def step(v, x):
+            return semiring_step(v, mats[x])
 
-    def read(v):
-        return semiring_step(v, output)[0]
+        def read(v):
+            return semiring_step(v, output)[0]
 
-    return list(init), step, read, False
+        return list(init), step, read, False
+    bottom = s.zero
+    # Per letter, config -> (next config, offset added).
+    memos = {x: {} for x in mats}
+
+    def normal(v):
+        finite = [y for y in v if y is not bottom]
+        if not finite:
+            return tuple(v), None
+        low = opt(finite)
+        if not low:
+            return tuple(v), 0
+        return tuple(y if y is bottom else y - low for y in v), low
+
+    def step(value, x):
+        config, offset = value
+        memo = memos[x]
+        hit = memo.get(config)
+        if hit is None:
+            hit = memo[config] = normal(semiring_step(config, mats[x]))
+        config, delta = hit
+        return config, None if delta is None else offset + delta
+
+    def read(value):
+        config, offset = value
+        y = semiring_step(config, output)[0]
+        return y if y is bottom else y + offset
+
+    return normal(init), step, read, False
 
 
 def _fold(a: EffAutomaton, w, algebra: OutputAlgebra | None = None):
@@ -420,8 +481,11 @@ def eval_word(a: EffAutomaton, w):
     One fold over :func:`_kernel`, shared with :func:`eval_npfa`.  ``dist``
     and ``weighted`` values are the initial row times the letter matrices
     times the output column, which is :func:`collapse` of the pushed-forward
-    value: exact integers over one denominator on linear machines, plain
-    lists of weights in :func:`bind`'s multiplication order otherwise.
+    value: exact integers over one denominator on linear machines,
+    ``(config, offset)`` on min-plus and max-plus machines, with a memoised
+    step whose memory grows with the distinct configurations the word
+    meets (see :func:`_kernel`), and plain lists of weights in
+    :func:`bind`'s multiplication order otherwise.
     Convex values come from the kernel's backward case, the generator DP, in
     the mode the output algebra names; it gives the interval of forward hull
     propagation (see the module docstring) in time linear in the word.  The
@@ -444,7 +508,10 @@ def word_values(
     prefixes) and without its first letter for the backward one (the convex
     DP: shared suffixes).  Each letter is looked up once per call, unless
     ``kernel`` is ``a``'s :func:`_kernel` over ``alphabet`` already built
-    (as :func:`disagreements` passes the one its search stepped).
+    (as :func:`disagreements` passes the one its search stepped).  A
+    min-plus or max-plus kernel's memoised step serves the whole tree, so
+    words whose configurations were stepped before cost a lookup each; its
+    memo grows with the distinct configurations in the tree.
     """
     alphabet = a.alphabet if alphabet is None else tuple(alphabet)
     start, step, read, backward = _kernel(a, alphabet) if kernel is None else kernel
@@ -650,10 +717,8 @@ def _int_key(v) -> tuple:
     return tuple(v[0]), v[1]
 
 
-# The builtin semirings whose weights are canonical as they stand, and the
-# optimum that offsets a tropical vector.
+# The builtin semirings whose kernel values are canonical as they stand.
 _KEYED_SEMIRINGS = ("rational", "boolean", "minplus", "maxplus")
-_TROPICAL_OPT = {"minplus": min, "maxplus": max}
 
 
 def _pair_key(a: EffAutomaton, b: EffAutomaton):
@@ -662,15 +727,15 @@ def _pair_key(a: EffAutomaton, b: EffAutomaton):
     the pairs agree or differ alike on every extension of the word (a suffix
     for forward kernels, a prefix for the backward convex one).
 
-    A value keys as itself where the kernel keeps it canonical: integer
+    A value keys as itself, because the kernel keeps it canonical: integer
     ``(numerators, den)`` in lowest terms on linear and convex machines,
-    the weights on the builtin semirings.  Two machines over the same
-    tropical semiring key a pair up to a common shift, as in Mohri's
-    determinisation (*Computational Linguistics* 23(2), 1997): each vector
-    as ``v - opt v`` over its finite entries (``min`` for min-plus, ``max``
-    for max-plus), the infinity kept as it is, plus the offset
-    ``opt va - opt vb``; an all-infinite vector has no offset.  A shift of
-    both vectors by one constant shifts every later finite value by it.
+    ``(config, offset)`` on min-plus and max-plus machines (the vector less
+    its optimum, and that optimum), the weights on the boolean one.  Two
+    machines over the same tropical semiring key a pair up to a common
+    shift, as in Mohri's determinisation (*Computational Linguistics*
+    23(2), 1997): ``(config_a, config_b, offset_a - offset_b)``, with no
+    offset difference if either vector is all-infinite.  A shift of both
+    vectors by one constant shifts every later finite value by it.
 
     None for a user-declared semiring, whose weights may have no canonical
     form, and for a convex machine against a forward one, whose kernels
@@ -682,28 +747,18 @@ def _pair_key(a: EffAutomaton, b: EffAutomaton):
             return None
     if (a.monad.kind == "convex") != (b.monad.kind == "convex"):
         return None
-    tropical = a.monad == b.monad and a.monad.kind == "weighted"
-    opt = _TROPICAL_OPT.get(a.monad.semiring.name) if tropical else None
-    if opt is None:
-        key_a, key_b = (
-            tuple if m.monad.kind == "weighted" and not _is_linear(m.monad) else _int_key
-            for m in (a, b)
-        )
-        return lambda va, vb: (key_a(va), key_b(vb))
-    bottom = a.monad.semiring.zero
+    if a.monad == b.monad and _is_tropical(a.monad):
 
-    def shape(v):
-        finite = [y for y in v if y is not bottom]
-        if not finite:
-            return tuple(v), None
-        low = opt(finite)
-        return tuple(y if y is bottom else y - low for y in v), low
+        def key(va, vb):
+            (ca, oa), (cb, ob) = va, vb
+            return ca, cb, None if oa is None or ob is None else oa - ob
 
-    def key(va, vb):
-        (sa, oa), (sb, ob) = shape(va), shape(vb)
-        return sa, sb, None if oa is None or ob is None else oa - ob
-
-    return key
+        return key
+    key_a, key_b = (
+        tuple if m.monad.kind == "weighted" and not _is_linear(m.monad) else _int_key
+        for m in (a, b)
+    )
+    return lambda va, vb: (key_a(va), key_b(vb))
 
 
 def _pair_search(a: EffAutomaton, kernels: tuple, maxlen: int, key) -> bool:
@@ -722,6 +777,12 @@ def _pair_search(a: EffAutomaton, kernels: tuple, maxlen: int, key) -> bool:
     (:func:`_walk_steps`), and it stops as soon as a level adds no new
     pair: the closure is then finished and the machines agree on every
     word.  False at the first pair that differs.
+
+    Min-plus and max-plus values are ``(config, offset)`` already, so the
+    key reads them as they stand, and the kernels' memoised steps are the
+    ones :func:`disagreements` walks with afterwards (:func:`_kernels`), so
+    the walk of a pair that differs reuses every step the search took.
+    Each memo grows with the distinct configurations its machine meets.
     """
     (start_a, step_a, read_a, _), (start_b, step_b, read_b, _) = kernels
     if not outputs_equal(a, read_a(start_a), read_b(start_b)):

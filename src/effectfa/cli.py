@@ -675,6 +675,18 @@ def _cmd_game(args):
     return 0, "\n".join(lines)
 
 
+def _natural(text: str) -> int:
+    """The argument type of ``--max-len`` and ``--decimal``: an integer of
+    at least 0; anything else is a usage error (exit status 2)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effectfa",
@@ -687,7 +699,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate words on an automaton")
     p.add_argument("file")
     p.add_argument("words", nargs="+", metavar="WORD")
-    p.add_argument("--decimal", type=int, default=None, metavar="K")
+    p.add_argument("--decimal", type=_natural, default=None, metavar="K")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("to-monoid", help="print the finite-monoid recognizer")
@@ -709,13 +721,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare an automaton with a recognizer")
     p.add_argument("file")
     p.add_argument("recognizer")
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=_natural, default=6)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("equiv", help="compare two automata word by word")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=_natural, default=6)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("minimize", help="print the minimal linear representation")

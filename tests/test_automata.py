@@ -871,6 +871,179 @@ def test_semiring_kernel_vectors_that_die_part_way():
     assert eval_word(a, ("b", "a", "b", "a")) is INF
 
 
+# Min-plus and max-plus kernels step offset-normalised configurations and
+# remember each step.  Their oracles add weights along state paths and never
+# normalise.
+
+
+def tropical_path_value(a, w):
+    """The optimum over state paths of init weight, transition weights and
+    output weight along ``w`` (``min`` for min-plus, ``max`` for max-plus),
+    kept per state in a dict: a forward programme over paths, written apart
+    from the kernel."""
+    s = a.monad.semiring
+    opt = min if s.name == "minplus" else max
+    best = dict(a.init.items())
+    for x in w:
+        reach = {}
+        for q, v in best.items():
+            for p, c in a.trans[(q, x)].items():
+                reach[p] = v + c if p not in reach else opt(reach[p], v + c)
+        best = reach
+    ends = [v + a.output[q] for q, v in best.items() if a.output[q] is not s.zero]
+    return opt(ends) if ends else s.zero
+
+
+def _tropical_machines(seed):
+    rng = random.Random(seed)
+    for name in ("minplus", "maxplus"):
+        for n in (1, 2, 5, 12):
+            yield _sparse_wfa(rng, name, n, True)
+            yield _sparse_wfa(rng, name, n, False, empty_rows=0.5)
+            yield _sparse_wfa(rng, name, n, False, dead_letter=True)
+            yield rand_wfa(rng, name, n, 2)
+
+
+@pytest.mark.parametrize("seed", [950, 951])
+def test_tropical_eval_matches_the_path_optimum(seed):
+    rng = random.Random(seed + 1000)
+    dead = live = partial = 0
+    for a in _tropical_machines(seed):
+        words = [(), ("a",), ("b", "a")]
+        words += [tuple(rng.choice("ab") for _ in range(k)) for k in (9, 300)]
+        words += [tuple(rng.choice("aaaaaaab") for _ in range(1000)), ("a",) * 1000]
+        for w in words:
+            want = tropical_path_value(a, w)
+            got = eval_word(a, w)
+            assert got == want and type(got) is type(want), (a.monad, w)
+            if len(w) <= 9:
+                pushed = bind(a.init, iterated_transition(a, w))
+                assert got == collapse(a.monad, a.output_algebra, pushed, a.output)
+            start, step, _, _ = _kernel(a, a.alphabet)
+            v = start
+            for x in w:
+                v = step(v, x)
+            config, offset = v
+            finite = [y for y in config if y is not a.monad.semiring.zero]
+            assert (offset is None) == (not finite)
+            dead += not finite
+            live += bool(finite)
+            partial += 0 < len(finite) < len(config)
+    assert dead and live and partial
+
+
+def _counter(name="minplus"):
+    """Two states that count the ``a``s and the ``b``s read: ``min(#a, #b)``
+    on min-plus, ``max(#a, #b)`` on max-plus."""
+    monad = weighted(name)
+    s = monad.semiring
+    return EffAutomaton(
+        monad=monad,
+        states=("p", "q"),
+        alphabet=("a", "b"),
+        init=WeightedVec(s, {"p": 0, "q": 0}),
+        trans={
+            ("p", "a"): WeightedVec(s, {"p": 1}),
+            ("p", "b"): WeightedVec(s, {"p": 0}),
+            ("q", "a"): WeightedVec(s, {"q": 0}),
+            ("q", "b"): WeightedVec(s, {"q": 1}),
+        },
+        output={"p": 0, "q": 0},
+        output_algebra=SEMIRING_SELF,
+    )
+
+
+def test_the_counter_gives_the_least_letter_count():
+    a = _counter()
+    for k in (0, 1, 2, 7, 1000, 5000):
+        assert eval_word(a, word(k)) == 0
+        assert eval_word(a, ("a", "b") * k) == k
+        assert eval_word(a, word(k, "b") + word(k + 3)) == k
+    rng = random.Random(952)
+    for _ in range(20):
+        w = tuple(rng.choice("aab") for _ in range(rng.randint(0, 400)))
+        assert eval_word(a, w) == min(w.count("a"), w.count("b"))
+        assert eval_word(_counter("maxplus"), w) == max(w.count("a"), w.count("b"))
+
+
+def _configurations(a, limit=200):
+    """Every offset-normalised vector reachable in ``a``, by a search over
+    the path programme's dicts: a vector minus the optimum of its entries.
+    None if there are more than ``limit``."""
+    s = a.monad.semiring
+    opt = min if s.name == "minplus" else max
+
+    def normal(best):
+        low = opt(best.values()) if best else 0
+        return frozenset((q, v - low) for q, v in best.items())
+
+    def forward(best, x):
+        reach = {}
+        for q, v in best:
+            for p, c in a.trans[(q, x)].items():
+                reach[p] = v + c if p not in reach else opt(reach[p], v + c)
+        return reach
+
+    seen = {normal(dict(a.init.items()))}
+    todo = list(seen)
+    while todo:
+        config = todo.pop()
+        for x in a.alphabet:
+            nxt = normal(forward(config, x))
+            if nxt not in seen:
+                if len(seen) == limit:
+                    return None
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
+
+
+def test_a_long_word_steps_each_configuration_once_per_letter(monkeypatch):
+    from effectfa import automata
+    from effectfa.linalg import _semiring_step
+
+    steps = [0]
+
+    def counting(s):
+        step = _semiring_step(s)
+
+        def counted(v, cols):
+            steps[0] += 1
+            return step(v, cols)
+
+        return counted
+
+    monkeypatch.setattr(automata, "_semiring_step", counting)
+    rng = random.Random(953)
+    machines = [minplus_walk()]
+    machines += [_closing_tropical_machine(name) for name in _CLOSING_TROPICAL]
+    machines += list(_tropical_machines(954))
+    closing = 0
+    for a in machines:
+        configs = _configurations(a)
+        if configs is None:
+            continue
+        closing += 1
+        w = tuple(rng.choice(a.alphabet) for _ in range(3000))
+        steps[0] = 0
+        assert eval_word(a, w) == tropical_path_value(a, w)
+        # the fold's misses, plus the one output step of ``read``
+        assert steps[0] <= len(configs) * len(a.alphabet) + 1, (a, len(configs))
+    assert closing >= 20
+    # the counter's configurations do not close, but on (a.b)^k it meets two
+    steps[0] = 0
+    assert eval_word(_counter(), ("a", "b") * 15000) == 15000
+    assert steps[0] <= 2 * 2 + 1
+
+
+def test_tropical_kernels_reject_unknown_letters():
+    for a in (_counter(), _counter("maxplus"), minplus_walk()):
+        with pytest.raises(InputError):
+            eval_word(a, word(500) + ("z",))
+        with pytest.raises(InputError):
+            next(word_values(a, 2, ("a", "z")))
+
+
 # 2x2 boolean matrices: a semiring whose multiplication does not commute.
 _BZ = ((False, False), (False, False))
 _BI = ((True, False), (False, True))
@@ -1343,14 +1516,24 @@ def test_a_dead_tropical_vector_is_keyed_apart_from_a_live_one(name):
     bottom = s.zero
     a = rand_wfa(random.Random(943), name, 2, 2)
     key = _pair_key(a, a)
+
+    def value(*weights):
+        # the kernel value of the vector ``weights``: the start value of
+        # ``a`` with that initial vector
+        init = WeightedVec(s, {q: w for q, w in zip(a.states, weights) if w is not bottom})
+        return _kernel(replace(a, init=init), ())[0]
+
+    def k(va, vb):
+        return key(value(*va), value(*vb))
+
     # a shift of both vectors by one constant is the same configuration
-    assert key([0, 2], [1, bottom]) == key([3, 5], [4, bottom])
-    assert key([0, 2], [1, bottom]) != key([0, 2], [2, bottom])
+    assert k([0, 2], [1, bottom]) == k([3, 5], [4, bottom])
+    assert k([0, 2], [1, bottom]) != k([0, 2], [2, bottom])
     # a dead vector has no offset, and is never a live vector
-    assert key([bottom, bottom], [1, 4]) == key([bottom, bottom], [6, 9])
-    assert key([bottom, bottom], [1, 4]) != key([0, 0], [1, 4])
-    assert key([bottom, bottom], [1, 4]) != key([bottom, 0], [1, 4])
-    assert key([bottom, bottom], [bottom, bottom]) != key([0, 0], [0, 0])
+    assert k([bottom, bottom], [1, 4]) == k([bottom, bottom], [6, 9])
+    assert k([bottom, bottom], [1, 4]) != k([0, 0], [1, 4])
+    assert k([bottom, bottom], [1, 4]) != k([bottom, 0], [1, 4])
+    assert k([bottom, bottom], [bottom, bottom]) != k([0, 0], [0, 0])
 
 
 # Per tropical semiring, the rows of ``p a``, ``p b``, ``q a``, ``q b`` and

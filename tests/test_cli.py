@@ -212,6 +212,37 @@ def test_missing_file_is_an_error():
     assert status == 2
 
 
+@pytest.mark.parametrize("value", ["-1", "-2", "x", "1.5"])
+def test_negative_or_non_integer_counts_are_usage_errors(files, tmp_path, capsys, value):
+    rec = tmp_path / "coin.rec"
+    rec.write_text(run_command(["to-monoid", files["coin"]])[1] + "\n")
+    commands = [
+        ["verify", files["coin"], str(rec), "--max-len", value],
+        ["verify", files["coin"], str(rec), f"--max-len={value}"],
+        ["equiv", files["coin"], files["coin"], "--max-len", value],
+        ["eval", files["coin"], "a", "--decimal", value],
+    ]
+    for argv in commands:
+        capsys.readouterr()
+        assert run_command(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert f"expected a non-negative integer, got {value!r}" in err, argv
+
+
+def test_zero_counts_are_accepted(files, tmp_path):
+    rec = tmp_path / "coin.rec"
+    rec.write_text(run_command(["to-monoid", files["coin"]])[1] + "\n")
+    assert run_command(["verify", files["coin"], str(rec), "--max-len", "0"]) == (
+        0,
+        "ok: agreement on all words up to length 0",
+    )
+    assert run_command(["equiv", files["coin"], files["coin"], "--max-len", "0"]) == (
+        0,
+        "equivalent on all words up to length 0",
+    )
+    assert run_command(["eval", files["coin"], "a.a", "--decimal", "0"]) == (0, "1")
+
+
 def test_convex_recognizer_round_trip_commands(files):
     status, rec_text = run_command(["to-monoid", files["npfa"]])
     assert status == 0
