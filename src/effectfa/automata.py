@@ -16,7 +16,8 @@ runs backward, on integer numerators too (see below).  Min-plus and
 max-plus kernels keep a vector as ``(config, offset)``: the vector shifted
 so that its optimum is 0, and that optimum.  Their step is remembered per
 configuration and letter, so a word whose configurations repeat is mostly
-dictionary lookups; the memory grows with the distinct configurations met.
+dictionary lookups; the memory grows with the distinct configurations met,
+up to a fixed number of entries per letter.
 None of them calls :func:`~effectfa.effects.bind`.  Per effect type the
 value is:
 
@@ -298,6 +299,11 @@ def _is_boolean(monad: Monad) -> bool:
 
 # The optimum that offsets a tropical vector.
 _TROPICAL_OPT = {"minplus": min, "maxplus": max}
+# The entries a min-plus or max-plus kernel remembers per letter (see
+# :func:`_kernel`).  A configuration met after that is stepped afresh
+# each time, so a word whose configurations never repeat keeps its memory
+# bounded, and one that cycles through fewer is not affected.
+_TROPICAL_MEMO_BOUND = 65536
 
 
 def _is_tropical(monad: Monad) -> bool:
@@ -363,10 +369,12 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
     next offset to ``offset``; ``read`` is the output step on ``config``
     plus ``offset``.  ``step`` remembers ``config -> (next config, offset
     added)`` in one dict per letter, local to this call, so a
-    configuration met again costs one lookup and one addition.  The dicts
-    have no cap: they hold one entry per distinct configuration and letter
-    stepped, which on a word whose configurations never repeat (the
-    counter ``min(#a, #b)`` on ``a^k``) is one per letter.
+    configuration met again costs one lookup and one addition.  A dict
+    holds one entry per distinct configuration stepped on its letter, which
+    on a word whose configurations never repeat (the counter
+    ``min(#a, #b)`` on ``a^k``) is one per letter, so it stops taking new
+    entries at :data:`_TROPICAL_MEMO_BOUND`; lookups go on, and a
+    configuration it did not take is stepped afresh each time it is met.
 
     The convex kernel is the backward generator DP, in the mode of
     ``algebra`` (the machine's own by default), on integers too.  A table is
@@ -455,7 +463,9 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
         memo = memos[x]
         hit = memo.get(config)
         if hit is None:
-            hit = memo[config] = normal(semiring_step(config, mats[x]))
+            hit = normal(semiring_step(config, mats[x]))
+            if len(memo) < _TROPICAL_MEMO_BOUND:
+                memo[config] = hit
         config, delta = hit
         return config, None if delta is None else offset + delta
 
@@ -484,8 +494,8 @@ def eval_word(a: EffAutomaton, w):
     value: exact integers over one denominator on linear machines,
     ``(config, offset)`` on min-plus and max-plus machines, with a memoised
     step whose memory grows with the distinct configurations the word
-    meets (see :func:`_kernel`), and plain lists of weights in
-    :func:`bind`'s multiplication order otherwise.
+    meets, up to a fixed bound per letter (see :func:`_kernel`), and plain
+    lists of weights in :func:`bind`'s multiplication order otherwise.
     Convex values come from the kernel's backward case, the generator DP, in
     the mode the output algebra names; it gives the interval of forward hull
     propagation (see the module docstring) in time linear in the word.  The
@@ -511,7 +521,8 @@ def word_values(
     (as :func:`disagreements` passes the one its search stepped).  A
     min-plus or max-plus kernel's memoised step serves the whole tree, so
     words whose configurations were stepped before cost a lookup each; its
-    memo grows with the distinct configurations in the tree.
+    memo grows with the distinct configurations in the tree, up to the
+    kernel's bound per letter.
     """
     alphabet = a.alphabet if alphabet is None else tuple(alphabet)
     start, step, read, backward = _kernel(a, alphabet) if kernel is None else kernel
@@ -782,7 +793,8 @@ def _pair_search(a: EffAutomaton, kernels: tuple, maxlen: int, key) -> bool:
     key reads them as they stand, and the kernels' memoised steps are the
     ones :func:`disagreements` walks with afterwards (:func:`_kernels`), so
     the walk of a pair that differs reuses every step the search took.
-    Each memo grows with the distinct configurations its machine meets.
+    Each memo grows with the distinct configurations its machine meets, up
+    to the kernel's bound per letter.
     """
     (start_a, step_a, read_a, _), (start_b, step_b, read_b, _) = kernels
     if not outputs_equal(a, read_a(start_a), read_b(start_b)):

@@ -37,7 +37,13 @@ cross-multiplication, and each row records its coordinates in the vectors
 added so far as integer numerators over one denominator, so the coordinates
 of any vector in the span come out of the same elimination
 (:meth:`RowSpace.coords`) instead of a fresh linear solve per vector.
-:func:`solve_linear` and :func:`feasible_nonneg` still pivot on `Fraction`s.
+:func:`feasible_nonneg`, the phase-1 simplex behind the bialgebra preimage
+solves and hull pruning, pivots fraction-free as well: an integer tableau
+over one common denominator, divided exactly by the previous pivot.
+:func:`solve_linear` is the one Gauss-Jordan elimination left on
+`Fraction`s; the library no longer calls it (the rational bialgebra
+rebuild reads the same solutions off a :class:`RowSpace`), and it stays as
+a public reference.
 """
 
 from __future__ import annotations
@@ -389,54 +395,76 @@ def solve_linear(a: Mat, b: Vec):
 def feasible_nonneg(a: Mat, b: Vec):
     """A solution of ``a @ x = b`` with ``x >= 0``, or None if infeasible.
 
-    Phase-1 simplex on exact rationals with Bland's rule, so it terminates
-    and never suffers from round-off.  ``a`` is m x n with small m, n.
+    Phase-1 simplex with Bland's rule, so it terminates, on an integer
+    tableau pivoted fraction-free (Edmonds, *J. Res. NBS* 71B, 1967; the
+    exact division of Bareiss, *Math. Comp.* 22, 1968).  Every row of
+    ``a`` and ``b`` is scaled by one common LCM ``L`` of their
+    denominators, so the structural columns and the right-hand side are
+    integers and the artificial columns stay the identity; that scales the
+    artificial variables by ``L`` and the phase-1 objective by ``L``, and
+    keeps the sign of every reduced cost and the order of every ratio, so
+    Bland's rule enters and leaves the same columns as on the rational
+    tableau.  The tableau is held as integers over one positive common
+    denominator ``d``, the previous pivot (1 at the start).  A pivot on
+    ``p`` keeps the pivot row and replaces every other entry ``t`` by
+    ``(p*t - t_c*r)/d``, which divides exactly; the objective row is
+    updated the same way.  Ratios are compared by cross-multiplication.
+    A `Fraction` is built only for the returned solution, which is the one
+    the rational simplex returns.  ``a`` is m x n with small m, n.
     """
     m = len(b)
     n = len(a[0]) if a else 0
     if m == 0:
         return zero_vec(n)
+    scale = lcm(*(x.denominator for row in a for x in row), *(x.denominator for x in b))
     # Tableau rows: n structural + m artificial columns + rhs; keep b >= 0.
     rows = []
     for i in range(m):
-        r = list(a[i]) + [_F0] * m + [b[i]]
+        r = [x.numerator * (scale // x.denominator) for x in a[i]]
+        r += [0] * m
+        r.append(b[i].numerator * (scale // b[i].denominator))
         if r[-1] < 0:
             r = [-x for x in r]
-        r[n + i] = _F1
+        r[n + i] = 1
         rows.append(r)
     basis = [n + i for i in range(m)]
     # Objective: minimize the sum of artificials; its reduced-cost row is the
     # sum of all constraint rows (artificials are basic with cost one).
-    z = [sum(r[j] for r in rows) for j in range(n + m + 1)]
-    for j in range(n, n + m):
-        z[j] = _F0
+    z = [sum(col) for col in zip(*rows)]
+    z[n : n + m] = [0] * m
+    d = 1
 
     while True:
         enter = next((j for j in range(n + m) if z[j] > 0), None)
         if enter is None:
             break
+        # The least ratio rhs/entry over rows with a positive entry, ties
+        # to the least basic column; both sides share ``d``, which cancels.
         leave = None
-        best = None
-        for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][-1] / rows[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+        for i, row in enumerate(rows):
+            y = row[enter]
+            if y > 0:
+                if leave is None:
+                    leave, top, bottom = i, row[-1], y
+                    continue
+                lhs, rhs = row[-1] * bottom, top * y
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, top, bottom = i, row[-1], y
         if leave is None:
             # Unbounded cannot happen in phase 1; guard anyway.
             return None
-        pv = rows[leave][enter]
-        rows[leave] = [x / pv for x in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [x - f * y for x, y in zip(z, rows[leave])]
+        pivot_row = rows[leave]
+        p = pivot_row[enter]
+        for i, row in enumerate(rows):
+            if i != leave:
+                f = row[enter]
+                if f:
+                    rows[i] = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+                else:
+                    rows[i] = [p * x // d for x in row]
+        f = z[enter]
+        z = [(p * x - f * y) // d for x, y in zip(z, pivot_row)]
+        d = p
         basis[leave] = enter
 
     if z[-1] != 0:
@@ -444,5 +472,5 @@ def feasible_nonneg(a: Mat, b: Vec):
     x = [_F0] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = rows[i][-1]
+            x[bi] = Fraction(rows[i][-1], d)
     return tuple(x)

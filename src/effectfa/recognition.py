@@ -11,8 +11,9 @@ Two recognizer shapes are supported, with both directions implemented:
 * :class:`BialgRecognizer` -- a finitely generated algebra of state-to-state
   channels together with the letter channels themselves and an evaluation
   predicate.  Rebuilding an automaton on the generator set requires solving
-  exact preimage problems (convex-combination feasibility for ``dist``,
-  plain linear solving for rational weights).
+  exact preimage problems over the generator images, set up once per
+  recognizer (convex-combination feasibility for ``dist``, coordinates in
+  the images' row space for rational weights).
 
 A recognizer is checked and evaluated as the machine it rebuilds into: the
 automaton on the monoid elements for an :class:`EffRecognizer`, the
@@ -82,7 +83,7 @@ from .errors import (
     InterfaceError,
     ResourceError,
 )
-from .linalg import feasible_nonneg, solve_linear
+from .linalg import RowSpace, feasible_nonneg
 from .monoids import EffMorphism, function_monoid, generated_monoid
 
 _F1 = Fraction(1)
@@ -91,8 +92,10 @@ CONVEX_PREIMAGE_STATE_BOUND = 4
 CONVEX_PREIMAGE_GENERATOR_BOUND = 4
 # Cap on the generators of a bialgebra rebuilt into an automaton: one LP
 # over that many columns per (generator, letter) pair.  On a 2-CPU machine
-# with CPython 3.11, 27 generators over two letters rebuild in about a
-# second; 256 need 512 LPs at about 0.7 s each.
+# with CPython 3.11, a 4-state dist bialgebra of 64 generators over two
+# letters (129 LPs) rebuilds in about 0.3 s on the integer simplex; the 256
+# maps of four states over three letters would need 769 LPs at about
+# 0.012 s each.
 BIALGEBRA_GENERATOR_BOUND = 64
 
 
@@ -372,24 +375,43 @@ def _channel_vector(ch: Channel):
     return tuple(entries)
 
 
-def _preimage_over_generators(r: BialgRecognizer, target: Channel):
-    """Solve for an effect value over the generators that collapses to target."""
-    gen_vecs = [_channel_vector(r.images[g]) for g in r.generators]
-    target_vec = _channel_vector(target)
-    columns = tuple(zip(*gen_vecs))
+def _preimage_solver(r: BialgRecognizer):
+    """``solve(target)``: an effect value over the generators whose collapsed
+    channel is ``target``, or None if there is none.
+
+    The generator columns (:func:`_channel_vector` of every image) are built
+    once, here.  ``dist``: one :func:`~effectfa.linalg.feasible_nonneg` per
+    target, for convex coefficients over those columns.  Rational: the
+    columns are added to one :class:`~effectfa.linalg.RowSpace` in generator
+    order, and each target's coordinates are read off it.  The independent
+    generators are the greedy ones, the pivot columns of
+    :func:`~effectfa.linalg.solve_linear` on the same system, so the
+    solution is that one, with every other generator's coefficient 0.
+    """
+    gens = r.generators
+    vectors = [_channel_vector(r.images[g]) for g in gens]
     if r.monad.kind == "dist":
-        rows = columns + ((_F1,) * len(gen_vecs),)
-        rhs = target_vec + (_F1,)
-        sol = feasible_nonneg(rows, rhs)
+        rows = tuple(zip(*vectors)) + ((_F1,) * len(gens),)
+
+        def solve(target):
+            sol = feasible_nonneg(rows, _channel_vector(target) + (_F1,))
+            if sol is None:
+                return None
+            return Dist({g: c for g, c in zip(gens, sol) if c != 0})
+
+        return solve
+    space = RowSpace(len(r.states) ** 2)
+    basis = [g for g, v in zip(gens, vectors) if space.add(v)]
+
+    def solve(target):
+        sol = space.coords(_channel_vector(target))
         if sol is None:
             return None
-        return Dist({g: c for g, c in zip(r.generators, sol) if c != 0})
-    sol = solve_linear(columns, target_vec)
-    if sol is None:
-        return None
-    return WeightedVec(
-        r.monad.semiring, {g: c for g, c in zip(r.generators, sol) if c != 0}
-    )
+        return WeightedVec(
+            r.monad.semiring, {g: c for g, c in zip(basis, sol) if c != 0}
+        )
+
+    return solve
 
 
 def bialgebra_to_automaton(r: BialgRecognizer) -> EffAutomaton:
@@ -400,6 +422,10 @@ def bialgebra_to_automaton(r: BialgRecognizer) -> EffAutomaton:
     image".  Solvable effect types are ``dist`` and rational ``weighted``.
     A recognizer with more than :data:`BIALGEBRA_GENERATOR_BOUND`
     generators raises :class:`ResourceError` before any preimage is solved.
+    Otherwise one solver (:func:`_preimage_solver`) is set up, with the
+    generator columns built once, and serves the ``1 + |G|*|A|`` targets:
+    one integer phase-1 simplex each for ``dist``, one read-off of the
+    generators' row space each for rational weights.
     """
     if r.monad.kind == "convex":
         raise CapabilityError("no exact preimage solver for convex recognizers")
@@ -412,14 +438,14 @@ def bialgebra_to_automaton(r: BialgRecognizer) -> EffAutomaton:
             f"the bialgebra has {len(r.generators)} generators, over the bound "
             f"of {BIALGEBRA_GENERATOR_BOUND} for rebuilding an automaton"
         )
-    init = _preimage_over_generators(r, identity_channel(r.monad, r.states))
+    solve = _preimage_solver(r)
+    init = solve(identity_channel(r.monad, r.states))
     if init is None:
         raise IntegrityError("the generator images do not span the identity channel")
     trans = {}
     for g in r.generators:
         for a in r.alphabet:
-            target = kleisli_compose(r.images[g], r.letters[a])
-            t = _preimage_over_generators(r, target)
+            t = solve(kleisli_compose(r.images[g], r.letters[a]))
             if t is None:
                 raise IntegrityError(
                     f"no generator preimage for transition ({g!r}, {a!r})"

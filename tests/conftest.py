@@ -369,3 +369,64 @@ def difference_bound(a: EffAutomaton, b: EffAutomaton) -> int:
         return len(seen)
 
     return size(a) + size(b)
+
+
+def fraction_feasible_nonneg(a, b, ties=None):
+    """The phase-1 simplex on `Fraction`s with Bland's rule that
+    :func:`effectfa.linalg.feasible_nonneg` replaced, kept as its oracle:
+    a solution of ``a @ x = b`` with ``x >= 0``, or None.
+
+    If ``ties`` is a list, each ratio tie between two candidate leaving rows
+    appends the pair of their basic columns, so a test can tell that
+    Bland's tie-break decided a pivot.
+    """
+    m = len(b)
+    n = len(a[0]) if a else 0
+    if m == 0:
+        return (F(0),) * n
+    # Tableau rows: n structural + m artificial columns + rhs; keep b >= 0.
+    rows = []
+    for i in range(m):
+        r = [F(x) for x in a[i]] + [F(0)] * m + [F(b[i])]
+        if r[-1] < 0:
+            r = [-x for x in r]
+        r[n + i] = F(1)
+        rows.append(r)
+    basis = [n + i for i in range(m)]
+    z = [sum(r[j] for r in rows) for j in range(n + m + 1)]
+    for j in range(n, n + m):
+        z[j] = F(0)
+    while True:
+        enter = next((j for j in range(n + m) if z[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rows[i][-1] / rows[i][enter]
+                if best is not None and ratio == best and ties is not None:
+                    ties.append((basis[leave], basis[i]))
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return None
+        pv = rows[leave][enter]
+        rows[leave] = [x / pv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        f = z[enter]
+        z = [x - f * y for x, y in zip(z, rows[leave])]
+        basis[leave] = enter
+    if z[-1] != 0:
+        return None
+    x = [F(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = rows[i][-1]
+    return tuple(x)

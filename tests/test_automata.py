@@ -1036,6 +1036,54 @@ def test_a_long_word_steps_each_configuration_once_per_letter(monkeypatch):
     assert steps[0] <= 2 * 2 + 1
 
 
+def test_the_memo_bound_keeps_values_and_step_counts_below_it(monkeypatch):
+    from effectfa import automata
+    from effectfa.linalg import _semiring_step
+
+    steps = [0]
+
+    def counting(s):
+        step = _semiring_step(s)
+
+        def counted(v, cols):
+            steps[0] += 1
+            return step(v, cols)
+
+        return counted
+
+    def run(a, w, bound):
+        monkeypatch.setattr(automata, "_TROPICAL_MEMO_BOUND", bound)
+        steps[0] = 0
+        return eval_word(a, w), steps[0]
+
+    monkeypatch.setattr(automata, "_semiring_step", counting)
+    rng = random.Random(955)
+    machines = [minplus_walk(), _counter(), _counter("maxplus")]
+    machines += [_closing_tropical_machine(name) for name in _CLOSING_TROPICAL]
+    machines += list(_tropical_machines(956))
+    full, bound = automata._TROPICAL_MEMO_BOUND, 6
+    below = past = 0
+    for a in machines:
+        w = tuple(rng.choice(a.alphabet) for _ in range(2000))
+        value, unbounded = run(a, w, full)
+        bounded = run(a, w, bound)
+        assert bounded[0] == value == tropical_path_value(a, w)
+        configs = _configurations(a)
+        if configs is not None and len(configs) <= bound:
+            # No letter's memo fills: every configuration is stepped once.
+            below += 1
+            assert bounded == (value, unbounded)
+        elif bounded[1] > unbounded:
+            # A configuration the full memo did not take is stepped again.
+            past += 1
+    assert below >= 10 and past >= 10, (below, past)
+    # The counter meets two configurations on (a.b)^k and a new one per
+    # letter on a^k: a bound of 2 changes neither value nor step count.
+    for w, value in ((("a", "b") * 3000, 3000), (word(3000), 0)):
+        bounded = run(_counter(), w, 2)
+        assert bounded == run(_counter(), w, full) and bounded[0] == value
+
+
 def test_tropical_kernels_reject_unknown_letters():
     for a in (_counter(), _counter("maxplus"), minplus_walk()):
         with pytest.raises(InputError):

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
+from conftest import fraction_feasible_nonneg
 from effectfa.exactnum import INF, NEG_INF, semiring_builtin
 from effectfa.linalg import (
     RowSpace,
@@ -11,6 +13,7 @@ from effectfa.linalg import (
     _semiring_matrix,
     _semiring_step,
     dot,
+    feasible_nonneg,
     identity,
     mat_mul,
     solve_linear,
@@ -248,3 +251,104 @@ def test_semiring_step_on_each_kind():
     bstep = _semiring_step(boolean)
     assert bstep([True, False], _semiring_matrix(boolean, bm)) == [True, False]
     assert bstep([False, False], _semiring_matrix(boolean, bm)) == [False, False]
+
+
+def rand_lp(rng):
+    """A seeded system ``a @ x = b``: feasible by construction or with a
+    random right-hand side, with zero rows and columns, repeated rows (ratio
+    ties) and negative right-hand sides; or, one time in three, a
+    bialgebra preimage system (:func:`graph_lp`)."""
+    if rng.random() < 1 / 3:
+        return graph_lp(rng)
+    m, n = rng.randint(0, 5), rng.randint(0, 8)
+    dens = rng.choice(((1,), (1, 2, 3), (1, 2, 3, 4, 6, 35)))
+
+    def entry():
+        return F(0) if rng.random() < 0.35 else F(rng.randint(-6, 6), rng.choice(dens))
+
+    a = [[entry() for _ in range(n)] for _ in range(m)]
+    if m and rng.random() < 0.2:
+        a[rng.randrange(m)] = [F(0)] * n
+    if n and rng.random() < 0.2:
+        j = rng.randrange(n)
+        for row in a:
+            row[j] = F(0)
+    if rng.random() < 0.5:
+        x = [F(rng.randint(0, 3), rng.choice(dens)) if rng.random() < 0.5 else F(0) for _ in range(n)]
+        b = [sum((r[j] * x[j] for j in range(n)), F(0)) for r in a]
+    else:
+        b = [entry() for _ in range(m)]
+    if m > 1 and rng.random() < 0.4:
+        # A positive multiple of another row: its ratios tie with that row's.
+        i, k = rng.sample(range(m), 2)
+        c = F(rng.randint(1, 3), rng.choice(dens))
+        a[k], b[k] = [c * y for y in a[i]], c * b[i]
+    return tuple(tuple(r) for r in a), tuple(b)
+
+
+def graph_lp(rng):
+    """Convex coefficients of a stochastic k x k matrix over some of the
+    maps on k points: the maps' 0/1 matrices flattened as columns, a row of
+    ones, and a target whose rows repeat, so many ratios tie."""
+    k = rng.choice((2, 3))
+    maps = list(itertools.product(range(k), repeat=k))
+    maps = rng.sample(maps, rng.randint(1, len(maps)))
+    a = [[F(f[i] == j) for f in maps] for i in range(k) for j in range(k)]
+    a.append([F(1)] * len(maps))
+    pool = []
+    for _ in range(2):
+        w = [rng.randint(0, 3) for _ in range(k)]
+        w[rng.randrange(k)] += 1
+        pool.append([F(y, sum(w)) for y in w])
+    b = [y for _ in range(k) for y in rng.choice(pool)]
+    return tuple(map(tuple, a)), tuple(b) + (F(1),)
+
+
+@pytest.mark.parametrize("seed", [530, 531, 532])
+def test_feasible_nonneg_matches_the_fraction_simplex(seed):
+    rng = random.Random(seed)
+    seen = dict.fromkeys(
+        ("feasible", "infeasible", "negative rhs", "tie", "zero row", "zero column", "m == 0"), 0
+    )
+    for _ in range(400):
+        a, b = rand_lp(rng)
+        ties = []
+        expected = fraction_feasible_nonneg(a, b, ties)
+        x = feasible_nonneg(a, b)
+        assert x == expected, (a, b)
+        m, n = len(b), len(a[0]) if a else 0
+        if x is None:
+            seen["infeasible"] += 1
+        else:
+            seen["feasible"] += 1
+            assert len(x) == n and all(type(y) is F and y >= 0 for y in x)
+            assert all(dot(row, x) == y for row, y in zip(a, b))
+        seen["negative rhs"] += any(y < 0 for y in b)
+        # Bland's tie-break overrode the first row with the least ratio.
+        seen["tie"] += any(later < first for first, later in ties)
+        seen["zero row"] += any(not any(row) for row in a) and n > 0
+        seen["zero column"] += any(not any(col) for col in zip(*a))
+        seen["m == 0"] += m == 0
+    assert min(seen.values()) >= 10, seen
+
+
+def test_feasible_nonneg_small_cases():
+    assert feasible_nonneg((), ()) == ()
+    assert feasible_nonneg(((),), (F(0),)) == ()
+    assert feasible_nonneg(((),), (F(1),)) is None
+    assert feasible_nonneg(((F(1), F(1)),), (F(-1),)) is None
+    assert feasible_nonneg(((F(-1), F(1)),), (F(-2),)) == (F(2), F(0))
+    # Systems with several feasible vertices, where the pivots decide which
+    # one comes back.  Here a ratio tie goes to the least basic column; the
+    # greatest would return (1/2, 1/2, 0, 1).
+    a = ((F(2), F(0), F(0), F(1)), (F(0), F(0), F(2), F(1)), (F(2), F(2), F(2), F(0)))
+    b = (F(2), F(1), F(2))
+    expected = (F(3, 4), F(0), F(1, 4), F(1, 2))
+    assert feasible_nonneg(a, b) == fraction_feasible_nonneg(a, b) == expected
+    # Here the first tied row would return (0, 1, 0, 1), and so would a
+    # scale per row, which weighs the phase-1 objective differently.
+    h = F(1, 2)
+    a = ((F(0), F(1), F(1), F(1)), (F(0), h, F(0), h), (h, F(1), h, F(0)))
+    b = (F(2), F(1), F(1))
+    expected = (F(2), F(0), F(0), F(2))
+    assert feasible_nonneg(a, b) == fraction_feasible_nonneg(a, b) == expected

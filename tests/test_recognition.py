@@ -1,6 +1,7 @@
 import random
 from dataclasses import fields, replace
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import (
     coin_pfa,
     difference_bound,
     even_dfa,
+    fraction_feasible_nonneg,
     full_transformation_dfa,
     minplus_walk,
     npfa_brute_force,
@@ -61,6 +63,7 @@ from effectfa import (
 )
 from effectfa import recognition
 from effectfa.automata import EffAutomaton, collapse
+from effectfa.cli import parse_recognizer, print_automaton
 from effectfa.errors import (
     CapabilityError,
     InputError,
@@ -68,6 +71,7 @@ from effectfa.errors import (
     InterfaceError,
     ResourceError,
 )
+from effectfa.linalg import solve_linear
 from effectfa.monoids import free_extension_enumerated
 from effectfa.recognition import BialgRecognizer
 
@@ -907,6 +911,107 @@ def test_bialgebra_rebuild_over_the_generator_bound_fails_before_any_lp(monkeypa
     with pytest.raises(ResourceError, match="256") as e:
         bialgebra_to_automaton(bi)
     assert "64" in str(e.value) and lps == []
+
+
+def rebuild_per_target(bi):
+    """:func:`bialgebra_to_automaton` with every target solved on its own:
+    the generator columns are built afresh per target, rational targets go
+    through :func:`solve_linear` and ``dist`` ones through the `Fraction`
+    simplex.  The oracle of the rebuild's one solver."""
+
+    def vector(ch):
+        return tuple(ch(x).weight(y) for x in ch.domain for y in ch.codomain)
+
+    def preimage(target):
+        columns = tuple(zip(*(vector(bi.images[g]) for g in bi.generators)))
+        if bi.monad.kind == "dist":
+            ones = (F(1),) * len(bi.generators)
+            sol = fraction_feasible_nonneg(columns + (ones,), vector(target) + (F(1),))
+            value = Dist
+        else:
+            sol = solve_linear(columns, vector(target))
+            value = partial(WeightedVec, bi.monad.semiring)
+        if sol is None:
+            return None
+        return value({g: c for g, c in zip(bi.generators, sol) if c != 0})
+
+    init = preimage(identity_channel(bi.monad, bi.states))
+    if init is None:
+        raise IntegrityError("the generator images do not span the identity channel")
+    trans = {}
+    for g in bi.generators:
+        for a in bi.alphabet:
+            t = preimage(kleisli_compose(bi.images[g], bi.letters[a]))
+            if t is None:
+                raise IntegrityError(f"no generator preimage for transition ({g!r}, {a!r})")
+            trans[(g, a)] = t
+    return EffAutomaton(
+        monad=bi.monad,
+        states=bi.generators,
+        alphabet=bi.alphabet,
+        init=init,
+        trans=trans,
+        output={g: bi.predicate(bi.images[g]) for g in bi.generators},
+        output_algebra=bi.output_algebra,
+    )
+
+
+def test_bialgebra_rebuild_prints_the_machine_of_per_target_solves():
+    rng = random.Random(76)
+    machines = [coin_pfa(), rand_pfa(rng, 3, 2, pure_init=False)]
+    for n in (1, 2, 3, 4):
+        machines.append(rand_pfa(rng, n, 2 if n < 4 else 1))
+        machines.append(rand_wfa(rng, "rational", n, 2))
+    bis = [automaton_to_bialgebra(a) for a in machines]
+    for bi in bis:
+        rebuilt = bialgebra_to_automaton(bi)
+        assert print_automaton(rebuilt) == print_automaton(rebuild_per_target(bi))
+    # The non-pure start moved onto a fresh state: four states from three.
+    assert not is_pure(machines[1].init) and len(bis[1].states) == 4
+    assert sorted(len(bi.generators) for bi in bis)[-2:] == [41, 50]
+
+
+# A rational bialgebra on two states whose third generator image is
+# 2*g1 + 3*g2: the row space skips it, so no preimage uses it.  Letter b (the
+# swap) lies outside the span of the images.
+SKIPPED_GENERATOR_BIALGEBRA = """\
+monad weighted rational
+alphabet a b
+states x y
+gens g1 g2 g3
+image g1 x -> x:1
+image g1 y -> y:1
+image g2 x -> y:1
+image g2 y ->
+image g3 x -> x:2 y:3
+image g3 y -> y:2
+hom a x -> x:2 y:3
+hom a y -> y:2
+hom b x -> y:1
+hom b y -> x:1
+init x:1
+output x:1 y:0
+"""
+
+
+def test_bialgebra_rebuild_skips_dependent_images_and_reports_the_same_gap():
+    text = SKIPPED_GENERATOR_BIALGEBRA
+    only_a = text.replace("alphabet a b", "alphabet a").replace(
+        "hom b x -> y:1\nhom b y -> x:1\n", ""
+    )
+    bi = parse_recognizer(only_a)
+    rebuilt = bialgebra_to_automaton(bi)
+    assert print_automaton(rebuilt) == print_automaton(rebuild_per_target(bi))
+    assert rebuilt.trans[("g1", "a")] == WeightedVec(RAT.semiring, {"g1": F(2), "g2": F(3)})
+    assert all(t.weight("g3") == 0 for t in rebuilt.trans.values())
+    assert rebuilt.init.weight("g3") == 0
+    bi = parse_recognizer(text)
+    with pytest.raises(IntegrityError) as mine:
+        bialgebra_to_automaton(bi)
+    with pytest.raises(IntegrityError) as theirs:
+        rebuild_per_target(bi)
+    assert str(mine.value) == str(theirs.value)
+    assert str(mine.value) == "no generator preimage for transition ('g1', 'b')"
 
 
 # ---------------------------------------------------------------------------
