@@ -45,14 +45,15 @@ Every word up to a length is evaluated as a tree by :func:`word_values`,
 which computes each word from its parent (the word one letter shorter:
 prefixes for forward kernels, suffixes for the backward one) by one step of
 the same kernel as :func:`eval_word`.  :func:`disagreements` is what
-recognizer verification and bounded equivalence run.  :func:`_equivalent`
-picks its check from the two effect types: it decides two linear or two
-boolean machines exactly, and checks min-plus, max-plus and convex pairs
-by a breadth-first search over their distinct pair configurations
-(:func:`_pair_search`).  Two machines are walked that way only if the check
-does not show that they agree up to the length asked, or if they have no
-canonical configurations (a user-declared semiring, or a convex machine
-against a forward one).
+recognizer verification and bounded equivalence run.  It first checks the
+two machines by :func:`_equivalent`: one breadth-first closure over the
+pairs of values that one word reaches in both, cut at the length asked,
+which counts a pair as covered by those found before in the span (two
+linear machines, Tzeng's test), up to equivalence (two boolean machines,
+Hopcroft and Karp's) or by key (min-plus, max-plus and convex pairs).  Two
+machines are walked only if the closure finds a difference, or if they
+have no canonical configurations (a user-declared semiring, or a convex
+machine against a forward one).
 
 Deterministic automata are the ``dist`` case with Dirac channels and 0/1
 outputs; no separate type exists for them (:func:`is_pure_automaton`).
@@ -518,7 +519,7 @@ def word_values(
     prefixes) and without its first letter for the backward one (the convex
     DP: shared suffixes).  Each letter is looked up once per call, unless
     ``kernel`` is ``a``'s :func:`_kernel` over ``alphabet`` already built
-    (as :func:`disagreements` passes the one its search stepped).  A
+    (as :func:`disagreements` passes the one its closure stepped).  A
     min-plus or max-plus kernel's memoised step serves the whole tree, so
     words whose configurations were stepped before cost a lookup each; its
     memo grows with the distinct configurations in the tree, up to the
@@ -534,27 +535,6 @@ def word_values(
             parent, x = (w[1:], w[0]) if backward else (w[:-1], w[-1])
             level[w] = here = step(prev[parent], x)
             yield w, read(here)
-
-
-def _walk_steps(letters: int, maxlen: int, cap: int) -> int:
-    """The kernel steps :func:`word_values` takes on one machine, one per
-    non-empty word up to ``maxlen`` over ``letters`` letters, or ``cap`` if
-    that is fewer.  The sum is taken one length at a time and stops at
-    ``cap``, so a long ``maxlen`` costs only the lengths below it.
-
-    With ``cap`` out of reach this bounds :func:`_pair_search` too, which
-    steps at most one pair per word; the exact decision of
-    :func:`_equivalent` gets it with the cap of :func:`disagreements` as
-    its budget."""
-    if letters < 2:
-        return min(letters * maxlen, cap)
-    total, words = 0, 1
-    for _ in range(maxlen):
-        words *= letters
-        total += words
-        if total >= cap:
-            return cap
-    return total
 
 
 def _difference_kernel(a: EffAutomaton, b: EffAutomaton) -> tuple:
@@ -594,133 +574,50 @@ def _difference_kernel(a: EffAutomaton, b: EffAutomaton) -> tuple:
     return init, start, step
 
 
-def _linear_equivalent(a: EffAutomaton, b: EffAutomaton, budget: int):
-    """Tzeng's test (*SIAM J. Comput.* 21(2), 1992) on two linear machines,
-    run backward.
-
-    The difference machine has the initial row ``(init_a, init_b)``, the
-    block-diagonal letter matrices and the final column ``(f_a, -f_b)``, so
-    its value on ``w`` is ``a(w) - b(w)``.  The columns ``M(w) f`` span a
-    space of dimension at most the states of both machines.  It is reduced
-    from ``f`` by the letters on :func:`_difference_kernel`, keeping a basis
-    in a :class:`~effectfa.linalg.RowSpace`.  The machines
-    agree on every word exactly when the initial row is orthogonal to the
-    space.  Backward, because a recognizer machine has many states but few
-    independent futures.  The basis is stepped in the order found, breadth
-    first, like :func:`_boolean_equivalent`'s pairs.  Each letter applied
-    to a basis vector is one kernel step; None once ``budget`` steps are
-    spent.
-    """
-    init, start, step = _difference_kernel(a, b)
-    space = RowSpace(len(a.states) + len(b.states))
-    basis = []
-
-    def consistent(v) -> bool:
-        # False iff v is a new basis vector the initial row does not annihilate.
-        if space._place(*v) is not None:
-            return True
-        basis.append(v)
-        return not sum(map(mul, init, v[0]))
-
-    if not consistent(start):
-        return False
-    steps = 0
-    for v in basis:  # grows while it is read
-        for x in a.alphabet:
-            if steps >= budget:
-                return None
-            steps += 1
-            if not consistent(step(v, x)):
-                return False
-    return True
-
-
-def _boolean_equivalent(a: EffAutomaton, kernels: tuple, budget: int):
-    """Hopcroft and Karp's test (1971) on two boolean machines: union-find
-    over the pairs of reachable boolean vectors, stepped on ``kernels``, the
-    two machines' :func:`_kernel` over the alphabet of ``a``, the first.
-
-    Two vectors are merged once the same word reaches them, after their
-    outputs are compared; each merged pair is then stepped by every letter,
-    in the order merged.  Breadth first, so a difference at length ``n`` is
-    met before any pair reached only by a longer word is stepped, that is
-    within the steps of a walk to length ``n``.  A pair stepped by one
-    letter is one kernel step on each machine; None once ``budget`` steps
-    are spent.
-    """
-    (start_a, step_a, read_a, _), (start_b, step_b, read_b, _) = kernels
-    parent = {}  # non-root vectors only, keyed by (machine, vector)
-    todo = []
-
-    def find(k):
-        while k in parent:
-            k = parent[k]
-        return k
-
-    def merge(va, vb) -> bool:
-        # False iff va and vb are newly merged and their outputs differ.
-        ra, rb = find((0, tuple(va))), find((1, tuple(vb)))
-        if ra == rb:
-            return True
-        parent[ra] = rb
-        todo.append((va, vb))
-        return read_a(va) == read_b(vb)
-
-    if not merge(start_a, start_b):
-        return False
-    steps = 0
-    for va, vb in todo:  # grows while it is read
-        for x in a.alphabet:
-            if steps >= budget:
-                return None
-            steps += 1
-            if not merge(step_a(va, x), step_b(vb, x)):
-                return False
-    return True
-
-
 def _kernels(a: EffAutomaton, b: EffAutomaton):
     """A function that returns the :func:`_kernel` of ``a`` and of ``b`` over
-    ``a``'s alphabet, built on its first call.  The decision or search of
+    ``a``'s alphabet, built on its first call.  The closure of
     :func:`_equivalent` and the walk of :func:`disagreements` after it step
     the same two kernels, so each machine's set-up is paid once."""
     return cache(lambda: (_kernel(a, a.alphabet), _kernel(b, a.alphabet)))
 
 
-def _equivalent(
-    a: EffAutomaton,
-    b: EffAutomaton,
-    budget: int,
-    maxlen: int | None = None,
-    kernels=None,
-):
-    """Whether ``a`` and ``b`` agree on every word over ``a``'s alphabet, or
-    with ``maxlen`` on every word up to that length: the one place that
-    picks the method from the two machines' monads.
+def _closure(start, step, known, agree, letters, maxlen) -> bool:
+    """Whether every element reached from ``start`` by a word of at most
+    ``maxlen`` letters over ``letters`` (of any length if ``maxlen`` is
+    None) agrees: the one breadth-first loop behind :func:`_equivalent`.
+    Bonchi and Pous (*POPL 2013*) read the equivalence checks of Tzeng and
+    of Hopcroft and Karp as this closure, taken up to different
+    congruences; ``known`` is the congruence.
 
-    Two linear machines (``dist`` or rational, mixed allowed;
-    :func:`_linear_equivalent`) and two boolean machines
-    (:func:`_boolean_equivalent`) are decided exactly, on every word, in at
-    most ``budget`` kernel steps: True or False, or None if the budget runs
-    out first.  Min-plus and max-plus equivalence is undecidable (Krob,
-    1994) and convex equivalence is open, so every other pair gets None
-    without ``maxlen``.  With it, a pair that has a :func:`_pair_key`
-    (min-plus, max-plus and convex machines, and mixes of these with the
-    other builtin effect types) is checked up to ``maxlen`` by
-    :func:`_pair_search`, which needs no budget: it takes at most the
-    walk's steps.  A user-declared semiring, and a convex machine against a
-    forward one, still get None.  ``kernels`` is the caller's
-    :func:`_kernels`, to share with its walk.  A letter of ``a``'s alphabet
-    that ``b`` lacks raises :class:`InputError` once the decision or the
-    search builds ``b``'s kernel.
+    ``step(v, x)`` is one kernel step by the letter ``x``.  ``known(v)``
+    says whether ``v`` is covered by the elements found so far, and adds it
+    to them if not.  Only a new element is checked by ``agree(v)`` and then
+    stepped by every letter.  The loop runs one level per word length:
+    False at the first new element that does not agree, True after
+    ``maxlen`` levels or once a level finds nothing new, when the closure
+    is complete.  A level holds at most one element per word of its
+    length, so the loop takes at most the kernel steps of a walk to
+    ``maxlen``.
+
+    Stopping at a depth is sound when an element covered at depth ``d``
+    follows from elements found at depths up to ``d`` (as a combination, a
+    chain or a copy of them): by induction on the length, those agree on
+    every word of up to ``maxlen - d`` more letters, so it does too.
     """
-    if _is_linear(a.monad) and _is_linear(b.monad):
-        return _linear_equivalent(a, b, budget)
-    kernels = _kernels(a, b) if kernels is None else kernels
-    if _is_boolean(a.monad) and _is_boolean(b.monad):
-        return _boolean_equivalent(a, kernels(), budget)
-    key = None if maxlen is None else _pair_key(a, b)
-    return None if key is None else _pair_search(a, kernels(), maxlen, key)
+    reached, depth = (start,), 0
+    while True:
+        level = []
+        for v in reached:
+            if not known(v):
+                if not agree(v):
+                    return False
+                level.append(v)
+        if not level or depth == maxlen:
+            return True
+        # Lazy, so that a difference stops the steps at once.
+        reached = (step(v, x) for v in level for x in letters)
+        depth += 1
 
 
 def _int_key(v) -> tuple:
@@ -733,10 +630,11 @@ _KEYED_SEMIRINGS = ("rational", "boolean", "minplus", "maxplus")
 
 
 def _pair_key(a: EffAutomaton, b: EffAutomaton):
-    """The key of :func:`_pair_search`: ``key(va, vb)`` of the two machines'
-    :func:`_kernel` values reached by one word, equal for two pairs only if
-    the pairs agree or differ alike on every extension of the word (a suffix
-    for forward kernels, a prefix for the backward convex one).
+    """The key of :func:`_equivalent`'s keyed closure: ``key(va, vb)`` of
+    the two machines' :func:`_kernel` values reached by one word, equal for
+    two pairs only if the pairs agree or differ alike on every extension of
+    the word (a suffix for forward kernels, a prefix for the backward convex
+    one).
 
     A value keys as itself, because the kernel keeps it canonical: integer
     ``(numerators, den)`` in lowest terms on linear and convex machines,
@@ -750,8 +648,8 @@ def _pair_key(a: EffAutomaton, b: EffAutomaton):
 
     None for a user-declared semiring, whose weights may have no canonical
     form, and for a convex machine against a forward one, whose kernels
-    extend a word at opposite ends.  :func:`_equivalent` asks only for the
-    pairs it does not decide exactly.
+    extend a word at opposite ends.  :func:`_equivalent` asks only for pairs
+    that are not both linear or both boolean.
     """
     for m in (a, b):
         if m.monad.kind == "weighted" and m.monad.semiring.name not in _KEYED_SEMIRINGS:
@@ -772,51 +670,96 @@ def _pair_key(a: EffAutomaton, b: EffAutomaton):
     return lambda va, vb: (key_a(va), key_b(vb))
 
 
-def _pair_search(a: EffAutomaton, kernels: tuple, maxlen: int, key) -> bool:
-    """Whether two machines agree on every word up to ``maxlen`` over the
-    alphabet of ``a``, the first, by a breadth-first search over their
-    distinct pair configurations.
+def _union_find():
+    """The ``known`` of :func:`_closure` for Hopcroft and Karp's test
+    (1971): union-find over ``(machine, vector)`` on pairs of boolean
+    vectors.  A pair is covered once its two vectors are in one class, and
+    its two classes are merged if not."""
+    parent = {}  # non-root vectors only, keyed by (machine, vector)
 
-    Both machines are stepped together on ``kernels``, their
-    :func:`_kernel` over that alphabet, one level per word length up to
-    ``maxlen``; a new pair whose ``key`` (:func:`_pair_key`) was already
-    seen is neither compared nor stepped again.  Equal keys agree or differ
-    alike on every extension, and a key is first met at its least depth,
-    so if no pair explored differs, no word up to ``maxlen`` does.  Each
-    level holds at most one pair per word of its length, so the search
-    takes at most the kernel steps of a walk to ``maxlen`` on each machine
-    (:func:`_walk_steps`), and it stops as soon as a level adds no new
-    pair: the closure is then finished and the machines agree on every
-    word.  False at the first pair that differs.
+    def find(k):
+        while k in parent:
+            k = parent[k]
+        return k
 
-    Min-plus and max-plus values are ``(config, offset)`` already, so the
-    key reads them as they stand, and the kernels' memoised steps are the
-    ones :func:`disagreements` walks with afterwards (:func:`_kernels`), so
-    the walk of a pair that differs reuses every step the search took.
-    Each memo grows with the distinct configurations its machine meets, up
-    to the kernel's bound per letter.
-    """
-    (start_a, step_a, read_a, _), (start_b, step_b, read_b, _) = kernels
-    if not outputs_equal(a, read_a(start_a), read_b(start_b)):
+    def known(pair):
+        ra, rb = find((0, tuple(pair[0]))), find((1, tuple(pair[1])))
+        if ra == rb:
+            return True
+        parent[ra] = rb
         return False
-    seen = {key(start_a, start_b)}
-    level = [(start_a, start_b)]
-    for _ in range(maxlen):
-        found = []
-        for va, vb in level:
-            for x in a.alphabet:
-                pair = step_a(va, x), step_b(vb, x)
-                k = key(*pair)
-                if k in seen:
-                    continue
-                seen.add(k)
-                if not outputs_equal(a, read_a(pair[0]), read_b(pair[1])):
-                    return False
-                found.append(pair)
-        if not found:
-            break
-        level = found
-    return True
+
+    return known
+
+
+def _equivalent(a: EffAutomaton, b: EffAutomaton, maxlen: int | None = None, kernels=None):
+    """Whether ``a`` and ``b`` agree on every word over ``a``'s alphabet up
+    to ``maxlen``, or on every word without it, by one :func:`_closure`: the
+    one place that picks the congruence and the kernel from the two
+    machines' monads.
+
+    * Two linear machines (``dist`` or rational, mixed allowed): Tzeng's
+      test (*SIAM J. Comput.* 21(2), 1992), run backward.  The elements are
+      the columns ``M(w) f`` of the difference machine, stepped on
+      :func:`_difference_kernel`; its value on ``w`` is ``a(w) - b(w)``, the
+      initial row times the column.  A column is covered if it lies in the
+      span of those found so far, kept in a
+      :class:`~effectfa.linalg.RowSpace`, and a zero column is covered from
+      the start; the span has dimension at most the states of both
+      machines.  Backward, because a recognizer machine
+      has many states but few independent futures.
+    * Two boolean machines: the pairs of vectors one word reaches, stepped
+      on both machines' kernels and covered up to equivalence
+      (:func:`_union_find`), which merges at most once per reachable
+      vector.
+    * Other pairs with a :func:`_pair_key` (min-plus, max-plus and convex
+      machines, and mixes of these with the other builtin effect types):
+      the same pairs, covered once their key was seen.  Min-plus and
+      max-plus equivalence is undecidable (Krob, 1994) and convex
+      equivalence is open, so these closures need not finish, and without
+      ``maxlen`` the answer is None.
+
+    None, too, for a user-declared semiring and for a convex machine
+    against a forward one.  ``kernels`` is the caller's :func:`_kernels`,
+    to share with its walk.  A letter of ``a``'s alphabet that ``b`` lacks
+    raises :class:`InputError` once the closure builds ``b``'s kernel.
+    """
+    if _is_linear(a.monad) and _is_linear(b.monad):
+        init, start, step = _difference_kernel(a, b)
+        space = RowSpace(len(a.states) + len(b.states))
+        return _closure(
+            start,
+            step,
+            lambda v: space._place(*v) is not None,
+            lambda v: not sum(map(mul, init, v[0])),
+            a.alphabet,
+            maxlen,
+        )
+    if _is_boolean(a.monad) and _is_boolean(b.monad):
+        known = _union_find()
+    else:
+        key = None if maxlen is None else _pair_key(a, b)
+        if key is None:
+            return None
+        seen = set()
+
+        def known(pair):
+            k = key(*pair)
+            if k in seen:
+                return True
+            seen.add(k)
+            return False
+
+    kernels = _kernels(a, b) if kernels is None else kernels
+    (start_a, step_a, read_a, _), (start_b, step_b, read_b, _) = kernels()
+
+    def step(pair, x):
+        return step_a(pair[0], x), step_b(pair[1], x)
+
+    def agree(pair):
+        return outputs_equal(a, read_a(pair[0]), read_b(pair[1]))
+
+    return _closure((start_a, start_b), step, known, agree, a.alphabet, maxlen)
 
 
 def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
@@ -825,32 +768,23 @@ def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     alphabet, comparing with :func:`outputs_equal` on ``a``.
 
     Pairs that agree on the empty word are first checked without a walk,
-    by :func:`_equivalent`.  Linear and boolean pairs are decided exactly,
-    in at most as many kernel steps as the walk below takes on one machine,
-    and on machines that differ in at most as many as a walk to their
-    shortest difference.  Min-plus, max-plus and convex pairs, and mixes of
-    these, are checked up to ``maxlen`` by :func:`_pair_search`, the
-    breadth-first search over distinct pair configurations, in at most the
-    walk's kernel steps on each machine.  If either finds no difference up
-    to ``maxlen``, nothing is walked.  Otherwise (a difference, for the
-    exact decision possibly beyond ``maxlen``, or its budget spent), and
-    always for a user-declared semiring and for a convex machine against a
-    forward one, both machines are walked along the word tree by
-    :func:`word_values`, on the kernels the decision or the search built,
-    so that every difference is listed; the walk stops as soon as the
-    caller stops asking.  A letter of ``a``'s alphabet that ``b`` lacks
+    by :func:`_equivalent` up to ``maxlen``: one breadth-first closure over
+    what a word reaches in both machines, cut at ``maxlen`` levels, in at
+    most the walk's kernel steps on each machine and, on machines that
+    differ, at most a walk's to their shortest difference.  If it finds no
+    difference, nothing is walked.  Otherwise, and always for a
+    user-declared semiring and for a convex machine against a forward one,
+    both machines are walked along the word tree by :func:`word_values`, on
+    the kernels the closure built, so that every difference is listed; the
+    walk stops as soon as the caller stops asking.  A letter of ``a``'s
+    alphabet that ``b`` lacks
     raises :class:`InputError` at the first request.
     """
-    # No exact decision takes more steps than this cap: Tzeng's basis holds
-    # at most one vector per state, Hopcroft-Karp merges at most once per
-    # reachable boolean vector.  The pair search needs no cap: its levels
-    # stop at ``maxlen``, within the walk's steps.
-    cap = (2 ** len(a.states) + 2 ** len(b.states)) * len(a.alphabet)
     kernels = _kernels(a, b)
     # A difference on the empty word is the walk's first answer, so the
-    # decision or the search is skipped.
+    # closure is skipped.
     if outputs_equal(a, eval_word(a, ()), eval_word(b, ())) and _equivalent(
-        a, b, _walk_steps(len(a.alphabet), maxlen, cap), maxlen, kernels
+        a, b, maxlen, kernels
     ):
         return
     kernel_a, kernel_b = kernels()

@@ -26,10 +26,11 @@ the columns.  There are two arithmetics:
   boolean one, the semiring's own ``add``/``mul`` otherwise.
 
 Both serve :func:`effectfa.automata.eval_word` and the word-tree walk of
-:func:`effectfa.automata.word_values`.  The backward basis reduction that
-decides equivalence of linear machines (:func:`effectfa.automata._equivalent`)
-steps the two machines' blocks separately and reduces with the same
-:func:`_lowest_terms`.
+:func:`effectfa.automata.word_values`.  The closure that checks two linear
+machines for equivalence (:func:`effectfa.automata._equivalent`) steps the
+columns of their difference machine backward, one block per machine,
+reduces them with the same :func:`_lowest_terms`, and covers them by their
+span in a :class:`RowSpace`.
 
 :class:`RowSpace` eliminates on integers too.  Its echelon rows are
 primitive integer vectors, a vector is reduced against a row by integer

@@ -21,12 +21,12 @@ automaton on the states with the letter channels for a
 :class:`BialgRecognizer`.  That is exact, since reading a letter on the
 monoid machine is the lifted product :func:`~effectfa.monoids.tm_multiply`
 with the letter image, and it lets :func:`verify_recognition` compare both
-machines with :func:`~effectfa.automata.disagreements` (an exact decision
-for linear and boolean machines, a breadth-first search over distinct pair
-configurations for min-plus, max-plus and convex ones, and a walk along the
-word tree on the evaluation core of :mod:`effectfa.automata` only where
-these find a difference or, for a user-declared semiring, cannot run)
-instead of building convex choice products.
+machines with :func:`~effectfa.automata.disagreements` (one breadth-first closure
+over what each word reaches in both machines, cut at the length asked, and
+a walk along the word tree on the evaluation core of
+:mod:`effectfa.automata` only where the closure finds a difference or, for
+a user-declared semiring, cannot run) instead of building convex choice
+products.
 
 Both recognizers are built on the monoid that the letters generate: the
 function graphs in the supports of the letter preimages
@@ -477,14 +477,15 @@ def verify_recognition(a: EffAutomaton, r, maxlen: int) -> list:
     before or after applying them to ``init`` gives the same value
     (associativity of Kleisli composition).
 
-    ``dist``, rational and boolean machines are first decided exactly:
-    Tzeng's backward basis reduction for the linear ones, Hopcroft–Karp
-    union-find for the boolean ones, in at most as many kernel steps as a
-    walk to ``maxlen`` takes.  Min-plus, max-plus and convex machines are
-    first searched breadth first over their distinct pair configurations
-    up to ``maxlen``, within the same steps.  If the machines agree
-    nothing is walked.  Otherwise, and always for a user-declared semiring,
-    both are walked along the word tree on
+    The machines are first checked by one breadth-first closure over what
+    each word reaches in both, cut at ``maxlen`` and taking at most the
+    kernel steps of a walk that far: columns of the difference machine
+    covered by their span for ``dist`` and rational machines (Tzeng's
+    test), pairs of boolean vectors covered by union-find for boolean ones
+    (Hopcroft–Karp), and pairs of configurations covered by key for
+    min-plus, max-plus and convex ones.  If the closure finds no
+    difference, nothing is walked.  Otherwise, and always for a
+    user-declared semiring, both are walked along the word tree on
     :func:`~effectfa.automata.eval_word`'s kernels: integer vectors for
     ``dist`` and rational weights, the backward generator DP for convex
     machines (equal to the forward hull's interval, see

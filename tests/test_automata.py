@@ -58,7 +58,6 @@ from effectfa.automata import (
     _is_linear,
     _kernel,
     _pair_key,
-    _walk_steps,
     collapse,
     disagreements,
     word_values,
@@ -691,11 +690,10 @@ def test_a_difference_on_the_empty_word_skips_the_decision(monkeypatch):
     from effectfa import automata
 
     entered = []
-    decide = automata._linear_equivalent
 
-    def recording(a, b, budget):
+    def recording(a, b):
         entered.append((a, b))
-        return decide(a, b, budget)
+        return _difference_kernel(a, b)
 
     coin = coin_pfa()
     later = replace(
@@ -715,7 +713,7 @@ def test_a_difference_on_the_empty_word_skips_the_decision(monkeypatch):
         ]
         for a, b in pairs
     ]
-    monkeypatch.setattr(automata, "_linear_equivalent", recording)
+    monkeypatch.setattr(automata, "_difference_kernel", recording)
     for (a, b), want in zip(pairs[:2], expected):
         got = list(disagreements(a, b, 3))
         assert got == want and got[0][0] == ()
@@ -1258,7 +1256,7 @@ def _decision_pairs(seed):
 def test_equivalent_matches_the_walk_beyond_the_difference_bound(seed):
     outcomes = set()
     for a, b in _decision_pairs(seed):
-        got = _equivalent(a, b, 10**9)
+        got = _equivalent(a, b)
         assert got == walk_agrees(a, b, difference_bound(a, b)), (a, b)
         outcomes.add(got)
     assert outcomes == {True, False}
@@ -1289,12 +1287,12 @@ def test_a_difference_beyond_maxlen_is_still_not_reported(monad, outputs, rebuil
     a, b = (chain_machine(monad, out) for out in outputs)
     if rebuild is not None:
         b = rebuild(b)
-    assert _equivalent(a, b, 10**9) is False
+    assert _equivalent(a, b) is False
     assert list(disagreements(a, b, 1)) == []
     assert [w for w, _, _ in disagreements(a, b, 2)] == [word(2)]
 
 
-def test_a_spent_budget_gives_the_walk_answer(monkeypatch):
+def test_a_closure_cut_at_maxlen_agrees_without_a_walk(monkeypatch):
     from effectfa import automata
 
     walked = []
@@ -1306,13 +1304,13 @@ def test_a_spent_budget_gives_the_walk_answer(monkeypatch):
     monkeypatch.setattr(automata, "word_values", counting)
     rng = random.Random(923)
     a = rand_pfa(rng, 3, 2)
-    # six states: more independent futures than a walk of length 0 or 1
-    # has steps
+    # six states: more independent futures than a closure cut at length 0
+    # or 1 reaches, so the cut, not the end of the closure, stops it
     big = purify_initial(purify_initial(_renamed(purify_initial(a))))
     for maxlen in (0, 1):
-        assert _equivalent(a, big, _walk_steps(2, maxlen, 10**9)) is None
+        assert _equivalent(a, big, maxlen) is True
         assert list(disagreements(a, big, maxlen)) == []
-    assert len(walked) == 4
+    assert walked == []
     other = _perturbed(rng, big, lambda: rand_dist(rng, big.states))
     assert list(disagreements(a, other, 1)) == [
         (w, va, vb)
@@ -1322,29 +1320,94 @@ def test_a_spent_budget_gives_the_walk_answer(monkeypatch):
     ]
 
 
-def test_the_exact_search_takes_at_most_the_walk_steps(monkeypatch):
+def _walk_step_count(letters, maxlen):
+    """The kernel steps a walk to ``maxlen`` over ``letters`` letters takes
+    on one machine: one per non-empty word."""
+    return sum(letters**n for n in range(1, maxlen + 1))
+
+
+def _counting_kernels(monkeypatch):
+    """Count the steps of every kernel built from here on: one counter per
+    :func:`_kernel` (one per machine) and per :func:`_difference_kernel`,
+    appended to the list returned."""
     from effectfa import automata
 
     steps = []
 
+    def counted(step):
+        count = [0]
+        steps.append(count)
+
+        def counting(v, x):
+            count[0] += 1
+            return step(v, x)
+
+        return counting
+
     def counting_difference_kernel(a, b):
         init, start, step = _difference_kernel(a, b)
-        return init, start, lambda v, x: steps.append(x) or step(v, x)
+        return init, start, counted(step)
 
-    def counting_kernel(a, letters, algebra=None):
-        start, step, read, backward = _kernel(a, letters, algebra)
-        return start, lambda v, x: steps.append(x) or step(v, x), read, backward
+    def counting_kernel(m, letters, algebra=None):
+        start, step, read, backward = _kernel(m, letters, algebra)
+        return start, counted(step), read, backward
 
     monkeypatch.setattr(automata, "_difference_kernel", counting_difference_kernel)
     monkeypatch.setattr(automata, "_kernel", counting_kernel)
+    return steps
+
+
+def test_the_exact_search_takes_at_most_the_walk_steps(monkeypatch):
     for a, b in _decision_pairs(924):
-        for budget in (0, 1, 3, 10, 10**9):
-            steps.clear()
-            got = _equivalent(a, b, budget)
-            # a boolean step is one step on each machine
-            assert len(steps) <= budget * (1 if _is_linear(a.monad) else 2)
-            if got is not None:
+        linear = _is_linear(a.monad)
+        # Without a length, the closure ends by itself: Tzeng's basis holds
+        # at most one column per state, Hopcroft-Karp merges at most once
+        # per reachable boolean vector.
+        if linear:
+            cap = len(a.alphabet) * (len(a.states) + len(b.states))
+        else:
+            cap = len(a.alphabet) * (2 ** len(a.states) + 2 ** len(b.states))
+        for maxlen in (0, 1, 2, 3, 10, None):
+            steps = _counting_kernels(monkeypatch)
+            got = _equivalent(a, b, maxlen)
+            monkeypatch.undo()
+            # one difference kernel, or one kernel per machine
+            assert len(steps) == (1 if linear else 2)
+            bound = cap if maxlen is None else _walk_step_count(len(a.alphabet), maxlen)
+            assert all(count <= bound for count, in steps)
+            if maxlen is None:
                 assert got == walk_agrees(a, b, difference_bound(a, b))
+            else:
+                assert got == (not _walked_differences(a, b, maxlen))
+
+
+def test_the_closure_is_cut_at_maxlen():
+    # Each pair first differs at ``a.b`` or ``a.a``: on the union-find, the
+    # span and the keyed congruence.
+    # Without a length, the keyed closure gives no answer.
+    rotors = _rotor(True), _rotor(False)
+    linear = tuple(chain_machine(DIST, out) for out in (F(1, 2), F(1, 3)))
+    keyed = tuple(chain_machine(weighted("minplus"), out) for out in (1, 2))
+    for (a, b), exact in [(rotors, False), (linear, False), (keyed, None)]:
+        assert _equivalent(a, b, 0) is True
+        assert _equivalent(a, b, 1) is True
+        assert _equivalent(a, b, 2) is False
+        assert _equivalent(a, b, 10**9) is False
+        assert _equivalent(a, b) is exact
+
+
+def test_a_zero_difference_column_takes_no_step(monkeypatch):
+    # All outputs zero: the start column of the difference machine is zero,
+    # so it spans nothing and the closure ends before its first step.
+    rng = random.Random(928)
+    a, b = rand_pfa(rng, 3, 2), rand_wfa(rng, "rational", 2, 2)
+    a = replace(a, output=dict.fromkeys(a.states, F(0)))
+    b = replace(b, output=dict.fromkeys(b.states, F(0)))
+    for maxlen in (None, 0, 5):
+        steps = _counting_kernels(monkeypatch)
+        assert _equivalent(a, b, maxlen) is True
+        monkeypatch.undo()
+        assert steps == [[0]]
 
 
 def _only_letter_a(a):
@@ -1427,7 +1490,7 @@ def test_an_early_difference_is_found_before_a_deep_subtree(monkeypatch):
     assert next(disagreements(a, b, 12))[0] == ("a", "b")
     # the search: at most a walk to length 2 on both machines; the walk:
     # the four words before ``a.b`` (a, b, a.a, a.b) on both machines
-    assert len(steps) <= 2 * _walk_steps(2, 2, 10**9) + 2 * 4
+    assert len(steps) <= 2 * _walk_step_count(2, 2) + 2 * 4
 
 
 def test_other_semirings_and_convex_machines_are_walked():
@@ -1435,15 +1498,10 @@ def test_other_semirings_and_convex_machines_are_walked():
     machines = [rand_wfa(rng, name, 2, 2) for name in ("minplus", "maxplus")]
     machines += [rand_npfa(rng, 2, 2, 2), choice_npfa()]
     for a in machines:
-        assert _equivalent(a, a, 10**9) is None
+        assert _equivalent(a, a) is None
 
 
-def test_the_budget_stops_at_the_search_cap():
-    assert [_walk_steps(2, n, 10**9) for n in range(4)] == [0, 2, 6, 14]
-    assert _walk_steps(2, 3, 10) == 10
-    assert _walk_steps(3, 10**9, 100) == 100  # no power of 3 this long is taken
-    assert _walk_steps(1, 10**9, 5) == 5
-    assert _walk_steps(0, 7, 5) == 0
+def test_a_huge_maxlen_stops_at_the_first_difference():
     a, b = (chain_machine(DIST, out) for out in (F(1, 2), F(1, 3)))
     assert next(disagreements(a, b, 10**9))[0] == word(2)
 
@@ -1507,29 +1565,13 @@ def test_the_pair_search_lists_what_the_walk_lists(seed):
 
 
 def test_the_pair_search_takes_at_most_the_walk_steps(monkeypatch):
-    from effectfa import automata
-
-    steps = []  # one counter per kernel built, so one per machine
-
-    def counting_kernel(m, letters, algebra=None):
-        start, step, read, backward = _kernel(m, letters, algebra)
-        count = [0]
-        steps.append(count)
-
-        def counted(v, x):
-            count[0] += 1
-            return step(v, x)
-
-        return start, counted, read, backward
-
     for a, b in _search_pairs(942):
-        for maxlen in (0, 1, 2, 3, 5):
-            steps.clear()
-            monkeypatch.setattr(automata, "_kernel", counting_kernel)
-            got = _equivalent(a, b, 10**9, maxlen)
+        for maxlen in (0, 1, 2, 3, 10):
+            steps = _counting_kernels(monkeypatch)
+            got = _equivalent(a, b, maxlen)
             monkeypatch.undo()
-            assert len(steps) == 2
-            bound = _walk_steps(len(a.alphabet), maxlen, 10**9)
+            assert len(steps) == 2  # one kernel per machine
+            bound = _walk_step_count(len(a.alphabet), maxlen)
             assert all(count <= bound for count, in steps)
             assert got == (not _walked_differences(a, b, maxlen))
 
