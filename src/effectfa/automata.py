@@ -11,8 +11,10 @@ one kernel (:func:`_kernel`): a start value, one step per letter, a read.
 ``dist`` and ``weighted`` kernels run forward on the column kernels of
 :mod:`effectfa.linalg` (integer numerators for ``dist`` and rational weights,
 plain lists of weights for the boolean and user-declared semirings), whose
-read, through the output column, is the same collapse; the convex kernel
-runs backward, on integer numerators too (see below).  Min-plus and
+read, through the output column, is the same collapse; on a linear machine
+:func:`eval_word` takes one step per block of letters instead, the blocks
+built by pairwise doubling.  The convex kernel runs backward, on integer
+numerators too (see below).  Min-plus and
 max-plus kernels keep a vector as ``(config, offset)``: the vector shifted
 so that its optimum is 0, and that optimum.  Their step is remembered per
 configuration and letter, so a word whose configurations repeat is mostly
@@ -88,8 +90,9 @@ from .effects import (
 from .errors import CapabilityError, InputError, InterfaceError
 from .linalg import (
     RowSpace,
-    _int_kernel,
+    _int_fold,
     _int_read,
+    _int_step,
     _int_vector,
     _lowest_terms,
     _semiring_matrix,
@@ -342,6 +345,28 @@ def _int_generators(values, states) -> tuple:
     return d, [_int_rows(group, index, d) for group in groups]
 
 
+def _linear_letters(a: EffAutomaton, letters) -> tuple:
+    """``(start, mats, radix, final)`` of a linear machine on integers: the
+    initial row and the output column as ``(numerators, den)``
+    (:func:`~effectfa.linalg._int_vector`), and per letter of ``letters``
+    its ``(d, columns)`` matrix, whose rows come straight from the letter
+    channel's table as integer weights (:func:`_int_rows`) over their LCM
+    ``d``.  ``radix`` is the LCM of the initial and letter denominators, as
+    :func:`~effectfa.linalg._int_step` takes it.  Each letter is looked up
+    once; an unknown one raises :class:`InputError`."""
+    index = {q: i for i, q in enumerate(a.states)}
+    mats = {}
+    for x in letters:
+        table = a.letter_channel(x).table
+        rows = [table[q].items() for q in a.states]
+        d = lcm(*(w.denominator for row in rows for _, w in row))
+        mats[x] = d, tuple(zip(*_int_rows(rows, index, d)))
+    start = _int_vector([a.init.weight(q) for q in a.states])
+    final = _int_vector([a.output[q] for q in a.states])
+    radix = lcm(start[1], *(d for d, _ in mats.values()))
+    return start, mats, radix, final
+
+
 def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> tuple:
     """``(start, step, read, backward)`` of a machine's word-value kernel:
     the value of ``w`` is ``start`` fed through ``step(v, x)`` for each
@@ -352,8 +377,9 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
     ``dist`` and ``weighted`` kernels run forward.  ``start`` is the initial
     vector, ``step`` feeds it through a letter matrix and ``read`` collapses
     it through the output map.  ``dist`` and rational ``weighted`` machines
-    run on integers: a vector is ``(numerators, den)`` in lowest terms
-    (:func:`~effectfa.linalg._int_kernel`) and only ``read`` builds a
+    run on integers: a vector is ``(numerators, den)`` in lowest terms,
+    ``step`` is one :func:`~effectfa.linalg._int_step` by the letter's
+    integer matrix (:func:`_linear_letters`), and only ``read`` builds a
     `Fraction`.  The other semirings step on the semiring column kernel
     (:func:`~effectfa.linalg._semiring_step`), and ``read`` is one more
     step, through the output column.  Boolean and user-declared semirings
@@ -421,20 +447,21 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
             return values if len(values) == 2 else values[0]
 
         return start, step, read, True
-    matrices = {x: _letter_matrix(a, x) for x in letters}
-    init = tuple(a.init.weight(q) for q in a.states)
-    final = tuple(a.output[q] for q in a.states)
     if _is_linear(a.monad):
-        (start,), step = _int_kernel((init,), matrices)
-        final = _int_vector(final)
+        start, mats, radix, final = _linear_letters(a, letters)
+
+        def step(v, x):
+            return _int_step(v[0], v[1], mats[x], radix)
 
         def read(v):
             return _int_read(v, final)
 
         return start, step, read, False
+    init = tuple(a.init.weight(q) for q in a.states)
+    final = tuple(a.output[q] for q in a.states)
     s = a.monad.semiring
     semiring_step = _semiring_step(s)
-    mats = {x: _semiring_matrix(s, m) for x, m in matrices.items()}
+    mats = {x: _semiring_matrix(s, _letter_matrix(a, x)) for x in letters}
     output = _semiring_matrix(s, tuple((f,) for f in final))
     opt = _TROPICAL_OPT.get(s.name)
     if opt is None:
@@ -479,7 +506,13 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
 
 
 def _fold(a: EffAutomaton, w, algebra: OutputAlgebra | None = None):
-    """The value of ``w``: one fold of :func:`_kernel` over its letters."""
+    """The value of ``w``: one fold of :func:`_kernel` over its letters, or
+    on a linear machine the blocked fold of
+    :func:`~effectfa.linalg._int_fold` over the same integer matrices."""
+    if _is_linear(a.monad):
+        start, mats, radix, final = _linear_letters(a, dict.fromkeys(w))
+        (v,) = _int_fold([start], w, mats, radix)
+        return _int_read(v, final)
     v, step, read, backward = _kernel(a, dict.fromkeys(w), algebra)
     for x in (reversed(w) if backward else w):
         v = step(v, x)
@@ -492,8 +525,11 @@ def eval_word(a: EffAutomaton, w):
     One fold over :func:`_kernel`, shared with :func:`eval_npfa`.  ``dist``
     and ``weighted`` values are the initial row times the letter matrices
     times the output column, which is :func:`collapse` of the pushed-forward
-    value: exact integers over one denominator on linear machines,
-    ``(config, offset)`` on min-plus and max-plus machines, with a memoised
+    value: exact integers over one denominator on linear machines, read in
+    blocks of letters built by pairwise doubling, one step per block
+    (:func:`~effectfa.linalg._int_fold`; a word whose blocks repeat takes
+    far fewer steps than letters), ``(config, offset)`` on min-plus and
+    max-plus machines, with a memoised
     step whose memory grows with the distinct configurations the word
     meets, up to a fixed bound per letter (see :func:`_kernel`), and plain
     lists of weights in :func:`bind`'s multiplication order otherwise.
@@ -561,7 +597,7 @@ def _difference_kernel(a: EffAutomaton, b: EffAutomaton) -> tuple:
         [a.init.weight(q) for q in a.states] + [b.init.weight(q) for q in b.states]
     )
     start = _int_vector([a.output[q] for q in a.states] + [-b.output[q] for q in b.states])
-    # Every prime of a denominator divides ``radix`` (see _int_kernel).
+    # Every prime of a denominator divides ``radix`` (see linalg._int_letters).
     radix = lcm(start[1], *(d for d, _, _ in blocks.values()))
 
     def step(v, x):
@@ -767,12 +803,13 @@ def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     which the two machines differ, in :func:`words_upto` order over ``a``'s
     alphabet, comparing with :func:`outputs_equal` on ``a``.
 
-    Pairs that agree on the empty word are first checked without a walk,
-    by :func:`_equivalent` up to ``maxlen``: one breadth-first closure over
+    The two machines are first checked without a walk, by
+    :func:`_equivalent` up to ``maxlen``: one breadth-first closure over
     what a word reaches in both machines, cut at ``maxlen`` levels, in at
     most the walk's kernel steps on each machine and, on machines that
-    differ, at most a walk's to their shortest difference.  If it finds no
-    difference, nothing is walked.  Otherwise, and always for a
+    differ, at most a walk's to their shortest difference (none if they
+    differ on the empty word, which the closure checks first).  If it finds
+    no difference, nothing is walked.  Otherwise, and always for a
     user-declared semiring and for a convex machine against a forward one,
     both machines are walked along the word tree by :func:`word_values`, on
     the kernels the closure built, so that every difference is listed; the
@@ -781,11 +818,9 @@ def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     raises :class:`InputError` at the first request.
     """
     kernels = _kernels(a, b)
-    # A difference on the empty word is the walk's first answer, so the
-    # closure is skipped.
-    if outputs_equal(a, eval_word(a, ()), eval_word(b, ())) and _equivalent(
-        a, b, maxlen, kernels
-    ):
+    # The closure checks the empty word before its first step, so a pair
+    # that differs there goes to the walk at once.
+    if _equivalent(a, b, maxlen, kernels):
         return
     kernel_a, kernel_b = kernels()
     for (w, va), (_, vb) in zip(

@@ -767,6 +767,11 @@ def run_command(argv) -> tuple[int, str]:
 
 
 def main() -> None:
+    # Exact values are printed in full, however many digits they have.  The
+    # limit on int-to-text conversion is process-wide, so only the command
+    # line lifts it; Pythons older than the limit have none.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     status, report = run_command(sys.argv[1:])
     if report:
         print(report)

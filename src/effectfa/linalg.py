@@ -8,25 +8,34 @@ Word products run on column kernels: each letter matrix is converted once
 into its columns, a vector is a plain list, and one step is one pass over
 the columns.  There are two arithmetics:
 
-* Integer rationals (:func:`word_value`, :func:`word_product`).  Each letter
-  matrix is scaled by the LCM ``d`` of its entries' denominators, a vector
-  is a list of integer numerators over one integer denominator, and one
-  step (:func:`_int_step`) multiplies by the integer matrix, multiplies the
-  denominator by ``d`` and divides out the gcd of the denominator and all
-  numerators (:func:`_lowest_terms`; the shared-denominator idea of
-  fraction-free elimination, Bareiss, *Math. Comp.* 22, 1968).  The convex
-  generator DP of :func:`effectfa.automata._kernel` reduces its tables with
-  the same :func:`_lowest_terms`.  A `Fraction` is built only from the
-  final numerator and denominator, and it normalises, so the value is the
-  one `Fraction` arithmetic gives.
+* Integer rationals.  Each letter matrix is scaled by the LCM ``d`` of its
+  entries' denominators, a vector is a list of integer numerators over one
+  integer denominator, and one step (:func:`_int_step`) multiplies by the
+  integer matrix, multiplies the denominator by ``d`` and divides out the
+  gcd of the denominator and all numerators (:func:`_lowest_terms`; the
+  shared-denominator idea of fraction-free elimination, Bareiss,
+  *Math. Comp.* 22, 1968).  A whole word is one fold, :func:`_int_fold`,
+  behind :func:`effectfa.automata.eval_word` on linear machines and
+  :func:`word_value` and :func:`word_product` here.  It reads the word in
+  blocks built by pairwise doubling (:func:`_pairing`): the integer matrix
+  of each distinct pair of neighbouring tokens is the product of its
+  halves' (:func:`_int_product`), and a level is paired only while that
+  costs fewer multiplications than the steps it saves; then each vector
+  takes one step per block.  The convex generator DP of
+  :func:`effectfa.automata._kernel` reduces its tables with the same
+  :func:`_lowest_terms`.  A `Fraction` is built only from the final
+  numerator and denominator, and it normalises, so the value is the one
+  `Fraction` arithmetic gives.
 * Semirings other than the rationals (:func:`_semiring_step`).  A column is
   the ``(row index, weight)`` pairs of its non-zero entries, and a step
   takes, per column, the semiring sum of ``mul(v[i], weight)``: ``min`` or
   ``max`` of ``v[i] + weight`` on the tropical semirings, ``any`` on the
   boolean one, the semiring's own ``add``/``mul`` otherwise.
 
-Both serve :func:`effectfa.automata.eval_word` and the word-tree walk of
-:func:`effectfa.automata.word_values`.  The closure that checks two linear
+Both steps serve the word-tree walk of
+:func:`effectfa.automata.word_values` and the pair closures, one letter at
+a time, since they need every prefix; the semiring step serves
+:func:`effectfa.automata.eval_word` too.  The closure that checks two linear
 machines for equivalence (:func:`effectfa.automata._equivalent`) steps the
 columns of their difference machine backward, one block per machine,
 reduces them with the same :func:`_lowest_terms`, and covers them by their
@@ -51,6 +60,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import gcd, lcm
 from operator import mul
 
@@ -119,13 +129,14 @@ def _int_matrix(m: Mat) -> tuple:
     )
 
 
-def _int_kernel(rows, matrices) -> tuple:
-    """``(starts, step)`` of the integer kernel for the rational ``rows``
-    and the letter matrices ``matrices`` (a dict, each converted once).
+def _int_letters(rows, matrices) -> tuple:
+    """``(starts, mats, radix)`` for the rational ``rows`` and the letter
+    matrices ``matrices`` (a dict, each converted once).
 
-    ``starts`` holds each row as ``(numerators, den)`` (:func:`_int_vector`)
-    and ``step(v, x)`` is the vector ``v`` times letter ``x``'s matrix, in
-    lowest terms (:func:`_int_step`).
+    ``starts`` holds each row as ``(numerators, den)`` (:func:`_int_vector`),
+    ``mats`` each letter's ``(d, columns)`` (:func:`_int_matrix`), and
+    ``radix`` is the LCM of every denominator among them, as
+    :func:`_int_step` and :func:`_int_fold` take it.
     """
     starts = [_int_vector(r) for r in rows]
     mats = {x: _int_matrix(m) for x, m in matrices.items()}
@@ -134,11 +145,7 @@ def _int_kernel(rows, matrices) -> tuple:
     # common factor is sought among the divisors of ``gcd(radix, den)``, a
     # short integer, and no gcd of two long integers is taken.
     radix = lcm(*(den for _, den in starts), *(d for d, _ in mats.values()))
-
-    def step(v, x):
-        return _int_step(v[0], v[1], mats[x], radix)
-
-    return starts, step
+    return starts, mats, radix
 
 
 def _int_read(v, final) -> Fraction:
@@ -146,20 +153,6 @@ def _int_read(v, final) -> Fraction:
     ``(numerators, den)``, as a `Fraction`."""
     (nums, den), (f_nums, f_den) = v, final
     return Fraction(sum(map(mul, nums, f_nums)), den * f_den)
-
-
-def _int_run(rows, w, matrix_of) -> list:
-    """Each row of ``rows`` times the letter matrices of ``w``, on integers.
-
-    Returns one ``(numerators, den)`` pair per row, in lowest terms.
-    ``matrix_of(x)`` gives letter ``x``'s rational matrix; it is called once
-    per distinct letter, in order of first occurrence, so it may raise on an
-    unknown letter.
-    """
-    vectors, step = _int_kernel(rows, {x: matrix_of(x) for x in dict.fromkeys(w)})
-    for x in w:
-        vectors = [step(v, x) for v in vectors]
-    return vectors
 
 
 def _int_step(nums, den, matrix, radix) -> tuple:
@@ -171,6 +164,75 @@ def _int_step(nums, den, matrix, radix) -> tuple:
     """
     d, cols = matrix
     return _lowest_terms([sum(map(mul, nums, col)) for col in cols], den * d, radix)
+
+
+def _int_product(first, second, radix) -> tuple:
+    """The ``(d, columns)`` matrix of ``first`` times ``second``, both
+    ``(d, columns)``, with the common factor of its scale and entries
+    divided out (:func:`_lowest_terms`)."""
+    (d1, cols1), (d2, cols2) = first, second
+    rows1 = tuple(zip(*cols1))
+    nums, d = _lowest_terms(
+        [sum(map(mul, row, col)) for col in cols2 for row in rows1], d1 * d2, radix
+    )
+    entries = iter(nums)
+    return d, tuple(tuple(islice(entries, len(rows1))) for _ in cols2)
+
+
+def _pairing(tokens, ids: int, n: int, rows: int) -> tuple:
+    """``(blocks, tokens)``: the blocks :func:`_int_fold` builds for the
+    token sequence ``tokens`` (integers below ``ids``) and the sequence it
+    then steps.
+
+    Each level pairs consecutive tokens, left to right; an odd last token
+    is carried to the next level as it is.  ``blocks[i]`` is the ``(left,
+    right)`` tokens of the block that becomes token ``ids + i``; each
+    distinct pair is one block.  A block's matrix costs ``n**3`` products
+    of short integers to build, for ``n`` states, and each use of it saves
+    one step of ``rows`` vectors, ``rows * n**2`` products with a long
+    integer.  So a level is paired only while ``fresh * n < pairs * rows``,
+    where ``pairs`` is the number of pairs on the level and ``fresh`` the
+    number of those not built before.
+    """
+    built = {}
+    while True:
+        pairs = len(tokens) // 2
+        level = dict.fromkeys(zip(tokens[0::2], tokens[1::2]))
+        fresh = [p for p in level if p not in built]
+        if len(fresh) * n >= pairs * rows:
+            return list(built), tokens
+        for p in fresh:
+            built[p] = ids + len(built)
+        tokens = [built[p] for p in zip(tokens[0::2], tokens[1::2])] + tokens[2 * pairs :]
+
+
+def _int_fold(vectors, w, mats, radix) -> list:
+    """Each vector of ``vectors``, ``(numerators, den)``, times the letter
+    matrices ``mats[x]`` (``(d, columns)``) of the letters ``x`` of ``w``.
+
+    The word is read in blocks built by pairwise doubling
+    (:func:`_pairing`): a block's matrix is the product of its two halves'
+    (:func:`_int_product`), and each vector takes one :func:`_int_step` per
+    block.  The blocks' denominators are products of the letters', so every
+    prime of them divides ``radix`` and the vectors come out in lowest
+    terms, as one step per letter would leave them.  A word whose blocks
+    repeat, such as ``a^k`` (repeated squaring), takes far fewer steps
+    than letters; the idea is that of evaluation on compressed words
+    (Lohrey, *Groups Complex. Cryptol.* 4(2), 2012).  Letters are numbered
+    in the order of ``mats`` and blocks after them, in a table of their
+    own, so a block never stands for a letter, whatever the letters are (a
+    tuple such as ``('a', 'b')`` included).
+    """
+    table = list(mats.values())
+    ids = {x: i for i, x in enumerate(mats)}
+    n = len(table[0][1]) if table else 0
+    blocks, tokens = _pairing([ids[x] for x in w], len(table), n, len(vectors))
+    for left, right in blocks:
+        table.append(_int_product(table[left], table[right], radix))
+    for t in tokens:
+        m = table[t]
+        vectors = [_int_step(nums, den, m, radix) for nums, den in vectors]
+    return vectors
 
 
 def _lowest_terms(nums, den, radix) -> tuple:
@@ -236,6 +298,15 @@ def _semiring_step(s):
             return sums
 
     return step
+
+
+def _int_run(rows, w, matrix_of) -> list:
+    """Each row of ``rows`` times the letter matrices of ``w``, by
+    :func:`_int_fold`.  ``matrix_of(x)`` gives letter ``x``'s rational
+    matrix; it is called once per distinct letter, in order of first
+    occurrence, so it may raise on an unknown letter."""
+    starts, mats, radix = _int_letters(rows, {x: matrix_of(x) for x in dict.fromkeys(w)})
+    return _int_fold(starts, w, mats, radix)
 
 
 def word_value(initial: Vec, w, matrix_of, final: Vec) -> Fraction:

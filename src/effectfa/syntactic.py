@@ -16,8 +16,9 @@ representation are the basis coordinates of those images, read off the same
 elimination that decides their membership.  `Fraction`s are built only for
 the reduced representation.  The resulting dimension is the rank of the
 language's word-pair value table, never larger than the input dimension.
-Word values and word matrices run on the integer kernel of
-:mod:`effectfa.linalg`.
+Word values and word matrices run on the blocked integer fold of
+:mod:`effectfa.linalg` (:func:`~effectfa.linalg.word_value`,
+:func:`~effectfa.linalg.word_product`).
 
 On a minimised representation, matrix equality of formal convex
 combinations of words decides the syntactic congruence: the reached rows
@@ -46,8 +47,9 @@ from .effects import WeightedVec, weighted
 from .errors import CapabilityError, InputError, PreconditionError
 from .linalg import (
     RowSpace,
-    _int_kernel,
+    _int_letters,
     _int_read,
+    _int_step,
     _int_vector,
     mat_add,
     mat_mul,
@@ -153,7 +155,7 @@ def _forward_reduce(rep: LinearRep) -> LinearRep:
     `Fraction`s are built only for the returned representation.
     """
     space = RowSpace(rep.dim)
-    (start,), step = _int_kernel((rep.initial,), rep.letters)
+    (start,), mats, radix = _int_letters((rep.initial,), rep.letters)
     basis = [start] if space._place(*start) is None else []
     # Per letter, the basis coordinates of the images of the basis rows.  An
     # image's coordinates are taken in the basis found so far, a prefix of
@@ -161,7 +163,7 @@ def _forward_reduce(rep: LinearRep) -> LinearRep:
     images = {a: [] for a in rep.alphabet}
     for b in basis:  # breadth first: the loop also visits rows appended below
         for a in rep.alphabet:
-            w = step(b, a)
+            w = _int_step(*b, mats[a], radix)
             c = space._place(*w)
             if c is None:
                 basis.append(w)

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     chain_machine,
@@ -64,6 +66,7 @@ from effectfa.automata import (
 )
 from effectfa.effects import CONVEX_CHOICE_LIMIT
 from effectfa.errors import CapabilityError, InputError, InterfaceError
+from effectfa.linalg import _pairing
 
 
 def word(n, letter="a"):
@@ -605,12 +608,98 @@ def test_eval_word_on_a_thousand_letters():
         assert eval_word(a, w) == bind_fold_value(a, w)
 
 
+def test_eval_word_on_a_hundred_thousand_letters():
+    # Blocks of a unary word are its powers of two, so this is repeated
+    # squaring: a few dozen steps, not one per letter.
+    assert eval_word(coin_pfa(), word(100_000)) == 1 - F(1, 2**100_000)
+
+
 def test_eval_word_rejects_unknown_letters_on_linear_machines():
     rng = random.Random(408)
     for a in (coin_pfa(), rand_wfa(rng, "rational", 2, 2)):
         for w in [("z",), ("a",) * 50 + ("z",), ("a", "z", "a")]:
             with pytest.raises(InputError):
                 eval_word(a, w)
+
+
+# Letters of the blocked-fold property: a tuple letter next to the two
+# strings it is made of, so a block's key can never stand for a letter.
+MIXED_LETTERS = ("a", "b", ("a", "b"))
+
+
+def _mixed_words(max_len):
+    """Words over :data:`MIXED_LETTERS`: of length 0, 1 or 2, and long
+    ones of at least half ``max_len`` letters, odd lengths included, both
+    periodic (a short pattern repeated and cut) and arbitrary."""
+    letter = st.sampled_from(MIXED_LETTERS)
+    length = st.integers(max_len // 2, max_len)
+    periodic = st.builds(
+        lambda pattern, n: tuple((pattern * n)[:n]),
+        st.lists(letter, min_size=1, max_size=3),
+        length,
+    )
+    arbitrary = length.flatmap(lambda n: st.lists(letter, min_size=n, max_size=n))
+    short = st.lists(letter, max_size=2)
+    return st.one_of(short.map(tuple), periodic, arbitrary.map(tuple))
+
+
+def _with_mixed_letters(a, third):
+    """``a`` (over ``a`` and ``b``) with the letter ``('a', 'b')`` added,
+    whose transition from each state ``q`` is ``third[(q, 'a')]``."""
+    trans = dict(a.trans)
+    for q in a.states:
+        trans[(q, MIXED_LETTERS[2])] = third[(q, "a")]
+    return replace(a, alphabet=MIXED_LETTERS, trans=trans)
+
+
+def fraction_fold(a, w):
+    """The initial row times the letter matrices of ``w`` times the output
+    column, by `Fraction` vector-matrix products read off the transitions."""
+    v = [a.init.weight(q) for q in a.states]
+    for x in w:
+        v = [
+            sum((c * a.trans[(q, x)].weight(p) for c, q in zip(v, a.states)), F(0))
+            for p in a.states
+        ]
+    return sum((c * a.output[q] for c, q in zip(v, a.states)), F(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 2), _mixed_words(10))
+@example(0, 1, ("a",) * 10)
+@example(1, 2, (("a", "b"), "a") * 5)
+def test_blocked_fold_matches_path_sums_on_dist_machines(seed, n, w):
+    rng = random.Random(seed)
+    a = rand_pfa(rng, n, 2, pure_init=False)
+    a = _with_mixed_letters(a, rand_pfa(rng, n, 1).trans)
+    assert eval_word(a, w) == eval_pfa_pathsum(a, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 4), _mixed_words(80))
+@example(0, 2, ("a",) * 77)
+@example(1, 3, ("b", ("a", "b"), "a") * 21)
+def test_blocked_fold_matches_fraction_folds_on_rational_machines(seed, n, w):
+    rng = random.Random(seed)
+    a = rand_wfa(rng, "rational", n, 2)
+    a = _with_mixed_letters(a, rand_wfa(rng, "rational", n, 1).trans)
+    assert eval_word(a, w) == fraction_fold(a, w)
+
+
+def test_many_states_on_a_short_word_build_no_block():
+    rng = random.Random(409)
+    a = rand_pfa(rng, 12, 2, pure_init=False)
+    w = tuple(rng.choice(a.alphabet) for _ in range(20))
+    # The rule's inputs: 10 pairs of at most 4 kinds, 12 states, one vector.
+    ids = {x: i for i, x in enumerate(dict.fromkeys(w))}
+    tokens = [ids[x] for x in w]
+    assert _pairing(tokens, len(ids), 12, 1) == ([], tokens)
+    assert eval_word(a, w) == fraction_fold(a, w)
+    # The same word on two states is read in blocks, to the same value.
+    small = rand_pfa(rng, 2, 2, pure_init=False)
+    pairs, blocked = _pairing(tokens, len(ids), 2, 1)
+    assert pairs and len(blocked) < len(w)
+    assert eval_word(small, w) == fraction_fold(small, w)
 
 
 def _word_tree_machines(rng):
@@ -686,14 +775,19 @@ def test_disagreements_come_in_words_upto_order():
     assert list(disagreements(coin, coin, 5)) == []
 
 
-def test_a_difference_on_the_empty_word_skips_the_decision(monkeypatch):
+def test_a_difference_on_the_empty_word_takes_no_closure_step(monkeypatch):
     from effectfa import automata
 
-    entered = []
+    steps = []
 
     def recording(a, b):
-        entered.append((a, b))
-        return _difference_kernel(a, b)
+        init, start, step = _difference_kernel(a, b)
+
+        def counted(v, x):
+            steps.append((a, b))
+            return step(v, x)
+
+        return init, start, counted
 
     coin = coin_pfa()
     later = replace(
@@ -717,10 +811,10 @@ def test_a_difference_on_the_empty_word_skips_the_decision(monkeypatch):
     for (a, b), want in zip(pairs[:2], expected):
         got = list(disagreements(a, b, 3))
         assert got == want and got[0][0] == ()
-    assert entered == []
-    # A pair that agrees on the empty word is still decided first.
+    assert steps == []
+    # A pair that agrees on the empty word is stepped until it differs.
     assert list(disagreements(coin, later, 3)) == expected[2]
-    assert entered == [(coin, later)]
+    assert steps and all(pair == (coin, later) for pair in steps)
 
 
 @pytest.mark.parametrize("name", ["minplus", "maxplus"])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -454,6 +455,28 @@ def test_python_dash_m_runs_the_command_line(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "7/8"
+
+
+def test_eval_prints_exact_values_of_any_length():
+    # 1 - 2^-20000 has 6021 digits above the line, past the 4300 that
+    # Python converts from int to text by default.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "effectfa", "eval", "samples/coin.aut", ".".join("a" * 20000)],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    # Decimal arithmetic writes the expected text with no int conversion.
+    with localcontext() as ctx:
+        ctx.prec = 10_000
+        den = Decimal(2) ** 20000
+        want = f"{den - 1:f}/{den:f}"
+    assert done.stdout.strip() == want
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,10 @@ from conftest import fraction_feasible_nonneg
 from effectfa.exactnum import INF, NEG_INF, semiring_builtin
 from effectfa.linalg import (
     RowSpace,
+    _int_letters,
+    _int_product,
     _int_run,
+    _pairing,
     _semiring_matrix,
     _semiring_step,
     dot,
@@ -125,6 +128,51 @@ def test_word_kernel_keeps_vectors_in_lowest_terms():
         rows = identity(2) + ((F(1, 3), F(1, 3)),)
         for nums, den in _int_run(rows, w, mats.__getitem__):
             assert gcd(den, *nums) == 1
+
+
+def test_int_product_is_the_fraction_product_in_lowest_terms():
+    rng = random.Random(504)
+    for _ in range(20):
+        n = rng.randint(0, 4)
+        first, second = rand_matrix(rng, n, n), rand_matrix(rng, n, n)
+        if rng.random() < 0.2:
+            second = tuple(tuple(F(0) for _ in range(n)) for _ in range(n))
+        _, mats, radix = _int_letters((), {"x": first, "y": second})
+        d, cols = _int_product(mats["x"], mats["y"], radix)
+        assert gcd(d, *(y for col in cols for y in col)) == 1
+        rows = tuple(tuple(F(y, d) for y in row) for row in zip(*cols))
+        assert rows == mat_mul(first, second)
+
+
+def _expand(pairs, ids, tokens):
+    """The letter ids that ``_pairing``'s tokens stand for, block by block."""
+    out = []
+    for t in tokens:
+        out += _expand(pairs, ids, pairs[t - ids]) if t >= ids else [t]
+    return out
+
+
+def test_pairing_pairs_a_level_while_fresh_times_states_is_below_pairs():
+    # (ab)^3: three pairs, one of them fresh.
+    tokens = [0, 1] * 3
+    assert _pairing(tokens, 2, 2, 1) == ([(0, 1)], [2, 2, 2])
+    assert _pairing(tokens, 2, 3, 1) == ([], tokens)
+    # Two rows stepped at once save two steps per use.
+    assert _pairing(tokens, 2, 3, 2) == ([(0, 1)], [2, 2, 2])
+    # a^11 on one state: repeated squaring, with the odd last token carried
+    # and paired on the next level.
+    assert _pairing([0] * 11, 1, 1, 1) == ([(0, 0), (1, 1), (1, 0)], [2, 2, 3])
+    assert _pairing([], 2, 1, 1) == ([], [])
+    assert _pairing([1], 2, 0, 1) == ([], [1])
+    rng = random.Random(505)
+    for _ in range(50):
+        ids = rng.randint(1, 3)
+        pattern = [rng.randrange(ids) for _ in range(rng.randint(1, 4))]
+        tokens = (pattern * 60)[: rng.randint(0, 200)]
+        n, rows = rng.randint(1, 8), rng.randint(1, 3)
+        pairs, out = _pairing(tokens, ids, n, rows)
+        assert len(set(pairs)) == len(pairs)
+        assert _expand(pairs, ids, out) == tokens
 
 
 class FractionRowSpace:
