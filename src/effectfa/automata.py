@@ -583,25 +583,37 @@ def _difference_kernel(a: EffAutomaton, b: EffAutomaton) -> tuple:
     letter matrix ``M_x``: each block's rows come straight from the letter
     channel's table as integer weights (:func:`_int_rows`) over the LCM of
     both blocks' denominators, and each block is applied to its own half of
-    ``v``, so no zero block is stored or multiplied.
+    ``v``, so no zero block is stored or multiplied.  A letter's blocks are
+    built the first time a step reads it, so a pair that differs on the
+    empty word converts no rows; each letter is looked up at once, so an
+    unknown one raises :class:`InputError` before anything is decided.
     """
     na = len(a.states)
     indexes = [{q: i for i, q in enumerate(m.states)} for m in (a, b)]
-    blocks = {}
-    for x in a.alphabet:
-        groups = [[m.letter_channel(x).table[q].items() for q in m.states] for m in (a, b)]
-        d = lcm(*(w.denominator for group in groups for row in group for _, w in row))
-        rows_a, rows_b = (_int_rows(g, i, d) for g, i in zip(groups, indexes))
-        blocks[x] = d, rows_a, rows_b
+    channels = {x: (a.letter_channel(x), b.letter_channel(x)) for x in a.alphabet}
     init, _ = _int_vector(
         [a.init.weight(q) for q in a.states] + [b.init.weight(q) for q in b.states]
     )
     start = _int_vector([a.output[q] for q in a.states] + [-b.output[q] for q in b.states])
-    # Every prime of a denominator divides ``radix`` (see linalg._int_letters).
-    radix = lcm(start[1], *(d for d, _, _ in blocks.values()))
+    blocks = {}
+    # Every prime of a denominator met so far divides ``radix`` (see
+    # linalg._int_letters): a value's denominator comes from ``start`` and
+    # the letters stepped, whose blocks were built before it.
+    radix = start[1]
+
+    def block(x):
+        nonlocal radix
+        groups = [
+            [ch.table[q].items() for q in m.states] for m, ch in zip((a, b), channels[x])
+        ]
+        d = lcm(*(w.denominator for group in groups for row in group for _, w in row))
+        rows_a, rows_b = (_int_rows(g, i, d) for g, i in zip(groups, indexes))
+        radix = lcm(radix, d)
+        blocks[x] = d, rows_a, rows_b
+        return blocks[x]
 
     def step(v, x):
-        (nums, den), (d, rows_a, rows_b) = v, blocks[x]
+        (nums, den), (d, rows_a, rows_b) = v, blocks.get(x) or block(x)
         head, tail = nums[:na], nums[na:]
         out = [sum(map(mul, head, r)) for r in rows_a]
         out += [sum(map(mul, tail, r)) for r in rows_b]

@@ -9,8 +9,14 @@ Automaton files are line oriented with ``#`` comments::
     trans q0 a -> q0:1/2 q1:1/2       # one line per state-letter pair
     output q0:0 q1:1                  # convex entries may be lo|hi
 
-Recognizer files share the framing with ``monoid``/``unit``/``mul``/``hom``/
-``pred`` sections (table entries written ``x*y=z``); bialgebra files use
+Monoid recognizer files share the framing with ``monoid``/``unit``/``hom``/
+``pred`` sections.  In the graph form, which ``to-monoid`` writes, a
+``states`` line gives the points and every element is named as a map of
+them (``[q1,q1]``, ``_`` marking an undefined point); the product is
+composition, so no table is written, and the reader checks that the
+elements are exactly those the ``hom`` supports generate and that the unit
+is the identity.  In the table form, for abstract monoids, ``mul`` lines
+give every product as ``x*y=z``.  Bialgebra files use
 ``gens``/``image``/``hom``/``init``/``output``.  All three formats are read by
 one section reader: the first token of a line names its section, and sections
 may come in any order.  One-line sections appear once; ``trans``, ``hom``
@@ -26,12 +32,14 @@ combinations are written ``1/3*eps + 2/3*a.a`` and game positions
 Every number is printed as exact rational text; ``--decimal K`` switches a
 report to K-digit decimal rendering for human reading.  Exit status 0 means
 success or a true answer, 1 a false answer or found violation, 2 an error
-(every malformed file included).
+(every malformed file included).  A reader that closes the output early, as
+``head`` does, leaves the status as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from itertools import product as _iterproduct
@@ -48,10 +56,26 @@ from .automata import (
     disagreements,
     eval_word,
 )
-from .effects import CONVEX, Channel, ConvexSet, DIST, Dist, WeightedVec, weighted
-from .errors import EffectfaError, ParseError
+from .effects import (
+    CONVEX,
+    Channel,
+    ConvexSet,
+    DIST,
+    Dist,
+    WeightedVec,
+    _supports,
+    weighted,
+)
+from .errors import EffectfaError, ParseError, ResourceError
 from .exactnum import parse_rational
-from .monoids import EffMorphism, FinMonoid, _graph_name
+from .monoids import (
+    EffMorphism,
+    FinMonoid,
+    _graph_composer,
+    _graph_name,
+    generated_monoid,
+    transition_monoid_closure,
+)
 from .recognition import (
     BialgRecognizer,
     EffRecognizer,
@@ -378,8 +402,79 @@ def _products(sections, elements) -> dict:
     return table
 
 
+def _graph_state(name: str) -> bool:
+    """Whether a state name can be written inside a graph name: the
+    separators of :func:`~effectfa.monoids._graph_name` and its mark for an
+    undefined point would make the name ambiguous."""
+    return name != "_" and not any(c in name for c in "[,]")
+
+
+def _parse_graph_states(tokens) -> tuple:
+    states = _distinct(tokens, "state")
+    for q in states:
+        if not _graph_state(q):
+            raise ParseError(f"state {q!r} cannot be written in a graph name")
+    return states
+
+
+def _graph(name, index):
+    """The graph on the states of ``index`` (state to position) that
+    ``name`` writes, or None if it writes none."""
+    inner = name[1:-1].split(",") if len(name) > 2 else []
+    graph = tuple(None if y == "_" else y for y in inner)
+    if len(graph) != len(index) or any(y is not None and y not in index for y in graph):
+        return None
+    return graph if _graph_name(graph) == name else None
+
+
+def _graph_monoid(sections, states, elements, unit_name, hom) -> FinMonoid:
+    """The monoid of a graph-form file: its elements, named as graphs on
+    ``states``, must be exactly the closure of the graphs in the ``hom``
+    supports, and its unit the identity graph.  The names stay the element
+    payloads, in file order; the product is composition, read back as
+    names, so no table is built and no associativity test runs."""
+    monoid_no, unit_no = sections["monoid"][0][0], sections["unit"][0][0]
+    index = {q: i for i, q in enumerate(states)}
+    graphs = {}
+    for name in elements:
+        graphs[name] = _graph(name, index)
+        if graphs[name] is None:
+            _fail(monoid_no, f"element {name!r} is not a graph on the states")
+    if graphs[unit_name] != states:
+        _fail(unit_no, f"unit {unit_name!r} is not the identity graph")
+    gens = [graphs[x] for x in _supports(hom.values())]
+    try:
+        closed = set(generated_monoid(states, gens, len(elements)).elements)
+    except ResourceError:
+        _fail(
+            monoid_no,
+            f"the letter images generate more than the {len(elements)} declared elements",
+        )
+    names = {g: name for name, g in graphs.items()}
+    for g in closed:
+        if g not in names:
+            _fail(
+                monoid_no,
+                f"the letter images generate {_graph_name(g)}, which is not declared",
+            )
+    for name, g in graphs.items():
+        if g not in closed:
+            _fail(monoid_no, f"element {name!r} is not generated by the letter images")
+    compose = _graph_composer(states)
+    return FinMonoid.from_operation(
+        elements,
+        elements,
+        unit_name,
+        lambda x, y: names[compose(graphs[x], graphs[y])],
+        states,
+    )
+
+
 def _parse_monoid_recognizer(sections) -> EffRecognizer:
-    _known(sections, ("monad", "alphabet", "monoid", "unit", "mul", "hom", "pred"))
+    graph_form = "states" in sections
+    form_heads = ("states",) if graph_form else ("mul",)
+    heads = ("monad", "alphabet", "monoid", "unit", "hom", "pred")
+    _known(sections, heads + form_heads)
     monad, algebra = _line(sections, "monad", _parse_monad_line)
     alphabet = _line(sections, "alphabet", _distinct, "letter")
     elements = _line(sections, "monoid", _distinct, "monoid element")
@@ -387,30 +482,68 @@ def _parse_monoid_recognizer(sections) -> EffRecognizer:
     keys = ((alphabet, "letter"),)
     hom = _rows(sections, "hom", keys, "hom lines", elements, monad)
     pred = _line(sections, "pred", _outputs, elements, "element", monad)
-    try:
-        target = FinMonoid.from_table(elements, _products(sections, elements), unit_name)
-    except EffectfaError as e:
-        raise ParseError(str(e)) from None
+    if graph_form:
+        states = _line(sections, "states", _parse_graph_states)
+        target = _graph_monoid(sections, states, elements, unit_name, hom)
+    else:
+        try:
+            target = FinMonoid.from_table(
+                elements, _products(sections, elements), unit_name
+            )
+        except EffectfaError as e:
+            raise ParseError(str(e)) from None
     letters = {a: hom[(a,)] for a in alphabet}
     morphism = EffMorphism(target=target, monad=monad, alphabet=alphabet, letters=letters)
     return EffRecognizer(morphism=morphism, predicate=pred, output_algebra=algebra)
 
 
+def _graph_states(r: EffRecognizer):
+    """The printed names of the states a recognizer's monoid acts on, if its
+    file can take the graph form, else None.
+
+    That needs a monoid of graphs (a known ``carrier``) whose state names
+    are tokens that :func:`_graph_state` admits, and whose elements are
+    exactly those the letter images' supports generate: the monoid the
+    parser rebuilds.  A recognizer on the whole function monoid, say, is
+    printed with its table.
+    """
+    m = r.morphism.target
+    if m.carrier is None:
+        return None
+    states = [str(q) for q in m.carrier]
+    if len(set(states)) != len(states) or not all(
+        q.split() == [q] and "#" not in q and _graph_state(q) for q in states
+    ):
+        return None
+    gens = _supports(r.morphism.letters.values())
+    generated = transition_monoid_closure(m, gens, len(m))
+    return states if generated is not None and len(generated) == len(m) else None
+
+
 def print_recognizer(r: EffRecognizer) -> str:
+    """Render a monoid recognizer: in the graph form (a ``states`` line and
+    no products) when :func:`_graph_states` allows it, else with its
+    ``mul`` table."""
     m = r.morphism.target
     monad = r.morphism.monad
     names = {x: m.name(x) for x in m.elements}
+    states = _graph_states(r)
     lines = [
         _fmt_monad_line(monad, r.output_algebra),
         "alphabet " + " ".join(r.morphism.alphabet),
+    ]
+    if states is not None:
+        lines.append(("states " + " ".join(states)).rstrip())
+    lines += [
         "monoid " + " ".join(names[x] for x in m.elements),
         "unit " + names[m.unit],
     ]
-    for x in m.elements:
-        row = " ".join(
-            f"{names[x]}*{names[y]}={names[m.mul(x, y)]}" for y in m.elements
-        )
-        lines.append("mul " + row)
+    if states is None:
+        for x in m.elements:
+            row = " ".join(
+                f"{names[x]}*{names[y]}={names[m.mul(x, y)]}" for y in m.elements
+            )
+            lines.append("mul " + row)
     for a in r.morphism.alphabet:
         named = r.morphism.letter(a).map(names.__getitem__)
         entry = _fmt_effect(named, [names[x] for x in m.elements], monad)
@@ -774,7 +907,13 @@ def main() -> None:
         sys.set_int_max_str_digits(0)
     status, report = run_command(sys.argv[1:])
     if report:
-        print(report)
+        try:
+            print(report, flush=True)
+        except BrokenPipeError:
+            # The reader stopped early; the answer is the status all the
+            # same.  Whatever is still buffered goes to the null device, so
+            # the flush at exit does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(status)
 
 

@@ -243,6 +243,16 @@ class ConvexSet:
         return f"ConvexSet({list(self.generators)!r})"
 
 
+def _supports(values) -> list:
+    """The elements in the supports of effect values (of every generator,
+    for a convex set), each once, in order of first appearance."""
+    seen = {}
+    for t in values:
+        for d in t.generators if isinstance(t, ConvexSet) else (t,):
+            seen.update(dict.fromkeys(d.support()))
+    return list(seen)
+
+
 def _value_monad(t) -> Monad:
     if isinstance(t, Dist):
         return DIST
@@ -458,17 +468,6 @@ def double_strength(t1, t2):
                     out[(x, y)] = v
         return WeightedVec(s, out)
     return _convex_bind(t1, lambda x: strength_left(x, t2))
-
-
-def double_strength_flipped(t1, t2):
-    """The opposite orientation: resolve the right value first."""
-    m1, m2 = _value_monad(t1), _value_monad(t2)
-    if m1 != m2:
-        raise InterfaceError("double strength needs matching effect types")
-    if m1.kind != "convex":
-        return double_strength(t1, t2)
-    flipped = _convex_bind(t2, lambda y: strength_right(t1, y))
-    return flipped.map(lambda pair: (pair[1], pair[0])).normalized()
 
 
 def kleisli_pair(f1: Channel, f2: Channel) -> Channel:

@@ -6,6 +6,10 @@ then associativity by Light's test on a greedily picked generating set,
 run on an integer row table;
 monoids defined by an operation (function composition, submonoid closure)
 skip the check since associativity is inherited from the construction.
+A monoid of function graphs (:func:`function_monoid`,
+:func:`generated_monoid`) records the ``carrier`` its graphs act on (None
+for every other monoid); since its product is composition, a recognizer
+file can name its elements as graphs and leave the table out.
 
 Effect values over a monoid multiply by pairing followed by pushforward
 along the table (:func:`tm_multiply`); folding that over the letters of a
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 from itertools import product as _iterproduct
 
 from .automata import EffAutomaton, is_pure_automaton, words_upto
-from .effects import Dist, Monad, WeightedVec, double_strength, unit
+from .effects import Monad, double_strength, unit
 from .errors import (
     InputError,
     IntegrityError,
@@ -43,12 +47,18 @@ FUNCTION_MONOID_BOUND = 1000
 
 
 class FinMonoid:
-    """Finite monoid over hashable element payloads with printable names."""
+    """Finite monoid over hashable element payloads with printable names.
 
-    __slots__ = ("elements", "_names", "unit", "_op", "_memo", "_index")
+    ``carrier`` is the tuple of points when the elements are function graphs
+    on them named by :func:`_graph_name` and multiplied by composition, and
+    None otherwise.
+    """
 
-    def __init__(self, elements, names, unit, op, validate=False):
+    __slots__ = ("elements", "_names", "unit", "_op", "_memo", "_index", "carrier")
+
+    def __init__(self, elements, names, unit, op, validate=False, carrier=None):
         self.elements = tuple(elements)
+        self.carrier = carrier
         self._names = dict(zip(self.elements, names))
         if len(self._names) != len(self.elements):
             raise IntegrityError("monoid elements must be distinct")
@@ -77,9 +87,9 @@ class FinMonoid:
         return cls(elements, names, unit_name, lambda x, y: table[(x, y)], validate=True)
 
     @classmethod
-    def from_operation(cls, elements, names, unit, op) -> "FinMonoid":
+    def from_operation(cls, elements, names, unit, op, carrier=None) -> "FinMonoid":
         """Build from an operation known to be associative (e.g. composition)."""
-        return cls(elements, names, unit, op, validate=False)
+        return cls(elements, names, unit, op, validate=False, carrier=carrier)
 
     def _validate(self):
         """Check the unit laws, then associativity by Light's test.
@@ -198,8 +208,9 @@ def function_monoid(carrier: tuple, kind: str = "total") -> FinMonoid:
         )
     elements = tuple(_iterproduct(choices, repeat=n))
     names = [_graph_name(f) for f in elements]
+    carrier = tuple(carrier)
     return FinMonoid.from_operation(
-        elements, names, tuple(carrier), _graph_composer(carrier)
+        elements, names, carrier, _graph_composer(carrier), carrier
     )
 
 
@@ -224,7 +235,7 @@ def generated_monoid(
             f"elements: {bound + 1} were built before the closure stopped"
         )
     return FinMonoid.from_operation(
-        closed, [_graph_name(f) for f in closed], identity, compose
+        closed, [_graph_name(f) for f in closed], identity, compose, identity
     )
 
 
@@ -267,44 +278,6 @@ def free_extension_word(h: EffMorphism, w):
     for a in w[1:]:
         acc = tm_multiply(h.target, acc, h.letter(a))
     return acc
-
-
-def free_extension_enumerated(h: EffMorphism, w):
-    """Oracle for the free extension: sum over all factorisations of the word.
-
-    Accumulates, for every tuple of monoid elements drawn from the letter
-    supports, the product of letter weights at the product element.
-    Exponential in the word length; dist and weighted only.
-    """
-    if h.monad.kind == "convex":
-        raise PreconditionError("enumeration oracle covers dist and weighted only")
-    images = [h.letter(a) for a in w]
-    total = {}
-    for combo in _iterproduct(*[t.support() for t in images]):
-        if h.monad.kind == "dist":
-            weight = 1
-            for t, mi in zip(images, combo):
-                weight = weight * t.weight(mi)
-        else:
-            s = h.monad.semiring
-            weight = s.one
-            for t, mi in zip(images, combo):
-                weight = s.mul(weight, t.weight(mi))
-        target = combo[0] if combo else h.target.unit
-        for mi in combo[1:]:
-            target = h.target.mul(target, mi)
-        if h.monad.kind == "dist":
-            total[target] = total.get(target, 0) + weight
-        else:
-            s = h.monad.semiring
-            total[target] = s.add(total[target], weight) if target in total else weight
-    return _pack_value(h.monad, total)
-
-
-def _pack_value(monad: Monad, weights: dict):
-    if monad.kind == "dist":
-        return Dist(weights)
-    return WeightedVec(monad.semiring, weights)
 
 
 def verify_effectful_morphism(h: EffMorphism, maxlen: int) -> list:

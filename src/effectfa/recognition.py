@@ -68,6 +68,7 @@ from .effects import (
     Monad,
     WeightedVec,
     _check_value,
+    _supports,
     bind,
     decompose_channel,
     identity_channel,
@@ -242,11 +243,7 @@ def _generated_witness(a: EffAutomaton):
     element's channel."""
     letters = {x: xi_preimage(a.letter_channel(x)) for x in a.alphabet}
     # Graphs in order of first appearance, so the element order is reproducible.
-    maps = {}
-    for t in letters.values():
-        for d in t.generators if isinstance(t, ConvexSet) else (t,):
-            maps.update(dict.fromkeys(d.support()))
-    m = generated_monoid(a.states, maps)
+    m = generated_monoid(a.states, _supports(letters.values()))
     return letters, m, {f: _graph_channel(a.monad, a.states, f) for f in m.elements}
 
 

@@ -1,6 +1,7 @@
 """Shared machines and seeded random families for the test suite."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -430,3 +431,78 @@ def fraction_feasible_nonneg(a, b, ties=None):
         if bi < n:
             x[bi] = rows[i][-1]
     return tuple(x)
+
+
+def free_extension_enumerated(h, w):
+    """Oracle for the free extension of an effectful morphism ``h`` to the
+    word ``w``: a sum over all factorisations of the word.
+
+    Accumulates, for every tuple of monoid elements drawn from the letter
+    supports, the product of letter weights at the product element.
+    Exponential in the word length; ``dist`` and weighted only.
+    """
+    assert h.monad.kind != "convex", "the enumeration covers dist and weighted only"
+    images = [h.letter(a) for a in w]
+    s = h.monad.semiring if h.monad.kind == "weighted" else None
+    total = {}
+    for combo in product(*[t.support() for t in images]):
+        weight = F(1) if s is None else s.one
+        for t, mi in zip(images, combo):
+            weight = weight * t.weight(mi) if s is None else s.mul(weight, t.weight(mi))
+        target = combo[0] if combo else h.target.unit
+        for mi in combo[1:]:
+            target = h.target.mul(target, mi)
+        if target not in total:
+            total[target] = weight
+        elif s is None:
+            total[target] += weight
+        else:
+            total[target] = s.add(total[target], weight)
+    return Dist(total) if s is None else WeightedVec(s, total)
+
+
+def double_strength_flipped(t1, t2):
+    """The pairing of two convex sets in the orientation opposite to
+    ``double_strength``: the right value resolves first, then per right
+    outcome a generator of the left value is chosen.
+
+    Written out over every such choice, as the hull of one distribution
+    on ``(left, right)`` pairs per choice.
+    """
+    gens = []
+    for g2 in t2.generators:
+        outcomes = g2.support()
+        for choice in product(t1.generators, repeat=len(outcomes)):
+            gens.append(
+                Dist(
+                    {
+                        (x, y): g1.weight(x) * g2.weight(y)
+                        for y, g1 in zip(outcomes, choice)
+                        for x in g1.support()
+                    }
+                )
+            )
+    return ConvexSet(gens).normalized()
+
+
+def table_form(rec_text: str) -> str:
+    """A graph-form monoid recognizer file rewritten in the table form, as
+    the printer lays it out: the ``states`` line dropped and one ``mul``
+    line per element after the ``unit`` line.  The products are computed
+    here from the element names, by composing the graphs they write."""
+    lines = rec_text.splitlines()
+    (states,) = [line.split()[1:] for line in lines if line.startswith("states ")]
+    (names,) = [line.split()[1:] for line in lines if line.startswith("monoid ")]
+    index = {q: i for i, q in enumerate(states)}
+
+    def times(x, y):
+        first, then = x[1:-1].split(","), y[1:-1].split(",")
+        return "[" + ",".join(p if p == "_" else then[index[p]] for p in first) + "]"
+
+    out = []
+    for line in lines:
+        if not line.startswith("states "):
+            out.append(line)
+        if line.startswith("unit "):
+            out += ["mul " + " ".join(f"{x}*{y}={times(x, y)}" for y in names) for x in names]
+    return "\n".join(out) + "\n"

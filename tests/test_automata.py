@@ -57,6 +57,7 @@ from effectfa import (
 from effectfa.automata import (
     _difference_kernel,
     _equivalent,
+    _int_rows,
     _is_linear,
     _kernel,
     _pair_key,
@@ -815,6 +816,49 @@ def test_a_difference_on_the_empty_word_takes_no_closure_step(monkeypatch):
     # A pair that agrees on the empty word is stepped until it differs.
     assert list(disagreements(coin, later, 3)) == expected[2]
     assert steps and all(pair == (coin, later) for pair in steps)
+
+
+def test_the_difference_kernel_converts_a_letter_when_a_step_reads_it(monkeypatch):
+    from effectfa import automata
+
+    converted = []
+
+    def counting(rows, index, d):
+        converted.append(len(rows))
+        return _int_rows(rows, index, d)
+
+    two = EffAutomaton(
+        monad=DIST,
+        states=("p", "q"),
+        alphabet=("a", "b"),
+        init=unit(DIST, "p"),
+        trans={
+            ("p", "a"): Dist({"p": F(1, 2), "q": F(1, 2)}),
+            ("p", "b"): Dist({"q": F(1)}),
+            ("q", "a"): Dist({"q": F(1)}),
+            ("q", "b"): Dist({"p": F(1, 3), "q": F(2, 3)}),
+        },
+        output={"p": F(0), "q": F(1)},
+        output_algebra=UNIT_INTERVAL,
+    )
+    at_eps = replace(two, output={"p": F(1, 2), "q": F(1)})
+    at_a = replace(two, trans={**two.trans, ("p", "a"): Dist({"p": F(1, 4), "q": F(3, 4)})})
+    monkeypatch.setattr(automata, "_int_rows", counting)
+    assert _equivalent(two, at_eps, 3) is False
+    assert converted == []
+    # The first step reads a and differs, so b is never converted: one
+    # block of two rows per machine.
+    assert _equivalent(two, at_a, 3) is False
+    assert converted == [2, 2]
+    monkeypatch.undo()
+    for b in (at_eps, at_a):
+        want = [
+            (w, va, vb)
+            for w in words_upto(two.alphabet, 3)
+            for va, vb in [(eval_word(two, w), eval_word(b, w))]
+            if va != vb
+        ]
+        assert want and list(disagreements(two, b, 3)) == want
 
 
 @pytest.mark.parametrize("name", ["minplus", "maxplus"])

@@ -1,12 +1,29 @@
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import rand_npfa, rand_pfa, rand_wfa, table_form
+from effectfa import (
+    DIST,
+    Dist,
+    EffMorphism,
+    EffRecognizer,
+    UNIT_INTERVAL,
+    automaton_to_recognizer,
+    is_pure,
+    recognizer_to_automaton,
+    unit,
+    witness_xi0,
+)
 from effectfa.cli import (
     parse_automaton,
     parse_combo,
@@ -734,3 +751,206 @@ def test_reader_rejects_bad_mass_with_the_line(tmp_path, entries, message):
     path.write_text(COIN.replace("q0:1/2 q1:1/2", entries))
     status, out = run_command(["eval", str(path), "a"])
     assert (status, out) == (2, f"error: line 6: {message}")
+
+
+# ---------------------------------------------------------------------------
+# Graph-form monoid recognizers
+
+
+def _family_machine(family, seed, pure):
+    """A small machine of one effect family; ``pure=False`` asks for an
+    effectful start, which the recognizer moves onto a fresh ``_init``
+    state."""
+    rng = random.Random(seed)
+    if family == "dist":
+        return rand_pfa(rng, 2, 2, pure_init=pure)
+    if family == "convex":
+        return rand_npfa(rng, 2, 1, 2, pure_init=pure)
+    a = rand_wfa(rng, family, 2, 2)
+    return replace(a, init=unit(a.monad, "q0")) if pure else a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["dist", "rational", "boolean", "minplus", "convex"]),
+    seed=st.integers(0, 10**6),
+    pure=st.booleans(),
+)
+def test_graph_form_prints_and_parses_back(family, seed, pure):
+    a = _family_machine(family, seed, pure)
+    text = print_recognizer(automaton_to_recognizer(a))
+    lines = text.splitlines()
+    states = [line.split()[1:] for line in lines if line.startswith("states ")]
+    assert len(states) == 1 and not [line for line in lines if line.startswith("mul ")]
+    if not is_pure(a.init):
+        assert "_init" in states[0]
+    r = parse_recognizer(text)
+    assert r.morphism.target.carrier == tuple(states[0])
+    assert print_recognizer(r) == text
+    # The same recognizer with its table: printed back the same, and
+    # rebuilt into the same machine, byte for byte.
+    table = table_form(text)
+    t = parse_recognizer(table)
+    assert t.morphism.target.carrier is None
+    assert print_recognizer(t) == table
+    rebuilt = print_automaton(recognizer_to_automaton(r))
+    assert rebuilt == print_automaton(recognizer_to_automaton(t))
+
+
+@pytest.mark.parametrize("text", [MONOID, DIST_MONOID])
+def test_table_files_parse_and_print_as_before(text):
+    r = parse_recognizer(text)
+    assert r.morphism.target.carrier is None
+    assert print_recognizer(r) == text
+
+
+def test_a_recognizer_on_the_whole_function_monoid_keeps_its_table():
+    # The letter generates 2 of the 4 maps, so the graph form, whose parser
+    # rebuilds the generated monoid, cannot hold it.
+    m, _ = witness_xi0(DIST, ("q0", "q1"))
+    letters = {"a": Dist({("q0", "q1"): Fraction(1, 2), ("q1", "q1"): Fraction(1, 2)})}
+    r = EffRecognizer(
+        EffMorphism(target=m, monad=DIST, alphabet=("a",), letters=letters),
+        {f: Fraction(f[0] == "q1") for f in m.elements},
+        UNIT_INTERVAL,
+    )
+    text = print_recognizer(r)
+    assert "\nstates " not in text and text.count("\nmul ") == 4
+    assert print_recognizer(parse_recognizer(text)) == text
+
+
+def test_states_named_like_graphs_keep_the_table(files):
+    # from-monoid names its states after the elements, such as [q0,q1],
+    # which cannot be written inside a graph name.
+    _, rec_text = run_command(["to-monoid", files["coin"]])
+    rec = files["dir"] / "coin.rec"
+    rec.write_text(rec_text + "\n")
+    _, aut_text = run_command(["from-monoid", str(rec)])
+    back = files["dir"] / "coin-rec.aut"
+    back.write_text(aut_text + "\n")
+    status, text = run_command(["to-monoid", str(back)])
+    assert status == 0
+    assert "\nmul " in text and "\nstates " not in text
+    assert print_recognizer(parse_recognizer(text)) == text + "\n"
+
+
+# Lines 4 and 5 hold the monoid and the unit.
+GRAPH_REC = """\
+monad dist
+alphabet a
+states p q r
+monoid [p,q,r] [q,r,r] [r,r,r]
+unit [p,q,r]
+hom a -> [q,r,r]:1
+pred [p,q,r]:0 [q,r,r]:0 [r,r,r]:1
+"""
+
+
+def _graph_rec(*edits):
+    text = GRAPH_REC
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (
+            _graph_rec((" [r,r,r]\n", "\n"), (" [r,r,r]:1", "")),
+            4,
+            "the letter images generate more than the 2 declared elements",
+        ),
+        (
+            _graph_rec(("[r,r,r]", "[p,p,p]")),
+            4,
+            "the letter images generate [r,r,r], which is not declared",
+        ),
+        (
+            _graph_rec((" [r,r,r]\n", " [r,r,r] [p,p,p]\n"), (":1", ":1 [p,p,p]:0")),
+            4,
+            "element '[p,p,p]' is not generated by the letter images",
+        ),
+        (_graph_rec(("unit [p,q,r]", "unit [r,r,r]")), 5, "is not the identity graph"),
+        (
+            _graph_rec(("[r,r,r]", "[r,r]")),
+            4,
+            "element '[r,r]' is not a graph on the states",
+        ),
+        (
+            _graph_rec(("[r,r,r]", "[r,r,s]")),
+            4,
+            "element '[r,r,s]' is not a graph on the states",
+        ),
+        (GRAPH_REC + "mul [p,q,r]*[p,q,r]=[p,q,r]\n", 8, "unknown section 'mul'"),
+        (
+            _graph_rec(("states p q r", "states p q _"), ("[p,q,r]", "[p,q,_]")),
+            3,
+            "state '_' cannot be written in a graph name",
+        ),
+    ],
+    ids=[
+        "element-missing-past-the-count",
+        "element-missing",
+        "extra-element",
+        "unit-not-identity",
+        "name-of-the-wrong-length",
+        "name-on-an-undeclared-state",
+        "mul-line",
+        "underscore-state",
+    ],
+)
+def test_graph_form_faults_name_their_line(tmp_path, text, line, message):
+    assert parse_recognizer(GRAPH_REC) is not None
+    path = tmp_path / "bad.rec"
+    path.write_text(text)
+    status, out = run_command(["from-monoid", str(path)])
+    assert status == 2
+    assert out.startswith(f"error: line {line}: ") and message in out
+
+
+def test_verify_reports_a_corrupted_hom(files):
+    status, rec_text = run_command(["to-monoid", files["coin"]])
+    assert status == 0
+    assert "hom a -> [q0,q1]:1/2 [q1,q1]:1/2" in rec_text
+    bad = files["dir"] / "coin-bad-hom.rec"
+    bad.write_text(rec_text.replace("[q0,q1]:1/2 [q1,q1]:1/2", "[q0,q1]:1/4 [q1,q1]:3/4") + "\n")
+    status, out = run_command(["verify", files["coin"], str(bad), "--max-len", "2"])
+    assert status == 1
+    assert out.splitlines() == [
+        "violation at a: automaton 1/2 recognizer 3/4",
+        "violation at a.a: automaton 3/4 recognizer 15/16",
+    ]
+
+
+@pytest.mark.parametrize("command, status", [("eval", 0), ("verify", 1)])
+def test_a_reader_that_stops_early_leaves_the_exit_status(files, command, status):
+    # Either report is well over the 64 KiB a pipe buffers, so the command
+    # is still writing when the reader closes its end.
+    root = Path(__file__).resolve().parent.parent
+    if command == "eval":
+        word = ".".join("a" * 50000)
+        argv = ["eval", files["coin"], word, word, word]
+    else:
+        _, rec_text = run_command(["to-monoid", files["coin"]])
+        bad = files["dir"] / "coin-bad.rec"
+        bad.write_text(rec_text.replace("]:1/2 [q1,q1]:1/2", "]:1/4 [q1,q1]:3/4") + "\n")
+        argv = ["verify", files["coin"], str(bad), "--max-len", "300"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "effectfa"] + argv,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        head = proc.stdout.read(60)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == status
+    finally:
+        proc.kill()
+        proc.wait()
+    assert len(head) == 60
+    assert err == b""

@@ -4,7 +4,13 @@ from itertools import product
 
 import pytest
 
-from conftest import coin_pfa, rand_channel, rand_convex_channel, rand_dist
+from conftest import (
+    coin_pfa,
+    double_strength_flipped,
+    rand_channel,
+    rand_convex_channel,
+    rand_dist,
+)
 from effectfa import (
     CONVEX,
     ConvexSet,
@@ -29,7 +35,7 @@ from effectfa import (
     weighted,
     xi,
 )
-from effectfa.effects import Channel, double_strength_flipped
+from effectfa.effects import Channel
 from effectfa.errors import InterfaceError
 
 RAT = weighted("rational")

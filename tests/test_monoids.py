@@ -3,7 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import coin_pfa, contains_ab_dfa, even_dfa, rand_dist
+from conftest import (
+    coin_pfa,
+    contains_ab_dfa,
+    even_dfa,
+    free_extension_enumerated,
+    rand_dist,
+)
 from effectfa import (
     CONVEX,
     ConvexSet,
@@ -26,7 +32,6 @@ from effectfa import (
     words_upto,
 )
 from effectfa.errors import IntegrityError, PreconditionError, ResourceError
-from effectfa.monoids import free_extension_enumerated
 
 RAT = weighted("rational")
 

@@ -11,6 +11,7 @@ from conftest import (
     difference_bound,
     even_dfa,
     fraction_feasible_nonneg,
+    free_extension_enumerated,
     full_transformation_dfa,
     minplus_walk,
     npfa_brute_force,
@@ -72,7 +73,6 @@ from effectfa.errors import (
     ResourceError,
 )
 from effectfa.linalg import solve_linear
-from effectfa.monoids import free_extension_enumerated
 from effectfa.recognition import BialgRecognizer
 
 RAT = weighted("rational")
