@@ -145,10 +145,11 @@ INTERVAL_PAIR = OutputAlgebra("interval-pair")
 
 def convex_output(value) -> tuple:
     """Normalise a convex output entry to an exact (low, high) pair."""
-    if isinstance(value, tuple):
-        lo, hi = Fraction(value[0]), Fraction(value[1])
-    else:
-        lo = hi = Fraction(value)
+    lo, hi = (value[0], value[1]) if isinstance(value, tuple) else (value, value)
+    if type(lo) is not Fraction:
+        lo = Fraction(lo)
+    if type(hi) is not Fraction:
+        hi = Fraction(hi)
     if not (0 <= lo <= hi <= 1):
         raise InterfaceError(f"convex output {value!r} outside the unit interval")
     return (lo, hi)
@@ -159,7 +160,7 @@ def _check_outputs(monad: Monad, states, output: dict, algebra: OutputAlgebra):
     does not fit the effect type, and inexact output values: convex outputs
     are (low, high) pairs of rationals, ``dist`` outputs rationals, weighted
     outputs exact weights of the semiring."""
-    if set(output) != set(states):
+    if output.keys() != set(states):
         raise InterfaceError("output map must be total on the states")
     if algebra.kind not in _KIND_FOR_MONAD[monad.kind]:
         raise InterfaceError(
@@ -171,9 +172,11 @@ def _check_outputs(monad: Monad, states, output: dict, algebra: OutputAlgebra):
                 raise InterfaceError(
                     f"convex outputs are (low, high) pairs; got {v!r} at {q!r}"
                 )
-            exact = all(isinstance(x, numbers.Rational) for x in v)
+            exact = all(
+                type(x) is Fraction or isinstance(x, numbers.Rational) for x in v
+            )
         elif monad.kind == "dist":
-            exact = isinstance(v, numbers.Rational)
+            exact = type(v) is Fraction or isinstance(v, numbers.Rational)
         else:
             exact = _exact_weight(monad.semiring, v)
         if not exact:
@@ -195,16 +198,17 @@ class EffAutomaton:
     _channels: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        trans = self.trans
         missing = {
-            (q, a) for q in self.states for a in self.alphabet
-        } - set(self.trans)
+            (q, a) for q in self.states for a in self.alphabet if (q, a) not in trans
+        }
         if missing:
             raise InterfaceError(f"transition table not total; missing {missing}")
         _check_outputs(self.monad, self.states, self.output, self.output_algebra)
         _check_value(self.monad, self.init, set(self.states), "the initial value")
         channels = {}
         for a in self.alphabet:
-            table = {q: self.trans[(q, a)] for q in self.states}
+            table = {q: trans[(q, a)] for q in self.states}
             try:
                 channels[a] = Channel(self.monad, self.states, self.states, table)
             except InterfaceError as e:

@@ -21,9 +21,11 @@ give every product as ``x*y=z``.  Bialgebra files use
 one section reader: the first token of a line names its section, and sections
 may come in any order.  One-line sections appear once; ``trans``, ``hom``
 and ``image`` take one line per row and ``mul`` lines hold any number of
-products; every row and every product appears exactly once.  A malformed
-file raises :class:`ParseError`, with the line number when the fault is on
-a line.
+products; every row and every product appears exactly once.  Literals and
+generators are read once per file: each distinct literal is parsed once,
+and each distinct generator distribution built once and shared by the
+entries that repeat it.  A malformed file raises :class:`ParseError`, with
+the line number when the fault is on a line.
 
 Words are dot-separated letters with ``eps`` for the empty word; formal
 combinations are written ``1/3*eps + 2/3*a.a`` and game positions
@@ -108,7 +110,7 @@ def _sections(text: str) -> dict:
     ``head -> [(1-based line number, remaining tokens)]``."""
     sections = {}
     for no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = raw.partition("#")[0].split()
         if tokens:
             sections.setdefault(tokens[0], []).append((no, tokens[1:]))
     return sections
@@ -144,12 +146,12 @@ def _line(sections, head, parse, *args):
     return _at(no, parse, tokens, *args)
 
 
-def _rows(sections, head, keys, label, carrier, monad) -> dict:
+def _rows(sections, head, keys, label, values) -> dict:
     """The table of ``head KEY... -> entries`` lines, keyed by the KEY tuple.
 
     ``keys`` gives, per key position, the declared names and what they are
     called.  Every tuple in the product of the names needs exactly one line;
-    its entries are an effect value over ``carrier``.
+    its entries are an effect value read by ``values``, a :class:`_Values`.
     """
     arity = len(keys)
     table = {}
@@ -163,7 +165,7 @@ def _rows(sections, head, keys, label, carrier, monad) -> dict:
                 _fail(no, f"undeclared {what} {name!r}")
         if key in table:
             _fail(no, f"duplicate {head} line for {' '.join(key)}")
-        table[key] = _at(no, _parse_effect, tokens[arity + 1 :], carrier, monad)
+        table[key] = _at(no, values.effect, tokens[arity + 1 :])
     missing = [
         " ".join(key)
         for key in _iterproduct(*(names for names, _ in keys))
@@ -181,8 +183,15 @@ def _distinct(tokens, what) -> tuple:
     return tuple(tokens)
 
 
-def _entries(tokens, names, what, parse):
-    """``NAME:VALUE`` tokens on declared names, as (name, parsed value) pairs."""
+def _entries(tokens, names, what, parse, seen) -> list:
+    """``NAME:VALUE`` tokens on declared names, as (name, value) pairs.
+
+    This one loop reads the entries of every format.  ``seen`` maps each
+    VALUE text that ``parse`` has already read in this file to its value,
+    so each distinct literal is parsed once; a text that fails raises here
+    and is never stored, so it fails again wherever it appears.
+    """
+    pairs = []
     for t in tokens:
         name, colon, text = t.rpartition(":")
         if not colon:
@@ -191,22 +200,91 @@ def _entries(tokens, names, what, parse):
             raise ParseError(f"missing name in {t!r}")
         if name not in names:
             raise ParseError(f"undeclared {what} {name!r}")
-        yield name, parse(text)
-
-
-def _outputs(tokens, names, what, monad) -> dict:
-    """An output map: one ``NAME:VALUE`` entry for every declared name."""
-    values = dict(
-        _entries(tokens, names, what, lambda t: _parse_output_value(t, monad))
-    )
-    missing = [x for x in names if x not in values]
-    if missing:
-        raise ParseError(f"no output value for {what} {missing[0]!r}")
-    return values
+        value = seen.get(text)
+        if value is None:
+            value = seen[text] = parse(text)
+        pairs.append((name, value))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
 # Values
+
+
+class _Values:
+    """The effect values and output maps of one file, over one carrier.
+
+    Each reader call makes one and drops it when it returns, so its tables
+    hold one file only.  They map each literal already read to its value,
+    and the tokens of each generator already built to its :class:`Dist`,
+    which is immutable, so the entries that repeat a generator share one.
+    What fails to parse or check is never stored: it raises where it first
+    appears, with that line's number.
+    """
+
+    def __init__(self, monad, carrier):
+        self.monad = monad
+        self.carrier = carrier
+        self.names = frozenset(carrier)
+        self.weights = {}  # literal -> entry weight
+        self.outputs = {}  # literal -> output value
+        self.dists = {}  # generator tokens -> Dist
+
+    def _weight(self, text):
+        if self.monad.kind == "weighted":
+            return self.monad.semiring.parse(text)
+        w = parse_rational(text)
+        if w.numerator < 0:
+            raise ParseError(f"negative weight {w}")
+        return w
+
+    def _output(self, text):
+        monad = self.monad
+        if monad.kind == "weighted":
+            return monad.semiring.parse(text)
+        if monad.kind == "dist":
+            v = parse_rational(text)
+            if not 0 <= v <= 1:
+                raise ParseError(f"output {v} outside [0, 1]")
+            return v
+        parts = text.split("|")
+        if len(parts) > 2:
+            raise ParseError(f"convex output takes at most low|high, got {text!r}")
+        values = [parse_rational(p) for p in parts]
+        return convex_output(values[0] if len(values) == 1 else tuple(values))
+
+    def _dist(self, tokens) -> Dist:
+        key = tuple(tokens)
+        d = self.dists.get(key)
+        if d is None:
+            weights = {}
+            for name, w in _entries(tokens, self.names, "state", self._weight, self.weights):
+                weights[name] = weights[name] + w if name in weights else w
+            d = self.dists[key] = Dist(weights)
+        return d
+
+    def effect(self, tokens):
+        """An effect value; convex generators are separated by ``|`` tokens."""
+        if self.monad.kind == "dist":
+            return self._dist(tokens)
+        if self.monad.kind == "weighted":
+            s = self.monad.semiring
+            weights = {}
+            for name, w in _entries(tokens, self.names, "state", self._weight, self.weights):
+                weights[name] = s.add(weights[name], w) if name in weights else w
+            return WeightedVec(s, weights)
+        groups = _split_groups(tokens)
+        if any(not g for g in groups):
+            raise ParseError("empty generator in convex value")
+        return ConvexSet([self._dist(g) for g in groups])
+
+    def output_map(self, tokens, what) -> dict:
+        """An output map: one ``NAME:VALUE`` entry for every carrier name."""
+        values = dict(_entries(tokens, self.names, what, self._output, self.outputs))
+        missing = [x for x in self.carrier if x not in values]
+        if missing:
+            raise ParseError(f"no output value for {what} {missing[0]!r}")
+        return values
 
 
 def _split_groups(tokens):
@@ -218,33 +296,6 @@ def _split_groups(tokens):
         else:
             groups[-1].append(t)
     return groups
-
-
-def _parse_dist(tokens, states):
-    weights = {}
-    for name, w in _entries(tokens, states, "state", parse_rational):
-        if w.numerator < 0:
-            raise ParseError(f"negative weight {w}")
-        weights[name] = weights[name] + w if name in weights else w
-    return Dist(weights)
-
-
-def _parse_weighted(tokens, states, semiring):
-    weights = {}
-    for name, w in _entries(tokens, states, "state", semiring.parse):
-        weights[name] = semiring.add(weights[name], w) if name in weights else w
-    return WeightedVec(semiring, weights)
-
-
-def _parse_effect(tokens, states, monad):
-    if monad.kind == "dist":
-        return _parse_dist(tokens, states)
-    if monad.kind == "weighted":
-        return _parse_weighted(tokens, states, monad.semiring)
-    groups = _split_groups(tokens)
-    if any(not g for g in groups):
-        raise ParseError("empty generator in convex value")
-    return ConvexSet([_parse_dist(g, states) for g in groups])
 
 
 def _parse_monad_line(tokens):
@@ -268,21 +319,6 @@ def _parse_monad_line(tokens):
     raise ParseError(f"unknown monad {kind!r}")
 
 
-def _parse_output_value(text, monad):
-    if monad.kind == "weighted":
-        return monad.semiring.parse(text)
-    if monad.kind == "dist":
-        v = parse_rational(text)
-        if not 0 <= v <= 1:
-            raise ParseError(f"output {v} outside [0, 1]")
-        return v
-    parts = text.split("|")
-    if len(parts) > 2:
-        raise ParseError(f"convex output takes at most low|high, got {text!r}")
-    values = [parse_rational(p) for p in parts]
-    return convex_output(values[0] if len(values) == 1 else tuple(values))
-
-
 # ---------------------------------------------------------------------------
 # Automaton files
 
@@ -295,13 +331,14 @@ def parse_automaton(text: str) -> EffAutomaton:
     alphabet = _line(sections, "alphabet", _distinct, "letter")
     states = _line(sections, "states", _distinct, "state")
     keys = ((states, "state"), (alphabet, "letter"))
+    values = _Values(monad, states)
     return EffAutomaton(
         monad=monad,
         states=states,
         alphabet=alphabet,
-        init=_line(sections, "init", _parse_effect, states, monad),
-        trans=_rows(sections, "trans", keys, "transitions", states, monad),
-        output=_line(sections, "output", _outputs, states, "state", monad),
+        init=_line(sections, "init", values.effect),
+        trans=_rows(sections, "trans", keys, "transitions", values),
+        output=_line(sections, "output", values.output_map, "state"),
         output_algebra=algebra,
     )
 
@@ -480,8 +517,9 @@ def _parse_monoid_recognizer(sections) -> EffRecognizer:
     elements = _line(sections, "monoid", _distinct, "monoid element")
     unit_name = _line(sections, "unit", _parse_unit, elements)
     keys = ((alphabet, "letter"),)
-    hom = _rows(sections, "hom", keys, "hom lines", elements, monad)
-    pred = _line(sections, "pred", _outputs, elements, "element", monad)
+    values = _Values(monad, elements)
+    hom = _rows(sections, "hom", keys, "hom lines", values)
+    pred = _line(sections, "pred", values.output_map, "element")
     if graph_form:
         states = _line(sections, "states", _parse_graph_states)
         target = _graph_monoid(sections, states, elements, unit_name, hom)
@@ -571,10 +609,11 @@ def _parse_bialgebra(sections) -> BialgRecognizer:
     alphabet = _line(sections, "alphabet", _distinct, "letter")
     states = _line(sections, "states", _distinct, "state")
     gens = _line(sections, "gens", _distinct, "generator")
+    values = _Values(monad, states)
 
     def channels(head, names, what):
         keys = ((names, what), (states, "state"))
-        rows = _rows(sections, head, keys, f"{head} lines", states, monad)
+        rows = _rows(sections, head, keys, f"{head} lines", values)
         return {
             x: Channel(monad, states, states, {q: rows[(x, q)] for q in states})
             for x in names
@@ -587,8 +626,8 @@ def _parse_bialgebra(sections) -> BialgRecognizer:
         generators=gens,
         images=channels("image", gens, "generator"),
         letters=channels("hom", alphabet, "letter"),
-        init=_line(sections, "init", _parse_effect, states, monad),
-        output=_line(sections, "output", _outputs, states, "state", monad),
+        init=_line(sections, "init", values.effect),
+        output=_line(sections, "output", values.output_map, "state"),
         output_algebra=algebra,
     )
 

@@ -34,7 +34,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iterproduct
-from math import lcm
+from math import gcd
 
 from .errors import CapabilityError, InterfaceError, ResourceError
 from .exactnum import SemiringDescriptor, semiring_builtin
@@ -77,25 +77,34 @@ def weighted(semiring: SemiringDescriptor | str) -> Monad:
 
 
 class Dist:
-    """Finite probability distribution with positive weights summing to one."""
+    """Finite probability distribution with positive weights summing to one.
+
+    Construction checks every weight and the mass, in one pass: the mass is
+    an integer numerator over the LCM of the denominators seen so far.  A
+    ``Dist`` is immutable, so values may share one (the file readers do).
+    """
 
     __slots__ = ("_w", "_hash")
 
     def __init__(self, weights):
         w = {}
+        num, den = 0, 1
         for x, v in weights.items():
             if type(v) is not Fraction:
                 v = Fraction(v)
-            if v.numerator < 0:
+            n = v.numerator
+            if n < 0:
                 raise ValueError(f"negative probability {v} at {x!r}")
-            if v.numerator:
+            if n:
                 w[x] = v
-        # The mass is checked on integers: numerators over the LCM of the
-        # denominators.
-        den = lcm(*(v.denominator for v in w.values()))
-        if sum(v.numerator * (den // v.denominator) for v in w.values()) != den:
-            total = sum(w.values(), _F0)
-            raise ValueError(f"probability mass {total} is not 1")
+                d = v.denominator
+                if den % d:
+                    k = d // gcd(den, d)
+                    num *= k
+                    den *= k
+                num += n * (den // d)
+        if num != den:
+            raise ValueError(f"probability mass {Fraction(num, den)} is not 1")
         self._w = w
         self._hash = None
 
@@ -253,14 +262,29 @@ def _supports(values) -> list:
     return list(seen)
 
 
-def _value_monad(t) -> Monad:
+def _value_kind(t) -> str:
+    """The effect kind of a value; InterfaceError if it is no effect value."""
     if isinstance(t, Dist):
-        return DIST
+        return "dist"
     if isinstance(t, WeightedVec):
-        return Monad("weighted", t.semiring)
+        return "weighted"
     if isinstance(t, ConvexSet):
-        return CONVEX
+        return "convex"
     raise InterfaceError(f"not an effect value: {t!r}")
+
+
+def _fits(monad: Monad, t) -> bool:
+    """Whether ``t`` is a value of ``monad``: the kinds agree, and so do the
+    semirings of a weighted vector."""
+    kind = _value_kind(t)
+    return kind == monad.kind and (kind != "weighted" or t.semiring == monad.semiring)
+
+
+def _value_monad(t) -> Monad:
+    kind = _value_kind(t)
+    if kind == "weighted":
+        return Monad("weighted", t.semiring)
+    return DIST if kind == "dist" else CONVEX
 
 
 def _support_elements(t) -> set:
@@ -271,13 +295,24 @@ def _support_elements(t) -> set:
 
 
 def _check_value(monad: Monad, t, carrier: set, where: str) -> None:
-    """Raise InterfaceError unless ``t`` is a ``monad`` value supported in ``carrier``."""
-    if _value_monad(t) != monad:
+    """Raise InterfaceError unless ``t`` is a ``monad`` value supported in
+    the set ``carrier``, with exact weights if it is a weighted vector.
+
+    It dispatches on the value's type (:func:`_fits`) and builds no set:
+    the keys of each weight map, of every generator of a convex set, are
+    compared with ``carrier`` as they are.
+    """
+    if not _fits(monad, t):
         raise InterfaceError(f"{where} has the wrong effect type")
-    if not _support_elements(t) <= carrier:
+    if monad.kind == "convex":
+        inside = all(g._w.keys() <= carrier for g in t.generators)
+    else:
+        inside = t._w.keys() <= carrier
+    if not inside:
         raise InterfaceError(f"{where} puts weight outside the carrier")
     if monad.kind == "weighted":
-        bad = [w for _, w in t.items() if not _exact_weight(monad.semiring, w)]
+        s = monad.semiring
+        bad = [w for w in t._w.values() if not _exact_weight(s, w)]
         if bad:
             raise InterfaceError(
                 f"{where} has an inexact {monad.semiring.name} weight {bad[0]!r}"
@@ -292,7 +327,7 @@ def _exact_weight(s: SemiringDescriptor, w) -> bool:
     ones are ``bool``.  Other semirings are taken on trust.
     """
     if s.name == "rational":
-        return isinstance(w, numbers.Rational)
+        return type(w) is Fraction or isinstance(w, numbers.Rational)
     if s.name in ("minplus", "maxplus"):
         return w is s.zero or (isinstance(w, int) and not isinstance(w, bool))
     if s.name == "boolean":
@@ -302,7 +337,11 @@ def _exact_weight(s: SemiringDescriptor, w) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Total table from a finite domain to effect values over a codomain."""
+    """Total table from a finite domain to effect values over a codomain.
+
+    Construction checks that the table's keys are the domain and every
+    entry with :func:`_check_value` on the codomain.
+    """
 
     monad: Monad
     domain: tuple
@@ -310,7 +349,7 @@ class Channel:
     table: dict
 
     def __post_init__(self):
-        if set(self.table) != set(self.domain):
+        if self.table.keys() != set(self.domain):
             raise InterfaceError("channel table must be total on its domain")
         codomain = set(self.codomain)
         for x, t in self.table.items():
@@ -403,7 +442,7 @@ def _convex_bind(s: ConvexSet, k) -> ConvexSet:
 
 def bind(t, ch: Channel):
     """Feed an effect value through a channel (Kleisli extension)."""
-    if _value_monad(t) != ch.monad:
+    if not _fits(ch.monad, t):
         raise InterfaceError("effect value and channel have different effect types")
     if ch.monad.kind == "dist":
         out = {}
@@ -451,15 +490,15 @@ def double_strength(t1, t2):
     right value is chosen (the opposite order is generally different and is
     exercised only inside :func:`check_central`).
     """
-    m1, m2 = _value_monad(t1), _value_monad(t2)
-    if m1 != m2:
+    kind = _value_kind(t1)
+    if kind != _value_kind(t2) or (kind == "weighted" and t1.semiring != t2.semiring):
         raise InterfaceError("double strength needs matching effect types")
-    if m1.kind == "dist":
+    if kind == "dist":
         return Dist(
             {(x, y): wx * wy for x, wx in t1.items() for y, wy in t2.items()}
         )
-    if m1.kind == "weighted":
-        s = m1.semiring
+    if kind == "weighted":
+        s = t1.semiring
         out = {}
         for x, wx in t1.items():
             for y, wy in t2.items():

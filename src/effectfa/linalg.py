@@ -483,16 +483,38 @@ def feasible_nonneg(a: Mat, b: Vec):
     updated the same way.  Ratios are compared by cross-multiplication.
     A `Fraction` is built only for the returned solution, which is the one
     the rational simplex returns.  ``a`` is m x n with small m, n.
+
+    A caller that solves many targets over one ``a`` converts ``a`` once
+    with :func:`_nonneg_columns` and calls :func:`_nonneg_solve` per
+    target, as this function does for its one target.
     """
+    return _nonneg_solve(_nonneg_columns(a), b)
+
+
+def _nonneg_columns(a: Mat) -> tuple:
+    """``a`` for :func:`_nonneg_solve`: ``(s, rows)``, every row scaled to
+    integers by the LCM ``s`` of the denominators in ``a``."""
+    scale = lcm(*(x.denominator for row in a for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in a]
+
+
+def _nonneg_solve(columns: tuple, b: Vec):
+    """:func:`feasible_nonneg` on ``a`` given as :func:`_nonneg_columns`.
+
+    The common scale is the LCM of ``s`` and the denominators of ``b``, so
+    the rows of ``a`` are only multiplied by that over ``s``.
+    """
+    scale_a, a = columns
     m = len(b)
     n = len(a[0]) if a else 0
     if m == 0:
         return zero_vec(n)
-    scale = lcm(*(x.denominator for row in a for x in row), *(x.denominator for x in b))
+    scale = lcm(scale_a, *(x.denominator for x in b))
+    k = scale // scale_a
     # Tableau rows: n structural + m artificial columns + rhs; keep b >= 0.
     rows = []
     for i in range(m):
-        r = [x.numerator * (scale // x.denominator) for x in a[i]]
+        r = [x * k for x in a[i]]
         r += [0] * m
         r.append(b[i].numerator * (scale // b[i].denominator))
         if r[-1] < 0:

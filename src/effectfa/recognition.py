@@ -84,7 +84,7 @@ from .errors import (
     InterfaceError,
     ResourceError,
 )
-from .linalg import RowSpace, feasible_nonneg
+from .linalg import RowSpace, _nonneg_columns, _nonneg_solve
 from .monoids import EffMorphism, function_monoid, generated_monoid
 
 _F1 = Fraction(1)
@@ -377,8 +377,11 @@ def _preimage_solver(r: BialgRecognizer):
     channel is ``target``, or None if there is none.
 
     The generator columns (:func:`_channel_vector` of every image) are built
-    once, here.  ``dist``: one :func:`~effectfa.linalg.feasible_nonneg` per
-    target, for convex coefficients over those columns.  Rational: the
+    once, here.  ``dist``: the columns and a row of ones are scaled to
+    integers once (:func:`~effectfa.linalg._nonneg_columns`), and each
+    target runs the phase-1 simplex of
+    :func:`~effectfa.linalg.feasible_nonneg` on them, for convex
+    coefficients over the generators.  Rational: the
     columns are added to one :class:`~effectfa.linalg.RowSpace` in generator
     order, and each target's coordinates are read off it.  The independent
     generators are the greedy ones, the pivot columns of
@@ -388,10 +391,10 @@ def _preimage_solver(r: BialgRecognizer):
     gens = r.generators
     vectors = [_channel_vector(r.images[g]) for g in gens]
     if r.monad.kind == "dist":
-        rows = tuple(zip(*vectors)) + ((_F1,) * len(gens),)
+        columns = _nonneg_columns(tuple(zip(*vectors)) + ((_F1,) * len(gens),))
 
         def solve(target):
-            sol = feasible_nonneg(rows, _channel_vector(target) + (_F1,))
+            sol = _nonneg_solve(columns, _channel_vector(target) + (_F1,))
             if sol is None:
                 return None
             return Dist({g: c for g, c in zip(gens, sol) if c != 0})

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -10,6 +10,8 @@ from effectfa.exactnum import INF, NEG_INF, semiring_builtin
 from effectfa.linalg import (
     RowSpace,
     _int_letters,
+    _nonneg_columns,
+    _nonneg_solve,
     _int_product,
     _int_run,
     _pairing,
@@ -378,6 +380,28 @@ def test_feasible_nonneg_matches_the_fraction_simplex(seed):
         seen["zero column"] += any(not any(col) for col in zip(*a))
         seen["m == 0"] += m == 0
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("seed", [4, 18])
+def test_columns_converted_once_serve_every_target(seed):
+    # One conversion of ``a``, then targets whose denominators the columns'
+    # LCM may or may not cover: each answer is the Fraction simplex's.
+    rng = random.Random(seed)
+    covered = scaled = 0
+    for _ in range(60):
+        a, b = rand_lp(rng)
+        columns = _nonneg_columns(a)
+        targets = [b] + [
+            tuple(y * F(rng.randint(1, 4), rng.choice((1, 5, 7))) for y in b)
+            for _ in range(4)
+        ]
+        for t in targets:
+            assert _nonneg_solve(columns, t) == fraction_feasible_nonneg(a, t), (a, t)
+            if columns[0] % lcm(*(y.denominator for y in t)):
+                scaled += 1
+            else:
+                covered += 1
+    assert covered >= 20 and scaled >= 20, (covered, scaled)
 
 
 def test_feasible_nonneg_small_cases():

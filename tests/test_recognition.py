@@ -907,7 +907,8 @@ def test_bialgebra_rebuild_over_the_generator_bound_fails_before_any_lp(monkeypa
     # The letters generate all 4**4 = 256 maps, over the bound of 64.
     bi = automaton_to_bialgebra(full_transformation_dfa(4))
     lps = []
-    monkeypatch.setattr(recognition, "feasible_nonneg", lambda *args: lps.append(args))
+    monkeypatch.setattr(recognition, "_nonneg_columns", lambda *args: lps.append(args))
+    monkeypatch.setattr(recognition, "_nonneg_solve", lambda *args: lps.append(args))
     with pytest.raises(ResourceError, match="256") as e:
         bialgebra_to_automaton(bi)
     assert "64" in str(e.value) and lps == []

@@ -1,0 +1,302 @@
+"""The checks every effect value goes through, and values the readers share.
+
+``Dist`` is checked against an oracle written here; ``Channel``,
+``EffAutomaton``, ``bind`` and ``double_strength`` are pinned to the exact
+InterfaceError text for each kind of bad value.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from effectfa import (
+    CONVEX,
+    DIST,
+    INTERVAL_PAIR,
+    SEMIRING_SELF,
+    UNIT_INTERVAL,
+    ConvexSet,
+    Dist,
+    EffAutomaton,
+    WeightedVec,
+    bind,
+    double_strength,
+    eval_word,
+    weighted,
+)
+from effectfa.cli import parse_automaton, print_automaton
+from effectfa.effects import Channel
+from effectfa.errors import InterfaceError
+
+RAT = weighted("rational")
+MINPLUS = weighted("minplus")
+
+# Large primes, so sums over them need large common denominators.
+PRIMES = (1_000_003, 999_983, 2**61 - 1, 3)
+
+weights = st.one_of(
+    st.integers(-2, 2),
+    st.just(0),
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.builds(F, st.integers(-5, 10**6), st.sampled_from(PRIMES)),
+)
+
+
+def _oracle(w):
+    """The message Dist(w) raises, or None if it accepts: every weight at
+    least 0 (the first negative one in order is named), mass exactly 1."""
+    for x, v in w.items():
+        if F(v) < 0:
+            return f"negative probability {F(v)} at {x!r}"
+    total = sum((F(v) for v in w.values()), F(0))
+    return None if total == 1 else f"probability mass {total} is not 1"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    w=st.dictionaries(st.sampled_from("abcdef"), weights, max_size=6),
+    complete=st.sampled_from([None, "a", "f"]),
+)
+def test_dist_accepts_exactly_what_the_oracle_accepts(w, complete):
+    if complete is not None:
+        # Make the mass exactly 1 through one weight, which may turn negative.
+        w.pop(complete, None)
+        w[complete] = 1 - sum((F(v) for v in w.values()), F(0))
+    expected = _oracle(w)
+    if expected is None:
+        d = Dist(w)
+        assert d.items() == tuple((x, F(v)) for x, v in w.items() if v != 0)
+        assert all(type(v) is F for _, v in d.items())
+    else:
+        with pytest.raises(ValueError) as caught:
+            Dist(w)
+        assert str(caught.value) == expected
+
+
+P = Dist({"p": 1})
+HALF = Dist({"p": F(1, 2), "q": F(1, 2)})
+
+# (monad, bad entry, message of the entry check), one per kind of fault.
+BAD_ENTRIES = [
+    (DIST, WeightedVec(RAT.semiring, {"p": F(1)}), "has the wrong effect type"),
+    (DIST, ConvexSet([P]), "has the wrong effect type"),
+    (CONVEX, P, "has the wrong effect type"),
+    (RAT, P, "has the wrong effect type"),
+    (RAT, WeightedVec(MINPLUS.semiring, {"p": 1}), "has the wrong effect type"),
+    (MINPLUS, WeightedVec(RAT.semiring, {"p": F(1)}), "has the wrong effect type"),
+    (DIST, Dist({"p": F(1, 2), "z": F(1, 2)}), "puts weight outside the carrier"),
+    (RAT, WeightedVec(RAT.semiring, {"z": F(1)}), "puts weight outside the carrier"),
+    (CONVEX, ConvexSet([Dist({"z": 1})]), "puts weight outside the carrier"),
+    (
+        CONVEX,
+        ConvexSet([P, HALF, Dist({"q": F(1, 3), "z": F(2, 3)})]),
+        "puts weight outside the carrier",
+    ),
+    (RAT, WeightedVec(RAT.semiring, {"p": 0.5}), "has an inexact rational weight 0.5"),
+    (
+        RAT,
+        WeightedVec(RAT.semiring, {"p": F(1), "q": 0.25}),
+        "has an inexact rational weight 0.25",
+    ),
+    (MINPLUS, WeightedVec(MINPLUS.semiring, {"p": 1.5}), "has an inexact minplus weight 1.5"),
+]
+BAD_IDS = [
+    "weighted-in-dist",
+    "convex-in-dist",
+    "dist-in-convex",
+    "dist-in-weighted",
+    "minplus-in-rational",
+    "rational-in-minplus",
+    "dist-outside",
+    "weighted-outside",
+    "convex-outside",
+    "convex-third-generator-outside",
+    "float-rational-weight",
+    "float-second-weight",
+    "float-minplus-weight",
+]
+STATES = ("p", "q")
+ALGEBRA = {"dist": UNIT_INTERVAL, "weighted": SEMIRING_SELF, "convex": INTERVAL_PAIR}
+
+
+def _good(monad):
+    if monad.kind == "dist":
+        return P
+    if monad.kind == "convex":
+        return ConvexSet([P, HALF])
+    return WeightedVec(monad.semiring, {"p": monad.semiring.one})
+
+
+def _output(monad, v=0):
+    if monad.kind == "convex":
+        return (F(v), F(v))
+    if monad.kind == "dist":
+        return F(v)
+    return monad.semiring.parse(str(v))
+
+
+def _machine(monad, init=None, entry=None, output=None):
+    good = _good(monad)
+    return EffAutomaton(
+        monad=monad,
+        states=STATES,
+        alphabet=("a",),
+        init=good if init is None else init,
+        trans={("p", "a"): good, ("q", "a"): good if entry is None else entry},
+        output=output or {q: _output(monad) for q in STATES},
+        output_algebra=ALGEBRA[monad.kind],
+    )
+
+
+@pytest.mark.parametrize("monad, bad, message", BAD_ENTRIES, ids=BAD_IDS)
+def test_channels_and_machines_name_each_bad_value(monad, bad, message):
+    _machine(monad)
+    with pytest.raises(InterfaceError) as caught:
+        Channel(monad, STATES, STATES, {"p": _good(monad), "q": bad})
+    assert str(caught.value) == f"entry at 'q' {message}"
+    with pytest.raises(InterfaceError) as caught:
+        _machine(monad, entry=bad)
+    assert str(caught.value) == f"transitions on 'a': entry at 'q' {message}"
+    with pytest.raises(InterfaceError) as caught:
+        _machine(monad, init=bad)
+    assert str(caught.value) == f"the initial value {message}"
+
+
+@pytest.mark.parametrize("monad", [DIST, RAT, CONVEX], ids=lambda m: m.kind)
+def test_a_non_value_is_named(monad):
+    with pytest.raises(InterfaceError) as caught:
+        Channel(monad, STATES, STATES, {"p": _good(monad), "q": "p"})
+    assert str(caught.value) == "not an effect value: 'p'"
+    ch = Channel(monad, STATES, STATES, {q: _good(monad) for q in STATES})
+    with pytest.raises(InterfaceError) as caught:
+        bind(3, ch)
+    assert str(caught.value) == "not an effect value: 3"
+    with pytest.raises(InterfaceError) as caught:
+        double_strength(_good(monad), (1, 2))
+    assert str(caught.value) == "not an effect value: (1, 2)"
+
+
+def test_a_channel_table_must_be_its_domain():
+    with pytest.raises(InterfaceError) as caught:
+        Channel(DIST, STATES, STATES, {"p": P})
+    assert str(caught.value) == "channel table must be total on its domain"
+    with pytest.raises(InterfaceError) as caught:
+        Channel(DIST, ("p",), STATES, {"p": P, "q": P})
+    assert str(caught.value) == "channel table must be total on its domain"
+
+
+@pytest.mark.parametrize(
+    "monad, outputs, shown",
+    [
+        (DIST, {"p": 0.5, "q": F(1)}, "0.5"),
+        (RAT, {"p": F(0), "q": 0.25}, "0.25"),
+        (MINPLUS, {"p": 0, "q": 1.0}, "1.0"),
+        (CONVEX, {"p": (F(0), F(0)), "q": (0.5, F(1))}, "(0.5, Fraction(1, 1))"),
+        (CONVEX, {"p": (F(0), F(0)), "q": (F(0), 1.0)}, "(Fraction(0, 1), 1.0)"),
+    ],
+    ids=["dist", "rational", "minplus", "convex-low", "convex-high"],
+)
+def test_float_outputs_are_rejected(monad, outputs, shown):
+    q = next(q for q, v in outputs.items() if "." in repr(v))
+    with pytest.raises(InterfaceError) as caught:
+        _machine(monad, output=outputs)
+    assert str(caught.value) == f"output {shown} at {q!r} is not an exact value"
+
+
+@pytest.mark.parametrize(
+    "t, monad",
+    [
+        (P, RAT),
+        (WeightedVec(RAT.semiring, {"p": F(1)}), DIST),
+        (WeightedVec(MINPLUS.semiring, {"p": 0}), RAT),
+        (WeightedVec(RAT.semiring, {"p": F(1)}), MINPLUS),
+        (ConvexSet([P]), DIST),
+        (P, CONVEX),
+    ],
+    ids=["dist-into-rational", "rational-into-dist", "minplus-into-rational",
+         "rational-into-minplus", "convex-into-dist", "dist-into-convex"],
+)
+def test_bind_and_double_strength_reject_mismatched_types(t, monad):
+    ch = Channel(monad, STATES, STATES, {q: _good(monad) for q in STATES})
+    with pytest.raises(InterfaceError) as caught:
+        bind(t, ch)
+    assert str(caught.value) == "effect value and channel have different effect types"
+    with pytest.raises(InterfaceError) as caught:
+        double_strength(t, _good(monad))
+    assert str(caught.value) == "double strength needs matching effect types"
+    with pytest.raises(InterfaceError) as caught:
+        double_strength(_good(monad), t)
+    assert str(caught.value) == "double strength needs matching effect types"
+
+
+def test_bind_reads_support_through_the_channel():
+    # bind checks the value's type; a point off the channel's domain is
+    # named by the channel.
+    ch = Channel(DIST, STATES, STATES, {q: P for q in STATES})
+    with pytest.raises(InterfaceError) as caught:
+        bind(Dist({"z": 1}), ch)
+    assert str(caught.value) == "'z' is not in the channel domain"
+
+
+SHARED = """\
+monad convex
+alphabet a b
+states p q r
+init p:1/3 q:1/3 r:1/3
+trans p a -> p:1/3 q:1/3 r:1/3 | q:1
+trans p b -> q:1
+trans q a -> p:1/3 q:1/3 r:1/3
+trans q b -> q:1 | p:1/3 q:1/3 r:1/3
+trans r a -> r:1
+trans r b -> q:1
+output p:0 q:1/2 r:1
+"""
+
+
+def test_shared_generators_read_as_the_machine_built_entry_by_entry():
+    a = parse_automaton(SHARED)
+    third = {"p": F(1, 3), "q": F(1, 3), "r": F(1, 3)}
+
+    def d(w):
+        return Dist(dict(w))
+
+    built = EffAutomaton(
+        monad=CONVEX,
+        states=("p", "q", "r"),
+        alphabet=("a", "b"),
+        init=ConvexSet([d(third)]),
+        trans={
+            ("p", "a"): ConvexSet([d(third), d({"q": 1})]),
+            ("p", "b"): ConvexSet([d({"q": 1})]),
+            ("q", "a"): ConvexSet([d(third)]),
+            ("q", "b"): ConvexSet([d({"q": 1}), d(third)]),
+            ("r", "a"): ConvexSet([d({"r": 1})]),
+            ("r", "b"): ConvexSet([d({"q": 1})]),
+        },
+        output={"p": (F(0), F(0)), "q": (F(1, 2), F(1, 2)), "r": (F(1), F(1))},
+        output_algebra=INTERVAL_PAIR,
+    )
+    assert a == built
+    for key, value in a.trans.items():
+        assert value.generators == built.trans[key].generators
+    assert print_automaton(a) == print_automaton(built) == SHARED
+
+
+def test_a_large_uniform_file_evaluates_exactly():
+    # Every row is uniform over all states, listed from a different state,
+    # so no two rows share their tokens; every literal is the same.
+    n = 40
+    states = [f"s{i}" for i in range(n)]
+    lines = ["monad dist", "alphabet a b", "states " + " ".join(states), "init s0:1"]
+    for i in range(n):
+        for k, x in enumerate("ab"):
+            row = " ".join(f"{states[(i + k + j) % n]}:1/{n}" for j in range(n))
+            lines.append(f"trans s{i} {x} -> {row}")
+    lines.append("output s0:1 " + " ".join(f"{q}:0" for q in states[1:]))
+    text = "\n".join(lines) + "\n"
+    a = parse_automaton(text)
+    assert a.trans[("s3", "b")].weight("s7") == F(1, n)
+    assert print_automaton(parse_automaton(print_automaton(a))) == print_automaton(a)
+    assert eval_word(a, ("a", "b")) == F(1, n)
