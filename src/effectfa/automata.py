@@ -199,9 +199,9 @@ class EffAutomaton:
 
     def __post_init__(self):
         trans = self.trans
-        missing = {
+        missing = [
             (q, a) for q in self.states for a in self.alphabet if (q, a) not in trans
-        }
+        ]
         if missing:
             raise InterfaceError(f"transition table not total; missing {missing}")
         _check_outputs(self.monad, self.states, self.output, self.output_algebra)

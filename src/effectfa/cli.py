@@ -214,6 +214,9 @@ def _entries(tokens, names, what, parse, seen) -> list:
 class _Values:
     """The effect values and output maps of one file, over one carrier.
 
+    ``noun`` is what the carrier's names are called in error messages:
+    "state" for machines and bialgebras, "element" for monoid recognizers.
+
     Each reader call makes one and drops it when it returns, so its tables
     hold one file only.  They map each literal already read to its value,
     and the tokens of each generator already built to its :class:`Dist`,
@@ -222,9 +225,10 @@ class _Values:
     appears, with that line's number.
     """
 
-    def __init__(self, monad, carrier):
+    def __init__(self, monad, carrier, noun):
         self.monad = monad
         self.carrier = carrier
+        self.noun = noun
         self.names = frozenset(carrier)
         self.weights = {}  # literal -> entry weight
         self.outputs = {}  # literal -> output value
@@ -258,7 +262,7 @@ class _Values:
         d = self.dists.get(key)
         if d is None:
             weights = {}
-            for name, w in _entries(tokens, self.names, "state", self._weight, self.weights):
+            for name, w in _entries(tokens, self.names, self.noun, self._weight, self.weights):
                 weights[name] = weights[name] + w if name in weights else w
             d = self.dists[key] = Dist(weights)
         return d
@@ -270,7 +274,7 @@ class _Values:
         if self.monad.kind == "weighted":
             s = self.monad.semiring
             weights = {}
-            for name, w in _entries(tokens, self.names, "state", self._weight, self.weights):
+            for name, w in _entries(tokens, self.names, self.noun, self._weight, self.weights):
                 weights[name] = s.add(weights[name], w) if name in weights else w
             return WeightedVec(s, weights)
         groups = _split_groups(tokens)
@@ -278,12 +282,13 @@ class _Values:
             raise ParseError("empty generator in convex value")
         return ConvexSet([self._dist(g) for g in groups])
 
-    def output_map(self, tokens, what) -> dict:
+    def output_map(self, tokens) -> dict:
         """An output map: one ``NAME:VALUE`` entry for every carrier name."""
-        values = dict(_entries(tokens, self.names, what, self._output, self.outputs))
+        noun = self.noun
+        values = dict(_entries(tokens, self.names, noun, self._output, self.outputs))
         missing = [x for x in self.carrier if x not in values]
         if missing:
-            raise ParseError(f"no output value for {what} {missing[0]!r}")
+            raise ParseError(f"no output value for {noun} {missing[0]!r}")
         return values
 
 
@@ -331,14 +336,14 @@ def parse_automaton(text: str) -> EffAutomaton:
     alphabet = _line(sections, "alphabet", _distinct, "letter")
     states = _line(sections, "states", _distinct, "state")
     keys = ((states, "state"), (alphabet, "letter"))
-    values = _Values(monad, states)
+    values = _Values(monad, states, "state")
     return EffAutomaton(
         monad=monad,
         states=states,
         alphabet=alphabet,
         init=_line(sections, "init", values.effect),
         trans=_rows(sections, "trans", keys, "transitions", values),
-        output=_line(sections, "output", values.output_map, "state"),
+        output=_line(sections, "output", values.output_map),
         output_algebra=algebra,
     )
 
@@ -517,9 +522,9 @@ def _parse_monoid_recognizer(sections) -> EffRecognizer:
     elements = _line(sections, "monoid", _distinct, "monoid element")
     unit_name = _line(sections, "unit", _parse_unit, elements)
     keys = ((alphabet, "letter"),)
-    values = _Values(monad, elements)
+    values = _Values(monad, elements, "element")
     hom = _rows(sections, "hom", keys, "hom lines", values)
-    pred = _line(sections, "pred", values.output_map, "element")
+    pred = _line(sections, "pred", values.output_map)
     if graph_form:
         states = _line(sections, "states", _parse_graph_states)
         target = _graph_monoid(sections, states, elements, unit_name, hom)
@@ -609,7 +614,7 @@ def _parse_bialgebra(sections) -> BialgRecognizer:
     alphabet = _line(sections, "alphabet", _distinct, "letter")
     states = _line(sections, "states", _distinct, "state")
     gens = _line(sections, "gens", _distinct, "generator")
-    values = _Values(monad, states)
+    values = _Values(monad, states, "state")
 
     def channels(head, names, what):
         keys = ((names, what), (states, "state"))
@@ -627,7 +632,7 @@ def _parse_bialgebra(sections) -> BialgRecognizer:
         images=channels("image", gens, "generator"),
         letters=channels("hom", alphabet, "letter"),
         init=_line(sections, "init", values.effect),
-        output=_line(sections, "output", values.output_map, "state"),
+        output=_line(sections, "output", values.output_map),
         output_algebra=algebra,
     )
 

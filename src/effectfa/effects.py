@@ -81,7 +81,10 @@ class Dist:
 
     Construction checks every weight and the mass, in one pass: the mass is
     an integer numerator over the LCM of the denominators seen so far.  A
-    ``Dist`` is immutable, so values may share one (the file readers do).
+    ``float`` weight is rejected with :class:`InterfaceError`, since it
+    holds a binary approximation rather than the rational it was written
+    as.  A ``Dist`` is immutable, so values may share one (the file readers
+    do).
     """
 
     __slots__ = ("_w", "_hash")
@@ -91,6 +94,8 @@ class Dist:
         num, den = 0, 1
         for x, v in weights.items():
             if type(v) is not Fraction:
+                if isinstance(v, float):
+                    raise InterfaceError(f"inexact probability {v!r} at {x!r}")
                 v = Fraction(v)
             n = v.numerator
             if n < 0:

@@ -75,9 +75,7 @@ class FinMonoid:
     def from_table(cls, names, table, unit_name) -> "FinMonoid":
         """Build from an explicit table ``(name, name) -> name``; validated."""
         elements = tuple(names)
-        missing = {
-            (x, y) for x in elements for y in elements
-        } - set(table)
+        missing = [(x, y) for x in elements for y in elements if (x, y) not in table]
         if missing:
             raise IntegrityError(f"multiplication table not total; missing {missing}")
         carrier = set(elements)

@@ -410,6 +410,23 @@ def test_transition_totality_enforced():
         )
 
 
+def test_missing_transitions_are_listed_in_declared_order():
+    # The pairs follow states x letters, whatever the string hash seed.
+    with pytest.raises(InterfaceError) as e:
+        EffAutomaton(
+            monad=DIST,
+            states=("s", "t"),
+            alphabet=("a", "b"),
+            init=unit(DIST, "s"),
+            trans={("t", "a"): Dist({"s": 1})},
+            output={"s": F(1), "t": F(0)},
+            output_algebra=UNIT_INTERVAL,
+        )
+    assert str(e.value) == (
+        "transition table not total; missing [('s', 'a'), ('s', 'b'), ('t', 'b')]"
+    )
+
+
 def test_convex_transition_off_the_states_is_rejected():
     with pytest.raises(InterfaceError):
         EffAutomaton(

@@ -17,6 +17,7 @@ from effectfa import (
     spread,
     sweep,
 )
+from effectfa import convexgame
 from effectfa.errors import IllegalMoveError, InputError, PreconditionError
 
 
@@ -164,6 +165,58 @@ def test_solve_traces_replay():
         for m in trace:
             replay = apply_rule(replay, m)
         assert replay == final
+
+
+def _replay(p, trace):
+    for m in trace:
+        p = apply_rule(p, m)  # raises if a move is illegal
+    return p
+
+
+def test_wide_gap_trace_is_short():
+    # Spreading the gap 4..11 leaves a 4^-k ladder of transit coefficients;
+    # uniform passes alone took 105,931 moves here.
+    p = pos({4: F(16, 29), 11: F(1, 116), 12: F(51, 116)})
+    final, trace = solve(p)
+    assert final == pos({4: F(1589, 14848), 5: F(13259, 14848)})
+    assert len(trace) <= 2000
+    assert _replay(p, trace) == final
+
+
+def test_wide_window_traces_are_bounded():
+    # Up to 6 points in a window of 10 exponents anywhere in 0..16.
+    rng = random.Random(1019)
+    for _ in range(200):
+        lo = rng.randint(0, 7)
+        ks = rng.sample(range(lo, lo + 10), rng.randint(1, 6))
+        ws = [rng.randint(1, 64) for _ in ks]
+        p = pos({k: F(w, sum(ws)) for k, w in zip(ks, ws)})
+        final, trace = solve(p)
+        assert final == canonical_rep(expected_value(p))
+        assert len(trace) <= 2000
+        assert _replay(p, trace) == final
+
+
+def test_fill_keeps_mass_and_value_and_fills_the_interior():
+    rng = random.Random(1021)
+    for _ in range(100):
+        lo = rng.randint(0, 5)
+        hi = lo + rng.randint(3, 9)
+        ws = [rng.randint(1, 64) for _ in range(lo, hi + 1)]
+        # A steep ladder on the interior, as spreading a wide gap leaves.
+        for i in range(1, len(ws) - 1):
+            ws[i] = F(ws[i], 4 ** rng.randint(0, 12))
+        p = pos({n: F(w) / sum(ws) for n, w in zip(range(lo, hi + 1), ws)})
+        c = dict(p.items())
+        trace = []
+        convexgame._fill(c, lo, hi, trace)
+        q = pos(c)  # checks that the mass is still 1
+        assert sorted(c) == list(range(lo, hi + 1))
+        assert all(c[n] > 0 for n in range(lo + 1, hi))
+        assert c[lo] >= p.weight(lo) / 2 and c[hi] >= p.weight(hi) / 2
+        assert expected_value(q) == expected_value(p)
+        assert trace and all(m.direction == "merge" for m in trace)
+        assert _replay(p, trace) == q
 
 
 def test_is_winning():

@@ -60,7 +60,8 @@ def test_dist_must_sum_to_one():
 
 
 def test_dist_checks_its_mass_exactly():
-    # Mass over mixed denominators, on integers; other numbers are wrapped.
+    # Mass over mixed denominators, on integers; ints and rational strings
+    # are wrapped.
     d = Dist({"x": F(1, 3), "y": F(1, 5), "z": F(7, 15), "w": F(0)})
     assert d.support() == ("x", "y", "z")
     assert Dist({"x": 1}).weight("x") == 1 and type(Dist({"x": 1}).weight("x")) is F
@@ -72,6 +73,18 @@ def test_dist_checks_its_mass_exactly():
         ({"x": F(-1, 3), "y": F(4, 3)}, "negative probability -1/3 at 'x'"),
     ]:
         with pytest.raises(ValueError) as e:
+            Dist(weights)
+        assert str(e.value) == message
+
+
+def test_dist_rejects_float_weights():
+    # 0.5 is exact in binary and 0.7 is not; both are refused as inexact,
+    # not accepted or reported as a wrong mass.
+    for weights, message in [
+        ({"p": 0.5, "q": 0.5}, "inexact probability 0.5 at 'p'"),
+        ({"p": 0.7, "q": 0.3}, "inexact probability 0.7 at 'p'"),
+    ]:
+        with pytest.raises(InterfaceError) as e:
             Dist(weights)
         assert str(e.value) == message
 

@@ -110,6 +110,14 @@ def test_from_table_rejects_broken_unit():
         )
 
 
+def test_from_table_lists_missing_products_in_declared_order():
+    with pytest.raises(IntegrityError) as err:
+        FinMonoid.from_table(["e", "a", "b"], {("e", "e"): "e", ("b", "a"): "b"}, "e")
+    assert str(err.value).startswith(
+        "multiplication table not total; missing [('e', 'a'), ('e', 'b'), ('a', 'e'),"
+    )
+
+
 def test_tm_multiply_diracs():
     m = or_monoid()
     assert tm_multiply(m, unit(DIST, "0"), unit(DIST, "1")) == Dist({"1": 1})

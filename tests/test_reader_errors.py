@@ -298,7 +298,7 @@ TABLE_CASES = [
     (
         "missing-product",
         _edit(TABLE, (" z*z=z", "")),
-        "multiplication table not total; missing {('z', 'z')}",
+        "multiplication table not total; missing [('z', 'z')]",
     ),
     (
         "hom-shape",
@@ -309,7 +309,7 @@ TABLE_CASES = [
     (
         "hom-undeclared-element",
         _edit(TABLE, ("z:1/2\n", "u:1/2\n")),
-        "line 7: undeclared state 'u'",
+        "line 7: undeclared element 'u'",
     ),
     ("hom-literal", _edit(TABLE, ("z:1/2\n", "z:1/0\n")), "line 7: zero denominator in '1/0'"),
     ("hom-mass", _edit(TABLE, ("z:1/2\n", "z:1/3\n")), "line 7: probability mass 5/6 is not 1"),
@@ -355,7 +355,7 @@ GRAPH_CASES = [
     (
         "hom-undeclared",
         _edit(GRAPH, ("[q,q]:1/2\n", "[p,p]:1/2\n")),
-        "line 6: undeclared state '[p,p]'",
+        "line 6: undeclared element '[p,p]'",
     ),
 ]
 
