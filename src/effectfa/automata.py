@@ -79,6 +79,7 @@ from operator import mul
 from .effects import (
     Channel,
     Monad,
+    _check_entries,
     _check_value,
     _exact_weight,
     bind,
@@ -150,7 +151,9 @@ def convex_output(value) -> tuple:
         lo = Fraction(lo)
     if type(hi) is not Fraction:
         hi = Fraction(hi)
-    if not (0 <= lo <= hi <= 1):
+    # 0 <= lo <= hi <= 1; denominators are positive, so the bounds are
+    # compared on integers.
+    if lo.numerator < 0 or hi.numerator > hi.denominator or (lo is not hi and lo > hi):
         raise InterfaceError(f"convex output {value!r} outside the unit interval")
     return (lo, hi)
 
@@ -172,8 +175,9 @@ def _check_outputs(monad: Monad, states, output: dict, algebra: OutputAlgebra):
                 raise InterfaceError(
                     f"convex outputs are (low, high) pairs; got {v!r} at {q!r}"
                 )
-            exact = all(
-                type(x) is Fraction or isinstance(x, numbers.Rational) for x in v
+            lo, hi = v
+            exact = (type(lo) is Fraction or isinstance(lo, numbers.Rational)) and (
+                type(hi) is Fraction or isinstance(hi, numbers.Rational)
             )
         elif monad.kind == "dist":
             exact = type(v) is Fraction or isinstance(v, numbers.Rational)
@@ -198,21 +202,30 @@ class EffAutomaton:
     _channels: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        trans = self.trans
-        missing = [
-            (q, a) for q in self.states for a in self.alphabet if (q, a) not in trans
-        ]
-        if missing:
-            raise InterfaceError(f"transition table not total; missing {missing}")
-        _check_outputs(self.monad, self.states, self.output, self.output_algebra)
-        _check_value(self.monad, self.init, set(self.states), "the initial value")
-        channels = {}
-        for a in self.alphabet:
-            table = {q: trans[(q, a)] for q in self.states}
+        monad, states, trans = self.monad, self.states, self.trans
+        try:
+            tables = {a: {q: trans[(q, a)] for q in states} for a in self.alphabet}
+        except KeyError:
+            missing = [
+                (q, a) for q in states for a in self.alphabet if (q, a) not in trans
+            ]
+            raise InterfaceError(
+                f"transition table not total; missing {missing}"
+            ) from None
+        _check_outputs(monad, states, self.output, self.output_algebra)
+        carrier = set(states)
+        _check_value(monad, self.init, carrier, "the initial value")
+        # Each entry is checked once here, so the letter channels are built
+        # from these tables without checking them again.
+        for a, table in tables.items():
             try:
-                channels[a] = Channel(self.monad, self.states, self.states, table)
+                _check_entries(monad, table, carrier)
             except InterfaceError as e:
                 raise InterfaceError(f"transitions on {a!r}: {e}") from None
+        channels = {
+            a: Channel._of_checked(monad, states, states, table)
+            for a, table in tables.items()
+        }
         object.__setattr__(self, "_channels", channels)
 
     def letter_channel(self, a) -> Channel:

@@ -21,8 +21,9 @@ give every product as ``x*y=z``.  Bialgebra files use
 one section reader: the first token of a line names its section, and sections
 may come in any order.  One-line sections appear once; ``trans``, ``hom``
 and ``image`` take one line per row and ``mul`` lines hold any number of
-products; every row and every product appears exactly once.  Literals and
-generators are read once per file: each distinct literal is parsed once,
+products; every row and every product appears exactly once.  Literals are
+written in ASCII digits.  Literals and generators are read once per file,
+and each row in one pass: each distinct literal is parsed once,
 and each distinct generator distribution built once and shared by the
 entries that repeat it.  A malformed file raises :class:`ParseError`, with
 the line number when the fault is on a line.
@@ -45,6 +46,8 @@ import os
 import sys
 from fractions import Fraction
 from itertools import product as _iterproduct
+from math import prod
+from operator import add
 
 from . import convexgame
 from .automata import (
@@ -69,7 +72,7 @@ from .effects import (
     weighted,
 )
 from .errors import EffectfaError, ParseError, ResourceError
-from .exactnum import parse_rational
+from .exactnum import _NATURAL_RE, parse_rational
 from .monoids import (
     EffMorphism,
     FinMonoid,
@@ -107,12 +110,12 @@ _F0 = Fraction(0)
 
 def _sections(text: str) -> dict:
     """Non-comment lines grouped by their first token, in file order:
-    ``head -> [(1-based line number, remaining tokens)]``."""
+    ``head -> [(1-based line number, remaining tokens as a tuple)]``."""
     sections = {}
     for no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.partition("#")[0].split()
         if tokens:
-            sections.setdefault(tokens[0], []).append((no, tokens[1:]))
+            sections.setdefault(tokens[0], []).append((no, tuple(tokens[1:])))
     return sections
 
 
@@ -152,26 +155,36 @@ def _rows(sections, head, keys, label, values) -> dict:
     ``keys`` gives, per key position, the declared names and what they are
     called.  Every tuple in the product of the names needs exactly one line;
     its entries are an effect value read by ``values``, a :class:`_Values`.
+    Each line is read once, and any error in it is reported at its number.
+    Since every key read is declared and new, the table is complete when it
+    has as many keys as the product; only a short table is scanned for the
+    keys it lacks.
     """
     arity = len(keys)
+    declared = [(frozenset(names), what) for names, what in keys]
+    effect = values.effect
     table = {}
-    for no, tokens in sections.get(head, ()):
-        if len(tokens) <= arity or tokens[arity] != "->":
-            shape = " ".join(what.upper() for _, what in keys)
-            _fail(no, f"expected: {head} {shape} -> entries")
-        key = tuple(tokens[:arity])
-        for name, (names, what) in zip(key, keys):
-            if name not in names:
-                _fail(no, f"undeclared {what} {name!r}")
-        if key in table:
-            _fail(no, f"duplicate {head} line for {' '.join(key)}")
-        table[key] = _at(no, values.effect, tokens[arity + 1 :])
-    missing = [
-        " ".join(key)
-        for key in _iterproduct(*(names for names, _ in keys))
-        if key not in table
-    ]
-    if missing:
+    no = None
+    try:
+        for no, tokens in sections.get(head, ()):
+            if len(tokens) <= arity or tokens[arity] != "->":
+                shape = " ".join(what.upper() for _, what in keys)
+                raise ParseError(f"expected: {head} {shape} -> entries")
+            key = tokens[:arity]
+            for name, (names, what) in zip(key, declared):
+                if name not in names:
+                    raise ParseError(f"undeclared {what} {name!r}")
+            if key in table:
+                raise ParseError(f"duplicate {head} line for {' '.join(key)}")
+            table[key] = effect(tokens[arity + 1 :])
+    except (EffectfaError, ValueError) as e:
+        _fail(no, str(e))
+    if len(table) < prod(len(names) for names, _ in keys):
+        missing = [
+            " ".join(key)
+            for key in _iterproduct(*(names for names, _ in keys))
+            if key not in table
+        ]
         raise ParseError(f"missing {label}: {', '.join(missing)}")
     return table
 
@@ -183,15 +196,17 @@ def _distinct(tokens, what) -> tuple:
     return tuple(tokens)
 
 
-def _entries(tokens, names, what, parse, seen) -> list:
-    """``NAME:VALUE`` tokens on declared names, as (name, value) pairs.
+def _entries(tokens, names, what, parse, seen, combine=None) -> dict:
+    """``NAME:VALUE`` tokens on declared names, as a ``name -> value`` map;
+    the values of a repeated name are combined by ``combine``, or the last
+    is kept without one.
 
     This one loop reads the entries of every format.  ``seen`` maps each
     VALUE text that ``parse`` has already read in this file to its value,
     so each distinct literal is parsed once; a text that fails raises here
     and is never stored, so it fails again wherever it appears.
     """
-    pairs = []
+    values = {}
     for t in tokens:
         name, colon, text = t.rpartition(":")
         if not colon:
@@ -203,8 +218,10 @@ def _entries(tokens, names, what, parse, seen) -> list:
         value = seen.get(text)
         if value is None:
             value = seen[text] = parse(text)
-        pairs.append((name, value))
-    return pairs
+        if combine is not None and name in values:
+            value = combine(values[name], value)
+        values[name] = value
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +265,7 @@ class _Values:
             return monad.semiring.parse(text)
         if monad.kind == "dist":
             v = parse_rational(text)
-            if not 0 <= v <= 1:
+            if v.numerator < 0 or v.numerator > v.denominator:
                 raise ParseError(f"output {v} outside [0, 1]")
             return v
         parts = text.split("|")
@@ -257,50 +274,51 @@ class _Values:
         values = [parse_rational(p) for p in parts]
         return convex_output(values[0] if len(values) == 1 else tuple(values))
 
-    def _dist(self, tokens) -> Dist:
-        key = tuple(tokens)
-        d = self.dists.get(key)
+    def effect(self, tokens: tuple):
+        """An effect value; convex generators are separated by ``|`` tokens."""
+        kind = self.monad.kind
+        if kind == "dist":
+            return self._dist(tokens)
+        if kind == "weighted":
+            return self._vector(tokens)
+        return self._convex(tokens)
+
+    def _dist(self, tokens: tuple) -> Dist:
+        """A distribution, built once per distinct token tuple."""
+        d = self.dists.get(tokens)
         if d is None:
-            weights = {}
-            for name, w in _entries(tokens, self.names, self.noun, self._weight, self.weights):
-                weights[name] = weights[name] + w if name in weights else w
-            d = self.dists[key] = Dist(weights)
+            weights = _entries(tokens, self.names, self.noun, self._weight, self.weights, add)
+            d = self.dists[tokens] = Dist(weights)
         return d
 
-    def effect(self, tokens):
-        """An effect value; convex generators are separated by ``|`` tokens."""
-        if self.monad.kind == "dist":
-            return self._dist(tokens)
-        if self.monad.kind == "weighted":
-            s = self.monad.semiring
-            weights = {}
-            for name, w in _entries(tokens, self.names, self.noun, self._weight, self.weights):
-                weights[name] = s.add(weights[name], w) if name in weights else w
-            return WeightedVec(s, weights)
-        groups = _split_groups(tokens)
-        if any(not g for g in groups):
+    def _vector(self, tokens: tuple) -> WeightedVec:
+        """A weighted vector; the weights of a repeated name are added."""
+        s = self.monad.semiring
+        weights = _entries(tokens, self.names, self.noun, self._weight, self.weights, s.add)
+        return WeightedVec(s, weights)
+
+    def _convex(self, tokens: tuple) -> ConvexSet:
+        """A convex set; every generator must be non-empty before any is
+        read."""
+        gens = []
+        start = 0
+        for _ in range(tokens.count("|")):
+            end = tokens.index("|", start)
+            gens.append(tokens[start:end])
+            start = end + 1
+        gens.append(tokens[start:])
+        if () in gens:
             raise ParseError("empty generator in convex value")
-        return ConvexSet([self._dist(g) for g in groups])
+        return ConvexSet(map(self._dist, gens))
 
     def output_map(self, tokens) -> dict:
         """An output map: one ``NAME:VALUE`` entry for every carrier name."""
         noun = self.noun
-        values = dict(_entries(tokens, self.names, noun, self._output, self.outputs))
-        missing = [x for x in self.carrier if x not in values]
-        if missing:
+        values = _entries(tokens, self.names, noun, self._output, self.outputs)
+        if len(values) < len(self.carrier):
+            missing = [x for x in self.carrier if x not in values]
             raise ParseError(f"no output value for {noun} {missing[0]!r}")
         return values
-
-
-def _split_groups(tokens):
-    """Split a token list on '|' tokens (convex generator separator)."""
-    groups = [[]]
-    for t in tokens:
-        if t == "|":
-            groups.append([])
-        else:
-            groups[-1].append(t)
-    return groups
 
 
 def _parse_monad_line(tokens):
@@ -700,10 +718,9 @@ def parse_position(text: str) -> convexgame.Position:
     """Parse ``1/3*0 + 2/3*2`` (weights on letter exponents)."""
     coeffs = {}
     for coef, term in _parse_terms(text):
-        try:
-            n = int(term)
-        except ValueError:
-            raise ParseError(f"exponent {term!r} is not a natural number") from None
+        if not _NATURAL_RE.fullmatch(term):
+            raise ParseError(f"exponent {term!r} is not a natural number")
+        n = int(term)
         coeffs[n] = coeffs.get(n, _F0) + coef
     try:
         return convexgame.Position(coeffs)

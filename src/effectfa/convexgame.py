@@ -29,10 +29,11 @@ wrapper validates and freezes them at the API boundary.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IllegalMoveError, InputError, PreconditionError
+from .errors import IllegalMoveError, InputError, InterfaceError, PreconditionError
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -43,7 +44,14 @@ _FILL_RATIO = 4
 
 
 class Position:
-    """Finite distribution over exponents of the single letter."""
+    """Finite distribution over exponents of the single letter.
+
+    Exponents are ``int`` values of at least 0; a ``bool`` is not one.
+    Masses are exact rationals: a ``float``, which holds a binary
+    approximation rather than the rational it was written as, is rejected
+    with :class:`InterfaceError`, as by :class:`~effectfa.effects.Dist`, and
+    so is anything else that is not a ``numbers.Rational``.
+    """
 
     __slots__ = ("_c",)
 
@@ -51,9 +59,14 @@ class Position:
         c = {}
         total = _F0
         for n, w in coefficients.items():
-            if not isinstance(n, int) or n < 0:
+            if type(n) is not int or n < 0:
                 raise InputError(f"exponent {n!r} must be a natural number")
-            w = Fraction(w)
+            if type(w) is not Fraction:
+                if not isinstance(w, numbers.Rational):
+                    raise InterfaceError(
+                        f"mass {w!r} at exponent {n} is not an exact rational"
+                    )
+                w = Fraction(w)
             if w < 0:
                 raise InputError(f"negative mass {w} at exponent {n}")
             if w != 0:
@@ -101,7 +114,10 @@ class Move:
 
     ``split`` moves ``3*lam`` off ``index+1`` onto the flanks; ``merge`` is
     the inverse.  The amount is capped at 1/3 since three times it can never
-    exceed the total mass.
+    exceed the total mass.  The index is an ``int`` of at least 0 (not a
+    ``bool``), and the amount an exact rational, read as a ``Fraction``: a
+    ``float`` or anything else that is not a ``numbers.Rational`` is
+    rejected with :class:`InterfaceError`.
     """
 
     index: int
@@ -109,8 +125,12 @@ class Move:
     direction: str
 
     def __post_init__(self):
-        if self.index < 0:
+        if type(self.index) is not int or self.index < 0:
             raise InputError("the rule index must be a natural number")
+        if type(self.lam) is not Fraction:
+            if not isinstance(self.lam, numbers.Rational):
+                raise InterfaceError(f"amount {self.lam!r} is not an exact rational")
+            object.__setattr__(self, "lam", Fraction(self.lam))
         if not (0 < self.lam <= _THIRD):
             raise InputError("the amount must lie in (0, 1/3]")
         if self.direction not in ("split", "merge"):

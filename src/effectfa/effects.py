@@ -299,29 +299,59 @@ def _support_elements(t) -> set:
     return set(t.support())
 
 
-def _check_value(monad: Monad, t, carrier: set, where: str) -> None:
-    """Raise InterfaceError unless ``t`` is a ``monad`` value supported in
-    the set ``carrier``, with exact weights if it is a weighted vector.
+# The class of each effect kind's values.
+_VALUE_CLASS = {"dist": Dist, "weighted": WeightedVec, "convex": ConvexSet}
+_WRONG_TYPE = "has the wrong effect type"
+_OUTSIDE = "puts weight outside the carrier"
 
-    It dispatches on the value's type (:func:`_fits`) and builds no set:
-    the keys of each weight map, of every generator of a convex set, are
-    compared with ``carrier`` as they are.
+
+def _value_fault(monad: Monad, t, carrier) -> str | None:
+    """What keeps ``t`` from being a ``monad`` value supported in the set
+    ``carrier``, with exact weights if it is a weighted vector; None if
+    nothing does.  Something that is no effect value raises InterfaceError.
+
+    It picks the monad's value class by ``type(t) is`` (a subclass passes
+    too) and builds no set: the keys of each weight map, of every generator
+    of a convex set, are compared with ``carrier`` as they are.
     """
-    if not _fits(monad, t):
-        raise InterfaceError(f"{where} has the wrong effect type")
-    if monad.kind == "convex":
-        inside = all(g._w.keys() <= carrier for g in t.generators)
-    else:
-        inside = t._w.keys() <= carrier
-    if not inside:
-        raise InterfaceError(f"{where} puts weight outside the carrier")
-    if monad.kind == "weighted":
-        s = monad.semiring
-        bad = [w for w in t._w.values() if not _exact_weight(s, w)]
-        if bad:
-            raise InterfaceError(
-                f"{where} has an inexact {monad.semiring.name} weight {bad[0]!r}"
-            )
+    kind = monad.kind
+    cls = _VALUE_CLASS[kind]
+    if type(t) is not cls and not isinstance(t, cls):
+        _value_kind(t)
+        return _WRONG_TYPE
+    if kind == "convex":
+        for g in t.generators:
+            if not g._w.keys() <= carrier:
+                return _OUTSIDE
+        return None
+    if kind == "dist":
+        return None if t._w.keys() <= carrier else _OUTSIDE
+    s = monad.semiring
+    if t.semiring is not s and t.semiring != s:
+        return _WRONG_TYPE
+    if not t._w.keys() <= carrier:
+        return _OUTSIDE
+    for w in t._w.values():
+        if not _exact_weight(s, w):
+            return f"has an inexact {s.name} weight {w!r}"
+    return None
+
+
+def _check_value(monad: Monad, t, carrier: set, where: str) -> None:
+    """Raise InterfaceError, naming ``where``, unless ``t`` is a ``monad``
+    value supported in the set ``carrier`` (see :func:`_value_fault`)."""
+    fault = _value_fault(monad, t, carrier)
+    if fault is not None:
+        raise InterfaceError(f"{where} {fault}")
+
+
+def _check_entries(monad: Monad, table: dict, carrier: set) -> None:
+    """Check every entry of a channel table with :func:`_value_fault`; the
+    first bad one is named by its key, and only then is its name formatted."""
+    for x, t in table.items():
+        fault = _value_fault(monad, t, carrier)
+        if fault is not None:
+            raise InterfaceError(f"entry at {x!r} {fault}")
 
 
 def _exact_weight(s: SemiringDescriptor, w) -> bool:
@@ -345,7 +375,7 @@ class Channel:
     """Total table from a finite domain to effect values over a codomain.
 
     Construction checks that the table's keys are the domain and every
-    entry with :func:`_check_value` on the codomain.
+    entry with :func:`_check_entries` on the codomain.
     """
 
     monad: Monad
@@ -356,9 +386,20 @@ class Channel:
     def __post_init__(self):
         if self.table.keys() != set(self.domain):
             raise InterfaceError("channel table must be total on its domain")
-        codomain = set(self.codomain)
-        for x, t in self.table.items():
-            _check_value(self.monad, t, codomain, f"entry at {x!r}")
+        _check_entries(self.monad, self.table, set(self.codomain))
+
+    @classmethod
+    def _of_checked(cls, monad: Monad, domain: tuple, codomain: tuple, table: dict):
+        """A channel on a table that the caller has already checked as
+        construction does: its keys are the domain and every entry passed
+        :func:`_check_entries` on the codomain."""
+        ch = object.__new__(cls)
+        put = object.__setattr__
+        put(ch, "monad", monad)
+        put(ch, "domain", domain)
+        put(ch, "codomain", codomain)
+        put(ch, "table", table)
+        return ch
 
     def __call__(self, x):
         try:

@@ -24,8 +24,9 @@ from .errors import ConfigurationError, ParseError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
-_NATURAL_RE = re.compile(r"^\d+$")
+# Literals are written in ASCII digits: ``\d`` would match any Unicode digit.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_NATURAL_RE = re.compile(r"[0-9]+")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -33,7 +34,7 @@ def parse_rational(text: str) -> Fraction:
 
     A zero denominator is a :class:`ParseError`.
     """
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"not a rational literal: {text!r}")
     p, _, q = text.partition("/")
     if not q:
@@ -108,7 +109,7 @@ def _parse_bool(text: str):
 def _parse_tropical(text: str, bottom, bottom_label: str):
     if text == bottom_label:
         return bottom
-    if not _NATURAL_RE.match(text):
+    if not _NATURAL_RE.fullmatch(text):
         raise ParseError(
             f"tropical weight must be a natural number or {bottom_label!r}, got {text!r}"
         )

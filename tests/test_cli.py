@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import rand_npfa, rand_pfa, rand_wfa, table_form
 from effectfa import (
     DIST,
+    ConvexSet,
     Dist,
     EffMorphism,
     EffRecognizer,
@@ -159,6 +160,41 @@ def test_parse_print_fixpoint(text):
     again = parse_automaton(printed)
     assert again == a
     assert print_automaton(again) == printed
+
+
+def _exact_fields(a):
+    """A machine's fields, convex values as their generator tuples, so that
+    equality is generator by generator rather than by hull."""
+
+    def value(v):
+        return v.generators if isinstance(v, ConvexSet) else v
+
+    trans = {k: value(v) for k, v in a.trans.items()}
+    return (a.monad, a.states, a.alphabet, value(a.init), trans, a.output, a.output_algebra)
+
+
+@pytest.mark.parametrize("family", ["dist", "boolean", "rational", "minplus", "maxplus", "convex"])
+def test_seeded_machines_round_trip(family):
+    rng = random.Random(f"round trip {family}")
+    shared = 0
+    for k in range(40):
+        n, pure = 1 + k % 4, k % 2 == 0
+        if family == "dist":
+            a = rand_pfa(rng, n, 2, pure_init=pure)
+        elif family == "convex":
+            a = rand_npfa(rng, n, 2, 3, pure_init=pure)
+        else:
+            a = rand_wfa(rng, family, n, 2)
+        printed = print_automaton(a)
+        back = parse_automaton(printed)
+        assert _exact_fields(back) == _exact_fields(a)
+        assert print_automaton(back) == printed
+        if family == "convex":
+            gens = [g for v in (back.init, *back.trans.values()) for g in v.generators]
+            shared += len(gens) - len(set(map(id, gens)))
+    if family == "convex":
+        # Generators repeat across entries, and the reader shares them.
+        assert shared > 0
 
 
 def test_convex_modes_round_trip():
@@ -435,6 +471,11 @@ def test_word_and_combo_parsing():
     assert pos.weight(3) == __import__("fractions").Fraction(1, 2)
     with pytest.raises(ParseError):
         parse_position("1*x")
+    # Exponents are natural literals in ASCII digits, which int() is not.
+    for term in ["1_0", "\u0663", "-1"]:
+        with pytest.raises(ParseError) as caught:
+            parse_position(f"1/2*{term} + 1/2*11")
+        assert str(caught.value) == f"exponent {term!r} is not a natural number"
 
 
 def test_reports_are_deterministic(files):

@@ -18,7 +18,7 @@ from effectfa import (
     sweep,
 )
 from effectfa import convexgame
-from effectfa.errors import IllegalMoveError, InputError, PreconditionError
+from effectfa.errors import IllegalMoveError, InputError, InterfaceError, PreconditionError
 
 
 def pos(d):
@@ -248,3 +248,35 @@ def test_position_validation():
         Position({-1: F(1)})
     with pytest.raises(InputError):
         Position({0: F(3, 2), 1: F(-1, 2)})
+
+
+def test_game_values_are_exact():
+    # A float mass or amount is a binary approximation, rejected as Dist
+    # rejects one, and so is text; ints are read as Fractions.
+    with pytest.raises(InterfaceError) as caught:
+        Position({0: 0.1, 1: 0.9})
+    assert str(caught.value) == "mass 0.1 at exponent 0 is not an exact rational"
+    with pytest.raises(InterfaceError) as caught:
+        Position({0: F(1, 2), 1: "1/2"})
+    assert str(caught.value) == "mass '1/2' at exponent 1 is not an exact rational"
+    assert Position({0: 1}) == pos({0: F(1)})
+    with pytest.raises(InterfaceError) as caught:
+        apply_rule(pos({0: F(1, 2), 2: F(1, 2)}), Move(0, 0.25, "merge"))
+    assert str(caught.value) == "amount 0.25 is not an exact rational"
+    with pytest.raises(InterfaceError):
+        Move(0, "1/4", "merge")
+    m = Move(0, F(1, 4), "merge")
+    assert type(m.lam) is F
+    assert apply_rule(pos({0: F(1, 2), 2: F(1, 2)}), m) == pos(
+        {0: F(1, 4), 1: F(3, 4)}
+    )
+
+
+def test_bool_is_no_exponent_or_index():
+    with pytest.raises(InputError) as caught:
+        Position({True: 1})
+    assert str(caught.value) == "exponent True must be a natural number"
+    for index in (True, False, "0"):
+        with pytest.raises(InputError) as caught:
+            Move(index, F(1, 4), "merge")
+        assert str(caught.value) == "the rule index must be a natural number"

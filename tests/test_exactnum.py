@@ -96,10 +96,11 @@ def test_parse_rational_literals():
         got = parse_rational(text)
         assert type(got) is F and got == value
         assert (got.numerator, got.denominator) == (value.numerator, value.denominator)
-    with pytest.raises(ParseError):
-        parse_rational("0.5")
-    with pytest.raises(ParseError):
-        parse_rational("x")
+    # Only ASCII digits, and nothing after the literal: int() would take
+    # the Arabic-Indic digits, underscores, a sign and surrounding space.
+    for text in ["0.5", "x", "\u0661", "\u0661/\u0662", "1/\u0662", "1_0", "+3", " 1", "1\n"]:
+        with pytest.raises(ParseError, match="not a rational literal"):
+            parse_rational(text)
     for text in ["1/0", "0/0", "-3/00"]:
         with pytest.raises(ParseError, match="zero denominator"):
             parse_rational(text)
@@ -109,8 +110,9 @@ def test_tropical_parse_rejects_negative():
     mp = semiring_builtin("minplus")
     assert mp.parse("inf") is INF
     assert mp.parse("4") == 4
-    with pytest.raises(ParseError):
-        mp.parse("-1")
+    for text in ["-1", "\u0663", "1_0", "+3", "3\n"]:
+        with pytest.raises(ParseError, match="tropical weight must be a natural number"):
+            mp.parse(text)
 
 
 rationals = st.fractions(max_denominator=50)

@@ -127,6 +127,17 @@ AUTOMATON_CASES = [
     ),
     ("decimal-literal", _edit(AUT, ("q:1\n", "q:1.0\n")), "line 6: not a rational literal: '1.0'"),
     ("zero-denominator", _edit(AUT, ("q:1/2", "q:1/0")), "line 5: zero denominator in '1/0'"),
+    # Literals are ASCII digits: an Arabic-Indic one is no digit here.
+    (
+        "non-ascii-digit",
+        _edit(AUT, ("init p:1", "init p:\u0661")),
+        "line 4: not a rational literal: '\u0661'",
+    ),
+    (
+        "non-ascii-output",
+        _edit(AUT, ("output p:0", "output p:\u0661/\u0662")),
+        "line 7: not a rational literal: '\u0661/\u0662'",
+    ),
     ("negative-weight", _edit(AUT, ("q:1/2", "q:-1/2")), "line 5: negative weight -1/2"),
     # The name checks of a token come before its literal is read.
     (
@@ -265,6 +276,11 @@ AUTOMATON_CASES = [
         "tropical-output",
         _edit(MINPLUS, ("output p:0", "output p:1/2")),
         "line 7: tropical weight must be a natural number or 'inf', got '1/2'",
+    ),
+    (
+        "tropical-non-ascii-digit",
+        _edit(MINPLUS, ("q:inf", "q:\u0663")),
+        "line 5: tropical weight must be a natural number or 'inf', got '\u0663'",
     ),
     (
         "boolean-literal",
