@@ -68,7 +68,6 @@ empty-word interval.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
@@ -81,7 +80,6 @@ from .effects import (
     Monad,
     _check_entries,
     _check_value,
-    _exact_weight,
     bind,
     identity_channel,
     is_pure,
@@ -89,6 +87,7 @@ from .effects import (
     unit,
 )
 from .errors import CapabilityError, InputError, InterfaceError
+from .exactnum import _exact_weight, is_rational, rational
 from .linalg import (
     RowSpace,
     _int_fold,
@@ -148,9 +147,9 @@ def convex_output(value) -> tuple:
     """Normalise a convex output entry to an exact (low, high) pair."""
     lo, hi = (value[0], value[1]) if isinstance(value, tuple) else (value, value)
     if type(lo) is not Fraction:
-        lo = Fraction(lo)
+        lo = rational(lo, "convex output")
     if type(hi) is not Fraction:
-        hi = Fraction(hi)
+        hi = rational(hi, "convex output")
     # 0 <= lo <= hi <= 1; denominators are positive, so the bounds are
     # compared on integers.
     if lo.numerator < 0 or hi.numerator > hi.denominator or (lo is not hi and lo > hi):
@@ -160,9 +159,9 @@ def convex_output(value) -> tuple:
 
 def _check_outputs(monad: Monad, states, output: dict, algebra: OutputAlgebra):
     """Reject an output map that is not total on ``states``, an algebra that
-    does not fit the effect type, and inexact output values: convex outputs
-    are (low, high) pairs of rationals, ``dist`` outputs rationals, weighted
-    outputs exact weights of the semiring."""
+    does not fit the effect type, and inexact output values: ``dist``
+    outputs and both ends of convex (low, high) pairs pass ``is_rational``,
+    weighted outputs are exact weights of the semiring."""
     if output.keys() != set(states):
         raise InterfaceError("output map must be total on the states")
     if algebra.kind not in _KIND_FOR_MONAD[monad.kind]:
@@ -176,15 +175,14 @@ def _check_outputs(monad: Monad, states, output: dict, algebra: OutputAlgebra):
                     f"convex outputs are (low, high) pairs; got {v!r} at {q!r}"
                 )
             lo, hi = v
-            exact = (type(lo) is Fraction or isinstance(lo, numbers.Rational)) and (
-                type(hi) is Fraction or isinstance(hi, numbers.Rational)
-            )
+            exact = type(lo) is type(hi) is Fraction or is_rational(lo) and is_rational(hi)
         elif monad.kind == "dist":
-            exact = type(v) is Fraction or isinstance(v, numbers.Rational)
+            exact = type(v) is Fraction or is_rational(v)
         else:
             exact = _exact_weight(monad.semiring, v)
         if not exact:
-            raise InterfaceError(f"output {v!r} at {q!r} is not an exact value")
+            what = f"{monad.semiring.name} weight" if monad.semiring else "rational"
+            raise InterfaceError(f"output {v!r} at {q!r} is not an exact {what}")
 
 
 @dataclass(frozen=True)

@@ -733,15 +733,14 @@ def format_position(p: convexgame.Position) -> str:
 
 
 def _decimal(x: Fraction, digits: int) -> str:
-    sign = "-" if x < 0 else ""
-    n, d = abs(x.numerator), x.denominator
-    scaled, rem = divmod(n * 10**digits, d)
+    d = x.denominator
+    scaled, rem = divmod(abs(x.numerator) * 10**digits, d)
     if 2 * rem >= d:
         scaled += 1
+    # A value that rounds to zero prints unsigned.
+    sign = "-" if x < 0 and scaled else ""
     whole, frac = divmod(scaled, 10**digits)
-    if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
 
 
 def format_value(v, a: EffAutomaton, decimal: int | None = None) -> str:
@@ -870,15 +869,12 @@ def _cmd_game(args):
 
 
 def _natural(text: str) -> int:
-    """The argument type of ``--max-len`` and ``--decimal``: an integer of
-    at least 0; anything else is a usage error (exit status 2)."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
+    """The argument type of ``--max-len`` and ``--decimal``: a natural
+    literal in ASCII digits, as in the files; anything else is a usage
+    error (exit status 2)."""
+    if not _NATURAL_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return n
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

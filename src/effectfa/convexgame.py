@@ -29,11 +29,11 @@ wrapper validates and freezes them at the API boundary.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IllegalMoveError, InputError, InterfaceError, PreconditionError
+from .errors import IllegalMoveError, InputError, PreconditionError
+from .exactnum import rational
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -47,10 +47,7 @@ class Position:
     """Finite distribution over exponents of the single letter.
 
     Exponents are ``int`` values of at least 0; a ``bool`` is not one.
-    Masses are exact rationals: a ``float``, which holds a binary
-    approximation rather than the rational it was written as, is rejected
-    with :class:`InterfaceError`, as by :class:`~effectfa.effects.Dist`, and
-    so is anything else that is not a ``numbers.Rational``.
+    Masses are read by :func:`~effectfa.exactnum.rational`.
     """
 
     __slots__ = ("_c",)
@@ -62,11 +59,7 @@ class Position:
             if type(n) is not int or n < 0:
                 raise InputError(f"exponent {n!r} must be a natural number")
             if type(w) is not Fraction:
-                if not isinstance(w, numbers.Rational):
-                    raise InterfaceError(
-                        f"mass {w!r} at exponent {n} is not an exact rational"
-                    )
-                w = Fraction(w)
+                w = rational(w, "mass", f"at exponent {n}")
             if w < 0:
                 raise InputError(f"negative mass {w} at exponent {n}")
             if w != 0:
@@ -115,9 +108,7 @@ class Move:
     ``split`` moves ``3*lam`` off ``index+1`` onto the flanks; ``merge`` is
     the inverse.  The amount is capped at 1/3 since three times it can never
     exceed the total mass.  The index is an ``int`` of at least 0 (not a
-    ``bool``), and the amount an exact rational, read as a ``Fraction``: a
-    ``float`` or anything else that is not a ``numbers.Rational`` is
-    rejected with :class:`InterfaceError`.
+    ``bool``); the amount is read by :func:`~effectfa.exactnum.rational`.
     """
 
     index: int
@@ -128,9 +119,7 @@ class Move:
         if type(self.index) is not int or self.index < 0:
             raise InputError("the rule index must be a natural number")
         if type(self.lam) is not Fraction:
-            if not isinstance(self.lam, numbers.Rational):
-                raise InterfaceError(f"amount {self.lam!r} is not an exact rational")
-            object.__setattr__(self, "lam", Fraction(self.lam))
+            object.__setattr__(self, "lam", rational(self.lam, "amount"))
         if not (0 < self.lam <= _THIRD):
             raise InputError("the amount must lie in (0, 1/3]")
         if self.direction not in ("split", "merge"):
@@ -148,7 +137,7 @@ def canonical_rep(x: Fraction) -> Position:
     Solves ``x = r/2^n + (1-r)/2^(n+1)`` for the unique exponent ``n`` and
     weight ``r`` in (0, 1]; ``r == 1`` collapses to a one-point position.
     """
-    x = Fraction(x)
+    x = rational(x, "expected value")
     if not (0 < x <= 1):
         raise InputError(f"expected value {x} outside (0, 1]")
     n = 0

@@ -30,14 +30,13 @@ exactly by rational linear feasibility (:func:`hull_membership`).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iterproduct
 from math import gcd
 
 from .errors import CapabilityError, InterfaceError, ResourceError
-from .exactnum import SemiringDescriptor, semiring_builtin
+from .exactnum import SemiringDescriptor, _exact_weight, rational, semiring_builtin
 from .linalg import feasible_nonneg
 
 _F0 = Fraction(0)
@@ -79,12 +78,10 @@ def weighted(semiring: SemiringDescriptor | str) -> Monad:
 class Dist:
     """Finite probability distribution with positive weights summing to one.
 
-    Construction checks every weight and the mass, in one pass: the mass is
-    an integer numerator over the LCM of the denominators seen so far.  A
-    ``float`` weight is rejected with :class:`InterfaceError`, since it
-    holds a binary approximation rather than the rational it was written
-    as.  A ``Dist`` is immutable, so values may share one (the file readers
-    do).
+    Construction reads every weight by :func:`~effectfa.exactnum.rational`
+    and checks the mass, in one pass: the mass is an integer numerator over
+    the LCM of the denominators seen so far.  A ``Dist`` is immutable, so
+    values may share one (the file readers do).
     """
 
     __slots__ = ("_w", "_hash")
@@ -94,9 +91,7 @@ class Dist:
         num, den = 0, 1
         for x, v in weights.items():
             if type(v) is not Fraction:
-                if isinstance(v, float):
-                    raise InterfaceError(f"inexact probability {v!r} at {x!r}")
-                v = Fraction(v)
+                v = rational(v, "probability", f"at {x!r}")
             n = v.numerator
             if n < 0:
                 raise ValueError(f"negative probability {v} at {x!r}")
@@ -152,15 +147,7 @@ class WeightedVec:
 
     def __init__(self, semiring: SemiringDescriptor, weights):
         self.semiring = semiring
-        w = {}
-        for x, v in weights.items():
-            if x in w:
-                v = semiring.add(w[x], v)
-            if not semiring.is_zero(v):
-                w[x] = v
-            elif x in w:
-                del w[x]
-        self._w = w
+        self._w = {x: v for x, v in weights.items() if not semiring.is_zero(v)}
 
     def weight(self, x):
         return self._w.get(x, self.semiring.zero)
@@ -352,22 +339,6 @@ def _check_entries(monad: Monad, table: dict, carrier: set) -> None:
         fault = _value_fault(monad, t, carrier)
         if fault is not None:
             raise InterfaceError(f"entry at {x!r} {fault}")
-
-
-def _exact_weight(s: SemiringDescriptor, w) -> bool:
-    """Whether ``w`` is an exact element of a builtin semiring.
-
-    Rational weights are ``numbers.Rational``; tropical ones are ``int`` or
-    the semiring's own infinity (``bool`` is not a tropical weight); boolean
-    ones are ``bool``.  Other semirings are taken on trust.
-    """
-    if s.name == "rational":
-        return type(w) is Fraction or isinstance(w, numbers.Rational)
-    if s.name in ("minplus", "maxplus"):
-        return w is s.zero or (isinstance(w, int) and not isinstance(w, bool))
-    if s.name == "boolean":
-        return isinstance(w, bool)
-    return True
 
 
 @dataclass(frozen=True, eq=False)

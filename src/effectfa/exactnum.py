@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Any, Callable
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, InterfaceError, ParseError
 
 Rational = Fraction
 
@@ -43,6 +43,29 @@ def parse_rational(text: str) -> Fraction:
     if not q:
         raise ParseError(f"zero denominator in {text!r}")
     return Fraction(int(p), q)
+
+
+def is_rational(v) -> bool:
+    """Whether ``v`` is a ``Fraction``, or an ``int`` that is not a ``bool``."""
+    return isinstance(v, (Fraction, int)) and not isinstance(v, bool)
+
+
+def rational(v, noun: str, where: str = "") -> Fraction:
+    """The one rule for a number handed in through the API: a ``Fraction``
+    is kept, an ``int`` that is not a ``bool`` becomes a ``Fraction``, and
+    text is read by :func:`parse_rational`.  Anything else raises
+    :class:`InterfaceError`, naming ``v`` by ``noun`` and ``where``."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, str):
+        try:
+            return parse_rational(v)
+        except ParseError:
+            pass
+    elif is_rational(v):
+        return Fraction(v)
+    at = f" {where}" if where else ""
+    raise InterfaceError(f"{noun} {v!r}{at} is not an exact rational")
 
 
 class _TropicalBound:
@@ -183,6 +206,22 @@ _BUILTINS = {
         fmt=repr,
     ),
 }
+
+
+def _exact_weight(s: SemiringDescriptor, w) -> bool:
+    """Whether ``w`` is an exact element of a builtin semiring.
+
+    Rational weights pass :func:`is_rational`; tropical ones are ``int`` or
+    the semiring's own infinity (``bool`` is not a tropical weight); boolean
+    ones are ``bool``.  Other semirings are taken on trust.
+    """
+    if s.name == "rational":
+        return type(w) is Fraction or is_rational(w)
+    if s.name in ("minplus", "maxplus"):
+        return w is s.zero or (isinstance(w, int) and not isinstance(w, bool))
+    if s.name == "boolean":
+        return isinstance(w, bool)
+    return True
 
 
 def semiring_builtin(name: str) -> SemiringDescriptor:

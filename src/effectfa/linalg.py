@@ -51,9 +51,9 @@ of any vector in the span come out of the same elimination
 solves and hull pruning, pivots fraction-free as well: an integer tableau
 over one common denominator, divided exactly by the previous pivot.
 :func:`solve_linear` is the one Gauss-Jordan elimination left on
-`Fraction`s; the library no longer calls it (the rational bialgebra
-rebuild reads the same solutions off a :class:`RowSpace`), and it stays as
-a public reference.
+`Fraction`s.  The library no longer calls it (the rational bialgebra
+rebuild reads the same solutions off a :class:`RowSpace`) and the package
+does not export it; it stays only because the benchmark's probes call it.
 """
 
 from __future__ import annotations

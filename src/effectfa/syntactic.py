@@ -45,6 +45,7 @@ from .automata import (
 )
 from .effects import WeightedVec, weighted
 from .errors import CapabilityError, InputError, PreconditionError
+from .exactnum import rational
 from .linalg import (
     RowSpace,
     _int_letters,
@@ -96,13 +97,18 @@ class FormalCombo:
     terms: dict
 
     def __post_init__(self):
+        terms = {}
         total = _F0
         for w, r in self.terms.items():
+            if type(r) is not Fraction:
+                r = rational(r, "combination weight", f"at {w!r}")
             if r <= 0:
                 raise InputError(f"combination weight {r} at {w!r} must be positive")
+            terms[w] = r
             total += r
         if total != 1:
             raise InputError(f"combination weights sum to {total}, not 1")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def dirac(cls, w) -> "FormalCombo":

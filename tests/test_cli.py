@@ -266,7 +266,9 @@ def test_missing_file_is_an_error():
     assert status == 2
 
 
-@pytest.mark.parametrize("value", ["-1", "-2", "x", "1.5"])
+# Counts are natural literals in ASCII digits, as in the files, although
+# int() reads an underscore and an Arabic-Indic three (U+0663).
+@pytest.mark.parametrize("value", ["-1", "-2", "x", "1.5", "1_0", "\u0663"])
 def test_negative_or_non_integer_counts_are_usage_errors(files, tmp_path, capsys, value):
     rec = tmp_path / "coin.rec"
     rec.write_text(run_command(["to-monoid", files["coin"]])[1] + "\n")
@@ -295,6 +297,28 @@ def test_zero_counts_are_accepted(files, tmp_path):
         "equivalent on all words up to length 0",
     )
     assert run_command(["eval", files["coin"], "a.a", "--decimal", "0"]) == (0, "1")
+
+
+@pytest.mark.parametrize(
+    "output, digits, text",
+    [
+        ("-1/1000", "1", "0.0"),
+        ("-1/1000", "0", "0"),
+        ("-1/20", "1", "-0.1"),
+        ("-1/2", "0", "-1"),
+        ("-3/2", "0", "-2"),
+        ("2/3", "3", "0.667"),
+    ],
+)
+def test_decimal_rounds_half_away_and_drops_the_sign_of_zero(
+    tmp_path, output, digits, text
+):
+    path = tmp_path / "one.aut"
+    path.write_text(
+        "monad weighted rational\nalphabet a\nstates p\ninit p:1\n"
+        f"trans p a -> p:1\noutput p:{output}\n"
+    )
+    assert run_command(["eval", str(path), "eps", "--decimal", digits]) == (0, text)
 
 
 def test_convex_recognizer_round_trip_commands(files):

@@ -252,19 +252,22 @@ def test_position_validation():
 
 def test_game_values_are_exact():
     # A float mass or amount is a binary approximation, rejected as Dist
-    # rejects one, and so is text; ints are read as Fractions.
+    # rejects one; ints and rational literals are read as Fractions, and
+    # other text is rejected.
     with pytest.raises(InterfaceError) as caught:
         Position({0: 0.1, 1: 0.9})
     assert str(caught.value) == "mass 0.1 at exponent 0 is not an exact rational"
+    assert Position({0: F(1, 2), 1: "1/2"}) == pos({0: F(1, 2), 1: F(1, 2)})
     with pytest.raises(InterfaceError) as caught:
-        Position({0: F(1, 2), 1: "1/2"})
-    assert str(caught.value) == "mass '1/2' at exponent 1 is not an exact rational"
+        Position({0: F(1, 2), 1: "0.5"})
+    assert str(caught.value) == "mass '0.5' at exponent 1 is not an exact rational"
     assert Position({0: 1}) == pos({0: F(1)})
     with pytest.raises(InterfaceError) as caught:
         apply_rule(pos({0: F(1, 2), 2: F(1, 2)}), Move(0, 0.25, "merge"))
     assert str(caught.value) == "amount 0.25 is not an exact rational"
+    assert Move(0, "1/4", "merge") == Move(0, F(1, 4), "merge")
     with pytest.raises(InterfaceError):
-        Move(0, "1/4", "merge")
+        Move(0, " 1/4", "merge")
     m = Move(0, F(1, 4), "merge")
     assert type(m.lam) is F
     assert apply_rule(pos({0: F(1, 2), 2: F(1, 2)}), m) == pos(

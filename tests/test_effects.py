@@ -81,8 +81,8 @@ def test_dist_rejects_float_weights():
     # 0.5 is exact in binary and 0.7 is not; both are refused as inexact,
     # not accepted or reported as a wrong mass.
     for weights, message in [
-        ({"p": 0.5, "q": 0.5}, "inexact probability 0.5 at 'p'"),
-        ({"p": 0.7, "q": 0.3}, "inexact probability 0.7 at 'p'"),
+        ({"p": 0.5, "q": 0.5}, "probability 0.5 at 'p' is not an exact rational"),
+        ({"p": 0.7, "q": 0.3}, "probability 0.7 at 'p' is not an exact rational"),
     ]:
         with pytest.raises(InterfaceError) as e:
             Dist(weights)

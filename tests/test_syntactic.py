@@ -24,7 +24,7 @@ from effectfa import (
     unit,
     words_upto,
 )
-from effectfa.errors import CapabilityError, InputError, PreconditionError
+from effectfa.errors import CapabilityError, InputError, InterfaceError, PreconditionError
 from effectfa.linalg import (
     RowSpace,
     dot,
@@ -73,6 +73,23 @@ def test_formal_combo_validation():
         FormalCombo({(): F(1, 2)})
     with pytest.raises(InputError):
         FormalCombo({(): F(3, 2), ("a",): F(-1, 2)})
+
+
+def test_formal_combo_weights_are_exact():
+    # A float weight made syn_eval return a float, and text that is no
+    # literal failed on a bare comparison; both are rejected by name.
+    with pytest.raises(InterfaceError) as caught:
+        FormalCombo({(): 0.5, ("a",): 0.5})
+    assert str(caught.value) == "combination weight 0.5 at () is not an exact rational"
+    with pytest.raises(InterfaceError) as caught:
+        FormalCombo({(): F(1, 2), ("a",): "half"})
+    assert str(caught.value) == (
+        "combination weight 'half' at ('a',) is not an exact rational"
+    )
+    combo = FormalCombo({(): "1/2", ("a",): 1 - F(1, 2)})
+    assert combo.terms == {(): F(1, 2), ("a",): F(1, 2)}
+    assert all(type(r) is F for r in combo.terms.values())
+    assert syn_eval(coin_rep(minimal=True), combo) == F(1, 4)
 
 
 def test_minimize_coin_dimension_two():

@@ -2,9 +2,11 @@
 
 ``Dist`` is checked against an oracle written here; ``Channel``,
 ``EffAutomaton``, ``bind`` and ``double_strength`` are pinned to the exact
-InterfaceError text for each kind of bad value.
+InterfaceError text for each kind of bad value.  Every constructor that
+takes a number reads it by the one rule of ``exactnum.rational``.
 """
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -20,15 +22,22 @@ from effectfa import (
     ConvexSet,
     Dist,
     EffAutomaton,
+    FormalCombo,
+    Move,
+    Position,
     WeightedVec,
     bind,
+    canonical_rep,
+    convex_output,
     double_strength,
     eval_word,
+    expected_value,
     weighted,
 )
+from effectfa import exactnum
 from effectfa.cli import parse_automaton, print_automaton
 from effectfa.effects import Channel
-from effectfa.errors import InterfaceError
+from effectfa.errors import InputError, InterfaceError
 
 RAT = weighted("rational")
 MINPLUS = weighted("minplus")
@@ -101,6 +110,7 @@ BAD_ENTRIES = [
         "has an inexact rational weight 0.25",
     ),
     (MINPLUS, WeightedVec(MINPLUS.semiring, {"p": 1.5}), "has an inexact minplus weight 1.5"),
+    (RAT, WeightedVec(RAT.semiring, {"p": True}), "has an inexact rational weight True"),
 ]
 BAD_IDS = [
     "weighted-in-dist",
@@ -116,6 +126,7 @@ BAD_IDS = [
     "float-rational-weight",
     "float-second-weight",
     "float-minplus-weight",
+    "bool-rational-weight",
 ]
 STATES = ("p", "q")
 ALGEBRA = {"dist": UNIT_INTERVAL, "weighted": SEMIRING_SELF, "convex": INTERVAL_PAIR}
@@ -188,21 +199,36 @@ def test_a_channel_table_must_be_its_domain():
 
 
 @pytest.mark.parametrize(
-    "monad, outputs, shown",
+    "monad, outputs, shown, what",
     [
-        (DIST, {"p": 0.5, "q": F(1)}, "0.5"),
-        (RAT, {"p": F(0), "q": 0.25}, "0.25"),
-        (MINPLUS, {"p": 0, "q": 1.0}, "1.0"),
-        (CONVEX, {"p": (F(0), F(0)), "q": (0.5, F(1))}, "(0.5, Fraction(1, 1))"),
-        (CONVEX, {"p": (F(0), F(0)), "q": (F(0), 1.0)}, "(Fraction(0, 1), 1.0)"),
+        (DIST, {"p": 0.5, "q": F(1)}, "0.5", "rational"),
+        (RAT, {"p": F(0), "q": 0.25}, "0.25", "rational weight"),
+        (MINPLUS, {"p": 0, "q": 1.0}, "1.0", "minplus weight"),
+        (CONVEX, {"p": (F(0), F(0)), "q": (0.5, F(1))}, "(0.5, Fraction(1, 1))",
+         "rational"),
+        (CONVEX, {"p": (F(0), F(0)), "q": (F(0), 1.0)}, "(Fraction(0, 1), 1.0)",
+         "rational"),
     ],
     ids=["dist", "rational", "minplus", "convex-low", "convex-high"],
 )
-def test_float_outputs_are_rejected(monad, outputs, shown):
+def test_float_outputs_are_rejected(monad, outputs, shown, what):
     q = next(q for q, v in outputs.items() if "." in repr(v))
     with pytest.raises(InterfaceError) as caught:
         _machine(monad, output=outputs)
-    assert str(caught.value) == f"output {shown} at {q!r} is not an exact value"
+    assert str(caught.value) == f"output {shown} at {q!r} is not an exact {what}"
+
+
+@pytest.mark.parametrize(
+    "monad, output",
+    [(DIST, True), (CONVEX, (F(0), True)), (RAT, False)],
+    ids=["dist", "convex", "rational"],
+)
+def test_bool_outputs_are_rejected(monad, output):
+    # A bool is an int to Python, but no rational to the library.
+    what = "rational weight" if monad.kind == "weighted" else "rational"
+    with pytest.raises(InterfaceError) as caught:
+        _machine(monad, output={"p": output, "q": _output(monad)})
+    assert str(caught.value) == f"output {output!r} at 'p' is not an exact {what}"
 
 
 @pytest.mark.parametrize(
@@ -300,3 +326,64 @@ def test_a_large_uniform_file_evaluates_exactly():
     assert a.trans[("s3", "b")].weight("s7") == F(1, n)
     assert print_automaton(parse_automaton(print_automaton(a))) == print_automaton(a)
     assert eval_word(a, ("a", "b")) == F(1, n)
+
+
+# A value of each kind a caller might hand in: exact ones in (0, 1], and
+# ones the rule refuses.
+_unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(bool)
+numbers_handed_in = st.one_of(
+    _unit_fractions,
+    st.just(1),
+    st.booleans(),
+    st.floats(min_value=0, max_value=1, exclude_min=True),
+    _unit_fractions.map(str),
+    st.sampled_from(
+        [" 1/2", "1/2 ", "0.5", "\u0661", "\u0661/\u0662", "1_0", "1/0", "+1", "", "1e0"]
+    ),
+    st.sampled_from([Decimal("0.5"), None]),
+)
+
+
+def _point(pair):
+    lo, hi = pair
+    assert lo == hi
+    return lo
+
+
+def _readings(v, rest):
+    """The number each constructor holds when handed ``v``; ``rest`` makes
+    up the mass of the ones that need it."""
+    return {
+        "Dist": lambda: Dist({"x": v, "y": rest}).weight("x"),
+        "Position": lambda: Position({0: v, 1: rest}).weight(0),
+        "Move": lambda: Move(0, v, "merge").lam,
+        "convex_output": lambda: _point(convex_output(v)),
+        "canonical_rep": lambda: expected_value(canonical_rep(v)),
+        "FormalCombo": lambda: FormalCombo(
+            {(): v, ("a",): rest} if rest else {(): v}
+        ).terms[()],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=numbers_handed_in)
+def test_every_constructor_reads_a_number_by_the_one_rule(v):
+    try:
+        r = exactnum.rational(v, "value")
+    except InterfaceError:
+        r = None
+    rest = F(1, 2) if r is None else 1 - r
+    for site, reading in _readings(v, rest).items():
+        for _ in range(2):
+            if r is None:
+                with pytest.raises(InterfaceError) as caught:
+                    reading()
+                message = str(caught.value)
+                assert repr(v) in message, (site, message)
+                assert message.endswith("is not an exact rational"), (site, message)
+            elif site == "Move" and r > F(1, 3):
+                with pytest.raises(InputError):
+                    reading()
+            else:
+                held = reading()
+                assert held == r and type(held) is F, (site, v, held)
