@@ -145,7 +145,12 @@ INTERVAL_PAIR = OutputAlgebra("interval-pair")
 
 def convex_output(value) -> tuple:
     """Normalise a convex output entry to an exact (low, high) pair."""
-    lo, hi = (value[0], value[1]) if isinstance(value, tuple) else (value, value)
+    if not isinstance(value, tuple):
+        lo = hi = value
+    elif len(value) == 2:
+        lo, hi = value
+    else:
+        raise InterfaceError(f"convex outputs are (low, high) pairs; got {value!r}")
     if type(lo) is not Fraction:
         lo = rational(lo, "convex output")
     if type(hi) is not Fraction:

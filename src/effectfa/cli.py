@@ -10,13 +10,15 @@ Automaton files are line oriented with ``#`` comments::
     output q0:0 q1:1                  # convex entries may be lo|hi
 
 Monoid recognizer files share the framing with ``monoid``/``unit``/``hom``/
-``pred`` sections.  In the graph form, which ``to-monoid`` writes, a
-``states`` line gives the points and every element is named as a map of
-them (``[q1,q1]``, ``_`` marking an undefined point); the product is
-composition, so no table is written, and the reader checks that the
-elements are exactly those the ``hom`` supports generate and that the unit
-is the identity.  In the table form, for abstract monoids, ``mul`` lines
-give every product as ``x*y=z``.  Bialgebra files use
+``pred`` sections.  A monoid of maps (one with a ``carrier``, as every
+monoid the library builds) is written in the graph form: a ``states`` line
+gives the points, of any names, and every element is named as a map of
+their positions (``[1,1]``, ``_`` marking an undefined point).  The
+product is composition, so no table is written; the reader checks that
+the unit is the identity and that the declared elements are closed under
+composition.  Only a monoid with no carrier, an abstract table, is
+written in the table form, whose ``mul`` lines give every product as
+``x*y=z``.  Bialgebra files use
 ``gens``/``image``/``hom``/``init``/``output``.  All three formats are read by
 one section reader: the first token of a line names its section, and sections
 may come in any order.  One-line sections appear once; ``trans``, ``hom``
@@ -68,18 +70,16 @@ from .effects import (
     DIST,
     Dist,
     WeightedVec,
-    _supports,
     weighted,
 )
-from .errors import EffectfaError, ParseError, ResourceError
+from .errors import EffectfaError, ParseError
 from .exactnum import _NATURAL_RE, parse_rational
 from .monoids import (
     EffMorphism,
     FinMonoid,
+    _generators,
     _graph_composer,
     _graph_name,
-    generated_monoid,
-    transition_monoid_closure,
 )
 from .recognition import (
     BialgRecognizer,
@@ -462,70 +462,59 @@ def _products(sections, elements) -> dict:
     return table
 
 
-def _graph_state(name: str) -> bool:
-    """Whether a state name can be written inside a graph name: the
-    separators of :func:`~effectfa.monoids._graph_name` and its mark for an
-    undefined point would make the name ambiguous."""
-    return name != "_" and not any(c in name for c in "[,]")
-
-
-def _parse_graph_states(tokens) -> tuple:
-    states = _distinct(tokens, "state")
-    for q in states:
-        if not _graph_state(q):
-            raise ParseError(f"state {q!r} cannot be written in a graph name")
-    return states
-
-
-def _graph(name, index):
-    """The graph on the states of ``index`` (state to position) that
-    ``name`` writes, or None if it writes none."""
-    inner = name[1:-1].split(",") if len(name) > 2 else []
-    graph = tuple(None if y == "_" else y for y in inner)
-    if len(graph) != len(index) or any(y is not None and y not in index for y in graph):
+def _graph(name, points, index):
+    """The graph that ``name`` writes, or None if it writes none.
+    ``points`` maps the text of each position on the ``states`` line (an
+    ASCII natural below their count) to its state, and ``_`` to None;
+    ``index`` maps each state back to its position.  The name must be the
+    one spelling that :func:`~effectfa.monoids._graph_name` gives."""
+    inner = name[1:-1].split(",") if len(name) > 2 else ()
+    if len(inner) != len(index) or not all(p in points for p in inner):
         return None
-    return graph if _graph_name(graph) == name else None
+    graph = tuple(points[p] for p in inner)
+    return graph if _graph_name(graph, index) == name else None
 
 
-def _graph_monoid(sections, states, elements, unit_name, hom) -> FinMonoid:
+def _graph_monoid(sections, states, elements, unit_name) -> FinMonoid:
     """The monoid of a graph-form file: its elements, named as graphs on
-    ``states``, must be exactly the closure of the graphs in the ``hom``
-    supports, and its unit the identity graph.  The names stay the element
-    payloads, in file order; the product is composition, read back as
-    names, so no table is built and no associativity test runs."""
+    ``states``, must contain the identity graph as the unit and be closed
+    under composition.  Closure is checked on a generating set picked
+    greedily in file order (:func:`~effectfa.monoids._generators`), so a
+    file listed breadth first from the identity costs the products of its
+    letter supports; the first product that is not declared is the fault.
+    The names stay the element payloads, in file order; the product is
+    composition, read back as names, so no table is built and no
+    associativity test runs."""
     monoid_no, unit_no = sections["monoid"][0][0], sections["unit"][0][0]
     index = {q: i for i, q in enumerate(states)}
-    graphs = {}
+    points = {str(i): q for q, i in index.items()}
+    points["_"] = None
+    graphs = []
     for name in elements:
-        graphs[name] = _graph(name, index)
-        if graphs[name] is None:
+        graph = _graph(name, points, index)
+        if graph is None:
             _fail(monoid_no, f"element {name!r} is not a graph on the states")
-    if graphs[unit_name] != states:
+        graphs.append(graph)
+    u = elements.index(unit_name)
+    if graphs[u] != states:
         _fail(unit_no, f"unit {unit_name!r} is not the identity graph")
-    gens = [graphs[x] for x in _supports(hom.values())]
-    try:
-        closed = set(generated_monoid(states, gens, len(elements)).elements)
-    except ResourceError:
-        _fail(
-            monoid_no,
-            f"the letter images generate more than the {len(elements)} declared elements",
-        )
-    names = {g: name for name, g in graphs.items()}
-    for g in closed:
-        if g not in names:
-            _fail(
-                monoid_no,
-                f"the letter images generate {_graph_name(g)}, which is not declared",
-            )
-    for name, g in graphs.items():
-        if g not in closed:
-            _fail(monoid_no, f"element {name!r} is not generated by the letter images")
     compose = _graph_composer(states)
+    position = {g: i for i, g in enumerate(graphs)}
+
+    def product(x, y):
+        g = compose(graphs[x], graphs[y])
+        if g not in position:
+            z = _graph_name(g, index)
+            _fail(monoid_no, f"product {elements[x]}*{elements[y]}={z} is not declared")
+        return position[g]
+
+    _generators(len(elements), u, product)
+    graph_of = dict(zip(elements, graphs))
     return FinMonoid.from_operation(
         elements,
         elements,
         unit_name,
-        lambda x, y: names[compose(graphs[x], graphs[y])],
+        lambda x, y: elements[position[compose(graph_of[x], graph_of[y])]],
         states,
     )
 
@@ -544,8 +533,8 @@ def _parse_monoid_recognizer(sections) -> EffRecognizer:
     hom = _rows(sections, "hom", keys, "hom lines", values)
     pred = _line(sections, "pred", values.output_map)
     if graph_form:
-        states = _line(sections, "states", _parse_graph_states)
-        target = _graph_monoid(sections, states, elements, unit_name, hom)
+        states = _line(sections, "states", _distinct, "state")
+        target = _graph_monoid(sections, states, elements, unit_name)
     else:
         try:
             target = FinMonoid.from_table(
@@ -558,48 +547,24 @@ def _parse_monoid_recognizer(sections) -> EffRecognizer:
     return EffRecognizer(morphism=morphism, predicate=pred, output_algebra=algebra)
 
 
-def _graph_states(r: EffRecognizer):
-    """The printed names of the states a recognizer's monoid acts on, if its
-    file can take the graph form, else None.
-
-    That needs a monoid of graphs (a known ``carrier``) whose state names
-    are tokens that :func:`_graph_state` admits, and whose elements are
-    exactly those the letter images' supports generate: the monoid the
-    parser rebuilds.  A recognizer on the whole function monoid, say, is
-    printed with its table.
-    """
-    m = r.morphism.target
-    if m.carrier is None:
-        return None
-    states = [str(q) for q in m.carrier]
-    if len(set(states)) != len(states) or not all(
-        q.split() == [q] and "#" not in q and _graph_state(q) for q in states
-    ):
-        return None
-    gens = _supports(r.morphism.letters.values())
-    generated = transition_monoid_closure(m, gens, len(m))
-    return states if generated is not None and len(generated) == len(m) else None
-
-
 def print_recognizer(r: EffRecognizer) -> str:
     """Render a monoid recognizer: in the graph form (a ``states`` line and
-    no products) when :func:`_graph_states` allows it, else with its
-    ``mul`` table."""
+    no products) when its monoid is a monoid of graphs (a known
+    ``carrier``), else with its ``mul`` table."""
     m = r.morphism.target
     monad = r.morphism.monad
     names = {x: m.name(x) for x in m.elements}
-    states = _graph_states(r)
     lines = [
         _fmt_monad_line(monad, r.output_algebra),
         "alphabet " + " ".join(r.morphism.alphabet),
     ]
-    if states is not None:
-        lines.append(("states " + " ".join(states)).rstrip())
+    if m.carrier is not None:
+        lines.append(("states " + " ".join(str(q) for q in m.carrier)).rstrip())
     lines += [
         "monoid " + " ".join(names[x] for x in m.elements),
         "unit " + names[m.unit],
     ]
-    if states is None:
+    if m.carrier is None:
         for x in m.elements:
             row = " ".join(
                 f"{names[x]}*{names[y]}={names[m.mul(x, y)]}" for y in m.elements
@@ -656,7 +621,10 @@ def _parse_bialgebra(sections) -> BialgRecognizer:
 
 
 def print_bialgebra(r: BialgRecognizer) -> str:
-    gen_names = {g: g if isinstance(g, str) else _graph_name(g) for g in r.generators}
+    index = {q: i for i, q in enumerate(r.states)}
+    gen_names = {
+        g: g if isinstance(g, str) else _graph_name(g, index) for g in r.generators
+    }
     lines = [
         _fmt_monad_line(r.monad, r.output_algebra),
         "alphabet " + " ".join(r.alphabet),

@@ -8,8 +8,10 @@ monoids defined by an operation (function composition, submonoid closure)
 skip the check since associativity is inherited from the construction.
 A monoid of function graphs (:func:`function_monoid`,
 :func:`generated_monoid`) records the ``carrier`` its graphs act on (None
-for every other monoid); since its product is composition, a recognizer
-file can name its elements as graphs and leave the table out.
+for every other monoid) and names each graph by the positions of its
+images in the carrier (:func:`_graph_name`, ``[0,2,_]``); since its
+product is composition, a recognizer file writes those names and leaves
+the table out.
 
 Effect values over a monoid multiply by pairing followed by pushforward
 along the table (:func:`tm_multiply`); folding that over the letters of a
@@ -49,9 +51,9 @@ FUNCTION_MONOID_BOUND = 1000
 class FinMonoid:
     """Finite monoid over hashable element payloads with printable names.
 
-    ``carrier`` is the tuple of points when the elements are function graphs
-    on them named by :func:`_graph_name` and multiplied by composition, and
-    None otherwise.
+    ``carrier`` is the tuple of points when each element is a map of them,
+    named by :func:`_graph_name` on the carrier's positions and multiplied
+    by composition, and None otherwise.
     """
 
     __slots__ = ("elements", "_names", "unit", "_op", "_memo", "_index", "carrier")
@@ -111,7 +113,7 @@ class FinMonoid:
         for i, row in enumerate(table):
             if row[u] != i or table[u][i] != i:
                 raise IntegrityError(f"unit law fails at {self._names[elements[i]]}")
-        for g in self._generators(table, u):
+        for g in _generators(len(table), u, lambda x, g: table[x][g]):
             g_row = table[g]
             for x, x_row in enumerate(table):
                 xg_row = table[x_row[g]]
@@ -121,27 +123,6 @@ class FinMonoid:
                     raise IntegrityError(
                         f"associativity fails on ({x_name}, {g_name}, {y_name})"
                     )
-
-    @staticmethod
-    def _generators(table, u) -> list:
-        """Indices of a generating set of the monoid with row table
-        ``table`` and unit index ``u``, picked greedily: each element in
-        order that the right-multiplication closure of the unit has not
-        reached yet."""
-        gens = []
-        reached = {u}
-        for g in range(len(table)):
-            if g in reached:
-                continue
-            gens.append(g)
-            # Old elements need only the new generator; new ones need all.
-            frontier = [table[x][g] for x in reached]
-            while frontier:
-                y = frontier.pop()
-                if y not in reached:
-                    reached.add(y)
-                    frontier.extend(table[y][h] for h in gens)
-        return gens
 
     def mul(self, x, y):
         key = (x, y)
@@ -169,8 +150,32 @@ class FinMonoid:
         return f"FinMonoid({len(self.elements)} elements, unit {self._names[self.unit]})"
 
 
-def _graph_name(graph) -> str:
-    return "[" + ",".join("_" if y is None else str(y) for y in graph) + "]"
+def _generators(size: int, u: int, product) -> list:
+    """Indices of a generating set of a monoid on the indices ``0..size-1``
+    with unit ``u`` and ``product(x, y)`` the index of ``x*y``, picked
+    greedily: each index in order that the right-multiplication closure of
+    the unit has not reached yet.  It calls ``product`` at most ``size``
+    times per generator."""
+    gens = []
+    reached = {u}
+    for g in range(size):
+        if g in reached:
+            continue
+        gens.append(g)
+        # Old elements need only the new generator; new ones need all.
+        frontier = [product(x, g) for x in reached]
+        while frontier:
+            y = frontier.pop()
+            if y not in reached:
+                reached.add(y)
+                frontier.extend(product(y, h) for h in gens)
+    return gens
+
+
+def _graph_name(graph, index) -> str:
+    """The name of a graph: the position of each image, by ``index`` (point
+    to position in the carrier), with ``_`` for an undefined point."""
+    return "[" + ",".join("_" if y is None else str(index[y]) for y in graph) + "]"
 
 
 def _graph_composer(carrier: tuple):
@@ -205,8 +210,9 @@ def function_monoid(carrier: tuple, kind: str = "total") -> FinMonoid:
             f"over the bound of {FUNCTION_MONOID_BOUND}"
         )
     elements = tuple(_iterproduct(choices, repeat=n))
-    names = [_graph_name(f) for f in elements]
     carrier = tuple(carrier)
+    index = {x: i for i, x in enumerate(carrier)}
+    names = [_graph_name(f, index) for f in elements]
     return FinMonoid.from_operation(
         elements, names, carrier, _graph_composer(carrier), carrier
     )
@@ -232,8 +238,9 @@ def generated_monoid(
             f"the generated monoid reached more than the bound of {bound} "
             f"elements: {bound + 1} were built before the closure stopped"
         )
+    index = {x: i for i, x in enumerate(identity)}
     return FinMonoid.from_operation(
-        closed, [_graph_name(f) for f in closed], identity, compose, identity
+        closed, [_graph_name(f, index) for f in closed], identity, compose, identity
     )
 
 
@@ -322,8 +329,8 @@ def _close_under(unit_elem, generators, mul, bound: int):
 def transition_monoid_closure(ambient: FinMonoid, generators, bound: int):
     """The submonoid generated inside ``ambient``, or None on overflow.
 
-    Element payloads and names are inherited from the ambient monoid, so
-    results refer straight back into it.
+    Element payloads, names and the carrier are inherited from the ambient
+    monoid, so results refer straight back into it.
     """
     for g in generators:
         if g not in ambient:
@@ -332,7 +339,11 @@ def transition_monoid_closure(ambient: FinMonoid, generators, bound: int):
     if closed is None:
         return None
     return FinMonoid.from_operation(
-        closed, [ambient.name(x) for x in closed], ambient.unit, ambient.mul
+        closed,
+        [ambient.name(x) for x in closed],
+        ambient.unit,
+        ambient.mul,
+        ambient.carrier,
     )
 
 

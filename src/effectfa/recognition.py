@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product as _iterproduct
 
 from .automata import (
@@ -321,25 +321,28 @@ def automaton_to_recognizer(a: EffAutomaton) -> EffRecognizer:
 def recognizer_to_automaton(r: EffRecognizer) -> EffAutomaton:
     """Turn a finite-monoid recognizer into an automaton on the monoid.
 
-    States are the monoid elements, the start is pure at the unit, and
-    reading a letter right-multiplies by the letter image; outputs are the
-    predicate values.
+    States are the monoid elements, named as the monoid names them, so
+    that the machine prints and parses back; the start is pure at the
+    unit, and reading a letter right-multiplies by the letter image;
+    outputs are the predicate values.
     """
     m = r.morphism.target
     monad = r.morphism.monad
+    names = {x: m.name(x) for x in m.elements}
     letters = [(a, r.morphism.letter(a)) for a in r.morphism.alphabet]
+    supports = _supports(t for _, t in letters)
     trans = {}
     for x in m.elements:
-        times_x = partial(m.mul, x)
+        times_x = {y: names[m.mul(x, y)] for y in supports}.__getitem__
         for a, t in letters:
-            trans[(x, a)] = t.map(times_x)
+            trans[(names[x], a)] = t.map(times_x)
     return EffAutomaton(
         monad=monad,
-        states=m.elements,
+        states=tuple(names.values()),
         alphabet=r.morphism.alphabet,
-        init=unit(monad, m.unit),
+        init=unit(monad, names[m.unit]),
         trans=trans,
-        output=dict(r.predicate),
+        output={names[x]: v for x, v in r.predicate.items()},
         output_algebra=r.output_algebra,
     )
 

@@ -489,15 +489,14 @@ def table_form(rec_text: str) -> str:
     """A graph-form monoid recognizer file rewritten in the table form, as
     the printer lays it out: the ``states`` line dropped and one ``mul``
     line per element after the ``unit`` line.  The products are computed
-    here from the element names, by composing the graphs they write."""
+    here from the element names, by composing the graphs they write: each
+    position of a name is the index of an image on the ``states`` line."""
     lines = rec_text.splitlines()
-    (states,) = [line.split()[1:] for line in lines if line.startswith("states ")]
     (names,) = [line.split()[1:] for line in lines if line.startswith("monoid ")]
-    index = {q: i for i, q in enumerate(states)}
 
     def times(x, y):
         first, then = x[1:-1].split(","), y[1:-1].split(",")
-        return "[" + ",".join(p if p == "_" else then[index[p]] for p in first) + "]"
+        return "[" + ",".join(p if p == "_" else then[int(p)] for p in first) + "]"
 
     out = []
     for line in lines:

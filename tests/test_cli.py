@@ -20,10 +20,12 @@ from effectfa import (
     EffRecognizer,
     UNIT_INTERVAL,
     automaton_to_recognizer,
+    eval_word,
     is_pure,
     recognizer_to_automaton,
     unit,
     witness_xi0,
+    words_upto,
 )
 from effectfa.cli import (
     parse_automaton,
@@ -117,15 +119,15 @@ BIALGEBRA = """\
 monad dist
 alphabet a
 states q0 q1
-gens [q0,q0] [q0,q1] [q1,q0] [q1,q1]
-image [q0,q0] q0 -> q0:1
-image [q0,q0] q1 -> q0:1
-image [q0,q1] q0 -> q0:1
-image [q0,q1] q1 -> q1:1
-image [q1,q0] q0 -> q1:1
-image [q1,q0] q1 -> q0:1
-image [q1,q1] q0 -> q1:1
-image [q1,q1] q1 -> q1:1
+gens [0,0] [0,1] [1,0] [1,1]
+image [0,0] q0 -> q0:1
+image [0,0] q1 -> q0:1
+image [0,1] q0 -> q0:1
+image [0,1] q1 -> q1:1
+image [1,0] q0 -> q1:1
+image [1,0] q1 -> q0:1
+image [1,1] q0 -> q1:1
+image [1,1] q1 -> q1:1
 hom a q0 -> q0:1/2 q1:1/2
 hom a q1 -> q1:1
 init q0:1
@@ -585,7 +587,7 @@ def test_eval_prints_exact_values_of_any_length():
             4,
         ),
         ("from-bialgebra", BIALGEBRA.replace("output q0:0 q1:1", "output q0:0"), 16),
-        ("from-bialgebra", BIALGEBRA + "image [q0,q0] q0 -> q0:1\n", 17),
+        ("from-bialgebra", BIALGEBRA + "image [0,0] q0 -> q0:1\n", 17),
     ],
     ids=[
         "second-monad-line",
@@ -722,7 +724,7 @@ def _corrupted_recognizer(files, name, old, new):
 
 def test_verify_prints_convex_violations_like_eval(files):
     files["choice"] = str(SAMPLES / "choice.aut")
-    bad = _corrupted_recognizer(files, "choice", "[q1,q1]:1", "[q1,q1]:0")
+    bad = _corrupted_recognizer(files, "choice", "[1,1]:1", "[1,1]:0")
     status, out = run_command(["verify", files["choice"], bad, "--max-len", "2"])
     assert status == 1
     assert out.splitlines() == [
@@ -733,7 +735,7 @@ def test_verify_prints_convex_violations_like_eval(files):
 
 
 def test_verify_prints_boolean_violations_in_the_file_format(files):
-    bad = _corrupted_recognizer(files, "boolean", "[s,t]:0", "[s,t]:1")
+    bad = _corrupted_recognizer(files, "boolean", "[0,1]:0", "[0,1]:1")
     status, out = run_command(["verify", files["boolean"], bad, "--max-len", "1"])
     assert status == 1
     assert out == "violation at eps: automaton 0 recognizer 1"
@@ -862,6 +864,25 @@ def test_graph_form_prints_and_parses_back(family, seed, pure):
     assert rebuilt == print_automaton(recognizer_to_automaton(t))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["dist", "rational", "boolean", "minplus", "convex"]),
+    seed=st.integers(0, 10**6),
+    pure=st.booleans(),
+)
+def test_the_machine_a_recognizer_rebuilds_prints_and_parses_back(family, seed, pure):
+    # Its states are named as the monoid names its elements, such as [0,1].
+    a = _family_machine(family, seed, pure)
+    r = automaton_to_recognizer(a)
+    m = r.morphism.target
+    text = print_automaton(recognizer_to_automaton(r))
+    back = parse_automaton(text)
+    assert back.states == tuple(m.name(x) for x in m.elements)
+    assert print_automaton(back) == text
+    for w in words_upto(a.alphabet, 3):
+        assert eval_word(back, w) == eval_word(a, w)
+
+
 @pytest.mark.parametrize("text", [MONOID, DIST_MONOID])
 def test_table_files_parse_and_print_as_before(text):
     r = parse_recognizer(text)
@@ -869,9 +890,9 @@ def test_table_files_parse_and_print_as_before(text):
     assert print_recognizer(r) == text
 
 
-def test_a_recognizer_on_the_whole_function_monoid_keeps_its_table():
-    # The letter generates 2 of the 4 maps, so the graph form, whose parser
-    # rebuilds the generated monoid, cannot hold it.
+def test_a_recognizer_on_the_whole_function_monoid_takes_the_graph_form():
+    # The letter generates 2 of the 4 maps; the reader takes any declared
+    # set of graphs that holds the identity and is closed.
     m, _ = witness_xi0(DIST, ("q0", "q1"))
     letters = {"a": Dist({("q0", "q1"): Fraction(1, 2), ("q1", "q1"): Fraction(1, 2)})}
     r = EffRecognizer(
@@ -880,23 +901,37 @@ def test_a_recognizer_on_the_whole_function_monoid_keeps_its_table():
         UNIT_INTERVAL,
     )
     text = print_recognizer(r)
-    assert "\nstates " not in text and text.count("\nmul ") == 4
-    assert print_recognizer(parse_recognizer(text)) == text
+    assert "\nstates q0 q1\nmonoid [0,0] [0,1] [1,0] [1,1]\nunit [0,1]\n" in text
+    assert "\nmul " not in text
+    back = parse_recognizer(text)
+    assert print_recognizer(back) == text
+    rebuilt = print_automaton(recognizer_to_automaton(r))
+    assert rebuilt == print_automaton(recognizer_to_automaton(back))
+    assert print_automaton(parse_automaton(rebuilt)) == rebuilt
 
 
-def test_states_named_like_graphs_keep_the_table(files):
-    # from-monoid names its states after the elements, such as [q0,q1],
-    # which cannot be written inside a graph name.
-    _, rec_text = run_command(["to-monoid", files["coin"]])
-    rec = files["dir"] / "coin.rec"
+@pytest.mark.parametrize("sample", ["coin.aut", "choice.aut"])
+def test_to_monoid_of_from_monoid_output_takes_the_graph_form(files, sample):
+    # from-monoid names its states after the elements, such as [0,1]; a
+    # graph names its images by position, so any state token fits.
+    _, rec_text = run_command(["to-monoid", str(SAMPLES / sample)])
+    rec = files["dir"] / "first.rec"
     rec.write_text(rec_text + "\n")
     _, aut_text = run_command(["from-monoid", str(rec)])
-    back = files["dir"] / "coin-rec.aut"
+    assert "\nstates [0,1] [1,1]\n" in aut_text
+    back = files["dir"] / "rec.aut"
     back.write_text(aut_text + "\n")
     status, text = run_command(["to-monoid", str(back)])
     assert status == 0
-    assert "\nmul " in text and "\nstates " not in text
+    assert "\nmul " not in text and "\nstates [0,1] [1,1]\n" in text
     assert print_recognizer(parse_recognizer(text)) == text + "\n"
+
+
+def test_any_state_token_fits_in_a_graph_name():
+    text = _graph_rec(("states p q r", "states _ q,r [0]"))
+    r = parse_recognizer(text)
+    assert r.morphism.target.carrier == ("_", "q,r", "[0]")
+    assert print_recognizer(r) == text
 
 
 # Lines 4 and 5 hold the monoid and the unit.
@@ -904,10 +939,10 @@ GRAPH_REC = """\
 monad dist
 alphabet a
 states p q r
-monoid [p,q,r] [q,r,r] [r,r,r]
-unit [p,q,r]
-hom a -> [q,r,r]:1
-pred [p,q,r]:0 [q,r,r]:0 [r,r,r]:1
+monoid [0,1,2] [1,2,2] [2,2,2]
+unit [0,1,2]
+hom a -> [1,2,2]:1
+pred [0,1,2]:0 [1,2,2]:0 [2,2,2]:1
 """
 
 
@@ -923,36 +958,41 @@ def _graph_rec(*edits):
     "text, line, message",
     [
         (
-            _graph_rec((" [r,r,r]\n", "\n"), (" [r,r,r]:1", "")),
+            _graph_rec((" [2,2,2]\n", "\n"), (" [2,2,2]:1", "")),
             4,
-            "the letter images generate more than the 2 declared elements",
+            "product [1,2,2]*[1,2,2]=[2,2,2] is not declared",
         ),
         (
-            _graph_rec(("[r,r,r]", "[p,p,p]")),
+            _graph_rec(("[2,2,2]", "[0,0,0]")),
             4,
-            "the letter images generate [r,r,r], which is not declared",
+            "product [1,2,2]*[1,2,2]=[2,2,2] is not declared",
         ),
         (
-            _graph_rec((" [r,r,r]\n", " [r,r,r] [p,p,p]\n"), (":1", ":1 [p,p,p]:0")),
+            _graph_rec((" [2,2,2]\n", " [2,2,2] [0,0,0]\n"), (":1", ":1 [0,0,0]:0")),
             4,
-            "element '[p,p,p]' is not generated by the letter images",
+            "product [0,0,0]*[1,2,2]=[1,1,1] is not declared",
         ),
-        (_graph_rec(("unit [p,q,r]", "unit [r,r,r]")), 5, "is not the identity graph"),
+        (_graph_rec(("unit [0,1,2]", "unit [2,2,2]")), 5, "is not the identity graph"),
         (
-            _graph_rec(("[r,r,r]", "[r,r]")),
+            _graph_rec(("[2,2,2]", "[2,2]")),
             4,
-            "element '[r,r]' is not a graph on the states",
+            "element '[2,2]' is not a graph on the states",
         ),
         (
-            _graph_rec(("[r,r,r]", "[r,r,s]")),
+            _graph_rec(("[2,2,2]", "[2,2,3]")),
             4,
-            "element '[r,r,s]' is not a graph on the states",
+            "element '[2,2,3]' is not a graph on the states",
         ),
-        (GRAPH_REC + "mul [p,q,r]*[p,q,r]=[p,q,r]\n", 8, "unknown section 'mul'"),
+        (GRAPH_REC + "mul [0,1,2]*[0,1,2]=[0,1,2]\n", 8, "unknown section 'mul'"),
         (
-            _graph_rec(("states p q r", "states p q _"), ("[p,q,r]", "[p,q,_]")),
-            3,
-            "state '_' cannot be written in a graph name",
+            _graph_rec(("[2,2,2]", "[2,2,02]")),
+            4,
+            "element '[2,2,02]' is not a graph on the states",
+        ),
+        (
+            _graph_rec(("[2,2,2]", "[2,2,\u0662]")),
+            4,
+            "element '[2,2,\u0662]' is not a graph on the states",
         ),
     ],
     ids=[
@@ -963,7 +1003,8 @@ def _graph_rec(*edits):
         "name-of-the-wrong-length",
         "name-on-an-undeclared-state",
         "mul-line",
-        "underscore-state",
+        "non-canonical-position",
+        "non-ascii-digit",
     ],
 )
 def test_graph_form_faults_name_their_line(tmp_path, text, line, message):
@@ -978,9 +1019,9 @@ def test_graph_form_faults_name_their_line(tmp_path, text, line, message):
 def test_verify_reports_a_corrupted_hom(files):
     status, rec_text = run_command(["to-monoid", files["coin"]])
     assert status == 0
-    assert "hom a -> [q0,q1]:1/2 [q1,q1]:1/2" in rec_text
+    assert "hom a -> [0,1]:1/2 [1,1]:1/2" in rec_text
     bad = files["dir"] / "coin-bad-hom.rec"
-    bad.write_text(rec_text.replace("[q0,q1]:1/2 [q1,q1]:1/2", "[q0,q1]:1/4 [q1,q1]:3/4") + "\n")
+    bad.write_text(rec_text.replace("[0,1]:1/2 [1,1]:1/2", "[0,1]:1/4 [1,1]:3/4") + "\n")
     status, out = run_command(["verify", files["coin"], str(bad), "--max-len", "2"])
     assert status == 1
     assert out.splitlines() == [
@@ -1000,7 +1041,7 @@ def test_a_reader_that_stops_early_leaves_the_exit_status(files, command, status
     else:
         _, rec_text = run_command(["to-monoid", files["coin"]])
         bad = files["dir"] / "coin-bad.rec"
-        bad.write_text(rec_text.replace("]:1/2 [q1,q1]:1/2", "]:1/4 [q1,q1]:3/4") + "\n")
+        bad.write_text(rec_text.replace("]:1/2 [1,1]:1/2", "]:1/4 [1,1]:3/4") + "\n")
         argv = ["verify", files["coin"], str(bad), "--max-len", "300"]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.Popen(

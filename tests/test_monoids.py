@@ -32,6 +32,7 @@ from effectfa import (
     words_upto,
 )
 from effectfa.errors import IntegrityError, PreconditionError, ResourceError
+from effectfa.monoids import generated_monoid
 
 RAT = weighted("rational")
 
@@ -86,6 +87,15 @@ def test_partial_composition_propagates_undefined():
     m = function_monoid(("x", "y"), "partial")
     only_x = ("y", None)
     assert m.mul(only_x, only_x) == (None, None)
+
+
+def test_graphs_are_named_by_the_positions_of_their_images():
+    # Any point names fit: "[" and "," in them do not reach the name.
+    carrier = ("[p", "q,")
+    m = function_monoid(carrier, "partial")
+    assert m.carrier == carrier and m.name(("q,", None)) == "[1,_]"
+    g = generated_monoid(carrier, [("q,", "q,")])
+    assert [g.name(x) for x in g.elements] == ["[0,1]", "[1,1]"]
 
 
 def test_from_table_rejects_non_associative():
@@ -235,6 +245,7 @@ def test_closure_of_swap_is_z2():
     sub = transition_monoid_closure(m, [("y", "x")], 10)
     assert len(sub) == 2
     assert sub.mul(("y", "x"), ("y", "x")) == m.unit
+    assert sub.carrier == m.carrier and sub.name(("y", "x")) == "[1,0]"
 
 
 def test_closure_of_constant_map():

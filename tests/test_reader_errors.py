@@ -56,10 +56,10 @@ GRAPH = """\
 monad dist
 alphabet a
 states p q
-monoid [p,q] [q,q]
-unit [p,q]
-hom a -> [p,q]:1/2 [q,q]:1/2
-pred [p,q]:0 [q,q]:1
+monoid [0,1] [1,1]
+unit [0,1]
+hom a -> [0,1]:1/2 [1,1]:1/2
+pred [0,1]:0 [1,1]:1
 """
 
 BIALG = """\
@@ -342,36 +342,50 @@ TABLE_CASES = [
 ]
 
 GRAPH_CASES = [
-    ("unknown-section", GRAPH + "mul [p,q]*[p,q]=[p,q]\n", "line 8: unknown section 'mul'"),
+    ("unknown-section", GRAPH + "mul [0,1]*[0,1]=[0,1]\n", "line 8: unknown section 'mul'"),
     ("repeated-state", _edit(GRAPH, ("states p q", "states p q p")), "line 3: repeated state"),
-    (
-        "state-not-in-a-graph-name",
-        _edit(GRAPH, ("states p q", "states p q,r")),
-        "line 3: state 'q,r' cannot be written in a graph name",
-    ),
     (
         "not-a-graph",
         _edit(
             GRAPH,
-            ("monoid [p,q] [q,q]", "monoid [p,q] [q,q] [q,r]"),
-            (" [q,q]:1\n", " [q,q]:1 [q,r]:0\n"),
+            ("monoid [0,1] [1,1]", "monoid [0,1] [1,1] [1,2]"),
+            (" [1,1]:1\n", " [1,1]:1 [1,2]:0\n"),
         ),
-        "line 4: element '[q,r]' is not a graph on the states",
+        "line 4: element '[1,2]' is not a graph on the states",
+    ),
+    (
+        "non-canonical-name",
+        _edit(GRAPH, (" [1,1]", " [01,1]"), (" [1,1]", " [01,1]"), (" [1,1]", " [01,1]")),
+        "line 4: element '[01,1]' is not a graph on the states",
+    ),
+    (
+        "non-ascii-digit",
+        _edit(GRAPH, (" [1,1]", " [\u0661,1]"), (" [1,1]", " [\u0661,1]"), (" [1,1]", " [\u0661,1]")),
+        "line 4: element '[\u0661,1]' is not a graph on the states",
+    ),
+    (
+        "not-closed",
+        _edit(
+            GRAPH,
+            ("monoid [0,1] [1,1]", "monoid [0,1] [1,1] [1,0]"),
+            (" [1,1]:1\n", " [1,1]:1 [1,0]:0\n"),
+        ),
+        "line 4: product [1,1]*[1,0]=[0,0] is not declared",
     ),
     (
         "unit-not-identity",
-        _edit(GRAPH, ("unit [p,q]", "unit [q,q]")),
-        "line 5: unit '[q,q]' is not the identity graph",
+        _edit(GRAPH, ("unit [0,1]", "unit [1,1]")),
+        "line 5: unit '[1,1]' is not the identity graph",
     ),
     (
         "hom-literal",
-        _edit(GRAPH, ("[q,q]:1/2\n", "[q,q]:x\n")),
+        _edit(GRAPH, ("[1,1]:1/2\n", "[1,1]:x\n")),
         "line 6: not a rational literal: 'x'",
     ),
     (
         "hom-undeclared",
-        _edit(GRAPH, ("[q,q]:1/2\n", "[p,p]:1/2\n")),
-        "line 6: undeclared element '[p,p]'",
+        _edit(GRAPH, ("[1,1]:1/2\n", "[0,0]:1/2\n")),
+        "line 6: undeclared element '[0,0]'",
     ),
 ]
 

@@ -232,6 +232,16 @@ def test_bool_outputs_are_rejected(monad, output):
 
 
 @pytest.mark.parametrize(
+    "value", [(F(1, 2),), (F(0), F(1, 2), F(1))], ids=["1-tuple", "3-tuple"]
+)
+def test_convex_output_takes_only_pairs(value):
+    # The same rule as a convex machine's output map.
+    with pytest.raises(InterfaceError) as caught:
+        convex_output(value)
+    assert str(caught.value) == f"convex outputs are (low, high) pairs; got {value!r}"
+
+
+@pytest.mark.parametrize(
     "t, monad",
     [
         (P, RAT),
