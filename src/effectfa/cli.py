@@ -77,6 +77,7 @@ from .exactnum import _NATURAL_RE, parse_rational
 from .monoids import (
     EffMorphism,
     FinMonoid,
+    _generator_name,
     _generators,
     _graph_composer,
     _graph_name,
@@ -622,9 +623,7 @@ def _parse_bialgebra(sections) -> BialgRecognizer:
 
 def print_bialgebra(r: BialgRecognizer) -> str:
     index = {q: i for i, q in enumerate(r.states)}
-    gen_names = {
-        g: g if isinstance(g, str) else _graph_name(g, index) for g in r.generators
-    }
+    gen_names = {g: _generator_name(g, index) for g in r.generators}
     lines = [
         _fmt_monad_line(r.monad, r.output_algebra),
         "alphabet " + " ".join(r.alphabet),

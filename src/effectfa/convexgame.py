@@ -24,13 +24,17 @@ and the full trace replays to the canonical representative of the start's
 expected value.
 
 Internally positions are plain exponent-to-mass dicts; the :class:`Position`
-wrapper validates and freezes them at the API boundary.
+wrapper validates and freezes them at the API boundary.  The two loops that
+emit most moves, a merge pass and a fill step, read the cells of the
+support once as integer numerators over one denominator, run their moves
+as integer additions and store the cells back as ``Fraction`` masses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import IllegalMoveError, InputError, PreconditionError
 from .exactnum import rational
@@ -41,6 +45,7 @@ _THIRD = Fraction(1, 3)
 # Fill a support [lo, hi] once its ends need more than this many times
 # hi - lo uniform passes; derived in the docstring of ``solve``.
 _FILL_RATIO = 4
+_AMOUNT_RANGE = "the amount must lie in (0, 1/3]"
 
 
 class Position:
@@ -120,10 +125,24 @@ class Move:
             raise InputError("the rule index must be a natural number")
         if type(self.lam) is not Fraction:
             object.__setattr__(self, "lam", rational(self.lam, "amount"))
-        if not (0 < self.lam <= _THIRD):
-            raise InputError("the amount must lie in (0, 1/3]")
+        _checked(self.lam)
         if self.direction not in ("split", "merge"):
             raise InputError("direction must be 'split' or 'merge'")
+
+    @classmethod
+    def _of_checked(cls, index: int, lam: Fraction, direction: str):
+        """A move on fields checked as construction checks them: an ``int``
+        index of at least 0, a ``Fraction`` amount in (0, 1/3], a direction."""
+        m = object.__new__(cls)
+        m.__dict__.update(index=index, lam=lam, direction=direction)
+        return m
+
+
+def _checked(lam: Fraction) -> Fraction:
+    """``lam``, if it lies in (0, 1/3] as a move's amount must."""
+    if not (0 < lam <= _THIRD):
+        raise InputError(_AMOUNT_RANGE)
+    return lam
 
 
 def expected_value(p: Position) -> Fraction:
@@ -209,9 +228,9 @@ def _spread_fast(c: dict, trace: list):
     holes = _holes(c)
     while holes:
         n, k = holes[0]
-        lam = c[n + k] / 4
+        lam = _checked(c[n + k] / 4)
         _split_fast(c, n + k - 1, lam)
-        trace.append(Move(index=n + k - 1, lam=lam, direction="split"))
+        trace.append(Move._of_checked(n + k - 1, lam, "split"))
         holes = _holes(c)
 
 
@@ -228,23 +247,34 @@ def spread(p: Position):
     return _wrap(c), trace
 
 
+def _numerators(c: dict, lo: int, hi: int, den: int):
+    """The cells of ``[lo, hi]`` over the lcm of their denominators and ``den``."""
+    cells = [c.get(n, _F0) for n in range(lo, hi + 1)]
+    d = lcm(den, *(x.denominator for x in cells))
+    return [x.numerator * (d // x.denominator) for x in cells], d
+
+
+def _store(c: dict, lo: int, nums: list, d: int):
+    """Store numerators over ``d`` in the cells from ``lo`` on, dropping zeros."""
+    for n, x in enumerate(nums, lo):
+        if x:
+            c[n] = Fraction(x, d)
+        else:
+            c.pop(n, None)
+
+
 def _merge_pass(c: dict, lo: int, hi: int, lam: Fraction, trace: list):
-    # _merge_fast written out, so that 2*lam and 3*lam are computed once per
-    # pass rather than once per move.
-    lam2, lam3 = 2 * lam, 3 * lam
-    for m in range(hi - 2, lo - 1, -1):
-        x = c.get(m, _F0) - lam
-        if x:
-            c[m] = x
-        else:
-            del c[m]
-        c[m + 1] = c.get(m + 1, _F0) + lam3
-        x = c.get(m + 2, _F0) - lam2
-        if x:
-            c[m + 2] = x
-        else:
-            del c[m + 2]
-        trace.append(Move(index=m, lam=lam, direction="merge"))
+    """Merge at hi-2 down to lo, on integers; the moves share one checked amount."""
+    move = Move._of_checked
+    nums, d = _numerators(c, lo, hi, _checked(lam).denominator)
+    l1 = lam.numerator * (d // lam.denominator)
+    l2, l3 = 2 * l1, 3 * l1
+    for i in range(hi - lo - 2, -1, -1):
+        nums[i] -= l1
+        nums[i + 1] += l3
+        nums[i + 2] -= l2
+        trace.append(move(lo + i, lam, "merge"))
+    _store(c, lo, nums, d)
 
 
 def sweep(p: Position):
@@ -294,9 +324,9 @@ def _balance_fast(c: dict, trace: list):
             r0 = c.get(m, _F0)
             r1 = c.get(m + 1, _F0)
             if 2 * r0 < r1:
-                mu = r1 / 4
+                mu = _checked(r1 / 4)
                 _split_fast(c, m, mu)
-                trace.append(Move(index=m, lam=mu, direction="split"))
+                trace.append(Move._of_checked(m, mu, "split"))
                 changed = True
         if not changed:
             return
@@ -333,7 +363,9 @@ def _fill(c: dict, lo: int, hi: int, trace: list):
     so the affordable fraction grows geometrically.
 
     Amounts are kept as integer numerators ``f(x)*d`` times one fraction
-    ``u = t*theta/d``, with ``d = 2^(w-1) - 1``.
+    ``u = t*theta/d``, with ``d = 2^(w-1) - 1``.  A step runs on integers over
+    a denominator ``den`` that ``u`` divides, and checks each amount's
+    numerator ``l`` there: ``0 < l`` and ``3*l <= den``.
     """
     w = hi - lo + 1
     d = 2 ** (w - 1) - 1
@@ -346,10 +378,17 @@ def _fill(c: dict, lo: int, hi: int, trace: list):
         u = rest
         if over > 1:
             u /= 2 ** (-(-over.numerator // over.denominator) - 1).bit_length()
+        nums, den = _numerators(c, lo, hi, u.denominator)
+        k = u.numerator * (den // u.denominator)
         for i in range(w - 3, -1, -1):
-            lam = u * f[i]
-            _merge_fast(c, lo + i, lam)
-            trace.append(Move(index=lo + i, lam=lam, direction="merge"))
+            l1 = k * f[i]
+            if not (0 < l1 and 3 * l1 <= den):
+                raise InputError(_AMOUNT_RANGE)
+            nums[i] -= l1
+            nums[i + 1] += 3 * l1
+            nums[i + 2] -= 2 * l1
+            trace.append(Move._of_checked(lo + i, Fraction(l1, den), "merge"))
+        _store(c, lo, nums, den)
         rest -= u
 
 
@@ -376,25 +415,25 @@ def solve(p: Position):
     remain.  Every point of the segment is a position and each fill step
     checks the one operand that can run short, so every move is legal.
 
-    The multiple 4 comes from operation counts on the benchmark's game pool
-    (seed 1).  Counted in moves, a fill and the passes after it are shorter
-    than the passes alone once ``R`` exceeds about ``2*(hi-lo)``.  A fill
-    move costs about 1.8 pass moves (23 against 13 us on a 2-CPU VM with
-    CPython 3.11: larger fractions, and the step's bound), so in time the
-    fill breaks even near ``4*(hi-lo)``: 0.33 against 0.28 ms for ``R``
-    between 2 and 4 times ``hi-lo``, 0.45 against 0.52 ms between 4 and 8
-    times.  Filling each support at most once keeps the loop finite, since
-    the passes that follow still empty an end.  On that pool of 5000
-    positions (up to 6 points in windows of up to 10 exponents), the
-    longest trace has 484 moves.
+    The multiple 4 comes from the benchmark's game pool (seed 1).  Counted
+    in moves, a fill and the passes after it are shorter than the passes
+    alone once ``R`` exceeds about ``2*(hi-lo)``.  On integers a fill move
+    costs about 2.5 pass moves (8.8 against 3.5 us on a 2-CPU VM with
+    CPython 3.11: a fresh fraction per move, and the step's bound), and a
+    solve takes about as long with multiple 2 as with 4 (540 us per
+    position) and longer with 8 (640 us).  The multiple stays 4, since any
+    other changes the traces.  Filling each support at most once keeps the
+    loop finite, since the passes that follow still empty an end.  On that
+    pool of 5000 positions (up to 6 points in windows of up to 10
+    exponents), the longest trace has 484 moves.
     """
     c = dict(p._c)
     trace = []
     supp = sorted(c)
     if len(supp) == 2 and supp[1] == supp[0] + 2:
-        lam = min(c[supp[0]], c[supp[1]] / 2)
+        lam = _checked(min(c[supp[0]], c[supp[1]] / 2))
         _merge_fast(c, supp[0], lam)
-        trace.append(Move(index=supp[0], lam=lam, direction="merge"))
+        trace.append(Move._of_checked(supp[0], lam, "merge"))
     _spread_fast(c, trace)
     _balance_fast(c, trace)
     filled = None

@@ -178,6 +178,12 @@ def _graph_name(graph, index) -> str:
     return "[" + ",".join("_" if y is None else str(index[y]) for y in graph) + "]"
 
 
+def _generator_name(g, index) -> str:
+    """The name of a bialgebra generator: a name as given, a graph by
+    :func:`_graph_name`."""
+    return g if isinstance(g, str) else _graph_name(g, index)
+
+
 def _graph_composer(carrier: tuple):
     """Composition of graphs on ``carrier`` in application order (first the
     left factor, then the right), with undefinedness propagating."""

@@ -85,7 +85,7 @@ from .errors import (
     ResourceError,
 )
 from .linalg import RowSpace, _nonneg_columns, _nonneg_solve
-from .monoids import EffMorphism, function_monoid, generated_monoid
+from .monoids import EffMorphism, _generator_name, function_monoid, generated_monoid
 
 _F1 = Fraction(1)
 
@@ -375,9 +375,10 @@ def _channel_vector(ch: Channel):
     return tuple(entries)
 
 
-def _preimage_solver(r: BialgRecognizer):
-    """``solve(target)``: an effect value over the generators whose collapsed
-    channel is ``target``, or None if there is none.
+def _preimage_solver(r: BialgRecognizer, names: dict):
+    """``solve(target)``: an effect value over the generators, keyed by
+    ``names``, whose collapsed channel is ``target``, or None if there is
+    none.
 
     The generator columns (:func:`_channel_vector` of every image) are built
     once, here.  ``dist``: the columns and a row of ones are scaled to
@@ -400,7 +401,7 @@ def _preimage_solver(r: BialgRecognizer):
             sol = _nonneg_solve(columns, _channel_vector(target) + (_F1,))
             if sol is None:
                 return None
-            return Dist({g: c for g, c in zip(gens, sol) if c != 0})
+            return Dist({names[g]: c for g, c in zip(gens, sol) if c != 0})
 
         return solve
     space = RowSpace(len(r.states) ** 2)
@@ -411,7 +412,7 @@ def _preimage_solver(r: BialgRecognizer):
         if sol is None:
             return None
         return WeightedVec(
-            r.monad.semiring, {g: c for g, c in zip(basis, sol) if c != 0}
+            r.monad.semiring, {names[g]: c for g, c in zip(basis, sol) if c != 0}
         )
 
     return solve
@@ -428,7 +429,9 @@ def bialgebra_to_automaton(r: BialgRecognizer) -> EffAutomaton:
     Otherwise one solver (:func:`_preimage_solver`) is set up, with the
     generator columns built once, and serves the ``1 + |G|*|A|`` targets:
     one integer phase-1 simplex each for ``dist``, one read-off of the
-    generators' row space each for rational weights.
+    generators' row space each for rational weights.  States are named as
+    :func:`~effectfa.cli.print_bialgebra` names the generators, so that
+    the machine prints and parses back.
     """
     if r.monad.kind == "convex":
         raise CapabilityError("no exact preimage solver for convex recognizers")
@@ -441,7 +444,9 @@ def bialgebra_to_automaton(r: BialgRecognizer) -> EffAutomaton:
             f"the bialgebra has {len(r.generators)} generators, over the bound "
             f"of {BIALGEBRA_GENERATOR_BOUND} for rebuilding an automaton"
         )
-    solve = _preimage_solver(r)
+    index = {q: i for i, q in enumerate(r.states)}
+    names = {g: _generator_name(g, index) for g in r.generators}
+    solve = _preimage_solver(r, names)
     init = solve(identity_channel(r.monad, r.states))
     if init is None:
         raise IntegrityError("the generator images do not span the identity channel")
@@ -453,11 +458,11 @@ def bialgebra_to_automaton(r: BialgRecognizer) -> EffAutomaton:
                 raise IntegrityError(
                     f"no generator preimage for transition ({g!r}, {a!r})"
                 )
-            trans[(g, a)] = t
-    output = {g: r.predicate(r.images[g]) for g in r.generators}
+            trans[(names[g], a)] = t
+    output = {names[g]: r.predicate(r.images[g]) for g in r.generators}
     return EffAutomaton(
         monad=r.monad,
-        states=r.generators,
+        states=tuple(names.values()),
         alphabet=r.alphabet,
         init=init,
         trans=trans,

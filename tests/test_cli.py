@@ -19,7 +19,9 @@ from effectfa import (
     EffMorphism,
     EffRecognizer,
     UNIT_INTERVAL,
+    automaton_to_bialgebra,
     automaton_to_recognizer,
+    bialgebra_to_automaton,
     eval_word,
     is_pure,
     recognizer_to_automaton,
@@ -878,6 +880,26 @@ def test_the_machine_a_recognizer_rebuilds_prints_and_parses_back(family, seed, 
     text = print_automaton(recognizer_to_automaton(r))
     back = parse_automaton(text)
     assert back.states == tuple(m.name(x) for x in m.elements)
+    assert print_automaton(back) == text
+    for w in words_upto(a.alphabet, 3):
+        assert eval_word(back, w) == eval_word(a, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["dist", "rational"]),
+    seed=st.integers(0, 10**6),
+    pure=st.booleans(),
+)
+def test_the_machine_a_bialgebra_rebuilds_prints_and_parses_back(family, seed, pure):
+    # Its states are named as print_bialgebra names the generators, such as
+    # [0,1], not as the graphs themselves.
+    a = _family_machine(family, seed, pure)
+    b = automaton_to_bialgebra(a)
+    text = print_automaton(bialgebra_to_automaton(b))
+    back = parse_automaton(text)
+    gens = print_bialgebra(b).splitlines()[3].split()[1:]
+    assert back.states == tuple(gens)
     assert print_automaton(back) == text
     for w in words_upto(a.alphabet, 3):
         assert eval_word(back, w) == eval_word(a, w)

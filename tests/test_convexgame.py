@@ -219,6 +219,51 @@ def test_fill_keeps_mass_and_value_and_fills_the_interior():
         assert _replay(p, trace) == q
 
 
+def _positions(rng, count, wide):
+    """Up to 6 points in 0..8 (criterion 9), or with ``wide`` up to 6 points
+    in a window of 10 exponents anywhere in 0..16."""
+    for _ in range(count):
+        lo, span = (rng.randint(0, 7), 10) if wide else (0, 9)
+        ks = rng.sample(range(lo, lo + span), rng.randint(1, 6))
+        ws = [rng.randint(1, 64) for _ in ks]
+        yield pos({k: F(w, sum(ws)) for k, w in zip(ks, ws)})
+
+
+def test_solver_moves_are_those_construction_builds(monkeypatch):
+    # The solver builds its moves with Move._of_checked; each must equal the
+    # move construction builds from its fields, with a Fraction amount, and
+    # no merge pass or fill step may store a zero mass.  Sweeping a wide
+    # window alone can take 10^5 moves and more, so fewer wide positions
+    # are swept than solved.
+    def no_zero_mass(step):
+        def checked(c, *args):
+            step(c, *args)
+            assert all(c.values())
+
+        return checked
+
+    for name in ("_merge_pass", "_fill"):
+        monkeypatch.setattr(convexgame, name, no_zero_mass(getattr(convexgame, name)))
+
+    def check(p, moves):
+        for m in moves:
+            assert type(m.lam) is F
+            assert Move(m.index, m.lam, m.direction) == m
+        assert _replay(p, moves) == canonical_rep(expected_value(p))
+
+    rng = random.Random(1031)
+    narrow = list(_positions(rng, 100, wide=False))
+    wide = list(_positions(rng, 50, wide=True))
+    for p in narrow + wide:
+        check(p, solve(p)[1])
+    for p in narrow + wide[:10]:
+        q, trace = spread(p)
+        while not is_winning(q):
+            q, more = sweep(q)
+            trace += more
+        check(p, trace)
+
+
 def test_is_winning():
     assert is_winning(pos({5: 1}))
     assert is_winning(pos({0: F(1, 8), 1: F(7, 8)}))

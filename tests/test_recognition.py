@@ -73,6 +73,7 @@ from effectfa.errors import (
     ResourceError,
 )
 from effectfa.linalg import solve_linear
+from effectfa.monoids import _generator_name
 from effectfa.recognition import BialgRecognizer
 
 RAT = weighted("rational")
@@ -918,7 +919,10 @@ def rebuild_per_target(bi):
     """:func:`bialgebra_to_automaton` with every target solved on its own:
     the generator columns are built afresh per target, rational targets go
     through :func:`solve_linear` and ``dist`` ones through the `Fraction`
-    simplex.  The oracle of the rebuild's one solver."""
+    simplex.  The oracle of the rebuild's one solver; states are named as
+    the rebuild names them."""
+    index = {q: i for i, q in enumerate(bi.states)}
+    name = {g: _generator_name(g, index) for g in bi.generators}
 
     def vector(ch):
         return tuple(ch(x).weight(y) for x in ch.domain for y in ch.codomain)
@@ -934,7 +938,7 @@ def rebuild_per_target(bi):
             value = partial(WeightedVec, bi.monad.semiring)
         if sol is None:
             return None
-        return value({g: c for g, c in zip(bi.generators, sol) if c != 0})
+        return value({name[g]: c for g, c in zip(bi.generators, sol) if c != 0})
 
     init = preimage(identity_channel(bi.monad, bi.states))
     if init is None:
@@ -945,14 +949,14 @@ def rebuild_per_target(bi):
             t = preimage(kleisli_compose(bi.images[g], bi.letters[a]))
             if t is None:
                 raise IntegrityError(f"no generator preimage for transition ({g!r}, {a!r})")
-            trans[(g, a)] = t
+            trans[(name[g], a)] = t
     return EffAutomaton(
         monad=bi.monad,
-        states=bi.generators,
+        states=tuple(name.values()),
         alphabet=bi.alphabet,
         init=init,
         trans=trans,
-        output={g: bi.predicate(bi.images[g]) for g in bi.generators},
+        output={name[g]: bi.predicate(bi.images[g]) for g in bi.generators},
         output_algebra=bi.output_algebra,
     )
 
