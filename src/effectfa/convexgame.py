@@ -11,36 +11,32 @@ for each expected value there is exactly one such position, its canonical
 representative.  The solver first patches every gap in the support by
 splitting mass off the gap's right edge (:func:`spread`), then shrinks the
 support width with right-to-left merge passes until it is at most two.
-:func:`sweep` performs one width reduction with a fixed amount, repeated
-until an end runs dry and finished by one adjusted partial pass;
-:func:`solve` re-chooses the amount before every pass instead.  A pass
-moves mass at most as large as the smallest transit (interior) coefficient,
-so when spreading leaves a steep ladder of small coefficients behind,
-:func:`solve` first *fills* the support: it walks the position along a
-straight segment, inside the convex set of positions with the same mass
-and expected value, to a point whose transit coefficients are all large,
-in shaped merge passes that each stay legal.  Every emitted move is legal
-and the full trace replays to the canonical representative of the start's
-expected value.
+:func:`sweep` repeats one fixed amount until an end runs dry;
+:func:`solve` re-chooses the amount before every pass, and when spreading
+leaves a steep ladder of small transit (interior) coefficients, which
+throttle every pass, it first *fills* the support along a straight segment
+of positions with the same mass and expected value.  Every emitted move is
+legal and the full trace replays to the canonical representative of the
+start's expected value.
 
 Internally positions are plain exponent-to-mass dicts; the :class:`Position`
-wrapper validates and freezes them at the API boundary.  The two loops that
-emit most moves, a merge pass and a fill step, read the cells of the
-support once as integer numerators over one denominator, run their moves
-as integer additions and store the cells back as ``Fraction`` masses.
+wrapper validates and freezes them at the API boundary.  Once the support
+is hole-free, :func:`solve` and :func:`sweep` hold it as a *window*: one
+integer numerator per exponent from the lowest on, over one denominator.
+Passes, fill steps and the tests between them run on those integers, and
+the window is written back into ``Fraction`` masses once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import IllegalMoveError, InputError, PreconditionError
 from .exactnum import rational
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 _THIRD = Fraction(1, 3)
 # Fill a support [lo, hi] once its ends need more than this many times
 # hi - lo uniform passes; derived in the docstring of ``solve``.
@@ -159,12 +155,11 @@ def canonical_rep(x: Fraction) -> Position:
     x = rational(x, "expected value")
     if not (0 < x <= 1):
         raise InputError(f"expected value {x} outside (0, 1]")
-    n = 0
-    while x <= Fraction(1, 2 ** (n + 1)):
-        n += 1
+    e = _log2_floor(x.numerator, x.denominator)
+    n = -e if x.numerator == 1 and x.denominator == 1 << -e else -e - 1
     r = x * 2 ** (n + 1) - 1
     if r == 1:
-        return Position({n: _F1})
+        return Position({n: r})
     return Position({n: r, n + 1: 1 - r})
 
 
@@ -206,11 +201,7 @@ def apply_rule(p: Position, m: Move) -> Position:
 
 def _holes(c: dict) -> list:
     supp = sorted(c)
-    return [
-        (left, right - left)
-        for left, right in zip(supp, supp[1:])
-        if right - left >= 2
-    ]
+    return [(a, b - a) for a, b in zip(supp, supp[1:]) if b - a >= 2]
 
 
 def find_holes(p: Position) -> list:
@@ -247,59 +238,77 @@ def spread(p: Position):
     return _wrap(c), trace
 
 
-def _numerators(c: dict, lo: int, hi: int, den: int):
-    """The cells of ``[lo, hi]`` over the lcm of their denominators and ``den``."""
-    cells = [c.get(n, _F0) for n in range(lo, hi + 1)]
-    d = lcm(den, *(x.denominator for x in cells))
-    return [x.numerator * (d // x.denominator) for x in cells], d
+def _window(c: dict):
+    """A hole-free support as ``(lo, x, den)`` with ``c[lo + i] == x[i]/den``."""
+    den = lcm(*(w.denominator for w in c.values()))
+    return min(c), [c[n].numerator * (den // c[n].denominator) for n in sorted(c)], den
 
 
-def _store(c: dict, lo: int, nums: list, d: int):
-    """Store numerators over ``d`` in the cells from ``lo`` on, dropping zeros."""
-    for n, x in enumerate(nums, lo):
-        if x:
-            c[n] = Fraction(x, d)
-        else:
-            c.pop(n, None)
+def _cells(lo: int, x: list, den: int) -> dict:
+    """The masses of a window, without the cells that ran dry."""
+    return {n: Fraction(v, den) for n, v in enumerate(x, lo) if v}
 
 
-def _merge_pass(c: dict, lo: int, hi: int, lam: Fraction, trace: list):
-    """Merge at hi-2 down to lo, on integers; the moves share one checked amount."""
+def _amount(l: int, den: int) -> Fraction:
+    """``l/den``, if it lies in (0, 1/3] as a move's amount must."""
+    if not (0 < l and 3 * l <= den):
+        raise InputError(_AMOUNT_RANGE)
+    return Fraction(l, den)
+
+
+def _reduce(x: list, den: int) -> int:
+    """Divide out the common factor of the window and ``den``; returns ``den``."""
+    g = gcd(den, *x)
+    if g > 1:
+        x[:] = [v // g for v in x]
+    return den // g
+
+
+def _pass(x: list, lo: int, den: int, cap: int, trace: list):
+    """Merge at ``hi-2`` down to ``lo`` by ``l = min(cap, x[-1]/2)``; returns
+    ``(l, den)``, doubling the window first if ``x[-1]`` is odd and below
+    ``2*cap``.  A cell gains ``-l``, ``3l`` and ``-2l`` from the merges at,
+    before and two before it, so only the ends and their neighbours change."""
+    top = x[-1]
+    if 2 * cap <= top:
+        l = cap
+    elif top % 2 == 0:
+        l = top // 2
+    else:
+        x[:] = [2 * v for v in x]
+        den *= 2
+        l = top
+    lam = _amount(l, den)
+    x[0] -= l
+    x[1] += 2 * l
+    x[-2] += l
+    x[-1] -= 2 * l
     move = Move._of_checked
-    nums, d = _numerators(c, lo, hi, _checked(lam).denominator)
-    l1 = lam.numerator * (d // lam.denominator)
-    l2, l3 = 2 * l1, 3 * l1
-    for i in range(hi - lo - 2, -1, -1):
-        nums[i] -= l1
-        nums[i + 1] += l3
-        nums[i + 2] -= l2
-        trace.append(move(lo + i, lam, "merge"))
-    _store(c, lo, nums, d)
+    trace.extend([move(n, lam, "merge") for n in range(lo + len(x) - 3, lo - 1, -1)])
+    return l, den
 
 
 def sweep(p: Position):
     """Strictly shrink the support width of a hole-free, non-winning position.
 
-    The amount is the minimum of the non-top coefficients and half the top
-    one; merges run right to left, repeating whole passes while both ends
-    can afford another, then one final partial pass zeroes an end.
+    Merges run right to left by one amount, the least non-top coefficient
+    or half the top one, in whole passes while both ends can afford
+    another; one partial pass then zeroes an end.  The fixed amount makes
+    traces long on steep ladders: repeated from :func:`spread` until it
+    wins, ``29/55*a^0 + 26/55*a^9`` takes 480,607 moves (:func:`solve`: 510).
     """
     if find_holes(p):
         raise PreconditionError("sweeping needs a hole-free position")
     if is_winning(p):
         raise PreconditionError("the position is already winning")
-    c = dict(p._c)
-    supp = sorted(c)
-    lo, hi = supp[0], supp[-1]
-    lam = min(min(c[n] for n in supp[:-1]), c[hi] / 2)
+    lo, x, den = _window(p._c)
     trace = []
-    _merge_pass(c, lo, hi, lam, trace)
-    while c.get(lo, _F0) > lam and c.get(hi, _F0) > 2 * lam:
-        _merge_pass(c, lo, hi, lam, trace)
-    if c.get(lo, _F0) != 0 and c.get(hi, _F0) != 0:
-        lam2 = min(c[lo], c[hi] / 2)
-        _merge_pass(c, lo, hi, lam2, trace)
-    return _wrap(c), trace
+    l, den = _pass(x, lo, den, min(x[:-1]), trace)
+    while x[0] > l and x[-1] > 2 * l:
+        _pass(x, lo, den, l, trace)
+    if x[0] and x[-1]:
+        _, den = _pass(x, lo, den, x[0], trace)
+    return _wrap(_cells(lo, x, den)), trace
 
 
 def _balance_fast(c: dict, trace: list):
@@ -332,64 +341,63 @@ def _balance_fast(c: dict, trace: list):
             return
 
 
-def _log2_floor(x: Fraction) -> int:
-    """The largest ``e`` with ``2**e <= x``, for a positive ``x``."""
-    n, d = x.numerator, x.denominator
+def _log2_floor(n: int, d: int) -> int:
+    """The largest ``e`` with ``2**e <= n/d``, for positive ``n`` and ``d``."""
     e = n.bit_length() - d.bit_length()
     if (n << -e if e < 0 else n) < (d << e if e > 0 else d):
         e -= 1
     return e
 
 
-def _fill(c: dict, lo: int, hi: int, trace: list):
-    """Raise every transit coefficient of a hole-free support ``[lo, hi]``.
+def _fill(x: list, lo: int, den: int, trace: list) -> int:
+    """Raise every transit coefficient of a window; returns its denominator.
 
-    The target is ``c + theta*F``, where ``F`` has mass 0 and value 0, is +1
-    on every interior exponent, ``-a`` at ``lo`` and ``-(w-2-a)`` at ``hi``
-    (``w = hi-lo+1`` exponents).  Its net merge amount at ``lo + x - 1`` is
-    ``theta*f(x)`` with ``f(x) = x - (w-1)*(2^x - 1)/(2^(w-1) - 1)``, a
-    concave function that vanishes at 0 and at ``w-1``, so every amount is a
-    merge.  ``theta`` is the largest power of two that leaves at least half
-    of each end.
+    With ``c`` the window's masses on ``[lo, hi]`` (``w`` exponents), the
+    target is ``c + theta*F``, where ``F`` has mass 0 and value 0, is +1 on
+    every interior exponent, ``-a`` at ``lo`` and ``-(w-2-a)`` at ``hi``.
+    Its net merge amount at ``lo + x - 1`` is ``theta*f(x)`` with
+    ``f(x) = x - (w-1)*(2^x - 1)/(2^(w-1) - 1)``, concave and zero at 0 and
+    ``w-1``, so every amount is a merge.  ``theta`` is the largest power of
+    two that leaves at least half of each end.
 
     The walk applies the fraction ``t`` of those amounts right to left, then
     repeats on what remains.  Every step ends on the segment from ``c`` to
     the target, and every point of it is a position, since the set of
     positions with given mass and value is convex.  Within a step, index
     ``m+2`` holds its end-of-step value once the merge at ``m`` is made, so
-    only a merge's left operand, still at its start-of-step value, can run
-    short: ``t`` is the remaining fraction halved until every ``c[m]`` pays
-    ``t*theta*f``.  Interior coefficients grow linearly along the segment,
-    so the affordable fraction grows geometrically.
-
-    Amounts are kept as integer numerators ``f(x)*d`` times one fraction
-    ``u = t*theta/d``, with ``d = 2^(w-1) - 1``.  A step runs on integers over
-    a denominator ``den`` that ``u`` divides, and checks each amount's
-    numerator ``l`` there: ``0 < l`` and ``3*l <= den``.
+    only a merge's left operand can run short: ``t`` is the remaining
+    fraction halved until every ``c[m]`` pays ``t*theta*f``.  Interior
+    coefficients grow linearly, so the affordable fraction grows
+    geometrically.  Amounts are integer numerators ``f(x)*d`` times one
+    ``u = t*theta/d``, ``d = 2^(w-1) - 1``; a step scales the window to a
+    ``den`` that ``u`` divides and checks each amount's numerator there.
     """
-    w = hi - lo + 1
+    w = len(x)
     d = 2 ** (w - 1) - 1
-    f = [x * d - (w - 1) * (2**x - 1) for x in range(1, w - 1)]
+    f = [t * d - (w - 1) * (2**t - 1) for t in range(1, w - 1)]
     a, b = f[0], (w - 2) * d - f[0]  # the ends of F, times -d
-    e = _log2_floor(min(c[lo] * d / (2 * a), c[hi] * d / (2 * b)))
+    e = _log2_floor(min(x[0] * b, x[-1] * a) * d, 2 * a * b * den)
     rest = Fraction(1 << e, d) if e >= 0 else Fraction(1, d << -e)
     while rest:
-        over = rest * max(f[i] / c[lo + i] for i in range(w - 2))
-        u = rest
-        if over > 1:
-            u /= 2 ** (-(-over.numerator // over.denominator) - 1).bit_length()
-        nums, den = _numerators(c, lo, hi, u.denominator)
+        j = 0  # the index of the largest f[i] / x[i]
+        for i in range(1, w - 2):
+            if f[i] * x[j] > f[j] * x[i]:
+                j = i
+        over, under = rest.numerator * f[j] * den, rest.denominator * x[j]
+        u = rest / 2 ** (-(-over // under) - 1).bit_length()
+        m = lcm(den, u.denominator) // den
+        x[:] = [v * m for v in x]
+        den *= m
         k = u.numerator * (den // u.denominator)
         for i in range(w - 3, -1, -1):
-            l1 = k * f[i]
-            if not (0 < l1 and 3 * l1 <= den):
-                raise InputError(_AMOUNT_RANGE)
-            nums[i] -= l1
-            nums[i + 1] += 3 * l1
-            nums[i + 2] -= 2 * l1
-            trace.append(Move._of_checked(lo + i, Fraction(l1, den), "merge"))
-        _store(c, lo, nums, den)
+            l = k * f[i]
+            trace.append(Move._of_checked(lo + i, _amount(l, den), "merge"))
+            x[i] -= l
+            x[i + 1] += 3 * l
+            x[i + 2] -= 2 * l
+        den = _reduce(x, den)
         rest -= u
+    return den
 
 
 def solve(p: Position):
@@ -397,12 +405,10 @@ def solve(p: Position):
 
     A position supported on exactly {n, n+2} is won by a single merge, since
     the amount min(p(n), p(n+2)/2) zeroes at least one end.  Otherwise the
-    support is first spread hole-free and its coefficient ladder balanced,
-    then shrunk by right-to-left merge passes; the amount is re-chosen
-    before every pass (the largest one every transit coefficient affords),
-    so coefficients next to the ends grow instead of forcing many
-    repetitions of one tiny amount.  With that amount a pass keeps every
-    interior coefficient positive (only the ends can empty), so the support
+    support is spread hole-free, its coefficient ladder balanced, and then,
+    held as a window, shrunk by right-to-left merge passes.  Each pass takes
+    the largest amount every transit coefficient affords, so coefficients
+    next to the ends grow, and only the ends can empty, so the support
     stays hole-free without re-spreading.
 
     A pass moves at most the smallest of ``c[lo..hi-1]``, the rung, so an
@@ -415,17 +421,13 @@ def solve(p: Position):
     remain.  Every point of the segment is a position and each fill step
     checks the one operand that can run short, so every move is legal.
 
-    The multiple 4 comes from the benchmark's game pool (seed 1).  Counted
-    in moves, a fill and the passes after it are shorter than the passes
-    alone once ``R`` exceeds about ``2*(hi-lo)``.  On integers a fill move
-    costs about 2.5 pass moves (8.8 against 3.5 us on a 2-CPU VM with
-    CPython 3.11: a fresh fraction per move, and the step's bound), and a
-    solve takes about as long with multiple 2 as with 4 (540 us per
-    position) and longer with 8 (640 us).  The multiple stays 4, since any
-    other changes the traces.  Filling each support at most once keeps the
-    loop finite, since the passes that follow still empty an end.  On that
-    pool of 5000 positions (up to 6 points in windows of up to 10
-    exponents), the longest trace has 484 moves.
+    The multiple 4 comes from the benchmark's game pool (seed 1): in moves,
+    a fill and the passes after it beat the passes alone once ``R`` exceeds
+    about ``2*(hi-lo)``.  A fill move costs 3.3 us and a pass move 1.0 us (a
+    2-CPU VM, CPython 3.11); a solve takes 265 us per position with multiple
+    2, 4 or 8, whose longest traces there have 469, 484 and 848 moves, and
+    any multiple but 4 changes the traces.  Filling each support at most
+    once keeps the loop finite: the passes after it still empty an end.
     """
     c = dict(p._c)
     trace = []
@@ -436,20 +438,18 @@ def solve(p: Position):
         trace.append(Move._of_checked(supp[0], lam, "merge"))
     _spread_fast(c, trace)
     _balance_fast(c, trace)
+    lo, x, den = _window(c)
     filled = None
-    while True:
-        supp = sorted(c)
-        if len(supp) <= 1 or (len(supp) == 2 and supp[1] == supp[0] + 1):
-            break
-        lo, hi = supp[0], supp[-1]
-        rung = min(c[n] for n in supp[:-1])
-        if (
-            hi - lo >= 3
-            and (lo, hi) != filled
-            and max(c[lo], c[hi] / 2) > _FILL_RATIO * (hi - lo) * rung
-        ):
+    while len(x) > 2:
+        hi = lo + len(x) - 1
+        rung = min(x[:-1])
+        steep = max(2 * x[0], x[-1]) > 2 * _FILL_RATIO * (hi - lo) * rung
+        if steep and hi - lo >= 3 and (lo, hi) != filled:
             filled = (lo, hi)
-            _fill(c, lo, hi, trace)
+            den = _fill(x, lo, den, trace)
             continue
-        _merge_pass(c, lo, hi, min(rung, c[hi] / 2), trace)
-    return _wrap(c), trace
+        _, den = _pass(x, lo, den, rung, trace)
+        lo += not x[0]  # the ends that ran dry leave the window
+        x = x[not x[0] : len(x) - (not x[-1])]
+        den = _reduce(x, den)
+    return _wrap(_cells(lo, x, den)), trace

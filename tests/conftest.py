@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import product
+from math import ceil
 
 import pytest
 
@@ -12,6 +13,8 @@ from effectfa import (
     Dist,
     EffAutomaton,
     INTERVAL_PAIR,
+    Move,
+    Position,
     SEMIRING_SELF,
     UNIT_INTERVAL,
     WeightedVec,
@@ -505,3 +508,68 @@ def table_form(rec_text: str) -> str:
         if line.startswith("unit "):
             out += ["mul " + " ".join(f"{x}*{y}={times(x, y)}" for y in names) for x in names]
     return "\n".join(out) + "\n"
+
+
+def fraction_solve(p):
+    """The rewriting-game solver written move by move on ``Fraction`` masses:
+    the two-point merge, spreading, balancing, then merge passes with a fill
+    once per support, as ``convexgame.solve`` documents them.  Every amount
+    goes through the ``Move`` constructor and every move updates a dict of
+    masses, so the oracle shares no step with the solver's integer window.
+    Returns the final position and the trace."""
+    c = dict(p.items())
+    trace = []
+
+    def move(n, lam, direction):
+        trace.append(Move(n, lam, direction))  # checks 0 < lam <= 1/3
+        sign = 1 if direction == "merge" else -1
+        for k, dw in ((n, -lam), (n + 1, 3 * lam), (n + 2, -2 * lam)):
+            c[k] = c.get(k, 0) + sign * dw
+            if not c[k]:
+                del c[k]
+
+    supp = sorted(c)
+    if len(supp) == 2 and supp[1] == supp[0] + 2:
+        move(supp[0], min(c[supp[0]], c[supp[1]] / 2), "merge")
+    while True:  # spread: split a quarter off the right edge of the first hole
+        supp = sorted(c)
+        holes = [(a, b) for a, b in zip(supp, supp[1:]) if b - a >= 2]
+        if not holes:
+            break
+        move(holes[0][1] - 1, c[holes[0][1]] / 4, "split")
+    lo, hi = min(c), max(c)
+    for _ in range(64 if hi - lo >= 2 else 0):  # balance
+        before = len(trace)
+        for m in range(hi - 2, lo, -1):
+            if 2 * c[m] < c[m + 1]:
+                move(m, c[m + 1] / 4, "split")
+        if len(trace) == before:
+            break
+    filled = None
+    while len(c) > 2 or max(c) - min(c) > 1:
+        lo, hi = min(c), max(c)
+        rung = min(c[n] for n in range(lo, hi))
+        if hi - lo >= 3 and (lo, hi) != filled and max(c[lo], c[hi] / 2) > 4 * (hi - lo) * rung:
+            filled = (lo, hi)
+            w = hi - lo + 1
+            d = 2 ** (w - 1) - 1
+            f = [x * d - (w - 1) * (2**x - 1) for x in range(1, w - 1)]
+            a, b = f[0], (w - 2) * d - f[0]
+            bound = min(c[lo] * d / (2 * a), c[hi] * d / (2 * b))
+            theta = F(1)
+            while theta > bound:
+                theta /= 2
+            while 2 * theta <= bound:
+                theta *= 2
+            rest = theta / d
+            while rest:
+                over = rest * max(f[i] / c[lo + i] for i in range(w - 2))
+                u = rest / 2 ** (ceil(over) - 1).bit_length() if over > 1 else rest
+                for i in range(w - 3, -1, -1):
+                    move(lo + i, u * f[i], "merge")
+                rest -= u
+            continue
+        lam = min(rung, c[hi] / 2)
+        for n in range(hi - 2, lo - 1, -1):
+            move(n, lam, "merge")
+    return Position(c), trace

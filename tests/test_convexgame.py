@@ -20,6 +20,8 @@ from effectfa import (
 from effectfa import convexgame
 from effectfa.errors import IllegalMoveError, InputError, InterfaceError, PreconditionError
 
+from conftest import fraction_solve
+
 
 def pos(d):
     return Position(d)
@@ -207,9 +209,11 @@ def test_fill_keeps_mass_and_value_and_fills_the_interior():
         for i in range(1, len(ws) - 1):
             ws[i] = F(ws[i], 4 ** rng.randint(0, 12))
         p = pos({n: F(w) / sum(ws) for n, w in zip(range(lo, hi + 1), ws)})
-        c = dict(p.items())
+        start, x, den = convexgame._window(dict(p.items()))
+        assert start == lo
         trace = []
-        convexgame._fill(c, lo, hi, trace)
+        den = convexgame._fill(x, lo, den, trace)
+        c = convexgame._cells(lo, x, den)  # the cells that did not run dry
         q = pos(c)  # checks that the mass is still 1
         assert sorted(c) == list(range(lo, hi + 1))
         assert all(c[n] > 0 for n in range(lo + 1, hi))
@@ -231,37 +235,97 @@ def _positions(rng, count, wide):
 
 def test_solver_moves_are_those_construction_builds(monkeypatch):
     # The solver builds its moves with Move._of_checked; each must equal the
-    # move construction builds from its fields, with a Fraction amount, and
-    # no merge pass or fill step may store a zero mass.  Sweeping a wide
-    # window alone can take 10^5 moves and more, so fewer wide positions
-    # are swept than solved.
-    def no_zero_mass(step):
-        def checked(c, *args):
-            step(c, *args)
-            assert all(c.values())
+    # move construction builds from its fields, with a Fraction amount.  No
+    # merge pass may leave a negative cell or empty an interior one, no fill
+    # step may empty any cell of its window, and no position returned may
+    # store a zero mass.  Sweeping a wide window alone can take 10^5 moves
+    # and more, so fewer wide positions are swept than solved.
+    calls = {"_pass": 0, "_fill": 0}
+
+    def no_dry_cell(name, step):
+        def checked(x, *args):
+            out = step(x, *args)
+            calls[name] += 1
+            assert min(x) >= 0 and all(x[1:-1])
+            assert name == "_pass" or all(x)
+            return out
 
         return checked
 
-    for name in ("_merge_pass", "_fill"):
-        monkeypatch.setattr(convexgame, name, no_zero_mass(getattr(convexgame, name)))
+    for name in calls:
+        monkeypatch.setattr(convexgame, name, no_dry_cell(name, getattr(convexgame, name)))
 
-    def check(p, moves):
+    def check(p, final, moves):
+        assert all(w > 0 for _, w in final.items())
         for m in moves:
             assert type(m.lam) is F
             assert Move(m.index, m.lam, m.direction) == m
-        assert _replay(p, moves) == canonical_rep(expected_value(p))
+        assert _replay(p, moves) == final == canonical_rep(expected_value(p))
 
     rng = random.Random(1031)
     narrow = list(_positions(rng, 100, wide=False))
     wide = list(_positions(rng, 50, wide=True))
     for p in narrow + wide:
-        check(p, solve(p)[1])
+        check(p, *solve(p))
+    solved = dict(calls)
+    assert solved["_pass"] and solved["_fill"]  # the checks above saw both steps
     for p in narrow + wide[:10]:
         q, trace = spread(p)
         while not is_winning(q):
             q, more = sweep(q)
+            assert all(w > 0 for _, w in q.items())
             trace += more
-        check(p, trace)
+        check(p, q, trace)
+    assert calls["_pass"] > solved["_pass"]
+
+
+def _moves(trace):
+    return [(m.index, str(m.lam), m.direction) for m in trace]
+
+
+# Positions the window fills before its passes; the first is the CI one.
+FILLED = (
+    {4: F(16, 29), 11: F(1, 116), 12: F(51, 116)},
+    {0: F(29, 55), 9: F(26, 55)},
+    {0: F(1, 2), 3: F(1, 2)},
+    {1: F(3, 7), 8: F(4, 7)},
+    {0: F(1, 3), 5: F(1, 3), 9: F(1, 3)},
+)
+
+
+def _over(rng, den):
+    """Up to 6 points in 0..9 whose masses are multiples of ``1/den``."""
+    ks = rng.sample(range(10), rng.randint(1, min(6, den)))
+    cuts = sorted(rng.sample(range(1, den), len(ks) - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    return pos({k: F(w, den) for k, w in zip(ks, parts)})
+
+
+def test_solve_prints_what_the_fraction_solver_prints(monkeypatch):
+    # The integer window must emit the moves of the move-by-move Fraction
+    # solver in tests/conftest.py, amount text included, and its final.
+    fills = []
+    fill = convexgame._fill
+    monkeypatch.setattr(convexgame, "_fill", lambda *a: fills.append(1) or fill(*a))
+    rng = random.Random(1033)
+    cases = list(_positions(rng, 80, wide=False)) + list(_positions(rng, 40, wide=True))
+    cases += [_over(rng, den) for den in (3, 7, 29) for _ in range(25)]
+    cases += [  # won by the single merge of an {n, n+2} support
+        pos({0: F(1, 3), 2: F(2, 3)}),
+        pos({3: F(1, 4), 5: F(3, 4)}),
+        pos({4: F(5, 7), 6: F(2, 7)}),
+        pos({1: F(9, 29), 3: F(20, 29)}),
+    ]
+    for p in cases:
+        final, trace = solve(p)
+        want_final, want = fraction_solve(p)
+        assert _moves(trace) == _moves(want)
+        assert final == want_final
+    for c in FILLED:
+        del fills[:]
+        final, trace = solve(pos(c))
+        want_final, want = fraction_solve(pos(c))
+        assert fills and _moves(trace) == _moves(want) and final == want_final
 
 
 def test_is_winning():
