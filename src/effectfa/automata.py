@@ -8,13 +8,14 @@ built and validated once, when the automaton is constructed, and
 :func:`collapse` is the one output step: every evaluation here and in
 :mod:`effectfa.recognition` ends in it.  Every word value is one fold over
 one kernel (:func:`_kernel`): a start value, one step per letter, a read.
-``dist`` and ``weighted`` kernels run forward on the column kernels of
-:mod:`effectfa.linalg` (integer numerators for ``dist`` and rational weights,
-plain lists of weights for the boolean and user-declared semirings), whose
-read, through the output column, is the same collapse; on a linear machine
-:func:`eval_word` takes one step per block of letters instead, the blocks
-built by pairwise doubling.  The convex kernel runs backward, on integer
-numerators too (see below).  Min-plus and
+Linear kernels (``dist`` and rational weights) run backward on integer
+numerators: the output column times the letter rows, read against the
+initial row, which is the same collapse.  On a linear machine
+:func:`eval_word` folds the same rows forward instead, one step per block
+of letters, the blocks built by pairwise doubling.  The convex kernel runs
+backward, on integer numerators too (see below).  The other semirings run
+forward on the column kernels of :mod:`effectfa.linalg`, with plain lists
+of weights for the boolean and user-declared semirings.  Min-plus and
 max-plus kernels keep a vector as ``(config, offset)``: the vector shifted
 so that its optimum is 0, and that optimum.  Their step is remembered per
 configuration and letter, so a word whose configurations repeat is mostly
@@ -45,17 +46,17 @@ effect value itself, and for :func:`purify_initial`.
 
 Every word up to a length is evaluated as a tree by :func:`word_values`,
 which computes each word from its parent (the word one letter shorter:
-prefixes for forward kernels, suffixes for the backward one) by one step of
+prefixes for forward kernels, suffixes for backward ones) by one step of
 the same kernel as :func:`eval_word`.  :func:`disagreements` is what
 recognizer verification and bounded equivalence run.  It first checks the
 two machines by :func:`_equivalent`: one breadth-first closure over the
-pairs of values that one word reaches in both, cut at the length asked,
-which counts a pair as covered by those found before in the span (two
-linear machines, Tzeng's test), up to equivalence (two boolean machines,
-Hopcroft and Karp's) or by key (min-plus, max-plus and convex pairs).  Two
-machines are walked only if the closure finds a difference, or if they
-have no canonical configurations (a user-declared semiring, or a convex
-machine against a forward one).
+pairs of kernel values that one word reaches in both, cut at the length
+asked, which counts a pair as covered by those found before in the span
+(two linear machines, Tzeng's test), up to equivalence (two boolean
+machines, Hopcroft and Karp's) or by key (any other pair).  Two machines
+are walked only if the closure finds a difference, or if their pairs
+cannot be keyed (a user-declared semiring, or a backward kernel against a
+forward one).
 
 Deterministic automata are the ``dist`` case with Dirac channels and 0/1
 outputs; no separate type exists for them (:func:`is_pure_automaton`).
@@ -316,6 +317,12 @@ def _is_linear(monad: Monad) -> bool:
     )
 
 
+def _is_backward(monad: Monad) -> bool:
+    """Whether the :func:`_kernel` of this effect type runs backward: the
+    linear kernels and the convex DP."""
+    return monad.kind == "convex" or _is_linear(monad)
+
+
 def _is_boolean(monad: Monad) -> bool:
     """Whether values of this effect type are boolean vectors."""
     return monad.kind == "weighted" and monad.semiring.name == "boolean"
@@ -365,26 +372,12 @@ def _int_generators(values, states) -> tuple:
     return d, [_int_rows(group, index, d) for group in groups]
 
 
-def _linear_letters(a: EffAutomaton, letters) -> tuple:
-    """``(start, mats, radix, final)`` of a linear machine on integers: the
-    initial row and the output column as ``(numerators, den)``
-    (:func:`~effectfa.linalg._int_vector`), and per letter of ``letters``
-    its ``(d, columns)`` matrix, whose rows come straight from the letter
-    channel's table as integer weights (:func:`_int_rows`) over their LCM
-    ``d``.  ``radix`` is the LCM of the initial and letter denominators, as
-    :func:`~effectfa.linalg._int_step` takes it.  Each letter is looked up
-    once; an unknown one raises :class:`InputError`."""
-    index = {q: i for i, q in enumerate(a.states)}
-    mats = {}
-    for x in letters:
-        table = a.letter_channel(x).table
-        rows = [table[q].items() for q in a.states]
-        d = lcm(*(w.denominator for row in rows for _, w in row))
-        mats[x] = d, tuple(zip(*_int_rows(rows, index, d)))
-    start = _int_vector([a.init.weight(q) for q in a.states])
-    final = _int_vector([a.output[q] for q in a.states])
-    radix = lcm(start[1], *(d for d, _ in mats.values()))
-    return start, mats, radix, final
+def _letter_rows(a: EffAutomaton, table) -> tuple:
+    """``(d, rows)``: a letter's matrix on a linear machine, its rows the
+    letter channel's ``table`` as integer weights over their LCM ``d``."""
+    rows = [table[q].items() for q in a.states]
+    d = lcm(*(w.denominator for row in rows for _, w in row))
+    return d, _int_rows(rows, {q: i for i, q in enumerate(a.states)}, d)
 
 
 def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> tuple:
@@ -394,16 +387,19 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
     Each letter of ``letters`` is looked up once; an unknown one raises
     :class:`InputError`.
 
-    ``dist`` and ``weighted`` kernels run forward.  ``start`` is the initial
-    vector, ``step`` feeds it through a letter matrix and ``read`` collapses
-    it through the output map.  ``dist`` and rational ``weighted`` machines
-    run on integers: a vector is ``(numerators, den)`` in lowest terms,
-    ``step`` is one :func:`~effectfa.linalg._int_step` by the letter's
-    integer matrix (:func:`_linear_letters`), and only ``read`` builds a
-    `Fraction`.  The other semirings step on the semiring column kernel
-    (:func:`~effectfa.linalg._semiring_step`), and ``read`` is one more
-    step, through the output column.  Boolean and user-declared semirings
-    keep a vector as a plain list of weights.
+    ``dist`` and rational ``weighted`` kernels run backward, on integers: a
+    vector is ``(numerators, den)`` in lowest terms.  ``start`` is the
+    output column, ``step(v, x)`` is ``M_x v``, one
+    :func:`~effectfa.linalg._int_step` by the letter's integer rows
+    (:func:`_letter_rows`), converted the first time a step reads the
+    letter, and ``read``, the dot product with the initial row, is the only
+    place that builds a `Fraction`.
+
+    The other semirings run forward, on the semiring column kernel
+    (:func:`~effectfa.linalg._semiring_step`).  ``start`` is the initial
+    vector, ``step`` feeds it through a letter matrix and ``read`` is one
+    more step, through the output column.  Boolean and user-declared
+    semirings keep a vector as a plain list of weights.
 
     Min-plus and max-plus machines keep it as ``(config, offset)``, as in
     Mohri's determinisation (*Computational Linguistics* 23(2), 1997).
@@ -468,15 +464,27 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
 
         return start, step, read, True
     if _is_linear(a.monad):
-        start, mats, radix, final = _linear_letters(a, letters)
+        tables = {x: a.letter_channel(x).table for x in letters}
+        init = _int_vector([a.init.weight(q) for q in a.states])
+        start = _int_vector([a.output[q] for q in a.states])
+        rows = {}
+        # Every prime of a denominator met so far divides ``radix`` (see
+        # linalg._int_letters): a value's denominator comes from ``start``
+        # and the letters stepped, whose rows were converted before it.
+        radix = start[1]
 
         def step(v, x):
-            return _int_step(v[0], v[1], mats[x], radix)
+            nonlocal radix
+            m = rows.get(x)
+            if m is None:
+                m = rows[x] = _letter_rows(a, tables[x])
+                radix = lcm(radix, m[0])
+            return _int_step(v[0], v[1], m, radix)
 
         def read(v):
-            return _int_read(v, final)
+            return _int_read(init, v)
 
-        return start, step, read, False
+        return start, step, read, True
     init = tuple(a.init.weight(q) for q in a.states)
     final = tuple(a.output[q] for q in a.states)
     s = a.monad.semiring
@@ -527,12 +535,16 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
 
 def _fold(a: EffAutomaton, w, algebra: OutputAlgebra | None = None):
     """The value of ``w``: one fold of :func:`_kernel` over its letters, or
-    on a linear machine the blocked fold of
-    :func:`~effectfa.linalg._int_fold` over the same integer matrices."""
+    on a linear machine the forward blocked fold of
+    :func:`~effectfa.linalg._int_fold` over the columns of the kernel's
+    letter rows (:func:`_letter_rows`)."""
     if _is_linear(a.monad):
-        start, mats, radix, final = _linear_letters(a, dict.fromkeys(w))
+        rows = {x: _letter_rows(a, a.letter_channel(x).table) for x in dict.fromkeys(w)}
+        mats = {x: (d, tuple(zip(*r))) for x, (d, r) in rows.items()}
+        start = _int_vector([a.init.weight(q) for q in a.states])
+        radix = lcm(start[1], *(d for d, _ in mats.values()))
         (v,) = _int_fold([start], w, mats, radix)
-        return _int_read(v, final)
+        return _int_read(v, _int_vector([a.output[q] for q in a.states]))
     v, step, read, backward = _kernel(a, dict.fromkeys(w), algebra)
     for x in (reversed(w) if backward else w):
         v = step(v, x)
@@ -542,11 +554,12 @@ def _fold(a: EffAutomaton, w, algebra: OutputAlgebra | None = None):
 def eval_word(a: EffAutomaton, w):
     """The language value of ``w``: value fed letter by letter, then output.
 
-    One fold over :func:`_kernel`, shared with :func:`eval_npfa`.  ``dist``
-    and ``weighted`` values are the initial row times the letter matrices
-    times the output column, which is :func:`collapse` of the pushed-forward
-    value: exact integers over one denominator on linear machines, read in
-    blocks of letters built by pairwise doubling, one step per block
+    One fold over :func:`_kernel`, shared with :func:`eval_npfa`, or over
+    its letter rows on linear machines.  ``dist`` and ``weighted`` values
+    are the initial row times the letter matrices times the output column,
+    which is :func:`collapse` of the pushed-forward value: exact integers
+    over one denominator on linear machines, folded forward in blocks of
+    letters built by pairwise doubling, one step per block
     (:func:`~effectfa.linalg._int_fold`; a word whose blocks repeat takes
     far fewer steps than letters), ``(config, offset)`` on min-plus and
     max-plus machines, with a memoised
@@ -571,9 +584,9 @@ def word_values(
     previous length's intermediate results are kept.  Each value equals
     :func:`eval_word`'s and is computed by the same kernel: a word's kernel
     value is one step from its parent's.  The parent is the word without
-    its last letter for forward kernels (``dist`` and ``weighted``: shared
-    prefixes) and without its first letter for the backward one (the convex
-    DP: shared suffixes).  Each letter is looked up once per call, unless
+    its last letter for forward kernels (shared prefixes) and without its
+    first letter for backward ones (linear kernels and the convex DP: shared
+    suffixes).  Each letter is looked up once per call, unless
     ``kernel`` is ``a``'s :func:`_kernel` over ``alphabet`` already built
     (as :func:`disagreements` passes the one its closure stepped).  A
     min-plus or max-plus kernel's memoised step serves the whole tree, so
@@ -591,55 +604,6 @@ def word_values(
             parent, x = (w[1:], w[0]) if backward else (w[:-1], w[-1])
             level[w] = here = step(prev[parent], x)
             yield w, read(here)
-
-
-def _difference_kernel(a: EffAutomaton, b: EffAutomaton) -> tuple:
-    """``(init, start, step)`` of the backward integer kernel of the
-    difference machine of two linear machines, over ``a``'s alphabet.
-
-    ``init`` is the integer initial row ``(init_a, init_b)`` and ``start``
-    the final column ``(f_a, -f_b)`` as ``(numerators, den)``.
-    ``step(v, x)`` is ``M_x v`` in lowest terms, for the block-diagonal
-    letter matrix ``M_x``: each block's rows come straight from the letter
-    channel's table as integer weights (:func:`_int_rows`) over the LCM of
-    both blocks' denominators, and each block is applied to its own half of
-    ``v``, so no zero block is stored or multiplied.  A letter's blocks are
-    built the first time a step reads it, so a pair that differs on the
-    empty word converts no rows; each letter is looked up at once, so an
-    unknown one raises :class:`InputError` before anything is decided.
-    """
-    na = len(a.states)
-    indexes = [{q: i for i, q in enumerate(m.states)} for m in (a, b)]
-    channels = {x: (a.letter_channel(x), b.letter_channel(x)) for x in a.alphabet}
-    init, _ = _int_vector(
-        [a.init.weight(q) for q in a.states] + [b.init.weight(q) for q in b.states]
-    )
-    start = _int_vector([a.output[q] for q in a.states] + [-b.output[q] for q in b.states])
-    blocks = {}
-    # Every prime of a denominator met so far divides ``radix`` (see
-    # linalg._int_letters): a value's denominator comes from ``start`` and
-    # the letters stepped, whose blocks were built before it.
-    radix = start[1]
-
-    def block(x):
-        nonlocal radix
-        groups = [
-            [ch.table[q].items() for q in m.states] for m, ch in zip((a, b), channels[x])
-        ]
-        d = lcm(*(w.denominator for group in groups for row in group for _, w in row))
-        rows_a, rows_b = (_int_rows(g, i, d) for g, i in zip(groups, indexes))
-        radix = lcm(radix, d)
-        blocks[x] = d, rows_a, rows_b
-        return blocks[x]
-
-    def step(v, x):
-        (nums, den), (d, rows_a, rows_b) = v, blocks.get(x) or block(x)
-        head, tail = nums[:na], nums[na:]
-        out = [sum(map(mul, head, r)) for r in rows_a]
-        out += [sum(map(mul, tail, r)) for r in rows_b]
-        return _lowest_terms(out, den * d, radix)
-
-    return init, start, step
 
 
 def _kernels(a: EffAutomaton, b: EffAutomaton):
@@ -688,11 +652,6 @@ def _closure(start, step, known, agree, letters, maxlen) -> bool:
         depth += 1
 
 
-def _int_key(v) -> tuple:
-    """An integer kernel value ``(numerators, den)`` as a hashable key."""
-    return tuple(v[0]), v[1]
-
-
 # The builtin semirings whose kernel values are canonical as they stand.
 _KEYED_SEMIRINGS = ("rational", "boolean", "minplus", "maxplus")
 
@@ -701,8 +660,7 @@ def _pair_key(a: EffAutomaton, b: EffAutomaton):
     """The key of :func:`_equivalent`'s keyed closure: ``key(va, vb)`` of
     the two machines' :func:`_kernel` values reached by one word, equal for
     two pairs only if the pairs agree or differ alike on every extension of
-    the word (a suffix for forward kernels, a prefix for the backward convex
-    one).
+    the word (a suffix for forward kernels, a prefix for backward ones).
 
     A value keys as itself, because the kernel keeps it canonical: integer
     ``(numerators, den)`` in lowest terms on linear and convex machines,
@@ -715,14 +673,16 @@ def _pair_key(a: EffAutomaton, b: EffAutomaton):
     vectors by one constant shifts every later finite value by it.
 
     None for a user-declared semiring, whose weights may have no canonical
-    form, and for a convex machine against a forward one, whose kernels
-    extend a word at opposite ends.  :func:`_equivalent` asks only for pairs
-    that are not both linear or both boolean.
+    form, and for two kernels that run in opposite directions
+    (:func:`_is_backward`), which extend a word at opposite ends.
+    :func:`_equivalent` asks only for pairs that are not both linear or
+    both boolean.
     """
     for m in (a, b):
         if m.monad.kind == "weighted" and m.monad.semiring.name not in _KEYED_SEMIRINGS:
             return None
-    if (a.monad.kind == "convex") != (b.monad.kind == "convex"):
+    backward = _is_backward(a.monad)
+    if backward != _is_backward(b.monad):
         return None
     if a.monad == b.monad and _is_tropical(a.monad):
 
@@ -731,11 +691,24 @@ def _pair_key(a: EffAutomaton, b: EffAutomaton):
             return ca, cb, None if oa is None or ob is None else oa - ob
 
         return key
-    key_a, key_b = (
-        tuple if m.monad.kind == "weighted" and not _is_linear(m.monad) else _int_key
-        for m in (a, b)
-    )
-    return lambda va, vb: (key_a(va), key_b(vb))
+    if backward:  # integer ``(numerators, den)`` on both sides
+        return lambda va, vb: (tuple(va[0]), va[1], tuple(vb[0]), vb[1])
+    return lambda va, vb: (tuple(va), tuple(vb))
+
+
+def _span(width: int):
+    """The ``known`` of :func:`_closure` for Tzeng's test (1992): a pair of
+    integer vectors ``(xa, da), (xb, db)``, put on one denominator as
+    ``xa·db ++ xb·da``, is covered once it lies in the span of those found
+    so far (a :class:`~effectfa.linalg.RowSpace`), and added to it if not."""
+    space = RowSpace(width)
+
+    def known(pair):
+        (xa, da), (xb, db) = pair
+        nums = [y * db for y in xa] + [y * da for y in xb]
+        return space._place(nums, da * db) is not None
+
+    return known
 
 
 def _union_find():
@@ -762,48 +735,34 @@ def _union_find():
 
 def _equivalent(a: EffAutomaton, b: EffAutomaton, maxlen: int | None = None, kernels=None):
     """Whether ``a`` and ``b`` agree on every word over ``a``'s alphabet up
-    to ``maxlen``, or on every word without it, by one :func:`_closure`: the
-    one place that picks the congruence and the kernel from the two
+    to ``maxlen``, or on every word without it, by one :func:`_closure`
+    over the pairs of values that one word reaches on the two machines'
+    :func:`_kernels`: the one place that picks the congruence from the two
     machines' monads.
 
     * Two linear machines (``dist`` or rational, mixed allowed): Tzeng's
-      test (*SIAM J. Comput.* 21(2), 1992), run backward.  The elements are
-      the columns ``M(w) f`` of the difference machine, stepped on
-      :func:`_difference_kernel`; its value on ``w`` is ``a(w) - b(w)``, the
-      initial row times the column.  A column is covered if it lies in the
-      span of those found so far, kept in a
-      :class:`~effectfa.linalg.RowSpace`, and a zero column is covered from
-      the start; the span has dimension at most the states of both
-      machines.  Backward, because a recognizer machine
-      has many states but few independent futures.
-    * Two boolean machines: the pairs of vectors one word reaches, stepped
-      on both machines' kernels and covered up to equivalence
+      test (*SIAM J. Comput.* 21(2), 1992), run backward.  The pairs are
+      the columns ``(M_a(w) f_a, M_b(w) f_b)``, and a pair agrees if the
+      two initial rows read the same value from it.  A pair is covered if
+      it lies in the span of those found so far (:func:`_span`), of
+      dimension at most the states of both machines.  Backward, because a
+      recognizer machine has many states but few independent futures.
+    * Two boolean machines: covered up to equivalence
       (:func:`_union_find`), which merges at most once per reachable
       vector.
-    * Other pairs with a :func:`_pair_key` (min-plus, max-plus and convex
-      machines, and mixes of these with the other builtin effect types):
-      the same pairs, covered once their key was seen.  Min-plus and
-      max-plus equivalence is undecidable (Krob, 1994) and convex
-      equivalence is open, so these closures need not finish, and without
-      ``maxlen`` the answer is None.
+    * Any other pair with a :func:`_pair_key`: covered once its key was
+      seen.  Min-plus and max-plus equivalence is undecidable (Krob, 1994)
+      and convex equivalence is open, so these closures need not finish,
+      and without ``maxlen`` the answer is None.
 
-    None, too, for a user-declared semiring and for a convex machine
-    against a forward one.  ``kernels`` is the caller's :func:`_kernels`,
-    to share with its walk.  A letter of ``a``'s alphabet that ``b`` lacks
+    None, too, for a user-declared semiring and for two kernels that run in
+    opposite directions.  ``kernels`` is the caller's :func:`_kernels`, to
+    share with its walk.  A letter of ``a``'s alphabet that ``b`` lacks
     raises :class:`InputError` once the closure builds ``b``'s kernel.
     """
     if _is_linear(a.monad) and _is_linear(b.monad):
-        init, start, step = _difference_kernel(a, b)
-        space = RowSpace(len(a.states) + len(b.states))
-        return _closure(
-            start,
-            step,
-            lambda v: space._place(*v) is not None,
-            lambda v: not sum(map(mul, init, v[0])),
-            a.alphabet,
-            maxlen,
-        )
-    if _is_boolean(a.monad) and _is_boolean(b.monad):
+        known = _span(len(a.states) + len(b.states))
+    elif _is_boolean(a.monad) and _is_boolean(b.monad):
         known = _union_find()
     else:
         key = None if maxlen is None else _pair_key(a, b)
@@ -842,12 +801,12 @@ def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     differ, at most a walk's to their shortest difference (none if they
     differ on the empty word, which the closure checks first).  If it finds
     no difference, nothing is walked.  Otherwise, and always for a
-    user-declared semiring and for a convex machine against a forward one,
-    both machines are walked along the word tree by :func:`word_values`, on
-    the kernels the closure built, so that every difference is listed; the
-    walk stops as soon as the caller stops asking.  A letter of ``a``'s
-    alphabet that ``b`` lacks
-    raises :class:`InputError` at the first request.
+    user-declared semiring and for two kernels that run in opposite
+    directions, both machines are walked along the word tree by
+    :func:`word_values`, on the kernels the closure built, so that every
+    difference is listed; the walk stops as soon as the caller stops
+    asking.  A letter of ``a``'s alphabet that ``b`` lacks raises
+    :class:`InputError` at the first request.
     """
     kernels = _kernels(a, b)
     # The closure checks the empty word before its first step, so a pair

@@ -34,12 +34,14 @@ the columns.  There are two arithmetics:
 
 Both steps serve the word-tree walk of
 :func:`effectfa.automata.word_values` and the pair closures, one letter at
-a time, since they need every prefix; the semiring step serves
-:func:`effectfa.automata.eval_word` too.  The closure that checks two linear
-machines for equivalence (:func:`effectfa.automata._equivalent`) steps the
-columns of their difference machine backward, one block per machine,
-reduces them with the same :func:`_lowest_terms`, and covers them by their
-span in a :class:`RowSpace`.
+a time, since they need every word; the semiring step serves
+:func:`effectfa.automata.eval_word` too.  The integer step also runs
+backward: given a letter's rows instead of its columns, it computes
+``M_x v``, which is how the linear kernels of
+:func:`effectfa.automata._kernel` step an output column.  The closure that
+checks two linear machines for equivalence
+(:func:`effectfa.automata._equivalent`) covers the pairs of columns they
+reach by their span in a :class:`RowSpace`.
 
 :class:`RowSpace` eliminates on integers too.  Its echelon rows are
 primitive integer vectors, a vector is reduced against a row by integer
@@ -160,7 +162,8 @@ def _int_step(nums, den, matrix, radix) -> tuple:
 
     ``matrix`` is ``(d, columns)`` from :func:`_int_matrix`; the result is
     ``(numerators, den)`` in lowest terms (:func:`_lowest_terms`), provided
-    every prime of ``den`` and of ``d`` divides ``radix``.
+    every prime of ``den`` and of ``d`` divides ``radix``.  Given
+    ``(d, rows)`` instead, it is the matrix times the column ``nums / den``.
     """
     d, cols = matrix
     return _lowest_terms([sum(map(mul, nums, col)) for col in cols], den * d, radix)

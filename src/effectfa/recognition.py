@@ -51,7 +51,6 @@ from functools import cached_property
 from itertools import product as _iterproduct
 
 from .automata import (
-    INTERVAL_PAIR,
     EffAutomaton,
     OutputAlgebra,
     _check_outputs,
@@ -79,7 +78,6 @@ from .effects import (
 )
 from .errors import (
     CapabilityError,
-    InputError,
     IntegrityError,
     InterfaceError,
     ResourceError,
@@ -205,12 +203,10 @@ class BialgRecognizer:
         )
 
     def evaluate(self, w):
-        ch = identity_channel(self.monad, self.states)
-        for a in w:
-            if a not in self.letters:
-                raise InputError(f"letter {a!r} is not in the alphabet")
-            ch = kleisli_compose(ch, self.letters[a])
-        return self.predicate(ch)
+        """The recognized value of ``w``: ``init`` fed through the letter
+        channels and collapsed by ``output``, read off the machine on the
+        states by :func:`~effectfa.automata.eval_word`."""
+        return eval_word(self._machine, w)
 
 
 def _graph_channel(monad: Monad, carrier: tuple, f) -> Channel:
@@ -239,12 +235,10 @@ def witness_xi0(monad: Monad, carrier: tuple):
 
 
 def _generated_witness(a: EffAutomaton):
-    """The letter preimages, the monoid their supports generate, and each
-    element's channel."""
+    """The letter preimages and the monoid their supports generate."""
     letters = {x: xi_preimage(a.letter_channel(x)) for x in a.alphabet}
     # Graphs in order of first appearance, so the element order is reproducible.
-    m = generated_monoid(a.states, _supports(letters.values()))
-    return letters, m, {f: _graph_channel(a.monad, a.states, f) for f in m.elements}
+    return letters, generated_monoid(a.states, _supports(letters.values()))
 
 
 def xi_preimage(target: Channel):
@@ -306,11 +300,14 @@ def automaton_to_recognizer(a: EffAutomaton) -> EffRecognizer:
     """
     if not is_pure(a.init):
         a = purify_initial(a)
-    letters, m, images = _generated_witness(a)
-    # Predicate values are stored like outputs: raw (low, high) pairs if convex.
+    letters, m = _generated_witness(a)
+    # An element's value is the output of the state its graph sends the
+    # start to, or the semiring zero where a partial (weighted) graph is
+    # undefined there.  Predicate values are stored like outputs: raw
+    # (low, high) pairs if convex.
+    i = a.states.index(a.init_pure_state())
     predicate = {
-        f: collapse(a.monad, INTERVAL_PAIR, bind(a.init, images[f]), a.output)
-        for f in m.elements
+        f: a.monad.semiring.zero if f[i] is None else a.output[f[i]] for f in m.elements
     }
     morphism = EffMorphism(target=m, monad=a.monad, alphabet=a.alphabet, letters=letters)
     return EffRecognizer(
@@ -352,13 +349,13 @@ def automaton_to_bialgebra(a: EffAutomaton) -> BialgRecognizer:
     letters generate (the monoid of :func:`automaton_to_recognizer`)."""
     if not is_pure(a.init):
         a = purify_initial(a)
-    _, m, images = _generated_witness(a)
+    _, m = _generated_witness(a)
     return BialgRecognizer(
         monad=a.monad,
         states=a.states,
         alphabet=a.alphabet,
         generators=m.elements,
-        images=images,
+        images={f: _graph_channel(a.monad, a.states, f) for f in m.elements},
         letters={x: a.letter_channel(x) for x in a.alphabet},
         init=a.init,
         output=dict(a.output),
@@ -487,16 +484,15 @@ def verify_recognition(a: EffAutomaton, r, maxlen: int) -> list:
 
     The machines are first checked by one breadth-first closure over what
     each word reaches in both, cut at ``maxlen`` and taking at most the
-    kernel steps of a walk that far: columns of the difference machine
-    covered by their span for ``dist`` and rational machines (Tzeng's
-    test), pairs of boolean vectors covered by union-find for boolean ones
-    (Hopcroft–Karp), and pairs of configurations covered by key for
-    min-plus, max-plus and convex ones.  If the closure finds no
-    difference, nothing is walked.  Otherwise, and always for a
-    user-declared semiring, both are walked along the word tree on
-    :func:`~effectfa.automata.eval_word`'s kernels: integer vectors for
-    ``dist`` and rational weights, the backward generator DP for convex
-    machines (equal to the forward hull's interval, see
+    kernel steps of a walk that far: pairs of integer columns covered by
+    their span for ``dist`` and rational machines (Tzeng's test), pairs of
+    boolean vectors covered by union-find for boolean ones (Hopcroft–Karp),
+    and pairs of configurations covered by key for min-plus, max-plus and
+    convex ones.  If the closure finds no difference, nothing is walked.
+    Otherwise, and always for a user-declared semiring, both are walked
+    along the word tree on the same kernels: integer columns stepped
+    backward for ``dist`` and rational weights, the backward generator DP
+    for convex machines (equal to the forward hull's interval, see
     :mod:`effectfa.automata`).  Returns ``(word, automaton_value,
     recognizer_value)`` triples for each disagreement, in
     :func:`~effectfa.automata.words_upto` order; an empty list certifies

@@ -55,7 +55,6 @@ from effectfa import (
     words_upto,
 )
 from effectfa.automata import (
-    _difference_kernel,
     _equivalent,
     _int_rows,
     _is_linear,
@@ -796,16 +795,26 @@ def test_disagreements_come_in_words_upto_order():
 def test_a_difference_on_the_empty_word_takes_no_closure_step(monkeypatch):
     from effectfa import automata
 
+    # The walk steps the kernels the closure built, so only the steps taken
+    # inside ``_equivalent`` are counted, each as the pair it decides.
     steps = []
+    deciding = []
 
-    def recording(a, b):
-        init, start, step = _difference_kernel(a, b)
+    def recording(m, letters, algebra=None):
+        start, step, read, backward = _kernel(m, letters, algebra)
 
         def counted(v, x):
-            steps.append((a, b))
+            steps.extend(deciding)
             return step(v, x)
 
-        return init, start, counted
+        return start, counted, read, backward
+
+    def equivalent(a, b, *args):
+        deciding.append((a, b))
+        try:
+            return _equivalent(a, b, *args)
+        finally:
+            deciding.clear()
 
     coin = coin_pfa()
     later = replace(
@@ -825,7 +834,8 @@ def test_a_difference_on_the_empty_word_takes_no_closure_step(monkeypatch):
         ]
         for a, b in pairs
     ]
-    monkeypatch.setattr(automata, "_difference_kernel", recording)
+    monkeypatch.setattr(automata, "_kernel", recording)
+    monkeypatch.setattr(automata, "_equivalent", equivalent)
     for (a, b), want in zip(pairs[:2], expected):
         got = list(disagreements(a, b, 3))
         assert got == want and got[0][0] == ()
@@ -835,7 +845,7 @@ def test_a_difference_on_the_empty_word_takes_no_closure_step(monkeypatch):
     assert steps and all(pair == (coin, later) for pair in steps)
 
 
-def test_the_difference_kernel_converts_a_letter_when_a_step_reads_it(monkeypatch):
+def test_the_linear_kernel_converts_a_letter_when_a_step_reads_it(monkeypatch):
     from effectfa import automata
 
     converted = []
@@ -863,8 +873,8 @@ def test_the_difference_kernel_converts_a_letter_when_a_step_reads_it(monkeypatc
     monkeypatch.setattr(automata, "_int_rows", counting)
     assert _equivalent(two, at_eps, 3) is False
     assert converted == []
-    # The first step reads a and differs, so b is never converted: one
-    # block of two rows per machine.
+    # The first step reads a and differs, so b is never converted: two
+    # rows per machine.
     assert _equivalent(two, at_a, 3) is False
     assert converted == [2, 2]
     monkeypatch.undo()
@@ -1483,13 +1493,13 @@ def _walk_step_count(letters, maxlen):
 
 def _counting_kernels(monkeypatch):
     """Count the steps of every kernel built from here on: one counter per
-    :func:`_kernel` (one per machine) and per :func:`_difference_kernel`,
-    appended to the list returned."""
+    :func:`_kernel` (one per machine), appended to the list returned."""
     from effectfa import automata
 
     steps = []
 
-    def counted(step):
+    def counting_kernel(m, letters, algebra=None):
+        start, step, read, backward = _kernel(m, letters, algebra)
         count = [0]
         steps.append(count)
 
@@ -1497,17 +1507,8 @@ def _counting_kernels(monkeypatch):
             count[0] += 1
             return step(v, x)
 
-        return counting
+        return start, counting, read, backward
 
-    def counting_difference_kernel(a, b):
-        init, start, step = _difference_kernel(a, b)
-        return init, start, counted(step)
-
-    def counting_kernel(m, letters, algebra=None):
-        start, step, read, backward = _kernel(m, letters, algebra)
-        return start, counted(step), read, backward
-
-    monkeypatch.setattr(automata, "_difference_kernel", counting_difference_kernel)
     monkeypatch.setattr(automata, "_kernel", counting_kernel)
     return steps
 
@@ -1516,7 +1517,7 @@ def test_the_exact_search_takes_at_most_the_walk_steps(monkeypatch):
     for a, b in _decision_pairs(924):
         linear = _is_linear(a.monad)
         # Without a length, the closure ends by itself: Tzeng's basis holds
-        # at most one column per state, Hopcroft-Karp merges at most once
+        # at most one pair per state, Hopcroft-Karp merges at most once
         # per reachable boolean vector.
         if linear:
             cap = len(a.alphabet) * (len(a.states) + len(b.states))
@@ -1526,8 +1527,7 @@ def test_the_exact_search_takes_at_most_the_walk_steps(monkeypatch):
             steps = _counting_kernels(monkeypatch)
             got = _equivalent(a, b, maxlen)
             monkeypatch.undo()
-            # one difference kernel, or one kernel per machine
-            assert len(steps) == (1 if linear else 2)
+            assert len(steps) == 2  # one kernel per machine
             bound = cap if maxlen is None else _walk_step_count(len(a.alphabet), maxlen)
             assert all(count <= bound for count, in steps)
             if maxlen is None:
@@ -1552,8 +1552,8 @@ def test_the_closure_is_cut_at_maxlen():
 
 
 def test_a_zero_difference_column_takes_no_step(monkeypatch):
-    # All outputs zero: the start column of the difference machine is zero,
-    # so it spans nothing and the closure ends before its first step.
+    # All outputs zero: both output columns are zero, so the start pair
+    # spans nothing and the closure ends before its first step.
     rng = random.Random(928)
     a, b = rand_pfa(rng, 3, 2), rand_wfa(rng, "rational", 2, 2)
     a = replace(a, output=dict.fromkeys(a.states, F(0)))
@@ -1562,7 +1562,7 @@ def test_a_zero_difference_column_takes_no_step(monkeypatch):
         steps = _counting_kernels(monkeypatch)
         assert _equivalent(a, b, maxlen) is True
         monkeypatch.undo()
-        assert steps == [[0]]
+        assert steps == [[0], [0]]
 
 
 def _only_letter_a(a):
@@ -1745,6 +1745,8 @@ def test_the_walk_after_a_search_or_decision_reuses_its_kernels(monkeypatch):
     a = rand_npfa(rng, 2, 2, 2)
     pairs = [(a, _perturbed(rng, a, lambda: ConvexSet([rand_dist(rng, a.states)])))]
     pairs.append((_rotor(True), _rotor(False)))
+    coin = coin_pfa()
+    pairs.append((coin, replace(coin, output={"q0": F(0), "q1": F(1, 2)})))
     for a, b in pairs:
         want = _walked_differences(a, b, 4)
         assert want
@@ -1753,6 +1755,41 @@ def test_the_walk_after_a_search_or_decision_reuses_its_kernels(monkeypatch):
         assert list(disagreements(a, b, 4)) == want
         monkeypatch.undo()
         assert built == [a, b]
+
+
+def _convex_copy(a):
+    """The linear machine ``a`` as a convex one of single generators, read
+    at its maximum: the same language."""
+    return EffAutomaton(
+        monad=CONVEX,
+        states=a.states,
+        alphabet=a.alphabet,
+        init=ConvexSet([a.init]),
+        trans={k: ConvexSet([v]) for k, v in a.trans.items()},
+        output={q: convex_output(v) for q, v in a.output.items()},
+        output_algebra=INTERVAL_MAX,
+    )
+
+
+def test_a_linear_pair_key_needs_a_backward_kernel_on_both_sides():
+    # Linear and convex kernels both extend a word at its front, so their
+    # pairs are keyed; min-plus and boolean kernels extend it at its end.
+    rng = random.Random(947)
+    linear = rand_pfa(rng, 2, 2)
+    convex = replace(rand_npfa(rng, 2, 2, 2), output_algebra=INTERVAL_MAX)
+    copy = _convex_copy(linear)
+    forward = [rand_wfa(rng, name, 2, 2) for name in ("minplus", "boolean")]
+    for a, b in [(linear, convex), (convex, linear), (linear, copy)]:
+        assert _pair_key(a, b) is not None
+    for m in forward:
+        assert _pair_key(linear, m) is None
+        assert _pair_key(m, linear) is None
+    assert _equivalent(linear, copy, 6) is True
+    assert list(disagreements(linear, copy, 6)) == []
+    for a, b in [(linear, convex), (convex, linear)] + [(linear, m) for m in forward]:
+        want = _walked_differences(a, b, 3)
+        assert want
+        assert list(disagreements(a, b, 3)) == want
 
 
 @pytest.mark.parametrize("name", ["minplus", "maxplus"])

@@ -884,6 +884,66 @@ def test_bialgebra_evaluate_rejects_unknown_letters():
     assert r.evaluate(("a", "a")) == eval_word(coin_pfa(), ("a", "a"))
 
 
+def _composed(r, w):
+    ch = identity_channel(r.monad, r.states)
+    for x in w:
+        ch = kleisli_compose(ch, r.letters[x])
+    return ch
+
+
+def test_bialgebra_evaluate_composes_no_channels(monkeypatch):
+    from conftest import rand_npfa
+    from effectfa import automata, effects
+
+    rng = random.Random(31)
+    machines = [rand_pfa(rng, 3, 2, pure_init=False), rand_wfa(rng, "rational", 3, 2)]
+    machines += [choice_npfa(), rand_npfa(rng, 3, 2, 3)]
+    cases = []
+    for a in machines:
+        r = automaton_to_bialgebra(a)
+        words = list(words_upto(a.alphabet, 3)) + [a.alphabet * (8 // len(a.alphabet))]
+        # The value of the composed letter channels, taken before the patch.
+        want = [r.predicate(_composed(r, w)) for w in words]
+        cases.append((r, words, want))
+
+    def forbidden(*args):
+        raise AssertionError("evaluate must not compose letter channels")
+
+    for module in (effects, automata, recognition):
+        monkeypatch.setattr(module, "kleisli_compose", forbidden)
+    for r, words, want in cases:
+        assert [r.evaluate(w) for w in words] == want
+        with pytest.raises(InputError):
+            r.evaluate(("a", "z"))
+
+
+def test_monoid_predicate_is_the_collapse_of_each_graph():
+    # The predicate is read off each graph; the oracle pushes the start
+    # through the graph's channel and collapses it.
+    from conftest import rand_npfa
+
+    rng = random.Random(37)
+    machines = [coin_pfa(), choice_npfa(), minplus_walk()]
+    for n in (1, 2, 3):
+        machines.append(rand_pfa(rng, n, 2, pure_init=n != 2))
+        machines += [rand_wfa(rng, name, n, 2) for name in ("rational", "boolean")]
+        machines += [rand_wfa(rng, name, n, 2) for name in ("minplus", "maxplus")]
+        machines.append(rand_npfa(rng, n, 2, 2, pure_init=n != 2))
+    for a in machines:
+        rec = automaton_to_recognizer(a)
+        b = a if is_pure(a.init) else purify_initial(a)
+        want = {
+            f: collapse(
+                b.monad,
+                INTERVAL_PAIR,
+                bind(b.init, recognition._graph_channel(b.monad, b.states, f)),
+                b.output,
+            )
+            for f in rec.morphism.target.elements
+        }
+        assert list(rec.predicate.items()) == list(want.items())
+
+
 def test_function_monoid_over_the_bound_fails_before_it_is_built(monkeypatch):
     # The letters generate all 5**5 = 3125 maps, over the bound of 1000: the
     # closure stops at 1001, and the whole function monoid is never built.
