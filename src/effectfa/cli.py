@@ -30,9 +30,9 @@ and each distinct generator distribution built once and shared by the
 entries that repeat it.  A malformed file raises :class:`ParseError`, with
 the line number when the fault is on a line.
 
-Words are dot-separated letters with ``eps`` for the empty word; formal
-combinations are written ``1/3*eps + 2/3*a.a`` and game positions
-``1/3*0 + 2/3*2``.
+Words are dot-separated letters with ``eps`` for the empty word, so no
+letter of a file is ``eps`` or holds a ``.``; formal combinations are
+written ``1/3*eps + 2/3*a.a`` and game positions ``1/3*0 + 2/3*2``.
 
 Every number is printed as exact rational text; ``--decimal K`` switches a
 report to K-digit decimal rendering for human reading.  Exit status 0 means
@@ -72,7 +72,7 @@ from .effects import (
     WeightedVec,
     weighted,
 )
-from .errors import EffectfaError, ParseError
+from .errors import EffectfaError, InterfaceError, ParseError
 from .exactnum import _NATURAL_RE, parse_rational
 from .monoids import (
     EffMorphism,
@@ -195,6 +195,23 @@ def _distinct(tokens, what) -> tuple:
     if len(set(tokens)) != len(tokens):
         raise ParseError(f"repeated {what}")
     return tuple(tokens)
+
+
+def _spellable(letters, error):
+    """``letters``, if a word can spell each one: words join letters with
+    ``.`` and write ``eps`` for the empty word.  Otherwise raises ``error``."""
+    for x in letters:
+        if x == "eps" or "." in x:
+            raise error(
+                f"letter {x!r} cannot be written in a word "
+                "(words join letters with '.' and write eps for the empty word)"
+            )
+    return letters
+
+
+def _alphabet(tokens) -> tuple:
+    """The letters of an ``alphabet`` line: distinct, and each one spellable."""
+    return _distinct(_spellable(tokens, ParseError), "letter")
 
 
 def _entries(tokens, names, what, parse, seen, combine=None) -> dict:
@@ -352,7 +369,7 @@ def parse_automaton(text: str) -> EffAutomaton:
     sections = _sections(text)
     _known(sections, ("monad", "alphabet", "states", "init", "trans", "output"))
     monad, algebra = _line(sections, "monad", _parse_monad_line)
-    alphabet = _line(sections, "alphabet", _distinct, "letter")
+    alphabet = _line(sections, "alphabet", _alphabet)
     states = _line(sections, "states", _distinct, "state")
     keys = ((states, "state"), (alphabet, "letter"))
     values = _Values(monad, states, "state")
@@ -405,7 +422,7 @@ def print_automaton(a: EffAutomaton) -> str:
     """Render an automaton in the file format (a fixpoint of the parser)."""
     lines = [
         _fmt_monad_line(a.monad, a.output_algebra),
-        ("alphabet " + " ".join(a.alphabet)).rstrip(),
+        ("alphabet " + " ".join(_spellable(a.alphabet, InterfaceError))).rstrip(),
         ("states " + " ".join(str(q) for q in a.states)).rstrip(),
         ("init " + _fmt_effect(a.init, a.states, a.monad)).rstrip(),
     ]
@@ -526,7 +543,7 @@ def _parse_monoid_recognizer(sections) -> EffRecognizer:
     heads = ("monad", "alphabet", "monoid", "unit", "hom", "pred")
     _known(sections, heads + form_heads)
     monad, algebra = _line(sections, "monad", _parse_monad_line)
-    alphabet = _line(sections, "alphabet", _distinct, "letter")
+    alphabet = _line(sections, "alphabet", _alphabet)
     elements = _line(sections, "monoid", _distinct, "monoid element")
     unit_name = _line(sections, "unit", _parse_unit, elements)
     keys = ((alphabet, "letter"),)
@@ -557,7 +574,7 @@ def print_recognizer(r: EffRecognizer) -> str:
     names = {x: m.name(x) for x in m.elements}
     lines = [
         _fmt_monad_line(monad, r.output_algebra),
-        "alphabet " + " ".join(r.morphism.alphabet),
+        "alphabet " + " ".join(_spellable(r.morphism.alphabet, InterfaceError)),
     ]
     if m.carrier is not None:
         lines.append(("states " + " ".join(str(q) for q in m.carrier)).rstrip())
@@ -595,7 +612,7 @@ def _parse_bialgebra(sections) -> BialgRecognizer:
         ("monad", "alphabet", "states", "gens", "image", "hom", "init", "output"),
     )
     monad, algebra = _line(sections, "monad", _parse_monad_line)
-    alphabet = _line(sections, "alphabet", _distinct, "letter")
+    alphabet = _line(sections, "alphabet", _alphabet)
     states = _line(sections, "states", _distinct, "state")
     gens = _line(sections, "gens", _distinct, "generator")
     values = _Values(monad, states, "state")
@@ -626,7 +643,7 @@ def print_bialgebra(r: BialgRecognizer) -> str:
     gen_names = {g: _generator_name(g, index) for g in r.generators}
     lines = [
         _fmt_monad_line(r.monad, r.output_algebra),
-        "alphabet " + " ".join(r.alphabet),
+        "alphabet " + " ".join(_spellable(r.alphabet, InterfaceError)),
         "states " + " ".join(str(q) for q in r.states),
         "gens " + " ".join(gen_names[g] for g in r.generators),
     ]

@@ -23,8 +23,8 @@ Internally positions are plain exponent-to-mass dicts; the :class:`Position`
 wrapper validates and freezes them at the API boundary.  Once the support
 is hole-free, :func:`solve` and :func:`sweep` hold it as a *window*: one
 integer numerator per exponent from the lowest on, over one denominator.
-Passes, fill steps and the tests between them run on those integers, and
-the window is written back into ``Fraction`` masses once, at the end.
+Balancing, passes, fill steps and the tests between them run on those
+integers, and the window is written back into ``Fraction`` masses once.
 """
 
 from __future__ import annotations
@@ -311,34 +311,34 @@ def sweep(p: Position):
     return _wrap(_cells(lo, x, den)), trace
 
 
-def _balance_fast(c: dict, trace: list):
-    """Lift small transit coefficients by splitting off richer right neighbours.
+def _balance(x: list, lo: int, den: int, trace: list) -> int:
+    """Lift small transit coefficients of a window; returns its denominator.
 
-    Patching a wide gap leaves a steeply decaying coefficient ladder behind,
-    and every later merge pass is throttled by its smallest rung.  Splitting
-    a quarter off the right neighbour of any coefficient below half that
-    neighbour costs a handful of moves and raises the throttle by orders of
-    magnitude; quartering keeps every amount in the dyadic lattice of the
-    input, so coefficient denominators stay small.  The round cap is a
-    safety valve only: balancing is an optimisation, never needed for
-    correctness.
+    Patching a wide gap leaves a steep coefficient ladder behind, and every
+    later merge pass is throttled by its smallest rung.  Splitting a quarter
+    off the right neighbour of any coefficient below half that neighbour
+    costs a handful of moves and raises the throttle by orders of magnitude.
+    A split at ``lo + i`` moves ``x[i+1]/4``, once the window is scaled by
+    ``4 // gcd(4, x[i+1])`` as :func:`_pass` doubles it for an odd top; no
+    cell empties, so the window stays ``[lo, hi]``.  The round cap is a
+    safety valve: balancing is never needed for correctness.
     """
-    supp = sorted(c)
-    if len(supp) <= 2:
-        return
-    lo, hi = supp[0], supp[-1]
     for _ in range(64):
-        changed = False
-        for m in range(hi - 2, lo, -1):
-            r0 = c.get(m, _F0)
-            r1 = c.get(m + 1, _F0)
-            if 2 * r0 < r1:
-                mu = _checked(r1 / 4)
-                _split_fast(c, m, mu)
-                trace.append(Move._of_checked(m, mu, "split"))
-                changed = True
-        if not changed:
-            return
+        made = len(trace)
+        for i in range(len(x) - 3, 0, -1):
+            if 2 * x[i] < x[i + 1]:
+                if x[i + 1] % 4:
+                    s = 4 // gcd(4, x[i + 1])
+                    x[:] = [s * v for v in x]
+                    den *= s
+                l = x[i + 1] // 4
+                trace.append(Move._of_checked(lo + i, _amount(l, den), "split"))
+                x[i] += l
+                x[i + 1] -= 3 * l
+                x[i + 2] += 2 * l
+        if len(trace) == made:
+            break
+    return _reduce(x, den)
 
 
 def _log2_floor(n: int, d: int) -> int:
@@ -405,11 +405,10 @@ def solve(p: Position):
 
     A position supported on exactly {n, n+2} is won by a single merge, since
     the amount min(p(n), p(n+2)/2) zeroes at least one end.  Otherwise the
-    support is spread hole-free, its coefficient ladder balanced, and then,
-    held as a window, shrunk by right-to-left merge passes.  Each pass takes
-    the largest amount every transit coefficient affords, so coefficients
-    next to the ends grow, and only the ends can empty, so the support
-    stays hole-free without re-spreading.
+    support is spread hole-free, held as a window, its ladder balanced, and
+    shrunk by right-to-left merge passes.  Each pass takes the largest
+    amount every transit coefficient affords, so only the ends can empty and
+    the support stays hole-free without re-spreading.
 
     A pass moves at most the smallest of ``c[lo..hi-1]``, the rung, so an
     end needs about ``R = max(c[lo], c[hi]/2) / rung`` passes of ``hi-lo-1``
@@ -423,11 +422,12 @@ def solve(p: Position):
 
     The multiple 4 comes from the benchmark's game pool (seed 1): in moves,
     a fill and the passes after it beat the passes alone once ``R`` exceeds
-    about ``2*(hi-lo)``.  A fill move costs 3.3 us and a pass move 1.0 us (a
-    2-CPU VM, CPython 3.11); a solve takes 265 us per position with multiple
-    2, 4 or 8, whose longest traces there have 469, 484 and 848 moves, and
-    any multiple but 4 changes the traces.  Filling each support at most
-    once keeps the loop finite: the passes after it still empty an end.
+    about ``2*(hi-lo)``.  A fill move costs 3.3 us, a balance split 2.8 us
+    and a pass move 1.0 us (a 2-CPU VM, CPython 3.11); a solve takes 175 to
+    200 us per position with multiple 2, 4 or 8, whose longest traces there
+    have 469, 484 and 848 moves, and any multiple but 4 changes the traces.
+    Filling each support at most once keeps the loop finite: the passes
+    after it still empty an end.
     """
     c = dict(p._c)
     trace = []
@@ -437,8 +437,8 @@ def solve(p: Position):
         _merge_fast(c, supp[0], lam)
         trace.append(Move._of_checked(supp[0], lam, "merge"))
     _spread_fast(c, trace)
-    _balance_fast(c, trace)
     lo, x, den = _window(c)
+    den = _balance(x, lo, den, trace)
     filled = None
     while len(x) > 2:
         hi = lo + len(x) - 1

@@ -223,6 +223,37 @@ def test_fill_keeps_mass_and_value_and_fills_the_interior():
         assert _replay(p, trace) == q
 
 
+def test_balance_keeps_mass_and_value_and_the_window():
+    rng = random.Random(1039)
+    scaled = 0
+    for _ in range(100):
+        lo = rng.randint(0, 5)
+        hi = lo + rng.randint(3, 9)
+        # Odd numerators on a steep ladder: quartering a rung needs the
+        # window scaled by 4 first.
+        ws = [F(rng.randrange(1, 64, 2), 4 ** rng.randint(0, 12)) for _ in range(lo, hi + 1)]
+        p = pos({n: w / sum(ws) for n, w in zip(range(lo, hi + 1), ws)})
+        _, x, den = convexgame._window(dict(p.items()))
+        start, trace = den, []
+        den = convexgame._balance(x, lo, den, trace)
+        c = convexgame._cells(lo, x, den)
+        q = pos(c)  # checks that the mass is still 1
+        assert sorted(c) == list(range(lo, hi + 1))
+        assert expected_value(q) == expected_value(p)
+        # Balanced on return, so the 64-round cap did not end the loop; a
+        # round is a run of splits whose indices fall.
+        assert all(2 * x[i] >= x[i + 1] for i in range(1, len(x) - 2))
+        rounds = 1 + sum(b.index >= a.index for a, b in zip(trace, trace[1:]))
+        assert rounds < 64
+        r = p
+        for m in trace:  # each move splits a quarter off its right neighbour
+            assert m.direction == "split" and m.lam == r.weight(m.index + 1) / 4
+            r = apply_rule(r, m)
+        assert r == q
+        scaled += any(start % m.lam.denominator for m in trace)
+    assert scaled  # some window was scaled before a split
+
+
 def _positions(rng, count, wide):
     """Up to 6 points in 0..8 (criterion 9), or with ``wide`` up to 6 points
     in a window of 10 exponents anywhere in 0..16."""
@@ -237,22 +268,25 @@ def test_solver_moves_are_those_construction_builds(monkeypatch):
     # The solver builds its moves with Move._of_checked; each must equal the
     # move construction builds from its fields, with a Fraction amount.  No
     # merge pass may leave a negative cell or empty an interior one, no fill
-    # step may empty any cell of its window, and no position returned may
-    # store a zero mass.  Sweeping a wide window alone can take 10^5 moves
-    # and more, so fewer wide positions are swept than solved.
-    calls = {"_pass": 0, "_fill": 0}
+    # step or balance may empty any cell of its window, no step may change
+    # the window's width, and no position returned may store a zero mass.
+    # Sweeping a wide window alone can take 10^5 moves and more, so fewer
+    # wide positions are swept than solved.
+    made = {"_pass": 0, "_fill": 0, "_balance": 0}  # moves per step
 
     def no_dry_cell(name, step):
         def checked(x, *args):
+            width, trace = len(x), args[-1]
+            before = len(trace)
             out = step(x, *args)
-            calls[name] += 1
-            assert min(x) >= 0 and all(x[1:-1])
+            made[name] += len(trace) - before
+            assert min(x) >= 0 and all(x[1:-1]) and len(x) == width
             assert name == "_pass" or all(x)
             return out
 
         return checked
 
-    for name in calls:
+    for name in made:
         monkeypatch.setattr(convexgame, name, no_dry_cell(name, getattr(convexgame, name)))
 
     def check(p, final, moves):
@@ -267,8 +301,8 @@ def test_solver_moves_are_those_construction_builds(monkeypatch):
     wide = list(_positions(rng, 50, wide=True))
     for p in narrow + wide:
         check(p, *solve(p))
-    solved = dict(calls)
-    assert solved["_pass"] and solved["_fill"]  # the checks above saw both steps
+    solved = dict(made)
+    assert all(solved.values())  # the checks above saw every step make moves
     for p in narrow + wide[:10]:
         q, trace = spread(p)
         while not is_winning(q):
@@ -276,7 +310,7 @@ def test_solver_moves_are_those_construction_builds(monkeypatch):
             assert all(w > 0 for _, w in q.items())
             trace += more
         check(p, q, trace)
-    assert calls["_pass"] > solved["_pass"]
+    assert made["_pass"] > solved["_pass"]
 
 
 def _moves(trace):
@@ -312,6 +346,11 @@ def test_solve_prints_what_the_fraction_solver_prints(monkeypatch):
         pos({0: F(1, 2), 3: F(1, 2)}),
         pos({1: F(3, 7), 8: F(4, 7)}),
         pos({0: F(1, 3), 5: F(1, 3), 9: F(1, 3)}),
+    ]
+    cases += [  # the pool's longest balances: 19, 18 and 15 rounds of splits
+        pos({5: F(17, 57), 11: F(14, 171), 12: F(52, 171), 14: F(6, 19)}),
+        pos({0: F(13, 61), 6: F(41, 122), 7: F(21, 122), 9: F(17, 61)}),
+        pos({7: F(1, 4), 15: F(3, 4)}),
     ]
     for p in cases + filled:
         del fills[:]

@@ -8,8 +8,15 @@ the error must still name the first line read.
 
 import pytest
 
-from effectfa.cli import parse_automaton, parse_recognizer
-from effectfa.errors import ParseError
+from effectfa import EffAutomaton, automaton_to_bialgebra, automaton_to_recognizer
+from effectfa.cli import (
+    parse_automaton,
+    parse_recognizer,
+    print_automaton,
+    print_bialgebra,
+    print_recognizer,
+)
+from effectfa.errors import InterfaceError, ParseError
 
 AUT = """\
 monad dist
@@ -83,6 +90,21 @@ def _edit(text, *edits):
         assert old in text, old
         text = text.replace(old, new, 1)
     return text
+
+
+UNSPELLABLE = (
+    "letter {!r} cannot be written in a word "
+    "(words join letters with '.' and write eps for the empty word)"
+)
+
+
+def _letter_cases(text):
+    """``text`` with the empty word's name, and with a letter holding a dot,
+    on its ``alphabet`` line, which is line 2 of every file here."""
+    return [
+        (name, _edit(text, ("alphabet a", f"alphabet {letters}")), "line 2: " + UNSPELLABLE.format(bad))
+        for name, letters, bad in [("eps-letter", "eps a", "eps"), ("dotted-letter", "a b.c", "b.c")]
+    ]
 
 
 AUTOMATON_CASES = [
@@ -292,7 +314,7 @@ AUTOMATON_CASES = [
         _edit(MINPLUS, ("minplus", "rational"), ("q:inf", "q:inf")),
         "line 5: not a rational literal: 'inf'",
     ),
-]
+] + _letter_cases(AUT)
 
 TABLE_CASES = [
     ("unknown-section", TABLE + "init e:1\n", "line 9: unknown section 'init'"),
@@ -339,7 +361,7 @@ TABLE_CASES = [
     ("pred-range", _edit(TABLE, ("pred e:0", "pred e:3/2")), "line 8: output 3/2 outside [0, 1]"),
     ("pred-undeclared", _edit(TABLE, ("pred e:0", "pred u:0")), "line 8: undeclared element 'u'"),
     ("missing-pred", _edit(TABLE, ("pred e:0 z:1\n", "")), "missing pred line"),
-]
+] + _letter_cases(TABLE)
 
 GRAPH_CASES = [
     ("unknown-section", GRAPH + "mul [0,1]*[0,1]=[0,1]\n", "line 8: unknown section 'mul'"),
@@ -387,7 +409,7 @@ GRAPH_CASES = [
         _edit(GRAPH, ("[1,1]:1/2\n", "[0,0]:1/2\n")),
         "line 6: undeclared element '[0,0]'",
     ),
-]
+] + _letter_cases(GRAPH)
 
 BIALG_CASES = [
     ("unknown-section", BIALG + "unit g\n", "line 13: unknown section 'unit'"),
@@ -448,7 +470,7 @@ BIALG_CASES = [
         _edit(BIALG, ("init p:1", "init q:2"), ("image g q -> q:1", "image g q -> q:2")),
         "line 6: probability mass 2 is not 1",
     ),
-]
+] + _letter_cases(BIALG)
 
 
 def _message(parse, text):
@@ -485,3 +507,27 @@ def test_recognizer_reader_errors(text, message):
 )
 def test_the_unedited_files_parse(parse, text):
     assert parse(text) is not None
+
+
+@pytest.mark.parametrize("letter", ["eps", "a.b"])
+def test_the_printers_refuse_the_letters_the_readers_refuse(letter):
+    # A machine built in Python may have any letters; none that a reader
+    # refuses may be printed, so every printed file reads back.
+    m = parse_automaton(AUT)
+    named = EffAutomaton(
+        monad=m.monad,
+        states=m.states,
+        alphabet=(letter,),
+        init=m.init,
+        trans={(q, letter): t for (q, _), t in m.trans.items()},
+        output=m.output,
+        output_algebra=m.output_algebra,
+    )
+    for print_file, value in [
+        (print_automaton, named),
+        (print_recognizer, automaton_to_recognizer(named)),
+        (print_bialgebra, automaton_to_bialgebra(named)),
+    ]:
+        with pytest.raises(InterfaceError) as caught:
+            print_file(value)
+        assert str(caught.value) == UNSPELLABLE.format(letter)
