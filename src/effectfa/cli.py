@@ -197,6 +197,20 @@ def _distinct(tokens, what) -> tuple:
     return tuple(tokens)
 
 
+def _tokens(names, what):
+    """``names`` as the text of each, if a reader reads each back as one
+    token: lines split at whitespace and ``#`` starts a comment.  Otherwise
+    raises :class:`InterfaceError`."""
+    names = [str(x) for x in names]
+    for x in names:
+        if x.split() != [x] or "#" in x:
+            raise InterfaceError(
+                f"{what} name {x!r} cannot be read back "
+                "(a name is one token: not empty, without whitespace or '#')"
+            )
+    return names
+
+
 def _spellable(letters, error):
     """``letters``, if a word can spell each one: words join letters with
     ``.`` and write ``eps`` for the empty word.  Otherwise raises ``error``."""
@@ -207,6 +221,11 @@ def _spellable(letters, error):
                 "(words join letters with '.' and write eps for the empty word)"
             )
     return letters
+
+
+def _letters(letters) -> str:
+    """The text of a printed ``alphabet`` line's letters."""
+    return " ".join(_tokens(_spellable(letters, InterfaceError), "letter"))
 
 
 def _alphabet(tokens) -> tuple:
@@ -422,8 +441,8 @@ def print_automaton(a: EffAutomaton) -> str:
     """Render an automaton in the file format (a fixpoint of the parser)."""
     lines = [
         _fmt_monad_line(a.monad, a.output_algebra),
-        ("alphabet " + " ".join(_spellable(a.alphabet, InterfaceError))).rstrip(),
-        ("states " + " ".join(str(q) for q in a.states)).rstrip(),
+        ("alphabet " + _letters(a.alphabet)).rstrip(),
+        ("states " + " ".join(_tokens(a.states, "state"))).rstrip(),
         ("init " + _fmt_effect(a.init, a.states, a.monad)).rstrip(),
     ]
     for q in a.states:
@@ -574,10 +593,10 @@ def print_recognizer(r: EffRecognizer) -> str:
     names = {x: m.name(x) for x in m.elements}
     lines = [
         _fmt_monad_line(monad, r.output_algebra),
-        "alphabet " + " ".join(_spellable(r.morphism.alphabet, InterfaceError)),
+        "alphabet " + _letters(r.morphism.alphabet),
     ]
     if m.carrier is not None:
-        lines.append(("states " + " ".join(str(q) for q in m.carrier)).rstrip())
+        lines.append(("states " + " ".join(_tokens(m.carrier, "state"))).rstrip())
     lines += [
         "monoid " + " ".join(names[x] for x in m.elements),
         "unit " + names[m.unit],
@@ -643,8 +662,8 @@ def print_bialgebra(r: BialgRecognizer) -> str:
     gen_names = {g: _generator_name(g, index) for g in r.generators}
     lines = [
         _fmt_monad_line(r.monad, r.output_algebra),
-        "alphabet " + " ".join(_spellable(r.alphabet, InterfaceError)),
-        "states " + " ".join(str(q) for q in r.states),
+        "alphabet " + _letters(r.alphabet),
+        "states " + " ".join(_tokens(r.states, "state")),
         "gens " + " ".join(gen_names[g] for g in r.generators),
     ]
     for g in r.generators:
@@ -705,7 +724,7 @@ def parse_position(text: str) -> convexgame.Position:
         if not _NATURAL_RE.fullmatch(term):
             raise ParseError(f"exponent {term!r} is not a natural number")
         n = int(term)
-        coeffs[n] = coeffs.get(n, _F0) + coef
+        coeffs[n] = coeffs[n] + coef if n in coeffs else coef
     try:
         return convexgame.Position(coeffs)
     except EffectfaError as e:

@@ -20,11 +20,13 @@ legal and the full trace replays to the canonical representative of the
 start's expected value.
 
 Internally positions are plain exponent-to-mass dicts; the :class:`Position`
-wrapper validates and freezes them at the API boundary.  Once the support
-is hole-free, :func:`solve` and :func:`sweep` hold it as a *window*: one
-integer numerator per exponent from the lowest on, over one denominator.
-Balancing, passes, fill steps and the tests between them run on those
-integers, and the window is written back into ``Fraction`` masses once.
+wrapper validates and freezes them at the API boundary, checking the total
+mass on integers.  :func:`spread`, :func:`sweep` and :func:`solve` read the
+support into a *window* at once: one integer numerator per exponent from
+the lowest to the highest, 0 in a hole, over one denominator.  The merge
+of two points, spreading, balancing, passes, fill steps and the tests
+between them run on those integers; the only ``Fraction`` built is each
+emitted amount, and the window is written back into masses once.
 """
 
 from __future__ import annotations
@@ -55,19 +57,18 @@ class Position:
 
     def __init__(self, coefficients):
         c = {}
-        total = _F0
         for n, w in coefficients.items():
             if type(n) is not int or n < 0:
                 raise InputError(f"exponent {n!r} must be a natural number")
             if type(w) is not Fraction:
                 w = rational(w, "mass", f"at exponent {n}")
-            if w < 0:
+            if w.numerator < 0:
                 raise InputError(f"negative mass {w} at exponent {n}")
-            if w != 0:
-                c[n] = c.get(n, _F0) + w
-                total += w
-        if total != 1:
-            raise InputError(f"total mass {total} is not 1")
+            if w.numerator:
+                c[n] = w  # a dict repeats no exponent
+        den = lcm(*[w.denominator for w in c.values()])
+        if sum([w.numerator * (den // w.denominator) for w in c.values()]) != den:
+            raise InputError(f"total mass {sum(c.values(), _F0)} is not 1")
         self._c = dict(sorted(c.items()))
 
     def weight(self, n: int) -> Fraction:
@@ -121,7 +122,8 @@ class Move:
             raise InputError("the rule index must be a natural number")
         if type(self.lam) is not Fraction:
             object.__setattr__(self, "lam", rational(self.lam, "amount"))
-        _checked(self.lam)
+        if not (0 < self.lam <= _THIRD):
+            raise InputError(_AMOUNT_RANGE)
         if self.direction not in ("split", "merge"):
             raise InputError("direction must be 'split' or 'merge'")
 
@@ -132,13 +134,6 @@ class Move:
         m = object.__new__(cls)
         m.__dict__.update(index=index, lam=lam, direction=direction)
         return m
-
-
-def _checked(lam: Fraction) -> Fraction:
-    """``lam``, if it lies in (0, 1/3] as a move's amount must."""
-    if not (0 < lam <= _THIRD):
-        raise InputError(_AMOUNT_RANGE)
-    return lam
 
 
 def expected_value(p: Position) -> Fraction:
@@ -199,14 +194,10 @@ def apply_rule(p: Position, m: Move) -> Position:
     return _wrap(c)
 
 
-def _holes(c: dict) -> list:
-    supp = sorted(c)
-    return [(a, b - a) for a, b in zip(supp, supp[1:]) if b - a >= 2]
-
-
 def find_holes(p: Position) -> list:
     """All support gaps as (start, width) with width at least 2."""
-    return _holes(p._c)
+    supp = p.support
+    return [(a, b - a) for a, b in zip(supp, supp[1:]) if b - a >= 2]
 
 
 def is_winning(p: Position) -> bool:
@@ -215,33 +206,29 @@ def is_winning(p: Position) -> bool:
     return len(supp) == 1 or (len(supp) == 2 and supp[1] == supp[0] + 1)
 
 
-def _spread_fast(c: dict, trace: list):
-    holes = _holes(c)
-    while holes:
-        n, k = holes[0]
-        lam = _checked(c[n + k] / 4)
-        _split_fast(c, n + k - 1, lam)
-        trace.append(Move._of_checked(n + k - 1, lam, "split"))
-        holes = _holes(c)
-
-
 def spread(p: Position):
     """Reach a hole-free position; returns it with the move trace.
 
     Each hole (n, k) is patched by splitting a quarter of the mass at its
     right edge onto the neighbours, shrinking the hole by one until it
-    closes; patching never creates new holes.
+    closes; patching never creates new holes.  It runs on the window of
+    :func:`_window`, as :func:`solve` does (:func:`_spread`).
     """
-    c = dict(p._c)
+    lo, x, den = _window(p._c)
     trace = []
-    _spread_fast(c, trace)
-    return _wrap(c), trace
+    den = _spread(x, lo, den, trace)
+    return _wrap(_cells(lo, x, den)), trace
 
 
 def _window(c: dict):
-    """A hole-free support as ``(lo, x, den)`` with ``c[lo + i] == x[i]/den``."""
-    den = lcm(*(w.denominator for w in c.values()))
-    return min(c), [c[n].numerator * (den // c[n].denominator) for n in sorted(c)], den
+    """A support as ``(lo, x, den)``: ``x[i]/den`` is the mass at ``lo + i``
+    for every exponent from the lowest to the highest, 0 in a hole."""
+    den = lcm(*[w.denominator for w in c.values()])
+    lo = min(c)
+    x = [0] * (max(c) - lo + 1)
+    for n, w in c.items():
+        x[n - lo] = w.numerator * (den // w.denominator)
+    return lo, x, den
 
 
 def _cells(lo: int, x: list, den: int) -> dict:
@@ -262,6 +249,42 @@ def _reduce(x: list, den: int) -> int:
     if g > 1:
         x[:] = [v // g for v in x]
     return den // g
+
+
+def _split(x: list, lo: int, i: int, den: int, trace: list) -> int:
+    """Split a quarter of ``x[i+1]`` at ``lo + i``; returns the denominator.
+    When the quarter is not whole, the window and ``den`` are first scaled by
+    ``4 // gcd(4, x[i+1])``, as :func:`_pass` doubles them for an odd top."""
+    if x[i + 1] % 4:
+        s = 4 // gcd(4, x[i + 1])
+        x[:] = [s * v for v in x]
+        den *= s
+    l = x[i + 1] // 4
+    trace.append(Move._of_checked(lo + i, _amount(l, den), "split"))
+    x[i] += l
+    x[i + 1] -= 3 * l
+    x[i + 2] += 2 * l
+    return den
+
+
+def _spread(x: list, lo: int, den: int, trace: list) -> int:
+    """Patch the holes of a window as :func:`spread` does; returns its
+    denominator.  ``z``, the first zero cell, only moves right; the hole's
+    right edge ``j`` is split right to left down to ``z``, and a split at
+    the top appends a cell."""
+    z = 1
+    while z < len(x):
+        if x[z]:
+            z += 1
+            continue
+        j = z + 1
+        while not x[j]:
+            j += 1
+        if j == len(x) - 1:
+            x.append(0)
+        for i in range(j - 1, z - 1, -1):  # each split shrinks the hole by one
+            den = _split(x, lo, i, den, trace)
+    return den
 
 
 def _pass(x: list, lo: int, den: int, cap: int, trace: list):
@@ -318,24 +341,15 @@ def _balance(x: list, lo: int, den: int, trace: list) -> int:
     later merge pass is throttled by its smallest rung.  Splitting a quarter
     off the right neighbour of any coefficient below half that neighbour
     costs a handful of moves and raises the throttle by orders of magnitude.
-    A split at ``lo + i`` moves ``x[i+1]/4``, once the window is scaled by
-    ``4 // gcd(4, x[i+1])`` as :func:`_pass` doubles it for an odd top; no
-    cell empties, so the window stays ``[lo, hi]``.  The round cap is a
-    safety valve: balancing is never needed for correctness.
+    Each is a :func:`_split`; no cell empties, so the window stays
+    ``[lo, hi]``.  The round cap is a safety valve: balancing is never
+    needed for correctness.
     """
     for _ in range(64):
         made = len(trace)
         for i in range(len(x) - 3, 0, -1):
             if 2 * x[i] < x[i + 1]:
-                if x[i + 1] % 4:
-                    s = 4 // gcd(4, x[i + 1])
-                    x[:] = [s * v for v in x]
-                    den *= s
-                l = x[i + 1] // 4
-                trace.append(Move._of_checked(lo + i, _amount(l, den), "split"))
-                x[i] += l
-                x[i + 1] -= 3 * l
-                x[i + 2] += 2 * l
+                den = _split(x, lo, i, den, trace)
         if len(trace) == made:
             break
     return _reduce(x, den)
@@ -371,24 +385,27 @@ def _fill(x: list, lo: int, den: int, trace: list) -> int:
     geometrically.  Amounts are integer numerators ``f(x)*d`` times one
     ``u = t*theta/d``, ``d = 2^(w-1) - 1``; a step scales the window to a
     ``den`` that ``u`` divides and checks each amount's numerator there.
+    The remaining fraction, ``theta/d`` at first, is a reduced pair ``r/q``.
     """
     w = len(x)
     d = 2 ** (w - 1) - 1
     f = [t * d - (w - 1) * (2**t - 1) for t in range(1, w - 1)]
     a, b = f[0], (w - 2) * d - f[0]  # the ends of F, times -d
     e = _log2_floor(min(x[0] * b, x[-1] * a) * d, 2 * a * b * den)
-    rest = Fraction(1 << e, d) if e >= 0 else Fraction(1, d << -e)
-    while rest:
+    r, q = (1 << e, d) if e >= 0 else (1, d << -e)  # the rest r/q, reduced
+    while r:
         j = 0  # the index of the largest f[i] / x[i]
         for i in range(1, w - 2):
             if f[i] * x[j] > f[j] * x[i]:
                 j = i
-        over, under = rest.numerator * f[j] * den, rest.denominator * x[j]
-        u = rest / 2 ** (-(-over // under) - 1).bit_length()
-        m = lcm(den, u.denominator) // den
+        s = (-(-r * f[j] * den // (q * x[j])) - 1).bit_length()
+        q <<= s  # this step makes u = r/q, reduced as (r // g) / ud
+        g = gcd(r, q)
+        ud = q // g
+        m = ud // gcd(den, ud)
         x[:] = [v * m for v in x]
         den *= m
-        k = u.numerator * (den // u.denominator)
+        k = r // g * (den // ud)
         for i in range(w - 3, -1, -1):
             l = k * f[i]
             trace.append(Move._of_checked(lo + i, _amount(l, den), "merge"))
@@ -396,19 +413,22 @@ def _fill(x: list, lo: int, den: int, trace: list) -> int:
             x[i + 1] += 3 * l
             x[i + 2] -= 2 * l
         den = _reduce(x, den)
-        rest -= u
+        r *= (1 << s) - 1  # the rest less u
+        g = gcd(r, q)
+        r, q = r // g, q // g
     return den
 
 
 def solve(p: Position):
     """Drive a position to the winning representative of its expected value.
 
-    A position supported on exactly {n, n+2} is won by a single merge, since
-    the amount min(p(n), p(n+2)/2) zeroes at least one end.  Otherwise the
-    support is spread hole-free, held as a window, its ladder balanced, and
-    shrunk by right-to-left merge passes.  Each pass takes the largest
-    amount every transit coefficient affords, so only the ends can empty and
-    the support stays hole-free without re-spreading.
+    The support is read into a window at once.  A position supported on
+    exactly {n, n+2} is won by a single merge, one :func:`_pass`, since the
+    amount min(p(n), p(n+2)/2) zeroes at least one end.  Otherwise the
+    support is spread hole-free, its ladder balanced, and shrunk by
+    right-to-left merge passes.  Each pass takes the largest amount every
+    transit coefficient affords, so only the ends can empty and the support
+    stays hole-free without re-spreading.
 
     A pass moves at most the smallest of ``c[lo..hi-1]``, the rung, so an
     end needs about ``R = max(c[lo], c[hi]/2) / rung`` passes of ``hi-lo-1``
@@ -422,22 +442,20 @@ def solve(p: Position):
 
     The multiple 4 comes from the benchmark's game pool (seed 1): in moves,
     a fill and the passes after it beat the passes alone once ``R`` exceeds
-    about ``2*(hi-lo)``.  A fill move costs 3.3 us, a balance split 2.8 us
-    and a pass move 1.0 us (a 2-CPU VM, CPython 3.11); a solve takes 175 to
-    200 us per position with multiple 2, 4 or 8, whose longest traces there
+    about ``2*(hi-lo)``.  A fill move costs 2.9-3.6 us, a balance split
+    2.8-3.6 us, a spreading split 4.2-4.8 us with its scan for holes, and a
+    pass move 1.0-1.3 us (a 2-CPU VM, CPython 3.11); a solve takes 150 to
+    180 us per position with multiple 2, 4 or 8, whose longest traces there
     have 469, 484 and 848 moves, and any multiple but 4 changes the traces.
     Filling each support at most once keeps the loop finite: the passes
     after it still empty an end.
     """
-    c = dict(p._c)
+    lo, x, den = _window(p._c)
     trace = []
-    supp = sorted(c)
-    if len(supp) == 2 and supp[1] == supp[0] + 2:
-        lam = _checked(min(c[supp[0]], c[supp[1]] / 2))
-        _merge_fast(c, supp[0], lam)
-        trace.append(Move._of_checked(supp[0], lam, "merge"))
-    _spread_fast(c, trace)
-    lo, x, den = _window(c)
+    if len(x) == 3 and not x[1]:  # {lo, lo+2}: the merge empties an end
+        _, den = _pass(x, lo, den, x[0], trace)
+        return _wrap(_cells(lo, x, den)), trace
+    den = _spread(x, lo, den, trace)
     den = _balance(x, lo, den, trace)
     filled = None
     while len(x) > 2:

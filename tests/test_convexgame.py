@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,14 @@ from effectfa import (
     sweep,
 )
 from effectfa import convexgame
-from effectfa.errors import IllegalMoveError, InputError, InterfaceError, PreconditionError
+from effectfa.cli import parse_position
+from effectfa.errors import (
+    IllegalMoveError,
+    InputError,
+    InterfaceError,
+    ParseError,
+    PreconditionError,
+)
 
 from conftest import fraction_solve
 
@@ -119,6 +127,34 @@ def test_spread_patches_holes():
     assert len(trace2) == 1 and trace2[0].index == 1
 
 
+def test_spread_appends_a_cell_when_it_splits_the_top():
+    # The gap 0..7 is patched right to left from 7, whose split lands on 8.
+    q, trace = spread(pos({0: F(1, 2), 7: F(1, 2)}))
+    assert q.support == tuple(range(9))
+    assert _moves(trace[:2]) == [(6, "1/8", "split"), (5, "1/32", "split")]
+    assert [m.index for m in trace] == [6, 5, 4, 3, 2, 1]
+    assert q.weight(8) == F(1, 4) and expected_value(q) == F(129, 256)
+
+
+def test_spread_makes_the_first_moves_of_the_fraction_solver():
+    # Apart from the {n, n+2} supports, which one merge wins, solving starts
+    # with spreading; the oracle spreads a Fraction dict hole by hole.
+    rng = random.Random(1049)
+    cases = list(_positions(rng, 100, wide=False)) + list(_positions(rng, 50, wide=True))
+    cases += [pos({0: F(1, 2), 7: F(1, 2)}), pos({2: F(1, 3), 6: F(1, 3), 13: F(1, 3)})]
+    spread_some = 0
+    for p in cases:
+        supp = p.support
+        if len(supp) == 2 and supp[1] == supp[0] + 2:
+            continue
+        q, trace = spread(p)
+        _, want = fraction_solve(p)
+        assert _moves(trace) == _moves(want)[: len(trace)]
+        assert find_holes(q) == [] and _replay(p, trace) == q
+        spread_some += bool(trace)
+    assert spread_some > 50
+
+
 def test_sweep_requires_hole_free_non_winning():
     with pytest.raises(PreconditionError):
         sweep(pos({0: 1}))
@@ -151,6 +187,10 @@ def test_solve_examples():
     assert final == pos({0: F(1, 8), 1: F(7, 8)})
     final, trace = solve(pos({5: 1}))
     assert final == pos({5: 1}) and trace == []
+    # An odd top: the merge takes half of it, 1/6, over a doubled window.
+    final, trace = solve(pos({0: F(2, 3), 2: F(1, 3)}))
+    assert trace == [Move(0, F(1, 6), "merge")]
+    assert final == pos({0: F(1, 2), 1: F(1, 2)})
 
 
 def test_solve_traces_replay():
@@ -267,12 +307,13 @@ def _positions(rng, count, wide):
 def test_solver_moves_are_those_construction_builds(monkeypatch):
     # The solver builds its moves with Move._of_checked; each must equal the
     # move construction builds from its fields, with a Fraction amount.  No
-    # merge pass may leave a negative cell or empty an interior one, no fill
-    # step or balance may empty any cell of its window, no step may change
-    # the window's width, and no position returned may store a zero mass.
-    # Sweeping a wide window alone can take 10^5 moves and more, so fewer
-    # wide positions are swept than solved.
-    made = {"_pass": 0, "_fill": 0, "_balance": 0}  # moves per step
+    # merge pass may leave a negative cell or empty an interior one, no
+    # spread, fill step or balance may leave a zero cell in its window, only
+    # a spread may widen the window (by the one cell a split at its top
+    # appends), and no position returned may store a zero mass.  Sweeping a
+    # wide window alone can take 10^5 moves and more, so fewer wide
+    # positions are swept than solved.
+    made = {"_spread": 0, "_pass": 0, "_fill": 0, "_balance": 0}  # moves per step
 
     def no_dry_cell(name, step):
         def checked(x, *args):
@@ -280,8 +321,9 @@ def test_solver_moves_are_those_construction_builds(monkeypatch):
             before = len(trace)
             out = step(x, *args)
             made[name] += len(trace) - before
-            assert min(x) >= 0 and all(x[1:-1]) and len(x) == width
+            assert min(x) >= 0 and all(x[1:-1])
             assert name == "_pass" or all(x)
+            assert len(x) == width or name == "_spread" and len(x) == width + 1
             return out
 
         return checked
@@ -313,6 +355,27 @@ def test_solver_moves_are_those_construction_builds(monkeypatch):
     assert made["_pass"] > solved["_pass"]
 
 
+def test_solve_builds_a_fraction_only_for_each_amount_and_final_cell():
+    # From the read to the final cells the solver runs on integers: every
+    # Fraction made (Fraction.__new__, which Fraction arithmetic calls too)
+    # is an emitted amount, shared by the moves of a pass, or a final mass.
+    made = 0
+
+    def count(frame, event, arg):
+        nonlocal made
+        made += event == "call" and frame.f_code is F.__new__.__code__
+
+    rng = random.Random(1051)
+    for p in list(_positions(rng, 60, wide=False)) + list(_positions(rng, 30, wide=True)):
+        made = 0
+        sys.setprofile(count)
+        try:
+            final, trace = solve(p)
+        finally:
+            sys.setprofile(None)
+        assert made == len({id(m.lam) for m in trace}) + len(final.support)
+
+
 def _moves(trace):
     return [(m.index, str(m.lam), m.direction) for m in trace]
 
@@ -339,6 +402,7 @@ def test_solve_prints_what_the_fraction_solver_prints(monkeypatch):
         pos({3: F(1, 4), 5: F(3, 4)}),
         pos({4: F(5, 7), 6: F(2, 7)}),
         pos({1: F(9, 29), 3: F(20, 29)}),
+        pos({0: F(2, 3), 2: F(1, 3)}),  # an odd top: merge 0 1/6
     ]
     filled = [  # filled before their passes; the first is the CI position
         pos({4: F(16, 29), 11: F(1, 116), 12: F(51, 116)}),
@@ -390,6 +454,58 @@ def test_position_validation():
         Position({-1: F(1)})
     with pytest.raises(InputError):
         Position({0: F(3, 2), 1: F(-1, 2)})
+
+
+def test_reading_a_position_keeps_every_error_text():
+    # The total is checked on integers; each error names what it always did,
+    # the total as an exact Fraction, and the reader repeats it.
+    for d, text, message in [
+        ({0: F(3, 2), 1: F(-1, 2)}, "3/2*0 + -1/2*1", "negative mass -1/2 at exponent 1"),
+        ({0: F(1, 2)}, "1/2*0", "total mass 1/2 is not 1"),
+        ({0: F(1, 3), 4: F(1, 2)}, "1/3*0 + 1/2*4", "total mass 5/6 is not 1"),
+        ({0: F(2, 3), 1: F(4, 9)}, "2/3*0 + 4/9*1", "total mass 10/9 is not 1"),
+        ({0: 0, 3: F(0)}, "0*0 + 0*3", "total mass 0 is not 1"),
+    ]:
+        with pytest.raises(InputError) as caught:
+            Position(d)
+        assert str(caught.value) == message
+        with pytest.raises(ParseError) as caught:
+            parse_position(text)
+        assert str(caught.value) == message
+    # Zero masses are dropped; ints and text are read by rational, floats not.
+    p = Position({0: F(1, 4), 2: 0, 5: "0", 7: "3/4"})
+    assert p.items() == ((0, F(1, 4)), (7, F(3, 4))) and p.support == (0, 7)
+    assert Position({3: 1}).items() == ((3, F(1)),)
+    with pytest.raises(InterfaceError) as caught:
+        Position({0: F(1, 2), 1: 0.5})
+    assert str(caught.value) == "mass 0.5 at exponent 1 is not an exact rational"
+    # The reader sums the masses of a repeated exponent before checking.
+    assert parse_position("1/2*0 + 1/4*0 + 1/4*1") == pos({0: F(3, 4), 1: F(1, 4)})
+    assert parse_position("1/2*1 + 0*0 + 1/2*2") == pos({1: F(1, 2), 2: F(1, 2)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=40),
+        max_size=6,
+    ),
+    st.integers(min_value=-2, max_value=2),
+)
+def test_a_position_is_read_exactly_when_its_masses_sum_to_one(raw, off):
+    # Masses w/(total + off) over several reduced denominators: the check on
+    # integers must agree with the Fraction sum whether off is 0 or not.
+    den = sum(raw.values()) + off
+    if den <= 0:
+        return
+    d = {n: F(w, den) for n, w in raw.items()}
+    if sum(d.values()) == 1:
+        assert Position(d).items() == tuple(sorted((n, w) for n, w in d.items() if w))
+    else:
+        with pytest.raises(InputError) as caught:
+            Position(d)
+        assert str(caught.value) == f"total mass {sum(d.values(), F(0))} is not 1"
 
 
 def test_game_values_are_exact():

@@ -531,3 +531,36 @@ def test_the_printers_refuse_the_letters_the_readers_refuse(letter):
         with pytest.raises(InterfaceError) as caught:
             print_file(value)
         assert str(caught.value) == UNSPELLABLE.format(letter)
+
+
+UNREADABLE = (
+    "{} name {!r} cannot be read back "
+    "(a name is one token: not empty, without whitespace or '#')"
+)
+
+
+@pytest.mark.parametrize("name", ["a#b", "a b", ""])
+@pytest.mark.parametrize("what", ["letter", "state"])
+def test_the_printers_refuse_names_that_are_not_one_token(what, name):
+    # Lines are split at whitespace and '#' starts a comment, so a letter or
+    # state printed with either, or printed empty, would not read back.
+    m = parse_automaton(AUT)
+    letter = name if what == "letter" else "a"
+    state = {"p": name if what == "state" else "p", "q": "q"}.__getitem__
+    named = EffAutomaton(
+        monad=m.monad,
+        states=tuple(map(state, m.states)),
+        alphabet=(letter,),
+        init=m.init.map(state),
+        trans={(state(q), letter): t.map(state) for (q, _), t in m.trans.items()},
+        output={state(q): v for q, v in m.output.items()},
+        output_algebra=m.output_algebra,
+    )
+    for print_file, value in [
+        (print_automaton, named),
+        (print_recognizer, automaton_to_recognizer(named)),  # graph form: a states line
+        (print_bialgebra, automaton_to_bialgebra(named)),
+    ]:
+        with pytest.raises(InterfaceError) as caught:
+            print_file(value)
+        assert str(caught.value) == UNREADABLE.format(what, name)
