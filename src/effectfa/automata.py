@@ -11,17 +11,20 @@ one kernel (:func:`_kernel`): a start value, one step per letter, a read.
 Linear kernels (``dist`` and rational weights) run backward on integer
 numerators: the output column times the letter rows, read against the
 initial row, which is the same collapse.  On a linear machine
-:func:`eval_word` folds the same rows forward instead, one step per block
-of letters, the blocks built by pairwise doubling.  The convex kernel runs
-backward, on integer numerators too (see below).  The other semirings run
-forward on the column kernels of :mod:`effectfa.linalg`, with plain lists
-of weights for the boolean and user-declared semirings.  Min-plus and
-max-plus kernels keep a vector as ``(config, offset)``: the vector shifted
-so that its optimum is 0, and that optimum.  Their step is remembered per
-configuration and letter, so a word whose configurations repeat is mostly
-dictionary lookups; the memory grows with the distinct configurations met,
-up to a fixed number of entries per letter.
-None of them calls :func:`~effectfa.effects.bind`.  Per effect type the
+:func:`eval_word` folds the same rows, backward too, one step per block of
+letters, the blocks built by pairwise doubling.  The convex kernel runs
+backward, on integer numerators too (see below).  Every rational weight
+becomes an integer through :mod:`effectfa.linalg`'s one conversion
+(:func:`~effectfa.linalg._int_lines` on the sparse channel tables,
+:func:`~effectfa.linalg._int_vector` on dense vectors).  The other
+semirings run forward on the column kernels of :mod:`effectfa.linalg`,
+with plain lists of weights for the boolean and user-declared semirings.
+Min-plus and max-plus kernels keep a vector as ``(config, offset)``: the
+vector shifted so that its optimum is 0, and that optimum.  Their step is
+remembered per configuration and letter, so a word whose configurations
+repeat is mostly dictionary lookups; the memory grows with the distinct
+configurations met, up to a fixed number of entries per letter.  None of
+them calls :func:`~effectfa.effects.bind`.  Per effect type the
 value is:
 
 * ``dist``     -- acceptance probability in [0, 1] (probabilistic automata);
@@ -72,6 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
+from itertools import islice
 from itertools import product as _iterproduct
 from math import lcm
 from operator import mul
@@ -91,11 +95,13 @@ from .errors import CapabilityError, InputError, InterfaceError
 from .exactnum import _exact_weight, is_rational, rational
 from .linalg import (
     RowSpace,
-    _int_fold,
+    _int_lines,
     _int_read,
+    _int_run,
     _int_step,
     _int_vector,
     _lowest_terms,
+    _radix,
     _semiring_matrix,
     _semiring_step,
 )
@@ -163,6 +169,12 @@ def convex_output(value) -> tuple:
     return (lo, hi)
 
 
+def _check_distinct(names: tuple, what: str):
+    """Reject a declared name list that repeats a name."""
+    if len(set(names)) != len(names):
+        raise InterfaceError(f"repeated {what} in {names!r}")
+
+
 def _check_outputs(monad: Monad, states, output: dict, algebra: OutputAlgebra):
     """Reject an output map that is not total on ``states``, an algebra that
     does not fit the effect type, and inexact output values: ``dist``
@@ -193,7 +205,8 @@ def _check_outputs(monad: Monad, states, output: dict, algebra: OutputAlgebra):
 
 @dataclass(frozen=True)
 class EffAutomaton:
-    """States, initial effect value, transition table, output map."""
+    """States, initial effect value, transition table, output map.  No
+    state and no letter is repeated."""
 
     monad: Monad
     states: tuple
@@ -207,6 +220,8 @@ class EffAutomaton:
 
     def __post_init__(self):
         monad, states, trans = self.monad, self.states, self.trans
+        _check_distinct(states, "state")
+        _check_distinct(self.alphabet, "letter")
         try:
             tables = {a: {q: trans[(q, a)] for q in states} for a in self.alphabet}
         except KeyError:
@@ -349,35 +364,24 @@ def _letter_matrix(a: EffAutomaton, letter) -> tuple:
     return tuple(tuple(table[q].weight(p) for p in a.states) for q in a.states)
 
 
-def _int_rows(rows, index, d) -> list:
-    """Each of ``rows`` (the ``(state, weight)`` pairs of a rational weight
-    map) as a list of integer weights, one per state of ``index`` (state to
-    position), scaled by ``d``, a multiple of every weight's denominator."""
-    out = []
-    for row in rows:
-        nums = [0] * len(index)
-        for q, w in row:
-            nums[index[q]] = w.numerator * (d // w.denominator)
-        out.append(nums)
-    return out
-
-
 def _int_generators(values, states) -> tuple:
     """``(d, rows)``: per convex value of ``values``, its generators as
-    lists of integer weights on ``states`` (:func:`_int_rows`), all scaled
-    by ``d``, the LCM of the weights' denominators."""
-    groups = [[g.items() for g in v.generators] for v in values]
-    d = lcm(*(w.denominator for group in groups for g in group for _, w in g))
+    lists of integer weights on ``states``, all scaled by ``d``, the LCM of
+    the weights' denominators (one :func:`~effectfa.linalg._int_lines`)."""
+    groups = [v.generators for v in values]
     index = {q: i for i, q in enumerate(states)}
-    return d, [_int_rows(group, index, d) for group in groups]
+    d, rows = _int_lines([g.items() for group in groups for g in group], index)
+    rows = iter(rows)
+    return d, [list(islice(rows, len(group))) for group in groups]
 
 
 def _letter_rows(a: EffAutomaton, table) -> tuple:
     """``(d, rows)``: a letter's matrix on a linear machine, its rows the
-    letter channel's ``table`` as integer weights over their LCM ``d``."""
-    rows = [table[q].items() for q in a.states]
-    d = lcm(*(w.denominator for row in rows for _, w in row))
-    return d, _int_rows(rows, {q: i for i, q in enumerate(a.states)}, d)
+    letter channel's sparse ``table`` as integer weights over their LCM
+    ``d`` (:func:`~effectfa.linalg._int_lines`)."""
+    return _int_lines(
+        [table[q].items() for q in a.states], {q: i for i, q in enumerate(a.states)}
+    )
 
 
 def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> tuple:
@@ -444,7 +448,7 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
             table = a.letter_channel(x).table
             gens[x] = _int_generators([table[q] for q in a.states], a.states)
         init = _int_generators((a.init,), a.states)
-        radix = lcm(start[1], *(d for d, _ in gens.values()))
+        radix = _radix([start], gens)
 
         def collapse_rows(table, d, rows):
             nums, den = table
@@ -469,7 +473,7 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
         start = _int_vector([a.output[q] for q in a.states])
         rows = {}
         # Every prime of a denominator met so far divides ``radix`` (see
-        # linalg._int_letters): a value's denominator comes from ``start``
+        # linalg._radix): a value's denominator comes from ``start``
         # and the letters stepped, whose rows were converted before it.
         radix = start[1]
 
@@ -534,18 +538,17 @@ def _kernel(a: EffAutomaton, letters, algebra: OutputAlgebra | None = None) -> t
 
 
 def _fold(a: EffAutomaton, w, algebra: OutputAlgebra | None = None):
-    """The value of ``w``: one fold of :func:`_kernel` over its letters, or
-    on a linear machine the forward blocked fold of
-    :func:`~effectfa.linalg._int_fold` over the columns of the kernel's
-    letter rows (:func:`_letter_rows`)."""
+    """The value of ``w``: one fold of :func:`_kernel` over its letters.  On
+    a linear machine the kernel's letter rows (:func:`_letter_rows`) are
+    folded in blocks instead of one step per letter, backward from the
+    kernel's output column, by the blocked fold of
+    :func:`~effectfa.linalg._int_run`."""
+    letters = dict.fromkeys(w)
+    v, step, read, backward = _kernel(a, letters, algebra)
     if _is_linear(a.monad):
-        rows = {x: _letter_rows(a, a.letter_channel(x).table) for x in dict.fromkeys(w)}
-        mats = {x: (d, tuple(zip(*r))) for x, (d, r) in rows.items()}
-        start = _int_vector([a.init.weight(q) for q in a.states])
-        radix = lcm(start[1], *(d for d, _ in mats.values()))
-        (v,) = _int_fold([start], w, mats, radix)
-        return _int_read(v, _int_vector([a.output[q] for q in a.states]))
-    v, step, read, backward = _kernel(a, dict.fromkeys(w), algebra)
+        rows = {x: _letter_rows(a, a.letter_channel(x).table) for x in letters}
+        (v,) = _int_run([v], rows, w, backward)
+        return read(v)
     for x in (reversed(w) if backward else w):
         v = step(v, x)
     return read(v)
@@ -558,14 +561,14 @@ def eval_word(a: EffAutomaton, w):
     its letter rows on linear machines.  ``dist`` and ``weighted`` values
     are the initial row times the letter matrices times the output column,
     which is :func:`collapse` of the pushed-forward value: exact integers
-    over one denominator on linear machines, folded forward in blocks of
-    letters built by pairwise doubling, one step per block
-    (:func:`~effectfa.linalg._int_fold`; a word whose blocks repeat takes
-    far fewer steps than letters), ``(config, offset)`` on min-plus and
-    max-plus machines, with a memoised
-    step whose memory grows with the distinct configurations the word
-    meets, up to a fixed bound per letter (see :func:`_kernel`), and plain
-    lists of weights in :func:`bind`'s multiplication order otherwise.
+    over one denominator on linear machines, the output column folded
+    backward in blocks of letters built by pairwise doubling, one step per
+    block (:func:`~effectfa.linalg._int_run`; a word whose blocks repeat
+    takes far fewer steps than letters), ``(config, offset)`` on min-plus
+    and max-plus machines, with a memoised step whose memory grows with the
+    distinct configurations the word meets, up to a fixed bound per letter
+    (see :func:`_kernel`), and plain lists of weights in :func:`bind`'s
+    multiplication order otherwise.
     Convex values come from the kernel's backward case, the generator DP, in
     the mode the output algebra names; it gives the interval of forward hull
     propagation (see the module docstring) in time linear in the word.  The

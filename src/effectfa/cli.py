@@ -223,9 +223,11 @@ def _spellable(letters, error):
     return letters
 
 
-def _letters(letters) -> str:
-    """The text of a printed ``alphabet`` line's letters."""
-    return " ".join(_tokens(_spellable(letters, InterfaceError), "letter"))
+def _alphabet_line(letters) -> str:
+    """The printed ``alphabet`` line, with no blank after the head when
+    there are no letters, as every printer writes it."""
+    letters = _tokens(_spellable(letters, InterfaceError), "letter")
+    return " ".join(["alphabet", *letters])
 
 
 def _alphabet(tokens) -> tuple:
@@ -441,7 +443,7 @@ def print_automaton(a: EffAutomaton) -> str:
     """Render an automaton in the file format (a fixpoint of the parser)."""
     lines = [
         _fmt_monad_line(a.monad, a.output_algebra),
-        ("alphabet " + _letters(a.alphabet)).rstrip(),
+        _alphabet_line(a.alphabet),
         ("states " + " ".join(_tokens(a.states, "state"))).rstrip(),
         ("init " + _fmt_effect(a.init, a.states, a.monad)).rstrip(),
     ]
@@ -593,7 +595,7 @@ def print_recognizer(r: EffRecognizer) -> str:
     names = {x: m.name(x) for x in m.elements}
     lines = [
         _fmt_monad_line(monad, r.output_algebra),
-        "alphabet " + _letters(r.morphism.alphabet),
+        _alphabet_line(r.morphism.alphabet),
     ]
     if m.carrier is not None:
         lines.append(("states " + " ".join(_tokens(m.carrier, "state"))).rstrip())
@@ -662,7 +664,7 @@ def print_bialgebra(r: BialgRecognizer) -> str:
     gen_names = {g: _generator_name(g, index) for g in r.generators}
     lines = [
         _fmt_monad_line(r.monad, r.output_algebra),
-        "alphabet " + _letters(r.alphabet),
+        _alphabet_line(r.alphabet),
         "states " + " ".join(_tokens(r.states, "state")),
         "gens " + " ".join(gen_names[g] for g in r.generators),
     ]

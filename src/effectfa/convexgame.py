@@ -23,7 +23,9 @@ Internally positions are plain exponent-to-mass dicts; the :class:`Position`
 wrapper validates and freezes them at the API boundary, checking the total
 mass on integers.  :func:`spread`, :func:`sweep` and :func:`solve` read the
 support into a *window* at once: one integer numerator per exponent from
-the lowest to the highest, 0 in a hole, over one denominator.  The merge
+the lowest to the highest, 0 in a hole, over one denominator.  Both read
+the masses through :func:`~effectfa.linalg._int_vector`, the integer form
+of every exact rational vector in the package.  The merge
 of two points, spreading, balancing, passes, fill steps and the tests
 between them run on those integers; the only ``Fraction`` built is each
 emitted amount, and the window is written back into masses once.
@@ -33,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import IllegalMoveError, InputError, PreconditionError
 from .exactnum import rational
+from .linalg import _int_vector
 
 _F0 = Fraction(0)
 _THIRD = Fraction(1, 3)
@@ -66,8 +69,8 @@ class Position:
                 raise InputError(f"negative mass {w} at exponent {n}")
             if w.numerator:
                 c[n] = w  # a dict repeats no exponent
-        den = lcm(*[w.denominator for w in c.values()])
-        if sum([w.numerator * (den // w.denominator) for w in c.values()]) != den:
+        nums, den = _int_vector(c.values())
+        if sum(nums) != den:
             raise InputError(f"total mass {sum(c.values(), _F0)} is not 1")
         self._c = dict(sorted(c.items()))
 
@@ -223,11 +226,11 @@ def spread(p: Position):
 def _window(c: dict):
     """A support as ``(lo, x, den)``: ``x[i]/den`` is the mass at ``lo + i``
     for every exponent from the lowest to the highest, 0 in a hole."""
-    den = lcm(*[w.denominator for w in c.values()])
+    nums, den = _int_vector(c.values())
     lo = min(c)
     x = [0] * (max(c) - lo + 1)
-    for n, w in c.items():
-        x[n - lo] = w.numerator * (den // w.denominator)
+    for n, y in zip(c, nums):
+        x[n - lo] = y
     return lo, x, den
 
 

@@ -279,13 +279,6 @@ def _value_monad(t) -> Monad:
     return DIST if kind == "dist" else CONVEX
 
 
-def _support_elements(t) -> set:
-    """Every point carrying weight in an effect value (any generator, if convex)."""
-    if isinstance(t, ConvexSet):
-        return {x for g in t.generators for x in g.support()}
-    return set(t.support())
-
-
 # The class of each effect kind's values.
 _VALUE_CLASS = {"dist": Dist, "weighted": WeightedVec, "convex": ConvexSet}
 _WRONG_TYPE = "has the wrong effect type"
@@ -546,7 +539,7 @@ def xi(t, domain: tuple, codomain: tuple) -> Channel:
     """
     monad = _value_monad(t)
     n = len(domain)
-    for f in _support_elements(t):
+    for f in _supports([t]):
         if len(f) != n:
             raise InterfaceError("function graph arity does not match the domain")
 

@@ -1,31 +1,28 @@
-"""Exact linear algebra over the rationals, and column kernels for word products.
+"""Exact linear algebra over the rationals, and the integer form it runs on.
 
 Dense matrices are tuples of tuples of `Fraction`; everything is computed
 with exact pivoting (first non-zero entry in row order) so results are
 deterministic and reproducible.
 
-Word products run on column kernels: each letter matrix is converted once
-into its columns, a vector is a plain list, and one step is one pass over
-the columns.  There are two arithmetics:
+Exact rationals run on integers: numerators over one LCM of their
+denominators (the shared-denominator idea of fraction-free elimination,
+Bareiss, *Math. Comp.* 22, 1968).  This module owns that form:
+:func:`_int_vector` converts a dense vector and :func:`_int_lines` any set
+of rows or columns, sparse or dense; no other module converts.
 
-* Integer rationals.  Each letter matrix is scaled by the LCM ``d`` of its
-  entries' denominators, a vector is a list of integer numerators over one
-  integer denominator, and one step (:func:`_int_step`) multiplies by the
-  integer matrix, multiplies the denominator by ``d`` and divides out the
-  gcd of the denominator and all numerators (:func:`_lowest_terms`; the
-  shared-denominator idea of fraction-free elimination, Bareiss,
-  *Math. Comp.* 22, 1968).  A whole word is one fold, :func:`_int_fold`,
-  behind :func:`effectfa.automata.eval_word` on linear machines and
-  :func:`word_value` and :func:`word_product` here.  It reads the word in
-  blocks built by pairwise doubling (:func:`_pairing`): the integer matrix
-  of each distinct pair of neighbouring tokens is the product of its
-  halves' (:func:`_int_product`), and a level is paired only while that
-  costs fewer multiplications than the steps it saves; then each vector
-  takes one step per block.  The convex generator DP of
-  :func:`effectfa.automata._kernel` reduces its tables with the same
-  :func:`_lowest_terms`.  A `Fraction` is built only from the final
-  numerator and denominator, and it normalises, so the value is the one
-  `Fraction` arithmetic gives.
+* Word products.  A vector is integer numerators over one denominator, and
+  one step (:func:`_int_step`) multiplies it by a letter's integer lines,
+  the denominator by the letter's scale, and divides out the common factor
+  (:func:`_lowest_terms`): ``v M`` on columns, ``M v`` on rows, as the
+  linear kernels of :func:`effectfa.automata._kernel` step an output column
+  backward.  A whole word is one blocked fold, :func:`_int_run`, forward
+  on columns behind :func:`word_value` and :func:`word_product`, backward
+  on a linear machine's letter rows behind
+  :func:`effectfa.automata.eval_word`.  It reads the word in blocks built
+  by pairwise doubling (:func:`_pairing`, :func:`_int_product`), pairing a
+  level only while that costs fewer multiplications than the steps it
+  saves.  A `Fraction` is built only from the final numerator and
+  denominator, so the value is the one `Fraction` arithmetic gives.
 * Semirings other than the rationals (:func:`_semiring_step`).  A column is
   the ``(row index, weight)`` pairs of its non-zero entries, and a step
   takes, per column, the semiring sum of ``mul(v[i], weight)``: ``min`` or
@@ -34,28 +31,17 @@ the columns.  There are two arithmetics:
 
 Both steps serve the word-tree walk of
 :func:`effectfa.automata.word_values` and the pair closures, one letter at
-a time, since they need every word; the semiring step serves
-:func:`effectfa.automata.eval_word` too.  The integer step also runs
-backward: given a letter's rows instead of its columns, it computes
-``M_x v``, which is how the linear kernels of
-:func:`effectfa.automata._kernel` step an output column.  The closure that
-checks two linear machines for equivalence
-(:func:`effectfa.automata._equivalent`) covers the pairs of columns they
-reach by their span in a :class:`RowSpace`.
-
-:class:`RowSpace` eliminates on integers too.  Its echelon rows are
-primitive integer vectors, a vector is reduced against a row by integer
-cross-multiplication, and each row records its coordinates in the vectors
-added so far as integer numerators over one denominator, so the coordinates
-of any vector in the span come out of the same elimination
-(:meth:`RowSpace.coords`) instead of a fresh linear solve per vector.
+a time; the closure on two linear machines covers the pairs it reaches by
+their span in a :class:`RowSpace`.  :class:`RowSpace` eliminates on
+integers: primitive echelon rows, integer cross-multiplication, and per
+row its coordinates in the vectors added so far, so a vector's coordinates
+come out of the same elimination (:meth:`RowSpace.coords`).
 :func:`feasible_nonneg`, the phase-1 simplex behind the bialgebra preimage
-solves and hull pruning, pivots fraction-free as well: an integer tableau
-over one common denominator, divided exactly by the previous pivot.
+solves and hull pruning, pivots fraction-free on an integer tableau over
+one common denominator, divided exactly by the previous pivot.
 :func:`solve_linear` is the one Gauss-Jordan elimination left on
-`Fraction`s.  The library no longer calls it (the rational bialgebra
-rebuild reads the same solutions off a :class:`RowSpace`) and the package
-does not export it; it stays only because the benchmark's probes call it.
+`Fraction`s; the library no longer calls it, and it stays only because the
+benchmark's probes call it.
 """
 
 from __future__ import annotations
@@ -71,10 +57,6 @@ Mat = tuple
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def zero_vec(n: int) -> Vec:
-    return (_F0,) * n
 
 
 def identity(n: int) -> Mat:
@@ -115,39 +97,47 @@ def _int_vector(v: Vec) -> tuple:
 
     ``den`` is the LCM of the entries' denominators.
     """
-    den = lcm(*(x.denominator for x in v))
+    den = lcm(*[x.denominator for x in v])
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
-def _int_matrix(m: Mat) -> tuple:
-    """``(d, columns)``: the integer columns of ``d * m``.
+def _int_lines(lines, index) -> tuple:
+    """``(d, rows)``: each of ``lines``, ``(key, weight)`` pairs, as
+    ``len(index)`` integers, ``d * weight`` at ``index[key]`` and 0
+    elsewhere, where ``d`` is the LCM of every weight's denominator.  A
+    sparse line is a weight map's items, with a ``state -> position`` dict;
+    a dense row ``r`` is ``tuple(enumerate(r))``, with ``range(len(r))``.
+    Each line is read twice, so it must be a sequence."""
+    d = lcm(*[w.denominator for line in lines for _, w in line])
+    width = len(index)
+    rows = []
+    for line in lines:
+        nums = [0] * width
+        for k, w in line:
+            nums[index[k]] = w.numerator * (d // w.denominator)
+        rows.append(nums)
+    return d, rows
 
-    ``d`` is the LCM of the entries' denominators.  Columns, because a
-    vector-matrix step is one dot product per column.
-    """
-    d = lcm(*(x.denominator for row in m for x in row))
-    return d, tuple(
-        tuple(x.numerator * (d // x.denominator) for x in col) for col in zip(*m)
-    )
 
-
-def _int_letters(rows, matrices) -> tuple:
-    """``(starts, mats, radix)`` for the rational ``rows`` and the letter
-    matrices ``matrices`` (a dict, each converted once).
-
-    ``starts`` holds each row as ``(numerators, den)`` (:func:`_int_vector`),
-    ``mats`` each letter's ``(d, columns)`` (:func:`_int_matrix`), and
-    ``radix`` is the LCM of every denominator among them, as
-    :func:`_int_step` and :func:`_int_fold` take it.
-    """
+def _int_letters(rows, letters, matrix_of) -> tuple:
+    """``(starts, mats)``: the rational ``rows`` as ``(numerators, den)``,
+    and each distinct letter ``x`` of ``letters`` as the ``(d, columns)`` of
+    its dense matrix ``matrix_of(x)``, called in order of first occurrence,
+    so that it may raise on an unknown letter."""
     starts = [_int_vector(r) for r in rows]
-    mats = {x: _int_matrix(m) for x, m in matrices.items()}
-    # Every prime of a denominator divides ``radix``: denominators only ever
-    # gain the factors of the initial ones and of the letter scales.  So the
-    # common factor is sought among the divisors of ``gcd(radix, den)``, a
-    # short integer, and no gcd of two long integers is taken.
-    radix = lcm(*(den for _, den in starts), *(d for d, _ in mats.values()))
-    return starts, mats, radix
+    mats = {}
+    for x in dict.fromkeys(letters):
+        m = matrix_of(x)
+        mats[x] = _int_lines([tuple(enumerate(col)) for col in zip(*m)], range(len(m)))
+    return starts, mats
+
+
+def _radix(vectors, mats) -> int:
+    """The ``radix`` of :func:`_int_step`: the LCM of the denominators of
+    ``vectors`` (``(numerators, den)``) and of the letter scales of ``mats``
+    (``(d, lines)``).  Steps only multiply these, so every prime of a later
+    denominator divides it too."""
+    return lcm(*[den for _, den in vectors], *[d for d, _ in mats.values()])
 
 
 def _int_read(v, final) -> Fraction:
@@ -160,7 +150,7 @@ def _int_read(v, final) -> Fraction:
 def _int_step(nums, den, matrix, radix) -> tuple:
     """The vector ``nums / den`` times the letter matrix ``matrix``.
 
-    ``matrix`` is ``(d, columns)`` from :func:`_int_matrix`; the result is
+    ``matrix`` is ``(d, columns)`` from :func:`_int_lines`; the result is
     ``(numerators, den)`` in lowest terms (:func:`_lowest_terms`), provided
     every prime of ``den`` and of ``d`` divides ``radix``.  Given
     ``(d, rows)`` instead, it is the matrix times the column ``nums / den``.
@@ -172,7 +162,8 @@ def _int_step(nums, den, matrix, radix) -> tuple:
 def _int_product(first, second, radix) -> tuple:
     """The ``(d, columns)`` matrix of ``first`` times ``second``, both
     ``(d, columns)``, with the common factor of its scale and entries
-    divided out (:func:`_lowest_terms`)."""
+    divided out (:func:`_lowest_terms`).  Given ``(d, rows)``, it is the
+    rows of ``second`` times ``first``."""
     (d1, cols1), (d2, cols2) = first, second
     rows1 = tuple(zip(*cols1))
     nums, d = _lowest_terms(
@@ -183,7 +174,7 @@ def _int_product(first, second, radix) -> tuple:
 
 
 def _pairing(tokens, ids: int, n: int, rows: int) -> tuple:
-    """``(blocks, tokens)``: the blocks :func:`_int_fold` builds for the
+    """``(blocks, tokens)``: the blocks :func:`_int_run` builds for the
     token sequence ``tokens`` (integers below ``ids``) and the sequence it
     then steps.
 
@@ -209,27 +200,31 @@ def _pairing(tokens, ids: int, n: int, rows: int) -> tuple:
         tokens = [built[p] for p in zip(tokens[0::2], tokens[1::2])] + tokens[2 * pairs :]
 
 
-def _int_fold(vectors, w, mats, radix) -> list:
+def _int_run(vectors, mats, w, backward: bool = False) -> list:
     """Each vector of ``vectors``, ``(numerators, den)``, times the letter
-    matrices ``mats[x]`` (``(d, columns)``) of the letters ``x`` of ``w``.
+    matrices ``mats[x]`` of ``w``: ``v M(w)`` on ``(d, columns)`` letters,
+    or with ``backward`` ``M(w) v`` on ``(d, rows)`` letters, ``w`` read
+    right to left.
 
     The word is read in blocks built by pairwise doubling
     (:func:`_pairing`): a block's matrix is the product of its two halves'
     (:func:`_int_product`), and each vector takes one :func:`_int_step` per
     block.  The blocks' denominators are products of the letters', so every
-    prime of them divides ``radix`` and the vectors come out in lowest
-    terms, as one step per letter would leave them.  A word whose blocks
-    repeat, such as ``a^k`` (repeated squaring), takes far fewer steps
-    than letters; the idea is that of evaluation on compressed words
+    prime of them divides the :func:`_radix` and the vectors come out in
+    lowest terms, as one step per letter would leave them.  A word whose
+    blocks repeat, such as ``a^k`` (repeated squaring), takes far fewer
+    steps than letters; the idea is that of evaluation on compressed words
     (Lohrey, *Groups Complex. Cryptol.* 4(2), 2012).  Letters are numbered
     in the order of ``mats`` and blocks after them, in a table of their
     own, so a block never stands for a letter, whatever the letters are (a
     tuple such as ``('a', 'b')`` included).
     """
+    radix = _radix(vectors, mats)
     table = list(mats.values())
     ids = {x: i for i, x in enumerate(mats)}
     n = len(table[0][1]) if table else 0
-    blocks, tokens = _pairing([ids[x] for x in w], len(table), n, len(vectors))
+    word = reversed(w) if backward else w
+    blocks, tokens = _pairing([ids[x] for x in word], len(table), n, len(vectors))
     for left, right in blocks:
         table.append(_int_product(table[left], table[right], radix))
     for t in tokens:
@@ -303,21 +298,12 @@ def _semiring_step(s):
     return step
 
 
-def _int_run(rows, w, matrix_of) -> list:
-    """Each row of ``rows`` times the letter matrices of ``w``, by
-    :func:`_int_fold`.  ``matrix_of(x)`` gives letter ``x``'s rational
-    matrix; it is called once per distinct letter, in order of first
-    occurrence, so it may raise on an unknown letter."""
-    starts, mats, radix = _int_letters(rows, {x: matrix_of(x) for x in dict.fromkeys(w)})
-    return _int_fold(starts, w, mats, radix)
-
-
 def word_value(initial: Vec, w, matrix_of, final: Vec) -> Fraction:
     """``initial @ M(w[0]) @ ... @ M(w[-1]) @ final``, exactly, on integers.
 
     ``matrix_of(x)`` is the rational matrix ``M(x)`` of letter ``x``.
     """
-    (v,) = _int_run((initial,), w, matrix_of)
+    (v,) = _int_run(*_int_letters((initial,), w, matrix_of), w)
     return _int_read(v, _int_vector(final))
 
 
@@ -325,7 +311,7 @@ def word_product(n: int, w, matrix_of) -> Mat:
     """The ``n`` x ``n`` matrix ``M(w[0]) @ ... @ M(w[-1])``, exactly, on integers."""
     return tuple(
         tuple(Fraction(y, den) for y in nums)
-        for nums, den in _int_run(identity(n), w, matrix_of)
+        for nums, den in _int_run(*_int_letters(identity(n), w, matrix_of), w)
     )
 
 
@@ -487,39 +473,36 @@ def feasible_nonneg(a: Mat, b: Vec):
     A `Fraction` is built only for the returned solution, which is the one
     the rational simplex returns.  ``a`` is m x n with small m, n.
 
-    A caller that solves many targets over one ``a`` converts ``a`` once
-    with :func:`_nonneg_columns` and calls :func:`_nonneg_solve` per
+    A caller that solves many targets over one ``a`` converts its rows
+    once with :func:`_int_lines` and calls :func:`_nonneg_solve` per
     target, as this function does for its one target.
     """
-    return _nonneg_solve(_nonneg_columns(a), b)
-
-
-def _nonneg_columns(a: Mat) -> tuple:
-    """``a`` for :func:`_nonneg_solve`: ``(s, rows)``, every row scaled to
-    integers by the LCM ``s`` of the denominators in ``a``."""
-    scale = lcm(*(x.denominator for row in a for x in row))
-    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in a]
+    n = len(a[0]) if a else 0
+    return _nonneg_solve(_int_lines([tuple(enumerate(r)) for r in a], range(n)), b)
 
 
 def _nonneg_solve(columns: tuple, b: Vec):
-    """:func:`feasible_nonneg` on ``a`` given as :func:`_nonneg_columns`.
+    """:func:`feasible_nonneg` on ``a`` given as its integer rows ``(s,
+    rows)`` (:func:`_int_lines`).
 
-    The common scale is the LCM of ``s`` and the denominators of ``b``, so
-    the rows of ``a`` are only multiplied by that over ``s``.
+    The common scale is the LCM of ``s`` and the denominator of ``b``
+    (:func:`_int_vector`), so the rows of ``a`` and ``b`` are only
+    multiplied by that over their own.
     """
     scale_a, a = columns
     m = len(b)
     n = len(a[0]) if a else 0
     if m == 0:
-        return zero_vec(n)
-    scale = lcm(scale_a, *(x.denominator for x in b))
-    k = scale // scale_a
+        return (_F0,) * n
+    b, scale_b = _int_vector(b)
+    scale = lcm(scale_a, scale_b)
+    k, k_b = scale // scale_a, scale // scale_b
     # Tableau rows: n structural + m artificial columns + rhs; keep b >= 0.
     rows = []
     for i in range(m):
         r = [x * k for x in a[i]]
         r += [0] * m
-        r.append(b[i].numerator * (scale // b[i].denominator))
+        r.append(b[i] * k_b)
         if r[-1] < 0:
             r = [-x for x in r]
         r[n + i] = 1

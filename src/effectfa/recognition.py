@@ -53,6 +53,7 @@ from itertools import product as _iterproduct
 from .automata import (
     EffAutomaton,
     OutputAlgebra,
+    _check_distinct,
     _check_outputs,
     collapse,
     disagreements,
@@ -82,7 +83,7 @@ from .errors import (
     InterfaceError,
     ResourceError,
 )
-from .linalg import RowSpace, _nonneg_columns, _nonneg_solve
+from .linalg import RowSpace, _int_lines, _nonneg_solve
 from .monoids import EffMorphism, _generator_name, function_monoid, generated_monoid
 
 _F1 = Fraction(1)
@@ -145,10 +146,11 @@ class EffRecognizer:
 class BialgRecognizer:
     """A generator-carried algebra of channels recognizing a language.
 
-    Construction checks the output map as :class:`EffAutomaton` does, that
-    every letter has a channel, that letter and generator-image channels
-    are ``states``-to-``states`` channels of the effect type, and that
-    ``init`` is a value on ``states``.
+    Construction checks that no state, letter or generator is repeated,
+    the output map as :class:`EffAutomaton` does, that every letter has a
+    channel and the generators, and only they, have images, that letter and
+    generator-image channels are ``states``-to-``states`` channels of the
+    effect type, and that ``init`` is a value on ``states``.
     """
 
     monad: Monad
@@ -162,10 +164,15 @@ class BialgRecognizer:
     output_algebra: OutputAlgebra
 
     def __post_init__(self):
+        _check_distinct(self.states, "state")
+        _check_distinct(self.alphabet, "letter")
+        _check_distinct(self.generators, "generator")
         _check_outputs(self.monad, self.states, self.output, self.output_algebra)
         missing = [x for x in self.alphabet if x not in self.letters]
         if missing:
             raise InterfaceError(f"letters without a channel: {missing}")
+        if self.images.keys() != set(self.generators):
+            raise InterfaceError("images must be given for the generators and only them")
         named = [(f"letter {x!r}", self.letters[x]) for x in self.alphabet]
         named += [(f"image of {g!r}", ch) for g, ch in self.images.items()]
         for what, ch in named:
@@ -379,7 +386,7 @@ def _preimage_solver(r: BialgRecognizer, names: dict):
 
     The generator columns (:func:`_channel_vector` of every image) are built
     once, here.  ``dist``: the columns and a row of ones are scaled to
-    integers once (:func:`~effectfa.linalg._nonneg_columns`), and each
+    integers once (:func:`~effectfa.linalg._int_lines`), and each
     target runs the phase-1 simplex of
     :func:`~effectfa.linalg.feasible_nonneg` on them, for convex
     coefficients over the generators.  Rational: the
@@ -392,7 +399,8 @@ def _preimage_solver(r: BialgRecognizer, names: dict):
     gens = r.generators
     vectors = [_channel_vector(r.images[g]) for g in gens]
     if r.monad.kind == "dist":
-        columns = _nonneg_columns(tuple(zip(*vectors)) + ((_F1,) * len(gens),))
+        rows = [*zip(*vectors), (_F1,) * len(gens)]
+        columns = _int_lines([tuple(enumerate(row)) for row in rows], range(len(gens)))
 
         def solve(target):
             sol = _nonneg_solve(columns, _channel_vector(target) + (_F1,))

@@ -52,6 +52,7 @@ from .linalg import (
     _int_read,
     _int_step,
     _int_vector,
+    _radix,
     mat_add,
     mat_mul,
     mat_scale,
@@ -161,7 +162,8 @@ def _forward_reduce(rep: LinearRep) -> LinearRep:
     `Fraction`s are built only for the returned representation.
     """
     space = RowSpace(rep.dim)
-    (start,), mats, radix = _int_letters((rep.initial,), rep.letters)
+    (start,), mats = _int_letters((rep.initial,), rep.alphabet, rep.letters.__getitem__)
+    radix = _radix([start], mats)
     basis = [start] if space._place(*start) is None else []
     # Per letter, the basis coordinates of the images of the basis rows.  An
     # image's coordinates are taken in the basis found so far, a prefix of

@@ -56,7 +56,6 @@ from effectfa import (
 )
 from effectfa.automata import (
     _equivalent,
-    _int_rows,
     _is_linear,
     _kernel,
     _pair_key,
@@ -66,7 +65,7 @@ from effectfa.automata import (
 )
 from effectfa.effects import CONVEX_CHOICE_LIMIT
 from effectfa.errors import CapabilityError, InputError, InterfaceError
-from effectfa.linalg import _pairing
+from effectfa.linalg import _int_lines, _pairing
 
 
 def word(n, letter="a"):
@@ -707,9 +706,10 @@ def test_many_states_on_a_short_word_build_no_block():
     rng = random.Random(409)
     a = rand_pfa(rng, 12, 2, pure_init=False)
     w = tuple(rng.choice(a.alphabet) for _ in range(20))
-    # The rule's inputs: 10 pairs of at most 4 kinds, 12 states, one vector.
+    # The rule's inputs: 10 pairs of at most 4 kinds, 12 states, one vector,
+    # the word read backward from the output column.
     ids = {x: i for i, x in enumerate(dict.fromkeys(w))}
-    tokens = [ids[x] for x in w]
+    tokens = [ids[x] for x in reversed(w)]
     assert _pairing(tokens, len(ids), 12, 1) == ([], tokens)
     assert eval_word(a, w) == fraction_fold(a, w)
     # The same word on two states is read in blocks, to the same value.
@@ -850,9 +850,9 @@ def test_the_linear_kernel_converts_a_letter_when_a_step_reads_it(monkeypatch):
 
     converted = []
 
-    def counting(rows, index, d):
-        converted.append(len(rows))
-        return _int_rows(rows, index, d)
+    def counting(lines, index):
+        converted.append(len(lines))
+        return _int_lines(lines, index)
 
     two = EffAutomaton(
         monad=DIST,
@@ -870,7 +870,7 @@ def test_the_linear_kernel_converts_a_letter_when_a_step_reads_it(monkeypatch):
     )
     at_eps = replace(two, output={"p": F(1, 2), "q": F(1)})
     at_a = replace(two, trans={**two.trans, ("p", "a"): Dist({"p": F(1, 4), "q": F(3, 4)})})
-    monkeypatch.setattr(automata, "_int_rows", counting)
+    monkeypatch.setattr(automata, "_int_lines", counting)
     assert _equivalent(two, at_eps, 3) is False
     assert converted == []
     # The first step reads a and differs, so b is never converted: two

@@ -527,6 +527,30 @@ def test_bialgebra_print_parse_fixpoint(files):
     assert r2.output == r.output
 
 
+EMPTY_ALPHABET = {
+    "dist": "monad dist\nalphabet\nstates p q\ninit p:1/2 q:1/2\noutput p:1 q:0\n",
+    "rational": "monad weighted rational\nalphabet\nstates p\ninit p:2\noutput p:-1\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EMPTY_ALPHABET))
+def test_no_printed_line_ends_in_whitespace(kind):
+    # Every printer writes an empty alphabet as a bare 'alphabet' line, and
+    # its text parses and prints back unchanged.
+    a = parse_automaton(EMPTY_ALPHABET[kind])
+    texts = [
+        print_automaton(a),
+        print_recognizer(automaton_to_recognizer(a)),
+        print_bialgebra(automaton_to_bialgebra(a)),
+    ]
+    for text in texts:
+        assert "alphabet\n" in text
+        assert all(line == line.rstrip() for line in text.split("\n")), text
+    assert print_automaton(parse_automaton(texts[0])) == texts[0]
+    for text, printer in zip(texts[1:], (print_recognizer, print_bialgebra)):
+        assert printer(parse_recognizer(text)) == text
+
+
 @pytest.mark.parametrize("module", ["effectfa", "effectfa.cli"])
 def test_python_dash_m_runs_the_command_line(module):
     root = Path(__file__).resolve().parent.parent

@@ -4,16 +4,19 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import fraction_feasible_nonneg
 from effectfa.exactnum import INF, NEG_INF, semiring_builtin
 from effectfa.linalg import (
     RowSpace,
     _int_letters,
-    _nonneg_columns,
+    _int_lines,
     _nonneg_solve,
     _int_product,
     _int_run,
+    _radix,
     _pairing,
     _semiring_matrix,
     _semiring_step,
@@ -117,19 +120,56 @@ def test_word_kernel_keeps_vectors_in_lowest_terms():
     # The factor 3 that cancels on 'b' comes from the vector's denominator,
     # not from the letter's scale (which is 1).
     mats = {"a": ((F(1, 2), F(1, 3)), (F(1, 6), F(2, 3))), "b": ((1, 0), (2, 0))}
-    ((nums, den),) = _int_run(((F(1, 3), F(1, 3)),), "b", mats.__getitem__)
+    start = (F(1, 3), F(1, 3))
+    ((nums, den),) = _int_run(*_int_letters((start,), "b", mats.__getitem__), "b")
     assert (nums, den) == ([1, 0], 1)
     # After 'aaa' the vector is (1, 3)/8; 'b' gives (4, 0)/8, a common
     # factor 4 above the letter scales' largest power of 2.
     halve = {"a": ((F(1, 2), 0), (0, F(1, 2))), "b": ((1, 0), (1, 0))}
-    ((nums, den),) = _int_run(((1, 3),), "aaab", halve.__getitem__)
+    starts, letters = _int_letters(((1, 3),), "ab", halve.__getitem__)
+    ((nums, den),) = _int_run(starts, letters, "aaab")
     assert (nums, den) == ([1, 0], 2)
     rng = random.Random(503)
     for _ in range(10):
         w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 40)))
         rows = identity(2) + ((F(1, 3), F(1, 3)),)
-        for nums, den in _int_run(rows, w, mats.__getitem__):
+        for nums, den in _int_run(*_int_letters(rows, w, mats.__getitem__), w):
             assert gcd(den, *nums) == 1
+
+
+_WEIGHT = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12)
+)
+_ROWS = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(_WEIGHT, min_size=n, max_size=n), max_size=4)
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ROWS, st.randoms(use_true_random=False))
+@example((0, []), random.Random(0))
+@example((0, [[], []]), random.Random(0))
+@example((3, [[F(0)] * 3, [F(0)] * 3]), random.Random(0))
+@example((3, [[F(0)] * 3, [F(1, 2), F(0), F(-2, 3)]]), random.Random(0))
+def test_int_lines_is_fraction_scaling(shape, rnd):
+    # The same rows given dense (every entry, in order) and sparse (the
+    # non-zero entries only, keyed by name, in any order) convert alike:
+    # each weight times the LCM of all the denominators.
+    n, rows = shape
+    d = lcm(*(w.denominator for row in rows for w in row))
+    want = [[d * w for w in row] for row in rows]
+    names = [f"q{i}" for i in range(n)]
+    sparse = []
+    for row in rows:
+        line = [(q, w) for q, w in zip(names, row) if w]
+        rnd.shuffle(line)
+        sparse.append(tuple(line))
+    got_dense = _int_lines([tuple(enumerate(row)) for row in rows], range(n))
+    got_sparse = _int_lines(sparse, {q: i for i, q in enumerate(names)})
+    assert got_dense == got_sparse == (d, want)
+    assert all(type(y) is int for row in got_sparse[1] for y in row)
 
 
 def test_int_product_is_the_fraction_product_in_lowest_terms():
@@ -139,8 +179,8 @@ def test_int_product_is_the_fraction_product_in_lowest_terms():
         first, second = rand_matrix(rng, n, n), rand_matrix(rng, n, n)
         if rng.random() < 0.2:
             second = tuple(tuple(F(0) for _ in range(n)) for _ in range(n))
-        _, mats, radix = _int_letters((), {"x": first, "y": second})
-        d, cols = _int_product(mats["x"], mats["y"], radix)
+        starts, mats = _int_letters((), "xy", {"x": first, "y": second}.__getitem__)
+        d, cols = _int_product(mats["x"], mats["y"], _radix(starts, mats))
         assert gcd(d, *(y for col in cols for y in col)) == 1
         rows = tuple(tuple(F(y, d) for y in row) for row in zip(*cols))
         assert rows == mat_mul(first, second)
@@ -390,7 +430,8 @@ def test_columns_converted_once_serve_every_target(seed):
     covered = scaled = 0
     for _ in range(60):
         a, b = rand_lp(rng)
-        columns = _nonneg_columns(a)
+        n = len(a[0]) if a else 0
+        columns = _int_lines([tuple(enumerate(r)) for r in a], range(n))
         targets = [b] + [
             tuple(y * F(rng.randint(1, 4), rng.choice((1, 5, 7))) for y in b)
             for _ in range(4)

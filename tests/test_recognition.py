@@ -64,7 +64,7 @@ from effectfa import (
 )
 from effectfa import recognition
 from effectfa.automata import EffAutomaton, collapse
-from effectfa.cli import parse_recognizer, print_automaton
+from effectfa.cli import parse_recognizer, print_automaton, print_bialgebra
 from effectfa.errors import (
     CapabilityError,
     InputError,
@@ -876,6 +876,23 @@ def test_bialgebra_init_off_the_states_is_rejected():
         BialgRecognizer(**{**kw, "init": Dist({"q0": F(1, 2), "zz": F(1, 2)})})
 
 
+def test_bialgebra_images_must_be_on_exactly_the_distinct_generators():
+    # Unchecked, each of these reached bialgebra_to_automaton and
+    # print_bialgebra, which failed with a bare KeyError.
+    kw = _coin_bialgebra_fields()
+    first, *rest = kw["generators"]
+    images = kw["images"]
+    for change, message in [
+        ({"images": {g: images[g] for g in rest}}, "images must be given"),
+        ({"images": {**images, "zz": images[first]}}, "images must be given"),
+        ({"generators": (first, first, *rest)}, "repeated generator"),
+    ]:
+        with pytest.raises(InterfaceError, match=message):
+            BialgRecognizer(**{**kw, **change})
+    bi = BialgRecognizer(**kw)
+    assert print_bialgebra(bi) == print_bialgebra(automaton_to_bialgebra(coin_pfa()))
+
+
 def test_bialgebra_evaluate_rejects_unknown_letters():
     r = automaton_to_bialgebra(coin_pfa())
     for w in [("z",), ("a", "a", "z")]:
@@ -968,7 +985,7 @@ def test_bialgebra_rebuild_over_the_generator_bound_fails_before_any_lp(monkeypa
     # The letters generate all 4**4 = 256 maps, over the bound of 64.
     bi = automaton_to_bialgebra(full_transformation_dfa(4))
     lps = []
-    monkeypatch.setattr(recognition, "_nonneg_columns", lambda *args: lps.append(args))
+    monkeypatch.setattr(recognition, "_int_lines", lambda *args: lps.append(args))
     monkeypatch.setattr(recognition, "_nonneg_solve", lambda *args: lps.append(args))
     with pytest.raises(ResourceError, match="256") as e:
         bialgebra_to_automaton(bi)

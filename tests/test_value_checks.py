@@ -6,6 +6,7 @@ InterfaceError text for each kind of bad value.  Every constructor that
 takes a number reads it by the one rule of ``exactnum.rational``.
 """
 
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -187,6 +188,19 @@ def test_a_non_value_is_named(monad):
     with pytest.raises(InterfaceError) as caught:
         double_strength(_good(monad), (1, 2))
     assert str(caught.value) == "not an effect value: (1, 2)"
+
+
+@pytest.mark.parametrize(
+    "field, names, what",
+    [("states", ("p", "p"), "state"), ("alphabet", ("a", "a"), "letter")],
+)
+def test_a_machine_repeats_no_state_and_no_letter(field, names, what):
+    # Unchecked, states ('p', 'p') evaluated with a bare IndexError and
+    # printed a file that the reader refuses ("repeated state").
+    good = _machine(DIST)
+    with pytest.raises(InterfaceError) as caught:
+        replace(good, **{field: names})
+    assert str(caught.value) == f"repeated {what} in {names!r}"
 
 
 def test_a_channel_table_must_be_its_domain():
