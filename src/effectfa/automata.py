@@ -45,21 +45,24 @@ the generators of each letter as integer numerators over one letter
 denominator; a `Fraction` is built only for the value itself.
 Forward propagation (:func:`iterated_transition`,
 :func:`~effectfa.effects.bind`) remains for questions whose answer is an
-effect value itself, and for :func:`purify_initial`.
+effect value itself, and for the fresh start state of :func:`purify_initial`
+and :func:`_bisimilar`.
 
 Every word up to a length is evaluated as a tree by :func:`word_values`,
 which computes each word from its parent (the word one letter shorter:
 prefixes for forward kernels, suffixes for backward ones) by one step of
 the same kernel as :func:`eval_word`.  :func:`disagreements` is what
 recognizer verification and bounded equivalence run.  It first checks the
-two machines by :func:`_equivalent`: one breadth-first closure over the
-pairs of kernel values that one word reaches in both, cut at the length
-asked, which counts a pair as covered by those found before in the span
-(two linear machines, Tzeng's test), up to equivalence (two boolean
-machines, Hopcroft and Karp's) or by key (any other pair).  Two machines
-are walked only if the closure finds a difference, or if their pairs
-cannot be keyed (a user-declared semiring, or a backward kernel against a
-forward one).
+two machines by :func:`_equivalent`.  Two min-plus, two max-plus or two
+convex machines whose starts are bisimilar (:func:`_bisimilar`, one
+partition refinement of their disjoint union) agree on every word.
+Otherwise it runs one breadth-first closure over the pairs of kernel values
+that one word reaches in both, cut at the length asked, which counts a pair
+as covered by those found before in the span (two linear machines, Tzeng's
+test), up to equivalence (two boolean machines, Hopcroft and Karp's) or by
+key (any other pair).  Two machines are walked only if the closure finds a
+difference, or if their pairs cannot be keyed (a user-declared semiring,
+or a backward kernel against a forward one).
 
 Deterministic automata are the ``dist`` case with Dirac channels and 0/1
 outputs; no separate type exists for them (:func:`is_pure_automaton`).
@@ -78,7 +81,7 @@ from fractions import Fraction
 from itertools import islice
 from itertools import product as _iterproduct
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .effects import (
     Channel,
@@ -91,7 +94,7 @@ from .effects import (
     kleisli_compose,
     unit,
 )
-from .errors import CapabilityError, InputError, InterfaceError
+from .errors import CapabilityError, InputError, InterfaceError, ResourceError
 from .exactnum import _exact_weight, is_rational, rational
 from .linalg import (
     RowSpace,
@@ -736,6 +739,158 @@ def _union_find():
     return known
 
 
+def _refinements(seed: list, rows: list, push):
+    """Yield the partitions of one partition refinement, the last one
+    stable: the coarsest forward bisimulation finer than ``seed``.
+
+    States are numbered ``0 .. n-1``; a partition is a list of their block
+    numbers.  ``seed[q]`` is a hashable value of state ``q`` (its output),
+    ``rows[q]`` its transition values, one per letter, and ``push(value,
+    block)`` a value pushed onto the blocks of the partition ``block``.
+    The first partition has one block per seed value.  Each next one splits
+    every block by the pushed rows of its states, and the loop stops once a
+    round splits nothing.  Blocks only split, so two states apart in one
+    partition are apart in every later one, and there are at most ``n``
+    rounds.
+
+    In the last partition, two states of one block have equal seeds and
+    equal pushed rows.  So where a word's value is their seed fed back
+    through those pushed rows, two states of one block agree on every word:
+    weighted machines over any semiring with the semiring sum per block
+    (Buchholz, *Theor. Comput. Sci.* 393, 2008), and convex ones with the
+    set of pushed generators (Bonchi, Silva and Sokolova, *CONCUR 2017*).
+    """
+    ids = {}
+    block = [ids.setdefault(k, len(ids)) for k in seed]
+    while True:
+        yield block
+        count, ids, old = len(ids), {}, block
+        block = [
+            ids.setdefault((old[q], *(push(v, old) for v in row)), len(ids))
+            for q, row in enumerate(rows)
+        ]
+        if len(ids) == count:
+            return
+
+
+def _push(entries, block, add) -> frozenset:
+    """``(state, weight)`` entries summed by ``add`` per block of the
+    partition ``block``, as a set of ``(block, weight)`` pairs."""
+    out = {}
+    for p, w in entries:
+        c = block[p]
+        out[c] = add(out[c], w) if c in out else w
+    return frozenset(out.items())
+
+
+def _live(seed: list, rows: list, semiring) -> set:
+    """The states of a weighted machine, in the numbering of
+    :func:`_refinements`, from which a non-zero output is reachable by
+    non-zero weights.  Every path from any other state has a zero factor, so
+    its language is zero."""
+    preds = [[] for _ in seed]
+    for q, row in enumerate(rows):
+        for entries in row:
+            for p, _ in entries:
+                preds[p].append(q)
+    todo = [q for q, v in enumerate(seed) if not semiring.is_zero(v)]
+    live = set(todo)
+    while todo:
+        for q in preds[todo.pop()]:
+            if q not in live:
+                live.add(q)
+                todo.append(q)
+    return live
+
+
+def _bisimilar(a: EffAutomaton, b: EffAutomaton) -> bool:
+    """Whether the starts of two min-plus, two max-plus or two convex
+    machines share a block of the largest forward bisimulation of their
+    disjoint union over ``a``'s alphabet (:func:`_refinements`).  If so,
+    they agree on every word; False says nothing, and so does a pair of any
+    other kind, of two output algebras or one whose ``b`` lacks a letter.
+
+    An effectful initial value becomes a fresh start state, as
+    :func:`purify_initial` makes it.  A weighted machine first loses every
+    transition into a state with no non-zero output ahead (:func:`_live`),
+    so a sink of zero language, as a recognizer's partial maps undefined at
+    the start form, matches the lack of one.  Blocks start from the output
+    values (for convex machines, the sides the output algebra reads).  A
+    tropical row is pushed by the semiring sum per block, a convex value as
+    the set of its generators pushed: equal sets have equal optima, so no
+    hull is computed.
+    """
+    monad = a.monad
+    if monad != b.monad or not set(a.alphabet) <= set(b.alphabet):
+        return False
+    convex = monad.kind == "convex"
+    if convex:
+        if a.output_algebra != b.output_algebra:
+            return False
+        sides = [comp for _, comp in _CONVEX_SIDES[a.output_algebra.mode]]
+
+        def seed_of(out):
+            return tuple(out[c] for c in sides)
+
+    elif _is_tropical(monad):
+
+        def seed_of(out):
+            return out
+
+    else:
+        return False
+    # The starts' outputs first, so that a pair which differs on the empty
+    # word builds no rows.
+    start_outs = [
+        m.output[m.init_pure_state()]
+        if is_pure(m.init)
+        else collapse(monad, INTERVAL_PAIR, m.init, m.output)
+        for m in (a, b)
+    ]
+    if seed_of(start_outs[0]) != seed_of(start_outs[1]):
+        return False
+    # The disjoint union: ``a``'s states, then ``b``'s, numbered from 0,
+    # each machine's fresh start after its states.
+    seed, rows, starts = [], [], []
+    for m, start_out in zip((a, b), start_outs):
+        channels = [m.letter_channel(x) for x in a.alphabet]
+        states = [(m.output[q], [ch.table[q] for ch in channels]) for q in m.states]
+        index = {q: len(seed) + i for i, q in enumerate(m.states)}
+        if is_pure(m.init):
+            starts.append(index[m.init_pure_state()])
+        else:
+            starts.append(len(seed) + len(states))
+            try:
+                fresh = [bind(m.init, ch) for ch in channels]
+            except ResourceError:  # a convex start too wide to bind
+                return False
+            states.append((start_out, fresh))
+        seed += [seed_of(out) for out, _ in states]
+        for _, values in states:
+            if convex:
+                rows.append(
+                    [[[(index[p], w) for p, w in g.items()] for g in v.generators]
+                     for v in values]
+                )
+            else:
+                rows.append([[(index[p], w) for p, w in v.items()] for v in values])
+    if convex:
+
+        def push(gens, block):
+            return frozenset(_push(g, block, add) for g in gens)
+
+    else:
+        live = _live(seed, rows, monad.semiring)
+        if len(live) < len(seed):
+            rows = [[[e for e in entries if e[0] in live] for entries in row] for row in rows]
+
+        def push(entries, block):
+            return _push(entries, block, monad.semiring.add)
+
+    sa, sb = starts
+    return all(block[sa] == block[sb] for block in _refinements(seed, rows, push))
+
+
 def _equivalent(a: EffAutomaton, b: EffAutomaton, maxlen: int | None = None, kernels=None):
     """Whether ``a`` and ``b`` agree on every word over ``a``'s alphabet up
     to ``maxlen``, or on every word without it, by one :func:`_closure`
@@ -758,6 +913,12 @@ def _equivalent(a: EffAutomaton, b: EffAutomaton, maxlen: int | None = None, ker
       and convex equivalence is open, so these closures need not finish,
       and without ``maxlen`` the answer is None.
 
+    Before that keyed closure, two min-plus, two max-plus or two convex
+    machines are refined once (:func:`_bisimilar`).  If their starts are
+    bisimilar the answer is True, whatever ``maxlen``, and no kernel is
+    built.  If not, the closure runs as it would without the refinement,
+    which never reports a difference.
+
     None, too, for a user-declared semiring and for two kernels that run in
     opposite directions.  ``kernels`` is the caller's :func:`_kernels`, to
     share with its walk.  A letter of ``a``'s alphabet that ``b`` lacks
@@ -768,6 +929,8 @@ def _equivalent(a: EffAutomaton, b: EffAutomaton, maxlen: int | None = None, ker
     elif _is_boolean(a.monad) and _is_boolean(b.monad):
         known = _union_find()
     else:
+        if _bisimilar(a, b):
+            return True
         key = None if maxlen is None else _pair_key(a, b)
         if key is None:
             return None
@@ -798,12 +961,15 @@ def disagreements(a: EffAutomaton, b: EffAutomaton, maxlen: int):
     alphabet, comparing with :func:`outputs_equal` on ``a``.
 
     The two machines are first checked without a walk, by
-    :func:`_equivalent` up to ``maxlen``: one breadth-first closure over
-    what a word reaches in both machines, cut at ``maxlen`` levels, in at
-    most the walk's kernel steps on each machine and, on machines that
-    differ, at most a walk's to their shortest difference (none if they
-    differ on the empty word, which the closure checks first).  If it finds
-    no difference, nothing is walked.  Otherwise, and always for a
+    :func:`_equivalent` up to ``maxlen``.  On two min-plus, two max-plus or
+    two convex machines that is first one partition refinement, which
+    steps no kernel and answers for every length if their starts are
+    bisimilar.  Then comes one breadth-first closure over what a word
+    reaches in both machines, cut at ``maxlen`` levels, in at most the
+    walk's kernel steps on each machine and, on machines that differ, at
+    most a walk's to their shortest difference (none if they differ on the
+    empty word, which the closure checks first).  If either finds no
+    difference, nothing is walked.  Otherwise, and always for a
     user-declared semiring and for two kernels that run in opposite
     directions, both machines are walked along the word tree by
     :func:`word_values`, on the kernels the closure built, so that every

@@ -121,7 +121,7 @@ class Dist:
         out = {}
         for x, v in self._w.items():
             y = fn(x)
-            out[y] = out.get(y, _F0) + v
+            out[y] = out[y] + v if y in out else v
         return Dist(out)
 
     def is_dirac(self) -> bool:

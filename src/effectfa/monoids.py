@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _iterproduct
 
-from .automata import EffAutomaton, is_pure_automaton, words_upto
+from .automata import EffAutomaton, _check_distinct, is_pure_automaton, words_upto
 from .effects import Monad, double_strength, unit
 from .errors import (
     InputError,
@@ -258,7 +258,8 @@ def tm_multiply(m: FinMonoid, t1, t2):
 
 @dataclass(frozen=True)
 class EffMorphism:
-    """Letter-indexed effect values into a finite monoid (the generating data)."""
+    """Letter-indexed effect values into a finite monoid (the generating
+    data).  No letter is repeated."""
 
     target: FinMonoid
     monad: Monad
@@ -266,6 +267,7 @@ class EffMorphism:
     letters: dict
 
     def __post_init__(self):
+        _check_distinct(self.alphabet, "letter")
         for a in self.alphabet:
             if a not in self.letters:
                 raise InputError(f"letter {a!r} has no image")

@@ -21,8 +21,10 @@ automaton on the states with the letter channels for a
 :class:`BialgRecognizer`.  That is exact, since reading a letter on the
 monoid machine is the lifted product :func:`~effectfa.monoids.tm_multiply`
 with the letter image, and it lets :func:`verify_recognition` compare both
-machines with :func:`~effectfa.automata.disagreements` (one breadth-first closure
-over what each word reaches in both machines, cut at the length asked, and
+machines with :func:`~effectfa.automata.disagreements` (on min-plus,
+max-plus and convex machines one partition refinement of both, which
+decides the pairs whose starts are bisimilar; one breadth-first closure
+over what each word reaches in both machines, cut at the length asked; and
 a walk along the word tree on the evaluation core of
 :mod:`effectfa.automata` only where the closure finds a difference or, for
 a user-declared semiring, cannot run) instead of building convex choice
@@ -490,13 +492,19 @@ def verify_recognition(a: EffAutomaton, r, maxlen: int) -> list:
     before or after applying them to ``init`` gives the same value
     (associativity of Kleisli composition).
 
-    The machines are first checked by one breadth-first closure over what
-    each word reaches in both, cut at ``maxlen`` and taking at most the
-    kernel steps of a walk that far: pairs of integer columns covered by
-    their span for ``dist`` and rational machines (Tzeng's test), pairs of
-    boolean vectors covered by union-find for boolean ones (Hopcroft–Karp),
-    and pairs of configurations covered by key for min-plus, max-plus and
-    convex ones.  If the closure finds no difference, nothing is walked.
+    Min-plus, max-plus and convex machines are first refined once.  A
+    recognizer's machine is bisimilar to the automaton it came from (the
+    map from a monoid element ``m`` to ``m(start)`` is a functional
+    bisimulation), so if the two starts share a block of the largest
+    bisimulation of the two machines, they agree on every word and nothing
+    more runs (:func:`~effectfa.automata._bisimilar`).  Otherwise the
+    machines are checked by one breadth-first closure over what each word
+    reaches in both, cut at ``maxlen`` and taking at most the kernel steps
+    of a walk that far: pairs of integer columns covered by their span for
+    ``dist`` and rational machines (Tzeng's test), pairs of boolean vectors
+    covered by union-find for boolean ones (Hopcroft–Karp), and pairs of
+    configurations covered by key for min-plus, max-plus and convex ones.
+    If the closure finds no difference, nothing is walked.
     Otherwise, and always for a user-declared semiring, both are walked
     along the word tree on the same kernels: integer columns stepped
     backward for ``dist`` and rational weights, the backward generator DP

@@ -45,6 +45,7 @@ from effectfa import (
     eval_pfa_pathsum,
     eval_word,
     identity_channel,
+    is_pure,
     is_pure_automaton,
     iterated_transition,
     kleisli_compose,
@@ -55,6 +56,7 @@ from effectfa import (
     words_upto,
 )
 from effectfa.automata import (
+    _bisimilar,
     _equivalent,
     _is_linear,
     _kernel,
@@ -1648,12 +1650,14 @@ def test_an_early_difference_is_found_before_a_deep_subtree(monkeypatch):
     assert len(steps) <= 2 * _walk_step_count(2, 2) + 2 * 4
 
 
-def test_other_semirings_and_convex_machines_are_walked():
+def test_self_pairs_of_other_semirings_and_convex_machines_are_decided():
+    # No keyed closure answers without a length; the bisimulation in front
+    # of it puts a machine's start in one block with its copy's.
     rng = random.Random(927)
     machines = [rand_wfa(rng, name, 2, 2) for name in ("minplus", "maxplus")]
     machines += [rand_npfa(rng, 2, 2, 2), choice_npfa()]
     for a in machines:
-        assert _equivalent(a, a) is None
+        assert _equivalent(a, a) is True
 
 
 def test_a_huge_maxlen_stops_at_the_first_difference():
@@ -1725,10 +1729,122 @@ def test_the_pair_search_takes_at_most_the_walk_steps(monkeypatch):
             steps = _counting_kernels(monkeypatch)
             got = _equivalent(a, b, maxlen)
             monkeypatch.undo()
-            assert len(steps) == 2  # one kernel per machine
+            # at most one kernel per machine, none for a pair that the
+            # bisimulation decides
+            assert len(steps) == (0 if _bisimilar(a, b) else 2)
             bound = _walk_step_count(len(a.alphabet), maxlen)
             assert all(count <= bound for count, in steps)
             assert got == (not _walked_differences(a, b, maxlen))
+
+
+# The bisimulation in front of the keyed closure.  Its oracle is the walk.
+
+
+def _twin(rng, a):
+    """``a`` with one state split in two: the twin has the same rows and
+    output, and every entry into the state is copied onto the twin (the
+    tropical sum of two equal weights is that weight) or, on a convex
+    machine, shared with it.  The same language, and a bisimilar machine."""
+    q = rng.choice(a.states)
+    twin = q + "'"
+    share = F(rng.randint(1, 3), 4)
+
+    def split(entries):
+        out = dict(entries)
+        if q in out:
+            w = out[q]
+            if a.monad.kind == "convex":
+                out[q], out[twin] = w * share, w * (1 - share)
+            else:
+                out[twin] = w
+        return out
+
+    def rebuild(value):
+        if a.monad.kind == "convex":
+            return ConvexSet([Dist(split(g.items())) for g in value.generators])
+        return WeightedVec(a.monad.semiring, split(value.items()))
+
+    trans = {k: rebuild(v) for k, v in a.trans.items()}
+    trans |= {(twin, x): trans[(q, x)] for x in a.alphabet}
+    return replace(
+        a,
+        states=a.states + (twin,),
+        init=rebuild(a.init),
+        trans=trans,
+        output={**a.output, twin: a.output[q]},
+    )
+
+
+# Changes that keep a machine bisimilar, then two that need not.
+_BISIMILAR_CHANGES = ("renamed", "purified", "twin")
+_CHANGES = _BISIMILAR_CHANGES + ("perturbed", "other")
+
+
+def _changed_pair(rng, kind, n, change):
+    def machine():
+        if kind == "convex":
+            return rand_npfa(rng, n, 2, 2, pure_init=rng.random() < 0.5)
+        return rand_wfa(rng, kind, n, 2)
+
+    a = machine()
+    if change == "renamed":
+        return a, _renamed(a)
+    if change == "purified":
+        return a, purify_initial(a)
+    if change == "twin":
+        return a, _twin(rng, a)
+    if change == "perturbed":
+        return a, _perturbed(rng, a, lambda: machine().init)
+    return a, machine()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(("minplus", "maxplus", "convex")),
+    st.integers(1, 3),
+    st.sampled_from(_CHANGES),
+)
+@example(0, "minplus", 3, "twin")
+@example(1, "convex", 2, "twin")
+@example(2, "maxplus", 1, "perturbed")
+def test_a_bisimilar_pair_differs_on_no_word(seed, kind, n, change):
+    a, b = _changed_pair(random.Random(seed), kind, n, change)
+    bisimilar = _bisimilar(a, b)
+    if change in _BISIMILAR_CHANGES:
+        assert bisimilar
+    if bisimilar:
+        assert _walked_differences(a, b, 6) == []
+
+
+def test_the_bisimulation_never_joins_a_perturbed_pair_that_differs():
+    # A perturbed row of a one-state convex machine still leads to that
+    # state, so such a pair may keep its language; the others must not be
+    # joined.
+    differing = 0
+    for seed in (940, 941, 942):
+        for a, b in _search_pairs(seed):
+            if _walked_differences(a, b, 6):
+                differing += 1
+                assert not _bisimilar(a, b), (a, b)
+                assert not _bisimilar(b, a), (a, b)
+    assert differing >= 30
+
+
+def test_monoid_machines_are_decided_without_a_kernel(monkeypatch):
+    rng = random.Random(948)
+    machines = [rand_wfa(rng, name, n, 2) for name in ("minplus", "maxplus") for n in (1, 2, 3)]
+    machines += [rand_npfa(rng, n, 2, 2, pure_init=pure) for n in (1, 2) for pure in (True, False)]
+    machines += [choice_npfa(), minplus_walk()]
+    assert any(not is_pure(a.init) for a in machines)
+    for a in machines:
+        m = _monoid_machine(a)
+        steps = _counting_kernels(monkeypatch)
+        assert _equivalent(a, m) is True
+        assert list(disagreements(a, m, 10**9)) == []
+        assert list(disagreements(m, a, 10**9)) == []
+        monkeypatch.undo()
+        assert steps == []
 
 
 def test_the_walk_after_a_search_or_decision_reuses_its_kernels(monkeypatch):

@@ -31,7 +31,7 @@ from effectfa import (
     weighted,
     words_upto,
 )
-from effectfa.errors import IntegrityError, PreconditionError, ResourceError
+from effectfa.errors import IntegrityError, InterfaceError, PreconditionError, ResourceError
 from effectfa.monoids import generated_monoid
 
 RAT = weighted("rational")
@@ -188,6 +188,14 @@ def test_free_extension_matches_enumeration_oracle():
     )
     for w in words_upto(("a",), 5):
         assert free_extension_word(h, w) == free_extension_enumerated(h, w)
+
+
+def test_a_repeated_letter_is_refused():
+    # ``alphabet a a`` would print two ``hom a`` lines, which no reader
+    # reads back.
+    h = or_morphism()
+    with pytest.raises(InterfaceError, match="repeated letter"):
+        EffMorphism(target=h.target, monad=DIST, alphabet=("a", "a"), letters=h.letters)
 
 
 def test_verify_morphism_accepts_the_mixture():
