@@ -19,6 +19,7 @@ from effectfa import (
     EffMorphism,
     EffRecognizer,
     UNIT_INTERVAL,
+    WeightedVec,
     automaton_to_bialgebra,
     automaton_to_recognizer,
     bialgebra_to_automaton,
@@ -828,6 +829,37 @@ def test_reader_builds_each_weight_in_lowest_terms():
         assert all(type(w) is Fraction for _, w in a.trans[(q, "a")].items())
     assert a.trans[("q1", "a")].support() == ("q1",)
     assert a.output["q0"] == 0 and type(a.output["q0"]) is Fraction
+
+
+@pytest.mark.parametrize("family", ["dist", "rational", "convex"])
+def test_printing_reads_each_value_once(monkeypatch, family):
+    # Printing tests each state against a value's stored entries, read once
+    # per value, so a dense machine prints in time linear in its entries.
+    n = 30
+    rng = random.Random(f"dense {family}")
+    if family == "dist":
+        a = rand_pfa(rng, n, 2, max_den=2 * n, pure_init=False)
+    elif family == "convex":
+        a = rand_npfa(rng, n, 2, 2, pure_init=False)
+    else:
+        a = rand_wfa(rng, family, n, 2)
+    values = 1 + len(a.trans)
+    if family == "convex":
+        values = sum(len(v.generators) for v in (a.init, *a.trans.values()))
+    calls = []
+    for cls in (Dist, WeightedVec):
+        for method in ("support", "weight"):
+            original = getattr(cls, method)
+
+            def counted(self, *args, original=original):
+                calls.append(1)
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, method, counted)
+    text = print_automaton(a)
+    assert len(calls) <= values
+    monkeypatch.undo()
+    assert print_automaton(parse_automaton(text)) == text
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 
 Each case is one malformed file and the full ``str`` of the ParseError it
 raises, line number included.  The readers parse each literal and each
-generator once per file, so a few cases repeat a bad token on a later line:
-the error must still name the first line read.
+generator once per effect type and process, and never store one that
+fails, so a few cases repeat a bad token on a later line: the error must
+still name the first line read.
 """
 
 import pytest
